@@ -10,21 +10,17 @@ from .analysis import (CompactContinuitySet, CoverFamily, RadiusResult,
                        approx_continuity_radius, lebesgue_radius,
                        lusin_compact_set, verify_deviation_budget)
 from .corpus import CorpusFunction, corpus_function, corpus_names
-from .errors import (BadScale, BoundViolated, DepthExceeded, MalformedShape,
+from .errors import (BoundViolated, DepthExceeded, MalformedShape,
                      NotApproxContinuous, NotLebesgue, NotPiecewise,
-                     OutOfUniverse, PreconditionUncertified, ResidualStuck,
+                     OutOfUniverse, PreconditionUncertified,
                      ToleranceUnreachable, TubeInfeasible)
 from .gauge import (GaugeBuildParams, NullTube, build_gauge, build_null_tubes,
-                    shell_budget, shell_index, soundness_sweep, worker_count)
-from .geometry import (Ball, Box, Cube, Gauge, MorseSet, NormKind, Star2D,
-                       circumradius, is_delta_fine, make_ball, make_cube,
-                       make_regular_star, make_star, min_lambda, norm,
-                       norm_ratio, scale_morse_set, starlike_check)
+                    shell_budget, shell_index, soundness_sweep)
+from .geometry import Box, Gauge, NormKind, norm, norm_ratio
 from .measure import (MeasureValue, RadonMeasure, annulus_measure,
-                      ball_volume, measure_box, measure_morse_set)
+                      ball_volume, measure_box)
 from .partition import (SieveParams, TaggedFamily, dyadic_sieve,
-                        random_dyadic_partition, refine_family,
-                        vitali_ball_pack, verify_family)
+                        random_dyadic_partition, refine_family, verify_family)
 from .riemann import (ApproximationReport, CorollaryReport, SetFunction,
                       l1_deviation, l1_deviation_parts, local_error_sum,
                       make_integral_set_function, simple_sum, verify_corollary,
@@ -33,23 +29,18 @@ from .riemann import (ApproximationReport, CorollaryReport, SetFunction,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproximationReport", "BadScale", "Ball", "BoundViolated", "Box",
-    "CompactContinuitySet", "CorollaryReport", "CorpusFunction",
-    "CoverFamily", "Cube", "DepthExceeded", "Gauge", "GaugeBuildParams",
-    "MalformedShape", "MeasureValue", "MorseSet", "NormKind",
+    "ApproximationReport", "BoundViolated", "Box", "CompactContinuitySet",
+    "CorollaryReport", "CorpusFunction", "CoverFamily", "DepthExceeded",
+    "Gauge", "GaugeBuildParams", "MalformedShape", "MeasureValue", "NormKind",
     "NotApproxContinuous", "NotLebesgue", "NotPiecewise", "NullTube",
-    "OutOfUniverse", "PreconditionUncertified", "RadiusResult",
-    "RadonMeasure", "ResidualStuck", "SetFunction", "SieveParams", "Star2D",
-    "TaggedFamily", "ToleranceUnreachable", "TubeInfeasible",
-    "annulus_measure", "approx_continuity_radius", "ball_volume",
-    "build_gauge", "build_null_tubes", "circumradius", "corpus_function",
-    "corpus_names", "dyadic_sieve", "is_delta_fine", "l1_deviation",
-    "l1_deviation_parts", "lebesgue_radius", "local_error_sum",
-    "lusin_compact_set", "make_ball", "make_cube", "make_integral_set_function",
-    "make_regular_star", "make_star", "measure_box", "measure_morse_set",
-    "min_lambda", "norm", "norm_ratio", "random_dyadic_partition",
-    "refine_family", "scale_morse_set", "shell_budget", "shell_index",
-    "simple_sum", "soundness_sweep", "starlike_check", "verify_corollary",
+    "OutOfUniverse", "PreconditionUncertified", "RadiusResult", "RadonMeasure",
+    "SetFunction", "SieveParams", "TaggedFamily", "ToleranceUnreachable",
+    "TubeInfeasible", "annulus_measure", "approx_continuity_radius",
+    "ball_volume", "build_gauge", "build_null_tubes", "corpus_function",
+    "corpus_names", "dyadic_sieve", "l1_deviation", "l1_deviation_parts",
+    "lebesgue_radius", "local_error_sum", "lusin_compact_set",
+    "make_integral_set_function", "measure_box", "norm", "norm_ratio",
+    "random_dyadic_partition", "refine_family", "shell_budget", "shell_index",
+    "simple_sum", "soundness_sweep", "verify_corollary",
     "verify_deviation_budget", "verify_family", "verify_theorem",
-    "vitali_ball_pack", "worker_count",
 ]

@@ -1,10 +1,15 @@
-"""Continuity-set extraction and density-point radii.
+"""Density-point radii and compact continuity sets.
 
 The radius operations answer: how large may a centered family set at x be
 so that the mean (or tail-fraction) of ||f - f(x)|| stays within budget?
 Certification is entirely via the corpus closed forms; the returned radius
 bounds the reach |y - x| of admissible sets in the family's domain norm, so
 a cube of half-side h qualifies when its circumradius lies below the radius.
+
+lusin_compact_set shrinks each constant piece of the integrand inward until
+the omitted measure is below eps; the shrunken pieces are closed boxes on
+which f is constant, and pieces with different values sit a certified
+distance apart.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ import numpy as np
 from .corpus import CorpusFunction
 from .errors import (BoundViolated, NotApproxContinuous, NotLebesgue,
                      NotPiecewise, PreconditionUncertified)
+from .gauge import _density_ratio_adjust
 from .geometry import Box, NormKind, norm_ratio
-from .measure import RadonMeasure, ball_volume, measure_box, measure_box_batch
+from .measure import (RadonMeasure, ball_volume, measure_box,
+                      measure_box_batch, require_uniform)
 
 _RADIUS_CAP = 1.0
 
@@ -71,19 +78,6 @@ class RadiusResult:
             raise ValueError("radius exceeds the gauge cap")
         if self.certified and not self.radius > 0:
             raise ValueError("certified radius must be positive")
-
-
-def _density_ratio_adjust(mu: RadonMeasure) -> float:
-    """Budget shrink factor that makes Lebesgue-mean certificates valid for
-    the weighted mean."""
-    if mu.uniform:
-        return 1.0
-    wmin = float(mu.values.min())
-    wmax = float(mu.values.max())
-    if wmin <= 0.0:
-        raise PreconditionUncertified(
-            "radius certification needs a density bounded away from zero")
-    return wmin / wmax
 
 
 def lebesgue_radius(f: CorpusFunction, x, eps: float, mu: RadonMeasure,
@@ -189,9 +183,8 @@ def verify_deviation_budget(f: CorpusFunction, x, eps: float, mu: RadonMeasure,
     tags = np.tile(x_arr, (len(scales), 1))
     V = np.tile(np.atleast_1d(fx), (len(scales), 1))
     vals, errs = f.dev_integral_for_tags(los, his, tags, V)
-    w0 = mu.w0 if mu.uniform else None
-    if w0 is None:
-        raise PreconditionUncertified("sweep needs a uniform density")
+    require_uniform(mu)
+    w0 = mu.w0
     masses = measure_box_batch(mu, los, his)
     lhs = w0 * (vals + errs)
     rhs = 4.0 * eps * masses

@@ -3,16 +3,16 @@
 Outputs are byte-reproducible: JSON is dumped with sorted keys, CSV floats
 go through '%.17g', rows follow the (fn, eps, trial) order of the request,
 and nothing records wall-clock time.  Exit codes: 0 on success, 2 when a
-certified bound or family check fails, 3 when refinement cannot reach the
-requested tolerance.
+certified bound or family check fails, 3 when the input is invalid or the
+request is infeasible or unsupported as posed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,10 @@ import numpy as np
 from .analysis import lusin_compact_set
 from .corpus import corpus_function, corpus_names
 from .errors import (BoundViolated, DepthExceeded, NotPiecewise,
-                     ToleranceUnreachable, TubeInfeasible)
-from .gauge import GaugeBuildParams, build_gauge, worker_count
-from .geometry import NormKind
+                     PreconditionUncertified, ToleranceUnreachable,
+                     TubeInfeasible)
+from .gauge import GaugeBuildParams, build_gauge
+from .geometry import NormKind, norm_ratio
 from .measure import RadonMeasure
 from .partition import sabotage_offcenter, sabotage_overlap
 from .riemann import verify_corollary, verify_theorem
@@ -59,7 +60,6 @@ def _resolve_norms(args, dim: int) -> tuple[NormKind, float]:
                 f"--lambda {args.lam} needs a {need}-d integrand, "
                 f"got {dim}-d")
         dn = NormKind.TWO
-    from .geometry import norm_ratio
     return dn, norm_ratio(NormKind.INF, dn, dim)
 
 
@@ -105,9 +105,7 @@ def cmd_run_theorem(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     jobs = list(args.eps)
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(
-            lambda e: _run_theorem_one(f, mu, e, args, dn), jobs))
+    results = [_run_theorem_one(f, mu, e, args, dn) for e in jobs]
 
     rows = []
     payload = {"command": "run-theorem", "fn": f.name,
@@ -144,10 +142,8 @@ def cmd_run_corollary(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     jobs = list(args.eps)
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(
-            lambda e: verify_corollary(f, mu, e, seed=args.seed,
-                                       domain_norm=dn), jobs))
+    results = [verify_corollary(f, mu, e, seed=args.seed, domain_norm=dn)
+               for e in jobs]
 
     rows = []
     payload = {"command": "run-corollary", "fn": f.name,
@@ -274,18 +270,38 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _input_error(args) -> str | None:
+    """Why the parsed arguments are out of range, or None when they are not."""
+    for eps in args.eps:
+        if not (math.isfinite(eps) and eps > 0):
+            return f"--eps must be finite and positive, got {eps!r}"
+    if args.eta is not None and not (math.isfinite(args.eta) and args.eta > 0):
+        return f"--eta must be finite and positive, got {args.eta!r}"
+    if args.max_depth is not None and args.max_depth < 0:
+        return f"--max-depth must be nonnegative, got {args.max_depth}"
+    if args.trials < 1:
+        return f"--trials must be at least 1, got {args.trials}"
+    if getattr(args, "grid", 1) < 1:
+        return f"--grid must be at least 1, got {args.grid}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if not args.eps:
         args.eps = [0.1]
+    problem = _input_error(args)
+    if problem is not None:
+        print(f"INVALID INPUT: {problem}", file=sys.stderr)
+        return 3
     try:
         return args.func(args)
     except BoundViolated as e:
         print(f"BOUND VIOLATED: {e}", file=sys.stderr)
         return 2
     except (DepthExceeded, ToleranceUnreachable, TubeInfeasible,
-            NotPiecewise) as e:
+            NotPiecewise, PreconditionUncertified) as e:
         print(f"UNREACHABLE: {e}", file=sys.stderr)
         return 3
 

@@ -10,11 +10,8 @@ from typing import Any
 
 
 class MalformedShape(ValueError):
-    """Shape parameters are inconsistent (non-positive size, bad vertex count)."""
-
-
-class BadScale(ValueError):
-    """Scaling factor outside the open interval (0, 1]."""
+    """Geometry parameters are inconsistent (inverted or non-finite box, a
+    two-sided window where an oracle needs a one-sided one)."""
 
 
 class OutOfUniverse(ValueError):
@@ -34,7 +31,9 @@ class NotApproxContinuous(ValueError):
 
 
 class PreconditionUncertified(RuntimeError):
-    """A hypothesis of a verified statement could not be certified numerically."""
+    """A hypothesis of a verified statement could not be certified
+    numerically, or the input is outside the supported case (a non-uniform
+    density where only uniform ones are handled)."""
 
 
 class TubeInfeasible(RuntimeError):
@@ -59,10 +58,6 @@ class DepthExceeded(RuntimeError):
     def __init__(self, message: str, stuck: list[dict[str, Any]] | None = None):
         super().__init__(message)
         self.stuck = stuck or []
-
-
-class ResidualStuck(RuntimeWarning):
-    """Packing made no progress but the uncovered mass is still above target."""
 
 
 class BoundViolated(AssertionError):

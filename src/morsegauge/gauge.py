@@ -13,27 +13,17 @@ first).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import CoverFamily, _density_ratio_adjust
 from .corpus import CorpusFunction
-from .errors import BoundViolated, TubeInfeasible
-from .geometry import Box, Gauge, NormKind, norm, norm_batch
-from .measure import RadonMeasure, annulus_measure, measure_box_batch, measure_box_clipped
+from .errors import BoundViolated, PreconditionUncertified, TubeInfeasible
+from .geometry import Box, Gauge, NormKind, norm, norm_batch, norm_ratio
+from .measure import (RadonMeasure, annulus_measure, measure_box_batch,
+                      measure_box_clipped, require_uniform)
 
 _WIDTH_FLOOR = 1e-300
-
-
-def worker_count() -> int:
-    """Worker cap from MORSE_GAUGE_THREADS (>= 1; default 1)."""
-    raw = os.environ.get("MORSE_GAUGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def shell_index(x, domain_norm: NormKind) -> int:
@@ -55,6 +45,28 @@ def shell_budget(eps: float, n: int, mu: RadonMeasure,
     return eps * 2.0 ** (-n - 2) / (1.0 + annulus_measure(mu, n, domain_norm))
 
 
+def shell_budget_table(eps: float, mu: RadonMeasure,
+                       domain_norm: NormKind) -> np.ndarray:
+    """Budgets of shells 1..n_max, where n_max is the shell of the farthest
+    universe corner; entry n - 1 belongs to shell n."""
+    n_max = max(shell_index(c, domain_norm) for c in mu.universe.corners())
+    return np.array([shell_budget(eps, n, mu, domain_norm)
+                     for n in range(1, n_max + 1)])
+
+
+def _density_ratio_adjust(mu: RadonMeasure) -> float:
+    """Budget shrink factor that makes Lebesgue-mean certificates valid for
+    the weighted mean."""
+    if mu.uniform:
+        return 1.0
+    wmin = float(mu.values.min())
+    wmax = float(mu.values.max())
+    if wmin <= 0.0:
+        raise PreconditionUncertified(
+            "radius certification needs a density bounded away from zero")
+    return wmin / wmax
+
+
 def value_bin(v_norm: float) -> int:
     """Half-open value bin: n - 1 <= ||f(x)|| < n."""
     return int(math.floor(v_norm)) + 1
@@ -64,7 +76,6 @@ def value_bin(v_norm: float) -> int:
 class GaugeBuildParams:
     eps: float
     domain_norm: NormKind = NormKind.TWO
-    shape: str = "cube"
     tube_safety: float = 0.5
     margin: float = 0.9  # fraction of each shell budget handed to the radius certificates
 
@@ -75,9 +86,6 @@ class GaugeBuildParams:
             raise ValueError("tube_safety must sit in (0, 1)")
         if not (0.0 < self.margin <= 1.0):
             raise ValueError("margin must sit in (0, 1]")
-
-    def family(self) -> CoverFamily:
-        return CoverFamily(self.shape, self.domain_norm)
 
 
 @dataclass(frozen=True)
@@ -157,8 +165,7 @@ def build_null_tubes(f: CorpusFunction, eps: float, mu: RadonMeasure,
         groups.setdefault(n, []).append(piece)
     if not groups:
         return []
-    if not mu.uniform:
-        raise TubeInfeasible("tube construction implemented for uniform densities")
+    require_uniform(mu)
 
     widths: dict[int, float] = {}
     for n, pieces in sorted(groups.items()):
@@ -224,19 +231,13 @@ def build_null_tubes(f: CorpusFunction, eps: float, mu: RadonMeasure,
 def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gauge:
     """Total gauge on the universe: tube-clearance halves on the jump set,
     certified shell-budget radii elsewhere."""
-    family = p.family()
-    dim = f.dim_in
+    lam = norm_ratio(NormKind.INF, p.domain_norm, f.dim_in)
     tubes = build_null_tubes(f, p.eps, mu, p.tube_safety)
     tube_by_bin = {t.n: t for t in tubes}
 
-    corners = [()]
-    for a, b in zip(mu.universe.lo, mu.universe.hi):
-        corners = [c + (v,) for c in corners for v in (a, b)]
-    n_max = max(shell_index(c, p.domain_norm) for c in corners)
-    budgets_by_shell = np.array(
-        [shell_budget(p.eps, n, mu, p.domain_norm) for n in range(1, n_max + 1)])
-    adjust = _density_ratio_adjust(mu)
-    cert_scale = p.margin * adjust / family.mean_factor(dim)
+    budgets_by_shell = shell_budget_table(p.eps, mu, p.domain_norm)
+    n_max = len(budgets_by_shell)
+    cert_scale = p.margin * _density_ratio_adjust(mu)
 
     def a_branch(x) -> float:
         fn_norm = f.ynorm(f.eval(x))
@@ -264,9 +265,7 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
             shells = np.clip(shells, 1, n_max)
             budgets = budgets_by_shell[shells - 1] * cert_scale
             h = f.certified_halfside_batch(X[rest], budgets)
-            reach = np.where(np.isfinite(h), h, np.inf)
-            if family.shape == "cube":
-                reach = reach * family.lam(dim)
+            reach = np.where(np.isfinite(h), h, np.inf) * lam
             out[rest] = np.minimum(1.0, reach)
         return out
 
@@ -275,16 +274,15 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
         "fn": f.name,
         "eps": p.eps,
         "domain_norm": p.domain_norm.value,
-        "shape": p.shape,
-        "lambda": family.lam(dim),
+        "shape": "cube",
+        "lambda": lam,
         "margin": p.margin,
         "tube_safety": p.tube_safety,
         "gamma": f.ac_modulus(p.eps / 4.0, mu.w0),
         "shell_budgets": [float(b) for b in budgets_by_shell],
         "tubes": [t.to_dict() for t in tubes],
     }
-    return Gauge(fn=lambda x: float(batch(np.asarray(x, dtype=float)[None, :])[0]),
-                 batch=batch, provenance=provenance)
+    return Gauge(batch=batch, provenance=provenance)
 
 
 # --------------------------------------------------------------------------
@@ -347,12 +345,11 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
     closed-form oracles, so a broken certificate and a broken oracle cannot
     cancel.
     """
+    require_uniform(mu)
     rng = np.random.default_rng(seed)
-    family = p.family()
     dim = f.dim_in
+    lam = norm_ratio(NormKind.INF, p.domain_norm, dim)
     report = SweepReport(fn=f.name, eps=p.eps)
-    if not mu.uniform:
-        raise BoundViolated("sweep implemented for uniform densities")
     w0 = mu.w0
 
     lo = np.asarray(mu.universe.lo)
@@ -363,27 +360,19 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
 
     deltas = g.delta_batch(X)
     shells = shell_index_batch(X, p.domain_norm)
-    n_max = max(
-        shell_index(c, p.domain_norm)
-        for c in [tuple(v) for v in
-                  np.stack(np.meshgrid(*zip(lo, hi)), -1).reshape(-1, dim)])
-    budgets = np.array([shell_budget(p.eps, n, mu, p.domain_norm)
-                        for n in range(1, n_max + 1)])[np.clip(shells, 1, n_max) - 1]
+    # recomputed rather than read from the provenance, so the sweep stays an
+    # independent check of the gauge
+    table = shell_budget_table(p.eps, mu, p.domain_norm)
+    budgets = table[np.clip(shells, 1, len(table)) - 1]
 
     scales = 1.0 / (1.6 ** np.arange(sets_per_probe))
     for s in scales:
-        h = family.halfside_from_reach(deltas * s, dim)
+        h = deltas * s / lam
         los = np.maximum(X - h[:, None], lo[None, :])
         his = np.minimum(X + h[:, None], hi[None, :])
         V = f.eval_batch(X)
         vals, errs = f.dev_integral_for_tags(los, his, X, V)
-        if family.shape == "cube":
-            masses = measure_box_batch(mu, los, his)
-        else:
-            # enclosing-cube deviation against the ball's own mass; the
-            # certificate is issued with exactly this slack
-            from .measure import ball_volume
-            masses = w0 * ball_volume(p.domain_norm, dim, 1.0) * h ** dim
+        masses = measure_box_batch(mu, los, his)
         lhs = w0 * (vals + errs)
         rhs = budgets * masses
         bad = lhs > rhs * (1.0 + 1e-9) + 1e-300
@@ -397,30 +386,25 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
     report.probes = len(X) * len(scales)
 
     if quad_probes and len(X):
-        from concurrent.futures import ThreadPoolExecutor
         from .quadrature import adaptive_box_quadrature
         pick = rng.choice(len(X), size=min(quad_probes, len(X)), replace=False)
-        h1 = family.halfside_from_reach(deltas[pick], dim)
+        h1 = deltas[pick] / lam
         q_lo = np.maximum(X[pick] - h1[:, None], lo[None, :])
         q_hi = np.minimum(X[pick] + h1[:, None], hi[None, :])
         Vp = f.eval_batch(X[pick])
         cvals, cerrs = f.dev_integral_for_tags(q_lo, q_hi, X[pick], Vp)
         allow = budgets[pick] * np.prod(q_hi - q_lo, axis=1)
 
-        def one(i: int):
+        for i in range(len(pick)):
             v = Vp[i]
             dev = lambda P: f.ynorm_rows(f.eval_batch(P) - v[None, :])[:, None]
             # the enclosure stays sound if the cell budget runs out; the
             # tolerance floor only keeps the overlap test informative
-            return adaptive_box_quadrature(
+            qv, qe = adaptive_box_quadrature(
                 dev, q_lo[i], q_hi[i], 1,
                 tol=max(1e-12, 0.05 * float(cvals[i] + cerrs[i]),
                         0.1 * float(allow[i])),
                 max_cells=6000, strict=False)
-
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            quads = list(pool.map(one, range(len(pick))))
-        for i, (qv, qe) in enumerate(quads):
             qv = float(qv[0])
             upper = float(cvals[i] + cerrs[i])
             lower = float(cvals[i] - cerrs[i])

@@ -1,12 +1,9 @@
-"""Norms, boxes, and tagged regular sets.
+"""Norms, boxes and gauges.
 
-A tagged set here is a closed region S carrying a distinguished point (the
-tag) with two radii attached: an inner radius r with B(tag, r) inside S, and
-an outer radius bounded by lam * r.  The ratio lam is the regularity
-constant.  Supported shapes are axis-aligned cubes, p-norm balls, and planar
-star polygons; cubes and balls are convex so their regularity numbers come
-from the norm-conversion table in closed form, stars fall back to vertex
-arithmetic plus sampling.
+The domain norm (1, 2 or sup) measures how far a cell reaches from its tag;
+norm_ratio converts between norms, so a cube of half-side h about its tag
+reaches h * norm_ratio(INF, domain_norm, d).  Boxes are closed and
+axis-aligned.  A gauge is a batch map from points to sizes in (0, 1].
 
 Everything in this module is immutable and pure.
 """
@@ -20,7 +17,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import BadScale, MalformedShape
+from .errors import MalformedShape
 
 Point = tuple[float, ...]
 
@@ -105,9 +102,6 @@ class Box:
     def center(self) -> Point:
         return tuple(0.5 * (a + b) for a, b in zip(self.lo, self.hi))
 
-    def halfwidths(self) -> Point:
-        return tuple(0.5 * (b - a) for a, b in zip(self.lo, self.hi))
-
     def volume(self) -> float:
         out = 1.0
         for a, b in zip(self.lo, self.hi):
@@ -128,294 +122,12 @@ class Box:
             return None
         return Box(lo, hi)
 
-    def overlaps_interior(self, other: "Box") -> bool:
-        """True iff the boxes share interior volume (face contact does not count)."""
-        return all(max(a, oa) < min(b, ob)
-                   for a, b, oa, ob in zip(self.lo, self.hi, other.lo, other.hi))
-
-    def split(self) -> list["Box"]:
-        """All 2^d dyadic children."""
-        mid = self.center()
-        children = [Box(self.lo, self.hi)]
-        for k in range(self.dim):
-            nxt = []
-            for b in children:
-                lo_l = list(b.lo); hi_l = list(b.hi)
-                hi_l[k] = mid[k]
-                nxt.append(Box(tuple(lo_l), tuple(hi_l)))
-                lo_r = list(b.lo); hi_r = list(b.hi)
-                lo_r[k] = mid[k]
-                nxt.append(Box(tuple(lo_r), tuple(hi_r)))
-            children = nxt
-        return children
-
-
-# --------------------------------------------------------------------------
-# shapes
-
-@dataclass(frozen=True)
-class Cube:
-    """Axis-aligned cube of the given half-side about the tag (an INF ball)."""
-
-    half_side: float
-
-    def __post_init__(self):
-        if not (self.half_side > 0 and math.isfinite(self.half_side)):
-            raise MalformedShape("half_side must be finite and positive")
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Closed ball of the given radius about the tag, in the named norm."""
-
-    radius: float
-    norm: NormKind = NormKind.TWO
-
-    def __post_init__(self):
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise MalformedShape("radius must be finite and positive")
-
-
-@dataclass(frozen=True)
-class Star2D:
-    """Planar star polygon given by vertex offsets from the tag.
-
-    inner_radius is the radius of the Euclidean disc about the tag that the
-    polygon is required to contain and be starlike with respect to; the
-    requirement itself is certified by starlike_check, not at construction.
-    """
-
-    inner_radius: float
-    vertices: tuple[Point, ...]
-
-    def __post_init__(self):
-        if not (self.inner_radius > 0 and math.isfinite(self.inner_radius)):
-            raise MalformedShape("inner_radius must be finite and positive")
-        if len(self.vertices) < 3:
-            raise MalformedShape("polygon needs at least 3 vertices")
-        if any(len(v) != 2 for v in self.vertices):
-            raise MalformedShape("star vertices must be planar")
-        if any(not all(math.isfinite(c) for c in v) for v in self.vertices):
-            raise MalformedShape("non-finite vertex")
-        if min(math.hypot(*v) for v in self.vertices) <= self.inner_radius:
-            raise MalformedShape("a vertex lies inside the inner disc")
-
-
-Shape = Union[Cube, Ball, Star2D]
-
-
-def _poly_contains(vertices: tuple[Point, ...], x: float, y: float) -> bool:
-    """Ray-crossing test, boundary counted as inside (closed polygon)."""
-    n = len(vertices)
-    inside = False
-    for i in range(n):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % n]
-        # on-edge check keeps the region closed
-        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        if abs(cross) < 1e-15 and min(x1, x2) - 1e-15 <= x <= max(x1, x2) + 1e-15 \
-                and min(y1, y2) - 1e-15 <= y <= max(y1, y2) + 1e-15:
-            return True
-        if (y1 > y) != (y2 > y):
-            xin = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xin:
-                inside = not inside
-    return inside
-
-
-# --------------------------------------------------------------------------
-# tagged sets
-
-@dataclass(frozen=True)
-class MorseSet:
-    """A shape anchored at a tag, with its cached regularity constant.
-
-    lam is min_lambda for the norm the set was built against; min_lambda
-    recomputes it for any norm and never trusts the cache.
-    """
-
-    tag: Point
-    shape: Shape
-    lam: float
-
-    def dim(self) -> int:
-        return len(self.tag)
-
-    def contains(self, x: Sequence[float]) -> bool:
-        t = self.tag
-        s = self.shape
-        if isinstance(s, Cube):
-            return all(abs(c - tc) <= s.half_side for c, tc in zip(x, t))
-        if isinstance(s, Ball):
-            d = tuple(c - tc for c, tc in zip(x, t))
-            return norm(d, s.norm) <= s.radius
-        return _poly_contains(s.vertices, x[0] - t[0], x[1] - t[1])
-
-    def bounding_box(self) -> Box:
-        t = self.tag
-        s = self.shape
-        if isinstance(s, Cube):
-            h = s.half_side
-            return Box(tuple(c - h for c in t), tuple(c + h for c in t))
-        if isinstance(s, Ball):
-            r = s.radius  # p-balls all fit in the INF ball of the same radius
-            return Box(tuple(c - r for c in t), tuple(c + r for c in t))
-        xs = [v[0] for v in s.vertices]
-        ys = [v[1] for v in s.vertices]
-        return Box((t[0] + min(xs), t[1] + min(ys)), (t[0] + max(xs), t[1] + max(ys)))
-
-    def to_dict(self) -> dict:
-        s = self.shape
-        if isinstance(s, Cube):
-            kind, params = "cube", {"half_side": s.half_side}
-        elif isinstance(s, Ball):
-            kind, params = "ball", {"radius": s.radius, "norm": s.norm.value}
-        else:
-            kind, params = "star2d", {"inner_radius": s.inner_radius,
-                                      "vertices": [list(v) for v in s.vertices]}
-        return {"tag": list(self.tag), "shape_kind": kind, "params": params,
-                "lambda": self.lam}
-
-
-def make_cube(tag: Sequence[float], half_side: float,
-              domain_norm: NormKind = NormKind.INF) -> MorseSet:
-    tag = tuple(float(c) for c in tag)
-    shape = Cube(float(half_side))
-    return MorseSet(tag, shape, _shape_min_lambda(shape, domain_norm, len(tag)))
-
-
-def make_ball(tag: Sequence[float], radius: float,
-              ball_norm: NormKind = NormKind.TWO,
-              domain_norm: NormKind | None = None) -> MorseSet:
-    tag = tuple(float(c) for c in tag)
-    shape = Ball(float(radius), ball_norm)
-    dn = domain_norm if domain_norm is not None else ball_norm
-    return MorseSet(tag, shape, _shape_min_lambda(shape, dn, len(tag)))
-
-
-def make_star(tag: Sequence[float], inner_radius: float,
-              vertices: Sequence[Sequence[float]],
-              domain_norm: NormKind = NormKind.TWO) -> MorseSet:
-    tag = tuple(float(c) for c in tag)
-    if len(tag) != 2:
-        raise MalformedShape("star sets are planar only")
-    shape = Star2D(float(inner_radius),
-                   tuple(tuple(float(c) for c in v) for v in vertices))
-    return MorseSet(tag, shape, _shape_min_lambda(shape, domain_norm, 2))
-
-
-def make_regular_star(tag: Sequence[float], points: int, outer_radius: float,
-                      notch_radius: float, inner_radius: float,
-                      twist: float = 0.0,
-                      domain_norm: NormKind = NormKind.TWO) -> MorseSet:
-    """Regular 2k-gon star: spikes at outer_radius, notches at notch_radius."""
-    if points < 3:
-        raise MalformedShape("need at least 3 spikes")
-    verts = []
-    for j in range(2 * points):
-        r = outer_radius if j % 2 == 0 else notch_radius
-        a = twist + math.pi * j / points
-        verts.append((r * math.cos(a), r * math.sin(a)))
-    return make_star(tag, inner_radius, verts, domain_norm)
-
-
-def _shape_inradius(shape: Shape, domain_norm: NormKind, dim: int) -> float:
-    """Largest r with the domain-norm ball B(tag, r) inside the shape.
-
-    For stars this is the declared inner disc converted to the domain norm,
-    not the true geometric inradius.
-    """
-    if isinstance(shape, Cube):
-        # |x|_inf <= |x|_q for q in {1, 2, inf}, so the q-ball of radius h fits
-        return shape.half_side
-    if isinstance(shape, Ball):
-        return shape.radius / norm_ratio(domain_norm, shape.norm, dim)
-    return shape.inner_radius / norm_ratio(domain_norm, NormKind.TWO, 2)
-
-
-def circumradius(s: MorseSet, domain_norm: NormKind) -> float:
-    """Smallest R with S inside the domain-norm ball B(tag, R)."""
-    shape = s.shape
-    d = s.dim()
-    if isinstance(shape, Cube):
-        return shape.half_side * norm_ratio(NormKind.INF, domain_norm, d)
-    if isinstance(shape, Ball):
-        return shape.radius * norm_ratio(shape.norm, domain_norm, d)
-    return max(norm(v, domain_norm) for v in shape.vertices)
-
-
-def _shape_min_lambda(shape: Shape, domain_norm: NormKind, dim: int) -> float:
-    if isinstance(shape, Cube):
-        return norm_ratio(NormKind.INF, domain_norm, dim)
-    if isinstance(shape, Ball):
-        return (norm_ratio(shape.norm, domain_norm, dim)
-                * norm_ratio(domain_norm, shape.norm, dim))
-    inr = _shape_inradius(shape, domain_norm, 2)
-    return max(norm(v, domain_norm) for v in shape.vertices) / inr
-
-
-def min_lambda(s: MorseSet, domain_norm: NormKind) -> float:
-    """Smallest regularity constant of S in the given norm: circumradius
-    over achievable inner radius."""
-    return _shape_min_lambda(s.shape, domain_norm, s.dim())
-
-
-def is_delta_fine(s: MorseSet, g: "Gauge", domain_norm: NormKind) -> bool:
-    """True iff S fits inside B(tag, delta(tag)).  Non-strict."""
-    return circumradius(s, domain_norm) <= g(s.tag)
-
-
-def scale_morse_set(s: MorseSet, p: float) -> MorseSet:
-    """Homothety about the tag with factor p in (0, 1]."""
-    if not (0.0 < p <= 1.0):
-        raise BadScale(f"scale factor {p} outside (0, 1]")
-    shape = s.shape
-    if isinstance(shape, Cube):
-        new: Shape = Cube(shape.half_side * p)
-    elif isinstance(shape, Ball):
-        new = Ball(shape.radius * p, shape.norm)
-    else:
-        new = Star2D(shape.inner_radius * p,
-                     tuple(tuple(c * p for c in v) for v in shape.vertices))
-    return MorseSet(s.tag, new, s.lam)
-
-
-def starlike_check(s: MorseSet, n_samples: int = 4096, seed: int = 0) -> bool:
-    """Certify the segment condition by sampling.
-
-    Cubes and balls are convex, hence exactly starlike; stars are probed with
-    n_samples random (inner point, set point, interpolation) triples.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    shape = s.shape
-    if isinstance(shape, (Cube, Ball)):
-        return True
-    rng = np.random.default_rng(seed)
-    rho = shape.inner_radius
-    bb = s.bounding_box()
-    lo = np.array(bb.lo); hi = np.array(bb.hi)
-    tag = np.array(s.tag)
-    done = 0
-    while done < n_samples:
-        want = n_samples - done
-        # inner-disc points, uniform by rejection from the bounding square
-        y = rng.uniform(-rho, rho, size=(2 * want + 8, 2))
-        y = y[(y * y).sum(axis=1) <= rho * rho][:want]
-        x = rng.uniform(lo, hi, size=(2 * want + 8, 2))
-        keep = [p for p in x if s.contains(p)][:len(y)]
-        if not keep:
-            continue
-        y = y[:len(keep)] + tag
-        a = rng.uniform(0.0, 1.0, size=len(keep))
-        for yi, xi, ai in zip(y, np.array(keep), a):
-            if not s.contains(yi):
-                return False
-            z = ai * yi + (1.0 - ai) * xi
-            if not s.contains(z):
-                return False
-        done += len(keep)
-    return True
+    def corners(self) -> list[Point]:
+        """The 2^d corner points."""
+        pts: list[Point] = [()]
+        for a, b in zip(self.lo, self.hi):
+            pts = [p + (v,) for p in pts for v in (a, b)]
+        return pts
 
 
 # --------------------------------------------------------------------------
@@ -425,27 +137,19 @@ def starlike_check(s: MorseSet, n_samples: int = 4096, seed: int = 0) -> bool:
 class Gauge:
     """Strictly positive pointwise size bound, valued in (0, 1].
 
-    fn is the scalar map tag -> delta; batch (optional) maps an (N, d) array
-    to an (N,) array and must agree with fn.  provenance records how the
-    gauge was built (budgets, tubes, caps) for reports.
+    batch maps an (N, d) point array to an (N,) array of sizes; provenance
+    records how the gauge was built (budgets, tubes, caps) for reports.
     """
 
-    fn: Callable[[Point], float]
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
+    batch: Callable[[np.ndarray], np.ndarray]
     provenance: dict = field(default_factory=dict)
 
     def __call__(self, x: Sequence[float]) -> float:
-        v = float(self.fn(tuple(x)))
-        if not (0.0 < v <= 1.0):
-            raise ValueError(f"gauge value {v} at {tuple(x)} outside (0, 1]")
-        return v
+        return float(self.delta_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def delta_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.batch is not None:
-            out = np.asarray(self.batch(X), dtype=float)
-        else:
-            out = np.array([self.fn(tuple(row)) for row in X], dtype=float)
+        out = np.asarray(self.batch(X), dtype=float)
         if out.size and (out.min() <= 0.0 or out.max() > 1.0):
             raise ValueError("gauge batch value outside (0, 1]")
         return out
@@ -454,20 +158,15 @@ class Gauge:
     def constant(value: float = 1.0, note: str = "constant") -> "Gauge":
         if not (0.0 < value <= 1.0):
             raise ValueError("constant gauge value outside (0, 1]")
-        return Gauge(fn=lambda x: value,
-                     batch=lambda X: np.full(len(X), value),
+        return Gauge(batch=lambda X: np.full(len(X), value),
                      provenance={"kind": note, "value": value})
 
     def scaled(self, factor: float, note: str = "scaled") -> "Gauge":
         """Pointwise multiply by factor, re-capped at 1.  Used by the
         falsification hooks; a factor > 1 deliberately voids soundness."""
-        base_fn = self.fn
-        base_batch = self.batch
+        base = self.batch
         prov = dict(self.provenance)
         prov["scaled_by"] = factor
         prov["scaled_note"] = note
-        sb = None
-        if base_batch is not None:
-            sb = lambda X: np.minimum(1.0, factor * np.asarray(base_batch(X)))
-        return Gauge(fn=lambda x: min(1.0, factor * base_fn(x)), batch=sb,
+        return Gauge(batch=lambda X: np.minimum(1.0, factor * np.asarray(base(X))),
                      provenance=prov)

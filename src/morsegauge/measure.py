@@ -3,28 +3,26 @@
 The measure is Lebesgue measure weighted by a nonnegative piecewise-constant
 density on a dyadic grid of the universe.  Box values are exact: the scalar
 path runs in rational arithmetic so that additivity over dyadic splits holds
-with zero error, and the batch path is plain float for the hot loops.  Balls
-get closed-form volumes under uniform density; everything else goes through
-adaptive subdivision with a certified error bound.
+with zero error, and the batch path is plain float for the hot loops.  The
+shell annuli behind the gauge budgets are measured in closed form where one
+exists and otherwise bounded by sup-norm boxes, from above for the outer
+ball and from below for the inner one.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedShape, OutOfUniverse, ToleranceUnreachable
-from .geometry import Ball, Box, Cube, MorseSet, NormKind, Star2D, norm
-
-_ADAPTIVE_CELL_BUDGET = 500_000
+from .errors import OutOfUniverse, PreconditionUncertified
+from .geometry import Box, NormKind, norm, norm_ratio
 
 
 @dataclass(frozen=True)
@@ -35,10 +33,6 @@ class MeasureValue:
     def __post_init__(self):
         if self.value < 0 or self.error_bound < 0:
             raise ValueError("measure values and error bounds are nonnegative")
-
-    @property
-    def upper(self) -> float:
-        return self.value + self.error_bound
 
 
 class RadonMeasure:
@@ -92,6 +86,14 @@ class RadonMeasure:
         level = int(rows[0][1])
         values = [float(c) for row in rows[1:] for c in row]
         return RadonMeasure.from_grid(universe, level, values)
+
+
+def require_uniform(mu: RadonMeasure) -> None:
+    """Reject a non-uniform density where only uniform ones are supported."""
+    if not mu.uniform:
+        raise PreconditionUncertified(
+            "only uniform densities are supported here; the density grid "
+            f"ranges over [{float(mu.values.min())}, {float(mu.values.max())}]")
 
 
 def _axis_overlaps_exact(mu: RadonMeasure, axis: int, lo: float, hi: float):
@@ -202,154 +204,37 @@ def ball_volume(kind: NormKind, dim: int, r: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# adaptive subdivision for non-box shapes
-
-_IN, _OUT, _SPLIT = 0, 1, 2
-
-
-def _classify_ball(lo, hi, tag, r, kind):
-    near = [min(max(t, a), b) - t for t, a, b in zip(tag, lo, hi)]
-    if norm(near, kind) > r:
-        return _OUT
-    far = [max(abs(a - t), abs(b - t)) for t, a, b in zip(tag, lo, hi)]
-    if norm(far, kind) <= r:
-        return _IN
-    return _SPLIT
-
-
-def _segment_hits_box(p, q, lo, hi) -> bool:
-    """Liang-Barsky clip: does segment pq meet the closed box?"""
-    t0, t1 = 0.0, 1.0
-    for k in range(len(lo)):
-        d = q[k] - p[k]
-        if d == 0.0:
-            if p[k] < lo[k] or p[k] > hi[k]:
-                return False
-            continue
-        ta = (lo[k] - p[k]) / d
-        tb = (hi[k] - p[k]) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 > t1:
-            return False
-    return True
-
-
-def _classify_star(lo, hi, s: MorseSet):
-    shape = s.shape
-    tag = s.tag
-    corners = [(lo[0], lo[1]), (hi[0], lo[1]), (lo[0], hi[1]), (hi[0], hi[1])]
-    inside = [s.contains(c) for c in corners]
-    verts = [(tag[0] + v[0], tag[1] + v[1]) for v in shape.vertices]
-    edge_hit = any(
-        _segment_hits_box(verts[i], verts[(i + 1) % len(verts)], lo, hi)
-        for i in range(len(verts)))
-    if all(inside) and not edge_hit:
-        return _IN
-    if not any(inside) and not edge_hit:
-        vert_in = any(lo[0] <= vx <= hi[0] and lo[1] <= vy <= hi[1] for vx, vy in verts)
-        return _SPLIT if vert_in else _OUT
-    return _SPLIT
-
-
-def measure_morse_set(mu: RadonMeasure, s: MorseSet, tol: float = 1e-9) -> MeasureValue:
-    """Measure of a tagged set: exact where closed forms exist, otherwise
-    adaptive subdivision certified to error_bound <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    bb = s.bounding_box()
-    if not mu.universe.contains_box(bb):
-        raise OutOfUniverse("set escapes the universe")
-    shape = s.shape
-    if isinstance(shape, Cube):
-        return measure_box(mu, bb)
-    if isinstance(shape, Ball):
-        if shape.norm is NormKind.INF:
-            return measure_box(mu, bb)
-        if mu.uniform:
-            return MeasureValue(mu.w0 * ball_volume(shape.norm, s.dim(), shape.radius), 0.0)
-        classify = lambda lo, hi: _classify_ball(lo, hi, s.tag, shape.radius, shape.norm)
-    elif isinstance(shape, Star2D):
-        classify = lambda lo, hi: _classify_star(lo, hi, s)
-    else:
-        raise MalformedShape(f"unknown shape {shape!r}")
-    return _adaptive_measure(mu, bb, classify, tol)
-
-
-def _adaptive_measure(mu: RadonMeasure, bb: Box, classify, tol: float) -> MeasureValue:
-    inside = 0.0
-    straddle = 0.0
-    heap: list = []
-    counter = 0
-
-    def push(box: Box):
-        nonlocal inside, straddle, counter
-        m = float(measure_box_batch(mu, [box.lo], [box.hi])[0])
-        cls = classify(box.lo, box.hi)
-        if cls == _IN:
-            inside += m
-        elif cls == _SPLIT and m > 0:
-            heapq.heappush(heap, (-m, counter, box))
-            counter += 1
-            straddle += m
-
-    push(bb)
-    cells = 1
-    while straddle > 2.0 * tol:
-        if not heap:
-            break
-        if cells > _ADAPTIVE_CELL_BUDGET:
-            raise ToleranceUnreachable(
-                f"subdivision budget exhausted at straddle mass {straddle:.3e}")
-        m, _, box = heapq.heappop(heap)
-        straddle -= -m
-        for child in box.split():
-            push(child)
-        cells += 2 ** bb.dim
-    return MeasureValue(inside + 0.5 * straddle, 0.5 * straddle)
-
-
-# --------------------------------------------------------------------------
 # spatial shells
 
-def _ball_cap_volume(mu: RadonMeasure, R: float, domain_norm: NormKind) -> float:
-    """mu(B(0, R) intersected with the universe); upper-bounded when the
-    adaptive fallback is needed."""
+def _ball_cap_volume(mu: RadonMeasure, R: float, domain_norm: NormKind,
+                     lower: bool = False) -> float:
+    """mu(B(0, R) intersected with the universe).
+
+    Exact when the ball covers the universe, is a sup-norm box, or sits
+    inside a uniform universe.  Otherwise the mass of the clipped sup-norm
+    box that holds the ball (an upper bound) or, with lower=True, of the one
+    the ball holds (a lower bound).
+    """
     if R <= 0:
         return 0.0
     d = mu.dim
-    origin = (0.0,) * d
-    corner_dists = [norm(c, domain_norm) for c in _box_corners(mu.universe)]
-    if max(corner_dists) <= R and mu.universe.contains_point(origin):
+    if max(norm(c, domain_norm) for c in mu.universe.corners()) <= R \
+            and mu.universe.contains_point((0.0,) * d):
         return mu.total
-    if domain_norm is NormKind.INF or d == 1:
-        bb = Box(tuple(-R for _ in range(d)), tuple(R for _ in range(d)))
-        return measure_box_clipped(mu, bb).value
-    ball_bb = Box((-R,) * d, (R,) * d)
-    if mu.uniform and mu.universe.contains_box(ball_bb):
+    exact_box = domain_norm is NormKind.INF or d == 1
+    if not exact_box and mu.uniform \
+            and mu.universe.contains_box(Box((-R,) * d, (R,) * d)):
         return mu.w0 * ball_volume(domain_norm, d, R)
-    inter = mu.universe.intersect(ball_bb)
-    if inter is None:
-        return 0.0
-    classify = lambda lo, hi: _classify_ball(lo, hi, origin, R, domain_norm)
-    mv = _adaptive_measure(mu, inter, classify, 1e-6)
-    return mv.upper
-
-
-def _box_corners(b: Box):
-    pts = [()]
-    for a, c in zip(b.lo, b.hi):
-        pts = [p + (v,) for p in pts for v in (a, c)]
-    return pts
+    r = R / norm_ratio(NormKind.INF, domain_norm, d) if lower else R
+    return measure_box_clipped(mu, Box((-r,) * d, (r,) * d)).value
 
 
 def annulus_measure(mu: RadonMeasure, n: int, domain_norm: NormKind) -> float:
     """Measure inside the universe of the shell B(0, n+1) minus B(0, n-2);
-    the inner ball is empty for n <= 2."""
+    the inner ball is empty for n <= 2.  Never below the true value."""
     if n < 1:
         raise ValueError("shell index starts at 1")
     outer = _ball_cap_volume(mu, float(n + 1), domain_norm)
-    inner = _ball_cap_volume(mu, float(n - 2), domain_norm) if n > 2 else 0.0
+    inner = _ball_cap_volume(mu, float(n - 2), domain_norm, lower=True) \
+        if n > 2 else 0.0
     return max(outer - inner, 0.0)

@@ -1,10 +1,12 @@
-"""Gauge-fine tagged families over a box universe.
+"""Gauge-fine dyadic cube families over a square box universe.
 
 The dyadic sieve keeps a frontier of equal-level cells, emits the ones whose
 circumradius about the center already fits under the gauge, and splits the
-rest.  Emitted cells are sorted into canonical depth-first lexicographic
-order via interleaved-bit keys; the keys double as an exact interior
-disjointness certificate, since a dyadic cell owns a contiguous key range.
+rest.  Every family (sieve output, refined trial, random partition) is
+built by _cube_family, which sorts the cells into canonical depth-first
+lexicographic order via interleaved-bit keys; the keys double as an exact
+interior disjointness certificate, since a dyadic cell owns a contiguous
+key range.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DepthExceeded, ResidualStuck
-from .geometry import Box, Gauge, MorseSet, NormKind, make_ball, make_cube, norm_batch, norm_ratio
-from .measure import RadonMeasure, ball_volume, measure_box_batch
+from .errors import DepthExceeded
+from .geometry import Box, Gauge, NormKind, norm_batch, norm_ratio
+from .measure import RadonMeasure, measure_box_batch
 
 _CHILD_OFFSETS = {d: np.array(np.meshgrid(*([[0, 1]] * d), indexing="ij"),
                               dtype=np.int64).reshape(d, -1).T
@@ -51,28 +53,23 @@ def _key_spans(levels: np.ndarray, dim: int) -> np.ndarray:
 class SieveParams:
     eta: float
     max_depth: int = 24
-    tag_rule: str = "center"
 
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
-        if self.tag_rule != "center":
-            raise ValueError(f"unknown tag rule {self.tag_rule!r}")
 
 
 @dataclass
 class TaggedFamily:
-    """Finitely many interior-disjoint tagged sets plus the uncovered rest.
+    """Finitely many interior-disjoint tagged cubes plus the uncovered rest.
 
-    Cube families derive box corners from (level, index) against the
-    universe; sabotage hooks that edit geometry directly must clear
-    `dyadic`, which downgrades disjointness checking to the geometric
-    sweep.
+    Box corners derive from (level, index) against the universe; sabotage
+    hooks that edit geometry directly must clear `dyadic`, which downgrades
+    disjointness checking to the geometric sweep.
     """
 
-    kind: str
     universe: Box
     domain_norm: NormKind
     levels: np.ndarray
@@ -105,29 +102,17 @@ class TaggedFamily:
     @property
     def los(self) -> np.ndarray:
         if self._los is None:
-            if self.kind == "cube":
-                self._derive_corners()
-            else:
-                self._los = self.tags - self.halfsides[:, None]
+            self._derive_corners()
         return self._los
 
     @property
     def his(self) -> np.ndarray:
         if self._his is None:
-            if self.kind == "cube":
-                self._derive_corners()
-            else:
-                self._his = self.tags + self.halfsides[:, None]
+            self._derive_corners()
         return self._his
 
     def measures(self, mu: RadonMeasure) -> np.ndarray:
-        if self.kind == "cube":
-            return measure_box_batch(mu, self.los, self.his)
-        if mu.uniform:
-            return mu.w0 * ball_volume(self.domain_norm, self.dim, 1.0) \
-                * self.halfsides ** self.dim
-        from .measure import measure_morse_set
-        return np.array([measure_morse_set(mu, s).value for _, s in self.cells()])
+        return measure_box_batch(mu, self.los, self.his)
 
     def depth_histogram(self) -> dict[int, int]:
         if len(self.levels) == 0:
@@ -135,24 +120,10 @@ class TaggedFamily:
         counts = np.bincount(self.levels)
         return {int(k): int(v) for k, v in enumerate(counts) if v}
 
-    def cells(self):
-        """Materialize (tag, set) pairs; meant for small families and tests."""
-        out = []
-        for i in range(len(self)):
-            tag = tuple(float(c) for c in self.tags[i])
-            if self.kind == "cube":
-                out.append((tag, make_cube(tag, float(self.halfsides[i]),
-                                           domain_norm=self.domain_norm)))
-            else:
-                out.append((tag, make_ball(tag, float(self.halfsides[i]),
-                                           ball_norm=self.domain_norm,
-                                           domain_norm=self.domain_norm)))
-        return out
-
     def replace_geometry(self, los: np.ndarray, his: np.ndarray,
                          tags: np.ndarray) -> "TaggedFamily":
         """Copy with explicit corners, dropping the dyadic fast path."""
-        fam = TaggedFamily(kind=self.kind, universe=self.universe,
+        fam = TaggedFamily(universe=self.universe,
                            domain_norm=self.domain_norm,
                            levels=self.levels.copy(), indices=self.indices.copy(),
                            tags=np.array(tags, dtype=float),
@@ -177,6 +148,35 @@ def _circumradius_about_tags(los, his, tags, domain_norm) -> np.ndarray:
     return norm_batch(far, domain_norm)
 
 
+def _cube_family(omega: Box, domain_norm: NormKind, levels: np.ndarray,
+                 indices: np.ndarray, residual_measure: float,
+                 residual_los: np.ndarray,
+                 residual_his: np.ndarray) -> TaggedFamily:
+    """The dyadic cells (level, index) of omega, tagged at their centers and
+    sorted stably into canonical key order."""
+    levels = levels.astype(np.int32, copy=False)
+    keys = np.empty(len(levels), dtype=np.int64)
+    # one key computation per level, over that level's rows
+    by_level = np.argsort(levels, kind="stable")
+    starts = np.flatnonzero(np.diff(levels[by_level])) + 1
+    for rows in np.split(by_level, starts):
+        if len(rows):
+            keys[rows] = _morton_keys(int(levels[rows[0]]), indices[rows],
+                                      omega.dim)
+    order = np.argsort(keys, kind="stable")
+    levels, indices, keys = levels[order], indices[order], keys[order]
+
+    lo = np.asarray(omega.lo)
+    side = np.asarray(omega.hi) - lo
+    step = side[None, :] * (2.0 ** -levels.astype(float))[:, None]
+    return TaggedFamily(universe=omega, domain_norm=domain_norm,
+                        levels=levels, indices=indices,
+                        tags=lo[None, :] + (indices + 0.5) * step,
+                        halfsides=0.5 * step[:, 0], keys=keys,
+                        residual_measure=float(residual_measure),
+                        residual_los=residual_los, residual_his=residual_his)
+
+
 def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
                  domain_norm: NormKind = NormKind.TWO) -> TaggedFamily:
     """Level-synchronous refinement until the uncovered measure drops to eta.
@@ -197,7 +197,7 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
 
     level = 0
     active = np.zeros((1, dim), dtype=np.int64)
-    got_levels, got_idx, got_keys = [], [], []
+    got_levels, got_idx = [], []
     total = float(mu.total)
 
     while True:
@@ -240,7 +240,6 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
             emitted = active[fine]
             got_levels.append(np.full(len(emitted), level, dtype=np.int32))
             got_idx.append(emitted)
-            got_keys.append(_morton_keys(level, emitted, dim))
         coarse = active[~fine]
         if len(coarse):
             active = (coarse[:, None, :] * 2 + offsets[None, :, :]) \
@@ -252,110 +251,13 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
     if got_levels:
         levels = np.concatenate(got_levels)
         indices = np.concatenate(got_idx)
-        keys = np.concatenate(got_keys)
-        order = np.argsort(keys, kind="stable")
-        levels, indices, keys = levels[order], indices[order], keys[order]
     else:
         levels = np.empty(0, dtype=np.int32)
         indices = np.empty((0, dim), dtype=np.int64)
-        keys = np.empty(0, dtype=np.int64)
-
-    step = side * (2.0 ** -levels.astype(float))
-    tags = uni_lo[None, :] + (indices + 0.5) * step[:, None]
-    halfsides = 0.5 * step
-    fam = TaggedFamily(kind="cube", universe=omega, domain_norm=domain_norm,
-                       levels=levels, indices=indices, tags=tags,
-                       halfsides=halfsides, keys=keys,
-                       residual_measure=float(residual),
-                       residual_los=res_lo, residual_his=res_hi)
+    fam = _cube_family(omega, domain_norm, levels, indices, residual,
+                       res_lo, res_hi)
     if total and fam.residual_measure > total:
         fam.warnings.append("residual exceeds total measure; check density")
-    return fam
-
-
-def vitali_ball_pack(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
-                     domain_norm: NormKind = NormKind.TWO,
-                     max_balls: int = 4096) -> TaggedFamily:
-    """Greedy disjoint gauge-fine balls until the residual drops to eta.
-
-    Candidates are dyadic cell centers by increasing level; each takes the
-    largest radius allowed by the gauge, the universe walls, and the balls
-    already placed.  Exhausting the candidate budget leaves a ResidualStuck
-    warning on the family rather than failing.
-    """
-    _require_square(omega)
-    dim = omega.dim
-    uni_lo = np.asarray(omega.lo)
-    uni_hi = np.asarray(omega.hi)
-    side = float(omega.hi[0] - omega.lo[0])
-    unit_vol = ball_volume(domain_norm, dim, 1.0)
-    if not mu.uniform:
-        raise ValueError("ball packing implemented for uniform densities")
-
-    total = float(mu.total)
-    centers, radii, keys = [], [], []
-    covered = 0.0
-    stuck = False
-    for level in range(p.max_depth + 1):
-        if total - covered <= p.eta:
-            break
-        scale = side * 2.0 ** -level
-        grid = np.arange(2 ** level, dtype=np.int64)
-        mesh = np.array(np.meshgrid(*([grid] * dim), indexing="ij"),
-                        dtype=np.int64).reshape(dim, -1).T
-        cand_keys = _morton_keys(level, mesh, dim)
-        order = np.argsort(cand_keys, kind="stable")
-        mesh = mesh[order]
-        cand_keys = cand_keys[order]
-        cents = uni_lo[None, :] + (mesh + 0.5) * scale
-        deltas = g.delta_batch(cents)
-        walls = np.minimum(cents - uni_lo[None, :],
-                           uni_hi[None, :] - cents).min(axis=1)
-        viable = np.minimum(deltas, walls) >= 0.25 * scale
-        cents, deltas, cand_keys = cents[viable], deltas[viable], cand_keys[viable]
-        placed = np.array(centers) if centers else np.empty((0, dim))
-        placed_r = np.array(radii) if radii else np.empty(0)
-        for i in range(len(cents)):
-            if total - covered <= p.eta:
-                break
-            x = cents[i]
-            wall = float(np.minimum(x - uni_lo, uni_hi - x).min())
-            r = min(float(deltas[i]), wall)
-            if len(placed):
-                gaps = norm_batch(placed - x[None, :], domain_norm) - placed_r
-                r = min(r, float(gaps.min()))
-            if r < 0.25 * scale:
-                continue
-            centers.append(tuple(float(c) for c in x))
-            radii.append(r)
-            keys.append(int(cand_keys[i]))
-            placed = np.vstack([placed, x[None, :]])
-            placed_r = np.append(placed_r, r)
-            covered += mu.w0 * unit_vol * r ** dim
-            if len(centers) >= max_balls:
-                stuck = True
-                break
-        if stuck:
-            break
-
-    residual = total - covered
-    tags = np.array(centers) if centers else np.empty((0, dim))
-    fam = TaggedFamily(kind="ball", universe=omega, domain_norm=domain_norm,
-                       levels=np.zeros(len(centers), dtype=np.int32),
-                       indices=np.zeros((len(centers), dim), dtype=np.int64),
-                       tags=tags,
-                       halfsides=np.array(radii) if radii else np.empty(0),
-                       keys=np.array(keys, dtype=np.int64),
-                       residual_measure=float(residual),
-                       residual_los=np.empty((0, dim)),
-                       residual_his=np.empty((0, dim)),
-                       dyadic=False)
-    if residual > p.eta:
-        import warnings as _w
-        msg = (f"ball packing stalled at residual {residual:.3e} "
-               f"(eta {p.eta:.3e})")
-        fam.warnings.append(msg)
-        _w.warn(msg, ResidualStuck)
     return fam
 
 
@@ -371,16 +273,6 @@ def _geometric_disjoint(los: np.ndarray, his: np.ndarray) -> bool:
             if np.all(np.maximum(los[oi], los[j]) < np.minimum(his[oi], his[j])):
                 return False
         active.append(oi)
-    return True
-
-
-def _balls_disjoint(tags: np.ndarray, radii: np.ndarray,
-                    domain_norm: NormKind) -> bool:
-    n = len(tags)
-    for i in range(n):
-        gaps = norm_batch(tags[i + 1:] - tags[i][None, :], domain_norm)
-        if np.any(gaps < radii[i + 1:] + radii[i] - 1e-15):
-            return False
     return True
 
 
@@ -404,38 +296,30 @@ def verify_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
         uni_hi = np.asarray(fam.universe.hi)
         if np.any(los < uni_lo - 1e-12) or np.any(his > uni_hi + 1e-12):
             return fail("cell escapes the universe")
-        if fam.kind == "cube":
-            clean = fam.dyadic
-            if clean:
-                lo_ref = np.asarray(fam.universe.lo)
-                side_ref = np.asarray(fam.universe.hi) - lo_ref
-                step = side_ref[None, :] \
-                    * (2.0 ** -fam.levels.astype(float))[:, None]
-                clean = bool(np.array_equal(lo_ref[None, :] + fam.indices * step, los)
-                             and np.array_equal(
-                                 lo_ref[None, :] + (fam.indices + 1) * step, his))
-            if clean:
-                order = np.argsort(fam.keys, kind="stable")
-                k = fam.keys[order]
-                ends = k + _key_spans(fam.levels[order], fam.dim)
-                if np.any(k[1:] < ends[:-1]):
-                    return fail("interior overlap (key ranges collide)")
-            else:
-                if not _geometric_disjoint(los, his):
-                    return fail("interior overlap (geometric sweep)")
-        else:
-            if not _balls_disjoint(tags, fam.halfsides, fam.domain_norm):
-                return fail("ball interiors overlap")
+        clean = fam.dyadic
+        if clean:
+            lo_ref = np.asarray(fam.universe.lo)
+            side_ref = np.asarray(fam.universe.hi) - lo_ref
+            step = side_ref[None, :] \
+                * (2.0 ** -fam.levels.astype(float))[:, None]
+            clean = bool(np.array_equal(lo_ref[None, :] + fam.indices * step, los)
+                         and np.array_equal(
+                             lo_ref[None, :] + (fam.indices + 1) * step, his))
+        if clean:
+            order = np.argsort(fam.keys, kind="stable")
+            k = fam.keys[order]
+            ends = k + _key_spans(fam.levels[order], fam.dim)
+            if np.any(k[1:] < ends[:-1]):
+                return fail("interior overlap (key ranges collide)")
+        elif not _geometric_disjoint(los, his):
+            return fail("interior overlap (geometric sweep)")
 
         deltas = g.delta_batch(tags)
-        if fam.kind == "cube":
-            circ = _circumradius_about_tags(los, his, tags, fam.domain_norm)
-            inner = norm_batch(tags - 0.5 * (los + his), fam.domain_norm)
-            half = 0.5 * (his - los).min(axis=1)
-            if np.any(inner > half + 1e-15):
-                return fail("tag outside the inner ball of its cell")
-        else:
-            circ = fam.halfsides
+        circ = _circumradius_about_tags(los, his, tags, fam.domain_norm)
+        inner = norm_batch(tags - 0.5 * (los + his), fam.domain_norm)
+        half = 0.5 * (his - los).min(axis=1)
+        if np.any(inner > half + 1e-15):
+            return fail("tag outside the inner ball of its cell")
         if np.any(circ > deltas):
             worst = int(np.argmax(circ - deltas))
             return fail(f"fineness violated at tag {tuple(tags[worst])}: "
@@ -461,8 +345,8 @@ def refine_family(fam: TaggedFamily, fraction: float,
     Used to vary trials; the result covers the same region, so verification
     and every approximation bound are re-run against it unchanged.
     """
-    if fam.kind != "cube" or not fam.dyadic:
-        raise ValueError("refinement needs a dyadic cube family")
+    if not fam.dyadic:
+        raise ValueError("refinement needs a dyadic family")
     n = len(fam)
     if n == 0:
         return fam
@@ -477,28 +361,12 @@ def refine_family(fam: TaggedFamily, fraction: float,
     child_ix = (split_ix[:, None, :] * 2 + offsets[None, :, :]).reshape(-1, dim)
     child_lv = np.repeat(split_lv + 1, 2 ** dim)
 
-    levels = np.concatenate([keep_lv, child_lv]).astype(np.int32)
-    indices = np.concatenate([keep_ix, child_ix])
-    keys = np.empty(len(levels), dtype=np.int64)
-    for lv in np.unique(levels):
-        mask = levels == lv
-        keys[mask] = _morton_keys(int(lv), indices[mask], dim)
-    order = np.argsort(keys, kind="stable")
-
-    lo = np.asarray(fam.universe.lo)
-    side = np.asarray(fam.universe.hi) - lo
-    step = side[None, :] * (2.0 ** -levels.astype(float))[:, None]
-    tags = lo[None, :] + (indices + 0.5) * step
-    halfsides = 0.5 * step[:, 0]
-    return TaggedFamily(kind="cube", universe=fam.universe,
-                        domain_norm=fam.domain_norm,
-                        levels=levels[order], indices=indices[order],
-                        tags=tags[order], halfsides=halfsides[order],
-                        keys=keys[order],
-                        residual_measure=fam.residual_measure,
-                        residual_los=fam.residual_los,
-                        residual_his=fam.residual_his,
-                        warnings=list(fam.warnings))
+    out = _cube_family(fam.universe, fam.domain_norm,
+                       np.concatenate([keep_lv, child_lv]),
+                       np.concatenate([keep_ix, child_ix]),
+                       fam.residual_measure, fam.residual_los, fam.residual_his)
+    out.warnings.extend(fam.warnings)
+    return out
 
 
 def random_dyadic_partition(omega: Box, rng: np.random.Generator,
@@ -524,25 +392,9 @@ def random_dyadic_partition(omega: Box, rng: np.random.Generator,
             if len(rest) else np.empty((0, dim), dtype=np.int64)
         level += 1
 
-    levels = np.concatenate(got_lv)
-    indices = np.concatenate(got_ix)
-    keys = np.empty(len(levels), dtype=np.int64)
-    for lv in np.unique(levels):
-        mask = levels == lv
-        keys[mask] = _morton_keys(int(lv), indices[mask], dim)
-    order = np.argsort(keys, kind="stable")
-    levels, indices, keys = levels[order], indices[order], keys[order]
-
-    lo = np.asarray(omega.lo)
-    side = np.asarray(omega.hi) - lo
-    step = side[None, :] * (2.0 ** -levels.astype(float))[:, None]
-    tags = lo[None, :] + (indices + 0.5) * step
-    return TaggedFamily(kind="cube", universe=omega, domain_norm=domain_norm,
-                        levels=levels, indices=indices, tags=tags,
-                        halfsides=0.5 * step[:, 0], keys=keys,
-                        residual_measure=0.0,
-                        residual_los=np.empty((0, dim)),
-                        residual_his=np.empty((0, dim)))
+    return _cube_family(omega, domain_norm, np.concatenate(got_lv),
+                        np.concatenate(got_ix), 0.0,
+                        np.empty((0, dim)), np.empty((0, dim)))
 
 
 # --------------------------------------------------------------------------

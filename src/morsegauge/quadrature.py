@@ -20,6 +20,7 @@ import itertools
 import numpy as np
 
 from .errors import ToleranceUnreachable
+from .geometry import NormKind, norm_batch
 
 _POP_ROUND = 256
 
@@ -37,15 +38,6 @@ def _simpson_weights(dim: int) -> np.ndarray:
     return w
 
 
-def _ynorm_rows(V: np.ndarray, kind) -> np.ndarray:
-    from .geometry import NormKind
-    if kind is NormKind.ONE:
-        return np.abs(V).sum(axis=-1)
-    if kind is NormKind.TWO:
-        return np.sqrt((V * V).sum(axis=-1))
-    return np.abs(V).max(axis=-1)
-
-
 def adaptive_box_quadrature(eval_batch, lo, hi, m: int, tol: float,
                             y_norm=None, max_cells: int = 200_000,
                             strict: bool = True):
@@ -57,7 +49,6 @@ def adaptive_box_quadrature(eval_batch, lo, hi, m: int, tol: float,
     out of cell budget returns the looser certified enclosure instead of
     raising.
     """
-    from .geometry import NormKind
     if y_norm is None:
         y_norm = NormKind.TWO
     lo = np.asarray(lo, dtype=float)
@@ -76,7 +67,7 @@ def adaptive_box_quadrature(eval_batch, lo, hi, m: int, tol: float,
         vols = np.prod(his - los, axis=1)
         cell_vals = (weights[None, :, None] * vals).sum(axis=1) * vols[:, None]
         rng = vals.max(axis=1) - vals.min(axis=1)
-        charges = _ynorm_rows(rng, y_norm) * vols
+        charges = norm_batch(rng, y_norm) * vols
         return cell_vals, charges
 
     total_val = np.zeros(m)

@@ -20,7 +20,7 @@ from .corpus import CorpusFunction
 from .errors import BoundViolated
 from .gauge import GaugeBuildParams, build_gauge, shell_budget, soundness_sweep
 from .geometry import Box, Gauge, NormKind
-from .measure import RadonMeasure
+from .measure import RadonMeasure, require_uniform
 from .partition import SieveParams, TaggedFamily, dyadic_sieve, refine_family, verify_family
 
 _REL = 1e-9
@@ -94,12 +94,7 @@ def l1_deviation_parts(fam: TaggedFamily, f: CorpusFunction,
     """Certified upper bound on the L1 distance between f and its simple
     approximation, split into partition, quadrature-error, residual, and
     tail contributions."""
-    if not mu.uniform:
-        raise ValueError("deviation accounting implemented for uniform densities")
-    if fam.kind != "cube":
-        # ball residuals are not box-represented, so the slack term below
-        # would silently undercount them
-        raise NotImplementedError("deviation accounting needs box cells")
+    require_uniform(mu)
     vals, errs = _cell_devs(fam, f)
     part = mu.w0 * float(vals.sum())
     part_err = mu.w0 * float(errs.sum())
@@ -123,8 +118,6 @@ def local_error_sum(fam: TaggedFamily, f: CorpusFunction,
     """Sum over cells of || w0 * Int_{S_i} f - f(tag_i) mu(S_i) ||_Y."""
     if len(fam) == 0:
         return 0.0
-    if fam.kind != "cube":
-        raise NotImplementedError("cell integrals need box cells")
     ints = mu.w0 * f.integral_batch(fam.los, fam.his)
     F = f.eval_batch(fam.tags)
     w = fam.measures(mu)
@@ -245,7 +238,7 @@ def build_report(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
 def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
                    trials: int = 5, seed: int = 0,
                    domain_norm: NormKind = NormKind.TWO,
-                   shape: str = "cube", max_depth: int | None = None,
+                   max_depth: int | None = None,
                    eta: float | None = None, sweep_probes: int = 256,
                    _gauge_hook=None, _family_hook=None
                    ) -> list[ApproximationReport]:
@@ -256,9 +249,8 @@ def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
     asserted inequality fails; the private hooks let the falsification modes
     degrade the gauge or the family before verification.
     """
-    if not mu.uniform:
-        raise ValueError("theorem verification implemented for uniform densities")
-    p = GaugeBuildParams(eps=eps, domain_norm=domain_norm, shape=shape)
+    require_uniform(mu)
+    p = GaugeBuildParams(eps=eps, domain_norm=domain_norm)
     g = build_gauge(f, mu, p)
     if _gauge_hook is not None:
         g = _gauge_hook(g)
@@ -338,6 +330,7 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
     """
     from .partition import random_dyadic_partition
 
+    require_uniform(mu)
     G = make_integral_set_function(f, mu)
     if base is None:
         p = GaugeBuildParams(eps=eps, domain_norm=domain_norm)

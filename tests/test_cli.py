@@ -158,3 +158,57 @@ def test_density_file_roundtrip(tmp_path):
     assert code == 0
     blob = json.loads((out / "report.json").read_text())
     assert blob["results"][0]["pass_flags"]["l1_partition_lt_eps"]
+
+
+@pytest.fixture
+def densities(tmp_path):
+    """1-d density grids: a graded one and one that vanishes on a cell."""
+    paths = {}
+    for name, values in (("graded", [1.0, 2.0, 3.0, 4.0]),
+                         ("vanishing", [0.0, 1.0, 1.0, 1.0])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"level": 2, "values": values}))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run-theorem", "--fn", "linear1", "--eps", "0"], id="eps-zero"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--eps", "-1"], id="eps-negative"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--eps", "nan"], id="eps-nan"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--eps", "0.1", "--eps", "inf"],
+                 id="eps-inf"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--trials", "0"], id="trials-zero"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--eta", "0"], id="eta-zero"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--eta", "nan"], id="eta-nan"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--max-depth", "-1"],
+                 id="max-depth-negative"),
+    pytest.param(["run-lusin", "--fn", "step2", "--eps", "0"], id="lusin-eps-zero"),
+    pytest.param(["run-lusin", "--fn", "step2", "--eps", "-1"], id="lusin-eps-negative"),
+    pytest.param(["run-corollary", "--fn", "linear1", "--eps", "nan"],
+                 id="corollary-eps-nan"),
+    pytest.param(["lebesgue-map", "--fn", "linear1", "--grid", "0"], id="grid-zero"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{graded}"],
+                 id="theorem-graded-density"),
+    pytest.param(["run-corollary", "--fn", "linear1", "--density", "{graded}"],
+                 id="corollary-graded-density"),
+    pytest.param(["lebesgue-map", "--fn", "linear1", "--density", "{vanishing}"],
+                 id="map-vanishing-density"),
+])
+def test_rejected_input_exits_three(argv, densities, tmp_path, capsys):
+    argv = [a.format(**densities) for a in argv]
+    code = run(argv + ["--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_lebesgue_map_accepts_graded_density(densities, tmp_path):
+    out = tmp_path / "m"
+    code = run(["lebesgue-map", "--fn", "linear1", "--density",
+                densities["graded"], "--grid", "8", "--out", str(out)])
+    assert code == 0
+    lines = (out / "lebesgue_map.csv").read_text().strip().split("\n")
+    assert len(lines) == 9

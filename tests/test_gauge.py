@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from morsegauge.corpus import corpus_function
-from morsegauge.errors import TubeInfeasible
+from morsegauge.errors import PreconditionUncertified
 from morsegauge.gauge import (
     GaugeBuildParams,
     build_gauge,
@@ -15,7 +15,6 @@ from morsegauge.gauge import (
     shell_index_batch,
     soundness_sweep,
     value_bin,
-    worker_count,
 )
 from morsegauge.geometry import Box, NormKind
 from morsegauge.measure import RadonMeasure
@@ -73,17 +72,6 @@ def test_value_bin():
     assert value_bin(2.5) == 3
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("MORSE_GAUGE_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("MORSE_GAUGE_THREADS", "7")
-    assert worker_count() == 7
-    monkeypatch.setenv("MORSE_GAUGE_THREADS", "junk")
-    assert worker_count() == 1
-    monkeypatch.setenv("MORSE_GAUGE_THREADS", "-3")
-    assert worker_count() == 1
-
-
 def test_build_params_validation():
     with pytest.raises(ValueError):
         GaugeBuildParams(eps=0.0)
@@ -91,8 +79,6 @@ def test_build_params_validation():
         GaugeBuildParams(eps=0.1, tube_safety=1.0)
     with pytest.raises(ValueError):
         GaugeBuildParams(eps=0.1, margin=0.0)
-    fam = GaugeBuildParams(eps=0.1, shape="ball").family()
-    assert fam.shape == "ball"
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +134,7 @@ def test_tube_jump_mass_cap():
 def test_tubes_reject_nonuniform_density_with_jumps():
     f = corpus_function("step2")
     mu = RadonMeasure.from_grid(f.universe, 1, [1.0, 2.0])
-    with pytest.raises(TubeInfeasible):
+    with pytest.raises(PreconditionUncertified):
         build_null_tubes(f, 0.1, mu)
 
 

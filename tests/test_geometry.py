@@ -3,27 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from morsegauge.errors import BadScale, MalformedShape
-from morsegauge.geometry import (
-    Ball,
-    Box,
-    Cube,
-    Gauge,
-    NormKind,
-    Star2D,
-    circumradius,
-    is_delta_fine,
-    make_ball,
-    make_cube,
-    make_regular_star,
-    make_star,
-    min_lambda,
-    norm,
-    norm_batch,
-    norm_ratio,
-    scale_morse_set,
-    starlike_check,
-)
+from morsegauge.errors import MalformedShape
+from morsegauge.geometry import Box, Gauge, NormKind, norm, norm_batch, norm_ratio
 
 try:
     from hypothesis import given, settings
@@ -96,6 +77,7 @@ def test_box_basics():
     assert b.center() == (0.5, 1.0)
     assert b.contains_point((0.5, 1.5))
     assert not b.contains_point((1.5, 0.5))
+    assert sorted(b.corners()) == [(0.0, 0.0), (0.0, 2.0), (1.0, 0.0), (1.0, 2.0)]
 
 
 def test_box_rejects_inverted_bounds():
@@ -109,120 +91,10 @@ def test_box_intersect_and_overlap():
     c = Box(lo=(1.0,), hi=(2.0,))
     got = a.intersect(b)
     assert got.lo == (0.5,) and got.hi == (1.0,)
-    assert a.overlaps_interior(b)
-    # shared face only: not an interior overlap
-    assert not a.overlaps_interior(c)
+    # a shared face intersects in a degenerate box
+    face = a.intersect(c)
+    assert face.lo == (1.0,) and face.hi == (1.0,)
     assert a.intersect(Box(lo=(3.0,), hi=(4.0,))) is None
-
-
-def test_box_split_covers_parent():
-    b = Box(lo=(0.0, 0.0), hi=(1.0, 1.0))
-    kids = b.split()
-    assert len(kids) == 4
-    assert sum(k.volume() for k in kids) == pytest.approx(b.volume(), rel=0, abs=0)
-    for k in kids:
-        assert b.contains_box(k)
-
-
-# ---------------------------------------------------------------------------
-# Morse sets: containment sandwich and lambda
-# ---------------------------------------------------------------------------
-
-def test_cube_sandwich_euclidean():
-    s = make_cube((0.0, 0.0), 1.0, domain_norm=NormKind.TWO)
-    # inner ball radius 1 (inradius), outer radius sqrt(2)
-    assert circumradius(s, NormKind.TWO) == pytest.approx(math.sqrt(2))
-    assert min_lambda(s, NormKind.TWO) == pytest.approx(math.sqrt(2))
-    assert s.contains((0.9, 0.9))
-    assert not s.contains((1.1, 0.0))
-
-
-def test_cube_under_sup_norm_is_lambda_one():
-    s = make_cube((0.5,), 0.25, domain_norm=NormKind.INF)
-    assert min_lambda(s, NormKind.INF) == 1.0
-    assert circumradius(s, NormKind.INF) == pytest.approx(0.25)
-
-
-def test_ball_is_lambda_one():
-    s = make_ball((0.0, 0.0, 0.0), 0.3)
-    assert min_lambda(s, NormKind.TWO) == 1.0
-    assert circumradius(s, NormKind.TWO) == pytest.approx(0.3)
-
-
-def test_cube_lambda_three_d():
-    s = make_cube((0.0, 0.0, 0.0), 1.0, domain_norm=NormKind.TWO)
-    assert min_lambda(s, NormKind.TWO) == pytest.approx(math.sqrt(3))
-
-
-def test_make_star_sandwich():
-    # square through (+-1, 0), (0, +-1): contains the 0.5-disc, fits in the 1-disc
-    verts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    s = make_star((0.0, 0.0), inner_radius=0.5, vertices=verts)
-    assert circumradius(s, NormKind.TWO) == pytest.approx(1.0)
-    assert min_lambda(s, NormKind.TWO) == pytest.approx(2.0)
-    assert s.contains((0.0, 0.3))
-    assert not s.contains((0.9, 0.9))
-
-
-def test_regular_star_vertices_alternate():
-    s = make_regular_star((0.0, 0.0), points=5, outer_radius=1.0,
-                          notch_radius=0.5, inner_radius=0.3)
-    shape = s.shape
-    assert isinstance(shape, Star2D)
-    assert len(shape.vertices) == 10
-    radii = [math.hypot(x, y) for x, y in shape.vertices]
-    assert radii[0] == pytest.approx(1.0)
-    assert radii[1] == pytest.approx(0.5)
-
-
-def test_star_rejects_degenerate_inner_disc():
-    verts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    with pytest.raises(MalformedShape):
-        make_star((0.0, 0.0), inner_radius=0.0, vertices=verts)
-    # a vertex inside the declared inner disc is a contradiction
-    with pytest.raises(MalformedShape):
-        make_star((0.0, 0.0), inner_radius=1.5, vertices=verts)
-
-
-def test_starlike_check_accepts_stars_and_cubes():
-    assert starlike_check(make_cube((0.0, 0.0), 1.0))
-    star = make_regular_star((0.0, 0.0), points=5, outer_radius=1.0,
-                             notch_radius=0.5, inner_radius=0.1)
-    assert starlike_check(star)
-
-
-# ---------------------------------------------------------------------------
-# fineness and scaling
-# ---------------------------------------------------------------------------
-
-def test_delta_fine_is_non_strict():
-    # circumradius exactly equal to delta must count as fine
-    s = make_cube((0.5,), 0.25, domain_norm=NormKind.INF)
-    g = Gauge.constant(0.25)
-    assert is_delta_fine(s, g, NormKind.INF)
-    assert not is_delta_fine(s, Gauge.constant(0.2499), NormKind.INF)
-
-
-def test_delta_fine_euclidean_cube():
-    s = make_cube((0.0, 0.0), 0.1, domain_norm=NormKind.TWO)
-    r = 0.1 * math.sqrt(2)
-    assert is_delta_fine(s, Gauge.constant(r + 1e-15), NormKind.TWO)
-    assert not is_delta_fine(s, Gauge.constant(r * 0.999), NormKind.TWO)
-
-
-def test_scale_morse_set_shrinks_about_tag():
-    s = make_cube((1.0, 1.0), 0.5)
-    t = scale_morse_set(s, 0.5)
-    assert t.tag == s.tag
-    assert circumradius(t, NormKind.TWO) == pytest.approx(0.5 * circumradius(s, NormKind.TWO))
-
-
-def test_scale_morse_set_rejects_bad_factor():
-    s = make_cube((0.0,), 0.5)
-    with pytest.raises(BadScale):
-        scale_morse_set(s, 0.0)
-    with pytest.raises(BadScale):
-        scale_morse_set(s, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +104,14 @@ def test_scale_morse_set_rejects_bad_factor():
 def test_gauge_range_enforced():
     g = Gauge.constant(1.0)
     assert g((0.3,)) == 1.0
-    bad = Gauge(fn=lambda x: 0.0, batch=None, provenance={"kind": "test"})
+    bad = Gauge(batch=lambda X: np.zeros(len(X)), provenance={"kind": "test"})
     with pytest.raises(ValueError):
         bad((0.0,))
-    big = Gauge(fn=lambda x: 2.0, batch=None, provenance={"kind": "test"})
+    big = Gauge(batch=lambda X: np.full(len(X), 2.0), provenance={"kind": "test"})
     with pytest.raises(ValueError):
         big((0.0,))
+    with pytest.raises(ValueError):
+        big.delta_batch(np.zeros((3, 1)))
 
 
 def test_gauge_scaled_keeps_ceiling():
@@ -254,15 +128,3 @@ def test_gauge_batch_matches_scalar(rng):
     want = np.array([g(x) for x in X])
     assert np.array_equal(got, want)
 
-
-if HAVE_HYPOTHESIS:
-
-    @given(st.floats(0.05, 1.0), st.floats(0.05, 0.999))
-    @settings(max_examples=100, deadline=None)
-    def test_fineness_monotone_in_scaling(half, shrink):
-        # shrinking a fine cube about its tag keeps it fine
-        g = Gauge.constant(min(1.0, half * math.sqrt(2) + 1e-12))
-        s = make_cube((0.0, 0.0), half, domain_norm=NormKind.TWO)
-        if is_delta_fine(s, g, NormKind.TWO):
-            t = scale_morse_set(s, shrink)
-            assert is_delta_fine(t, g, NormKind.TWO)

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from morsegauge.corpus import corpus_function, corpus_names
 from morsegauge.errors import OutOfUniverse
-from morsegauge.geometry import Box, NormKind, make_ball, make_cube, make_star
+from morsegauge.geometry import Box, NormKind
 from morsegauge.measure import (
     MeasureValue,
     RadonMeasure,
@@ -16,7 +17,6 @@ from morsegauge.measure import (
     measure_box_batch,
     measure_box_clipped,
     measure_box_exact,
-    measure_morse_set,
 )
 
 UNIT_1D = Box(lo=(0.0,), hi=(1.0,))
@@ -29,7 +29,6 @@ def test_measure_value_rejects_negative():
         MeasureValue(-0.1, 0.0)
     with pytest.raises(ValueError):
         MeasureValue(0.1, -1e-9)
-    assert MeasureValue(1.0, 0.25).upper == 1.25
 
 
 def test_unit_measure_box():
@@ -104,7 +103,7 @@ def test_from_file_csv_rejects_missing_header(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# ball volumes and shaped sets
+# ball volumes
 # ---------------------------------------------------------------------------
 
 def test_ball_volume_closed_forms():
@@ -114,44 +113,6 @@ def test_ball_volume_closed_forms():
     assert ball_volume(NormKind.INF, 3, 0.5) == 1.0
     assert ball_volume(NormKind.ONE, 2, 1.0) == pytest.approx(2.0)
     assert ball_volume(NormKind.TWO, 2, 0.0) == 0.0
-
-
-def test_measure_of_cube_and_ball_sets():
-    mu = RadonMeasure.unit(SYM_2D)
-    cube = make_cube((0.0, 0.0), 0.5)
-    assert measure_morse_set(mu, cube).value == pytest.approx(1.0)
-    ball = make_ball((1.0, 1.0), 0.3)
-    got = measure_morse_set(mu, ball)
-    assert got.value == pytest.approx(math.pi * 0.09)
-    assert got.error_bound == 0.0
-
-
-def test_measure_of_star_is_certified():
-    mu = RadonMeasure.unit(SYM_2D)
-    verts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    s = make_star((0.5, 0.5), inner_radius=0.5, vertices=verts)
-    got = measure_morse_set(mu, s, tol=1e-2)
-    # diamond with unit half-diagonals: area 2
-    assert got.error_bound <= 1e-2
-    assert abs(got.value - 2.0) <= got.error_bound + 1e-12
-
-
-def test_measure_of_star_unreachable_tol_raises(monkeypatch):
-    from morsegauge import measure as measure_mod
-    from morsegauge.errors import ToleranceUnreachable
-
-    monkeypatch.setattr(measure_mod, "_ADAPTIVE_CELL_BUDGET", 500)
-    mu = RadonMeasure.unit(SYM_2D)
-    verts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    s = make_star((0.5, 0.5), inner_radius=0.5, vertices=verts)
-    with pytest.raises(ToleranceUnreachable):
-        measure_morse_set(mu, s, tol=1e-12)
-
-
-def test_measure_morse_set_escaping_raises():
-    mu = RadonMeasure.unit(UNIT_1D)
-    with pytest.raises(OutOfUniverse):
-        measure_morse_set(mu, make_cube((0.9,), 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -176,3 +137,28 @@ def test_annulus_rejects_index_zero():
     mu = RadonMeasure.unit(SYM_1D)
     with pytest.raises(ValueError):
         annulus_measure(mu, 0, NormKind.TWO)
+
+
+def _graded(universe):
+    # level-2 density grid with distinct positive cell values
+    n = 4 ** universe.dim
+    return RadonMeasure.from_grid(universe, 2, np.arange(1.0, n + 1.0))
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_annulus_measure_covers_corpus_universes(name):
+    # shells 1 and 2 reach past every corpus universe, so the annulus is
+    # the whole mass whatever the norm or density
+    universe = corpus_function(name).universe
+    for mu in (RadonMeasure.unit(universe), _graded(universe)):
+        for kind in (NormKind.INF, NormKind.TWO):
+            for n in (1, 2):
+                assert annulus_measure(mu, n, kind) == mu.total, (kind, n)
+
+
+def test_annulus_measure_never_undercounts():
+    # quarter annulus between radii 1 and 4 inside [0, 4]^2 has area
+    # 15 pi / 4; the outer ball pokes out of the universe and the inner
+    # ball is not inside it either, so no closed form applies
+    mu = RadonMeasure.unit(Box((0.0, 0.0), (4.0, 4.0)))
+    assert annulus_measure(mu, 3, NormKind.TWO) >= 3.75 * math.pi

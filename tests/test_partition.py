@@ -1,13 +1,12 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from morsegauge.corpus import corpus_function
-from morsegauge.errors import DepthExceeded, ResidualStuck
+from morsegauge.errors import DepthExceeded
 from morsegauge.gauge import GaugeBuildParams, build_gauge
-from morsegauge.geometry import Box, Gauge, NormKind
+from morsegauge.geometry import Box, Gauge, NormKind, norm_batch
 from morsegauge.measure import RadonMeasure, measure_box_batch
 from morsegauge.partition import (
     SieveParams,
@@ -18,7 +17,6 @@ from morsegauge.partition import (
     sabotage_offcenter,
     sabotage_overlap,
     verify_family,
-    vitali_ball_pack,
 )
 
 UNIT_1D = Box((0.0,), (1.0,))
@@ -112,8 +110,6 @@ def test_sieve_params_validation():
         SieveParams(eta=0.0)
     with pytest.raises(ValueError):
         SieveParams(eta=0.1, max_depth=-1)
-    with pytest.raises(ValueError):
-        SieveParams(eta=0.1, tag_rule="corner")
 
 
 # ---------------------------------------------------------------------------
@@ -139,49 +135,12 @@ def test_refinement_preserves_mass(rng):
     assert np.all(np.diff(ref.keys) > 0)
 
 
-def test_refine_rejects_ball_families(rng):
-    g = Gauge.constant(1.0)
-    mu = unit(UNIT_2D)
-    fam = vitali_ball_pack(UNIT_2D, g, mu, SieveParams(eta=0.5))
+def test_refine_rejects_nondyadic_families(rng):
+    f, mu, g = gauge_for("checker2d")
+    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    moved = fam.replace_geometry(fam.los.copy(), fam.his.copy(), fam.tags.copy())
     with pytest.raises(ValueError):
-        refine_family(fam, 0.5, rng)
-
-
-# ---------------------------------------------------------------------------
-# ball packing
-# ---------------------------------------------------------------------------
-
-def test_vitali_single_ball_frozen():
-    g = Gauge.constant(1.0)
-    mu = unit(UNIT_2D)
-    fam = vitali_ball_pack(UNIT_2D, g, mu, SieveParams(eta=0.25))
-    assert fam.kind == "ball"
-    assert len(fam) == 1
-    assert tuple(fam.tags[0]) == (0.5, 0.5)
-    assert fam.halfsides[0] == pytest.approx(0.5)
-    assert fam.residual_measure == pytest.approx(1.0 - math.pi / 4)
-    assert verify_family(fam, g, mu, eta=0.25)
-
-
-def test_vitali_packs_until_eta():
-    g = Gauge.constant(1.0)
-    mu = unit(UNIT_2D)
-    fam = vitali_ball_pack(UNIT_2D, g, mu, SieveParams(eta=0.1))
-    assert len(fam) > 1
-    assert fam.residual_measure <= 0.1 * (1 + 1e-12)
-    assert verify_family(fam, g, mu, eta=0.1)
-
-
-def test_vitali_warns_when_stuck():
-    g = Gauge.constant(1.0)
-    mu = unit(UNIT_2D)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fam = vitali_ball_pack(UNIT_2D, g, mu, SieveParams(eta=1e-9),
-                               max_balls=16)
-    assert any(issubclass(w.category, ResidualStuck) for w in caught)
-    assert fam.residual_measure > 1e-9
-    assert fam.warnings
+        refine_family(moved, 0.5, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +214,19 @@ def test_geometric_sweep_handles_nondyadic_geometry(rng):
     assert verify_family(moved, g, mu, eta=0.01)
 
 
-def test_family_cells_materialize(rng):
-    f, mu, g = gauge_for("step2")
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
-    cells = fam.cells()
-    assert len(cells) == len(fam)
-    for (tag, s), row in zip(cells, fam.tags):
-        assert tag == tuple(row)
-        assert s.tag == tag
-        assert s.contains(tag)
+@pytest.mark.parametrize("universe,domain_norm", [
+    (UNIT_1D, NormKind.INF),
+    (UNIT_2D, NormKind.TWO),
+], ids=["1d-inf", "2d-two"])
+def test_verify_family_fineness_is_non_strict(rng, universe, domain_norm):
+    # circumradius exactly equal to delta must count as fine
+    fam = random_dyadic_partition(universe, rng, max_level=3, stop_prob=0.0,
+                                  domain_norm=domain_norm)
+    mu = unit(universe)
+    far = np.full((1, universe.dim), 0.5 ** 4)
+    circ = float(norm_batch(far, domain_norm)[0])
+    assert verify_family(fam, Gauge.constant(circ), mu, eta=1e-12)
+    notes = {}
+    tight = Gauge.constant(np.nextafter(circ, 0.0))
+    assert not verify_family(fam, tight, mu, eta=1e-12, report=notes)
+    assert "fine" in notes["reason"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from morsegauge.corpus import corpus_function
-from morsegauge.errors import BoundViolated
+from morsegauge.errors import BoundViolated, PreconditionUncertified
 from morsegauge.gauge import GaugeBuildParams, build_gauge
 from morsegauge.geometry import Box, NormKind
 from morsegauge.measure import RadonMeasure
@@ -167,7 +167,7 @@ def test_verify_theorem_trials_vary_geometry():
 def test_verify_theorem_rejects_nonuniform_density():
     f = corpus_function("linear1")
     mu = RadonMeasure.from_grid(f.universe, 1, [1.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionUncertified):
         verify_theorem(f, mu, eps=0.1)
 
 
