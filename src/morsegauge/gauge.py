@@ -22,6 +22,7 @@ from .errors import BoundViolated, PreconditionUncertified, TubeInfeasible
 from .geometry import Box, Gauge, NormKind, norm, norm_batch, norm_ratio
 from .measure import (RadonMeasure, annulus_measure, measure_box_batch,
                       measure_box_clipped, require_uniform)
+from .quadrature import adaptive_box_quadrature
 
 _WIDTH_FLOOR = 1e-300
 
@@ -386,7 +387,6 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
     report.probes = len(X) * len(scales)
 
     if quad_probes and len(X):
-        from .quadrature import adaptive_box_quadrature
         pick = rng.choice(len(X), size=min(quad_probes, len(X)), replace=False)
         h1 = deltas[pick] / lam
         q_lo = np.maximum(X[pick] - h1[:, None], lo[None, :])

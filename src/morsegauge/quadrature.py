@@ -1,12 +1,20 @@
-"""Adaptive box quadrature with a defensible error bound.
+"""Adaptive box quadrature with a range-based error bound.
 
 Cell rule: tensor-product Simpson on the 3^d lattice.  Cell error charge:
-cell volume times the Y-norm of the per-component lattice range.  The range
-charge dominates the true error for the integrand classes this package
-feeds it (piecewise-constant jumps land between lattice points of some cell
-straddler, monotone singular tails have their range attained at lattice
-corners, smooth entries are far below the charge), which is what makes the
-oracle-agreement tests meaningful rather than circular.
+cell volume times the Y-norm of the per-component range of the values
+sampled on that lattice.  The charge bounds the true error only where the
+sampled range is the true range.  That holds for the current corpus
+(piecewise-constant jumps land between lattice points of some straddling
+cell, monotone singular tails attain their range at lattice corners, smooth
+entries sit far below the charge) but not for an arbitrary integrand, so
+the bound is an enclosure for the corpus only, not a proof in general.
+
+Refinement rule: each round splits the _POP_ROUND cells with the largest
+charges into their 2^d halves, ties going to the oldest cell.  A cell whose
+charge is at most 1e-300 is set aside and never split.  The bound is the
+correctly rounded sum (math.fsum) of the charges of all current cells;
+refinement stops once it is within tol, or, before a round, once more than
+max_cells cells have been assessed.
 
 The engine is deliberately independent of the exact-integral oracles in
 corpus: it only ever touches eval_batch.
@@ -14,8 +22,8 @@ corpus: it only ever touches eval_batch.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
 
 import numpy as np
 
@@ -46,17 +54,18 @@ def adaptive_box_quadrature(eval_batch, lo, hi, m: int, tol: float,
     eval_batch maps an (N, d) point array to an (N, m) value array.  The
     returned bound is the sum of per-cell range charges in the Y-norm
     (Euclidean unless y_norm says otherwise).  With strict=False, running
-    out of cell budget returns the looser certified enclosure instead of
-    raising.
+    out of cell budget returns the looser bound instead of raising.
     """
     if y_norm is None:
         y_norm = NormKind.TWO
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    dim = len(lo)
+    lo = np.asarray(lo, dtype=float)[None, :]
+    hi = np.asarray(hi, dtype=float)[None, :]
+    dim = lo.shape[1]
     offsets = _lattice_offsets(dim)
     weights = _simpson_weights(dim)
     npt = len(offsets)
+    # child c of a cell takes the upper half on the axes where upper[c] is set
+    upper = np.array(list(itertools.product((False, True), repeat=dim)))
 
     def assess(los: np.ndarray, his: np.ndarray):
         """Simpson values and range charges for a stack of boxes."""
@@ -70,47 +79,34 @@ def adaptive_box_quadrature(eval_batch, lo, hi, m: int, tol: float,
         charges = norm_batch(rng, y_norm) * vols
         return cell_vals, charges
 
-    total_val = np.zeros(m)
-    heap: list = []
-    counter = 0
-
-    vals, charges = assess(lo[None, :], hi[None, :])
-    total_val += vals[0]
-    total_err = float(charges[0])
-    if total_err > tol:
-        heapq.heappush(heap, (-charges[0], 0, lo, hi, vals[0]))
-        counter = 1
+    # the pool holds the splittable cells in creation order; set-aside cells
+    # keep only their value sum and their nonzero charges
+    val, charge = assess(lo, hi)
+    set_val = np.zeros(m)
+    set_err: list[float] = []
     cells = 1
-
-    while total_err > tol and heap:
+    while (err := math.fsum(charge.tolist() + set_err)) > tol and len(charge):
         if cells > max_cells:
             if strict:
                 raise ToleranceUnreachable(
-                    f"quadrature budget exhausted at error {total_err:.3e} "
+                    f"quadrature budget exhausted at error {err:.3e} "
                     f"(target {tol:.3e})")
             break
-        los_new = []
-        his_new = []
-        for _ in range(min(_POP_ROUND, len(heap))):
-            charge, _, blo, bhi, bval = heapq.heappop(heap)
-            total_err -= -charge
-            total_val -= bval
-            mid = 0.5 * (blo + bhi)
-            for corner in itertools.product((0, 1), repeat=dim):
-                clo = np.where(np.array(corner) == 0, blo, mid)
-                chi = np.where(np.array(corner) == 0, mid, bhi)
-                los_new.append(clo)
-                his_new.append(chi)
-        los_new = np.array(los_new)
-        his_new = np.array(his_new)
-        vals, charges = assess(los_new, his_new)
-        total_val += vals.sum(axis=0)
-        for i in range(len(los_new)):
-            c = float(charges[i])
-            total_err += c
-            if c > 1e-300:
-                heapq.heappush(heap, (-c, counter, los_new[i], his_new[i], vals[i]))
-                counter += 1
-        cells += len(los_new)
+        order = np.argsort(-charge, kind="stable")
+        pick, rest = order[:_POP_ROUND], np.sort(order[_POP_ROUND:])
+        plo, phi = lo[pick][:, None], hi[pick][:, None]
+        mid = 0.5 * (plo + phi)
+        clo = np.where(upper, mid, plo).reshape(-1, dim)
+        chi = np.where(upper, phi, mid).reshape(-1, dim)
+        cval, cchg = assess(clo, chi)
+        cells += len(clo)
+        keep = cchg > 1e-300
+        set_val += cval[~keep].sum(axis=0)
+        tiny = cchg[~keep]
+        set_err += tiny[tiny != 0].tolist()
+        lo = np.concatenate([lo[rest], clo[keep]])
+        hi = np.concatenate([hi[rest], chi[keep]])
+        val = np.concatenate([val[rest], cval[keep]])
+        charge = np.concatenate([charge[rest], cchg[keep]])
 
-    return total_val, float(total_err)
+    return set_val + val.sum(axis=0), err
