@@ -6,23 +6,19 @@ dyadic family, then certify the simple-sum, L1, truncation, and
 set-function bounds against exact integrals.
 """
 
-from .analysis import (CompactContinuitySet, CoverFamily, RadiusResult,
-                       approx_continuity_radius, lebesgue_radius,
-                       lusin_compact_set, verify_deviation_budget)
+from .analysis import CompactContinuitySet, lusin_compact_set
 from .corpus import CorpusFunction, corpus_function, corpus_names
 from .errors import (BoundViolated, DepthExceeded, MalformedShape,
-                     NotApproxContinuous, NotLebesgue, NotPiecewise,
-                     OutOfUniverse, PreconditionUncertified,
+                     NotPiecewise, OutOfUniverse, PreconditionUncertified,
                      ToleranceUnreachable, TubeInfeasible)
 from .gauge import (GaugeBuildParams, NullTube, build_gauge, build_null_tubes,
                     shell_budget, shell_index, soundness_sweep)
 from .geometry import Box, Gauge, NormKind, norm, norm_ratio
-from .measure import (MeasureValue, RadonMeasure, annulus_measure,
-                      ball_volume, measure_box)
+from .measure import RadonMeasure, annulus_measure, ball_volume, measure_box
 from .partition import (SieveParams, TaggedFamily, dyadic_sieve,
                         random_dyadic_partition, refine_family, verify_family)
 from .riemann import (ApproximationReport, CorollaryReport, SetFunction,
-                      l1_deviation, l1_deviation_parts, local_error_sum,
+                      l1_deviation_parts, local_error_sum,
                       make_integral_set_function, simple_sum, verify_corollary,
                       verify_theorem)
 
@@ -30,17 +26,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproximationReport", "BoundViolated", "Box", "CompactContinuitySet",
-    "CorollaryReport", "CorpusFunction", "CoverFamily", "DepthExceeded",
-    "Gauge", "GaugeBuildParams", "MalformedShape", "MeasureValue", "NormKind",
-    "NotApproxContinuous", "NotLebesgue", "NotPiecewise", "NullTube",
-    "OutOfUniverse", "PreconditionUncertified", "RadiusResult", "RadonMeasure",
+    "CorollaryReport", "CorpusFunction", "DepthExceeded", "Gauge",
+    "GaugeBuildParams", "MalformedShape", "NormKind", "NotPiecewise",
+    "NullTube", "OutOfUniverse", "PreconditionUncertified", "RadonMeasure",
     "SetFunction", "SieveParams", "TaggedFamily", "ToleranceUnreachable",
-    "TubeInfeasible", "annulus_measure", "approx_continuity_radius",
-    "ball_volume", "build_gauge", "build_null_tubes", "corpus_function",
-    "corpus_names", "dyadic_sieve", "l1_deviation", "l1_deviation_parts",
-    "lebesgue_radius", "local_error_sum", "lusin_compact_set",
+    "TubeInfeasible", "annulus_measure", "ball_volume", "build_gauge",
+    "build_null_tubes", "corpus_function", "corpus_names", "dyadic_sieve",
+    "l1_deviation_parts", "local_error_sum", "lusin_compact_set",
     "make_integral_set_function", "measure_box", "norm", "norm_ratio",
     "random_dyadic_partition", "refine_family", "shell_budget", "shell_index",
-    "simple_sum", "soundness_sweep", "verify_corollary",
-    "verify_deviation_budget", "verify_family", "verify_theorem",
+    "simple_sum", "soundness_sweep", "verify_corollary", "verify_family",
+    "verify_theorem",
 ]

@@ -49,28 +49,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _resolve_norms(args, dim: int) -> tuple[NormKind, float]:
-    if args.lam is None:
-        dn = NormKind.TWO
-    elif args.lam == "1":
-        dn = NormKind.INF
-    else:
-        need = {"sqrt2": 2, "sqrt3": 3}[args.lam]
-        if dim != need:
-            raise SystemExit(
-                f"--lambda {args.lam} needs a {need}-d integrand, "
-                f"got {dim}-d")
-        dn = NormKind.TWO
+    dn = NormKind.INF if args.lam == "1" else NormKind.TWO
     return dn, norm_ratio(NormKind.INF, dn, dim)
 
 
 def _load_function(args):
     ynorm = {"1": NormKind.ONE, "2": NormKind.TWO,
              "inf": NormKind.INF}[args.ynorm]
-    f = corpus_function(args.fn, y_norm=ynorm)
-    if args.dim is not None and args.dim != f.dim_in:
-        raise SystemExit(
-            f"--dim {args.dim} does not match {args.fn} ({f.dim_in}-d)")
-    return f
+    return corpus_function(args.fn, y_norm=ynorm)
 
 
 def _measure_for(f, density: str | None) -> RadonMeasure:
@@ -97,9 +83,7 @@ def _run_theorem_one(f, mu, eps, args, dn):
         _gauge_hook=gauge_hook, _family_hook=family_hook)
 
 
-def cmd_run_theorem(args) -> int:
-    f = _load_function(args)
-    mu = _measure_for(f, args.density)
+def cmd_run_theorem(args, f, mu) -> int:
     dn, lam = _resolve_norms(args, f.dim_in)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -134,9 +118,7 @@ def cmd_run_theorem(args) -> int:
     return 0
 
 
-def cmd_run_corollary(args) -> int:
-    f = _load_function(args)
-    mu = _measure_for(f, args.density)
+def cmd_run_corollary(args, f, mu) -> int:
     dn, lam = _resolve_norms(args, f.dim_in)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,9 +146,7 @@ def cmd_run_corollary(args) -> int:
     return 0
 
 
-def cmd_run_lusin(args) -> int:
-    f = _load_function(args)
-    mu = _measure_for(f, args.density)
+def cmd_run_lusin(args, f, mu) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -191,9 +171,7 @@ def cmd_run_lusin(args) -> int:
     return 0
 
 
-def cmd_lebesgue_map(args) -> int:
-    f = _load_function(args)
-    mu = _measure_for(f, args.density)
+def cmd_lebesgue_map(args, f, mu) -> int:
     dn, lam = _resolve_norms(args, f.dim_in)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _input_error(args) -> str | None:
-    """Why the parsed arguments are out of range, or None when they are not."""
+def _input_error(args, dim: int) -> str | None:
+    """Why the parsed arguments are out of range for a dim-d integrand, or
+    None when they are not."""
     for eps in args.eps:
         if not (math.isfinite(eps) and eps > 0):
             return f"--eps must be finite and positive, got {eps!r}"
@@ -283,6 +262,11 @@ def _input_error(args) -> str | None:
         return f"--trials must be at least 1, got {args.trials}"
     if getattr(args, "grid", 1) < 1:
         return f"--grid must be at least 1, got {args.grid}"
+    if args.dim is not None and args.dim != dim:
+        return f"--dim {args.dim} does not match {args.fn} ({dim}-d)"
+    need = {"sqrt2": 2, "sqrt3": 3}.get(args.lam, dim)
+    if need != dim:
+        return f"--lambda {args.lam} needs a {need}-d integrand, got {dim}-d"
     return None
 
 
@@ -291,12 +275,20 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if not args.eps:
         args.eps = [0.1]
-    problem = _input_error(args)
+    f = _load_function(args)
+    problem = _input_error(args, f.dim_in)
+    if problem is None:
+        try:
+            mu = _measure_for(f, args.density)
+        except (OSError, ValueError, LookupError, TypeError,
+                ArithmeticError) as e:
+            problem = (f"--density {args.density} is not a readable density "
+                       f"grid ({type(e).__name__}: {e})")
     if problem is not None:
         print(f"INVALID INPUT: {problem}", file=sys.stderr)
         return 3
     try:
-        return args.func(args)
+        return args.func(args, f, mu)
     except BoundViolated as e:
         print(f"BOUND VIOLATED: {e}", file=sys.stderr)
         return 2

@@ -48,7 +48,6 @@ class CorpusFunction:
     dim_out: int = 1
     universe: Box = Box((0.0,), (1.0,))
     sup_norm: float = 0.0
-    lipschitz: float | None = None
     # mass of the (vanishing) extension outside the universe
     tail_abs: float = 0.0
     aligned_depth: int = 0
@@ -120,19 +119,6 @@ class CorpusFunction:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.full(len(X), np.inf)
 
-    def discontinuity_distance(self, x) -> float:
-        """Distance to the declared jump set; the universe diameter stands
-        in for infinity when the set is empty."""
-        d = float(self.dist_inf_batch(np.atleast_2d(np.asarray(x, float)))[0])
-        if math.isinf(d):
-            return max(b - a for a, b in zip(self.universe.lo, self.universe.hi))
-        return d
-
-    def remark_points(self) -> list[tuple[float, ...]]:
-        """Declared points whose own value disagrees with the a.e. limit of
-        ||f|| (recorded as metadata; no operation consumes them)."""
-        return []
-
     # -- certificates -------------------------------------------------------
 
     def certified_halfside_batch(self, X: np.ndarray, budgets: np.ndarray) -> np.ndarray:
@@ -140,22 +126,6 @@ class CorpusFunction:
         <= h (clipped to the universe or not) has mean ||f - f(x)|| within
         the budget.  Zero at declared jumps."""
         raise NotImplementedError
-
-    def norm_certified_halfside_batch(self, X: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-        """Same certificate for the scalar map x -> ||f(x)||_Y."""
-        raise NotImplementedError
-
-    def sup_dev_halfside_batch(self, X: np.ndarray, eta: float) -> np.ndarray:
-        """Largest h with sup ||f - f(x)|| <= eta over the centered cube."""
-        raise NotImplementedError
-
-    def bad_fraction_limit(self, x, eta: float) -> float:
-        """Limiting volume fraction of {||f - f(x)|| > eta} in small centered
-        cubes at x; 0 wherever sup_dev_halfside is positive."""
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        if float(self.sup_dev_halfside_batch(X, eta)[0]) > 0:
-            return 0.0
-        return 1.0
 
     # -- concentration ------------------------------------------------------
 
@@ -180,38 +150,10 @@ class CorpusFunction:
             raise NotImplementedError("unbounded entries override this")
         return eps / self.sup_norm
 
-    def shell_bound(self, n: int) -> float:
-        """sup of ||f|| on the Euclidean shell n-1 <= |x| < n (0 when the
-        shell misses the universe)."""
-        if n < 1:
-            raise ValueError("shell index starts at 1")
-        corners = [()]
-        for a, b in zip(self.universe.lo, self.universe.hi):
-            corners = [c + (v,) for c in corners for v in (a, b)]
-        rmax = max(norm(c, NormKind.TWO) for c in corners)
-        rmin = norm([min(max(0.0, a), b) for a, b in
-                     zip(self.universe.lo, self.universe.hi)], NormKind.TWO)
-        if rmin >= n or rmax < n - 1:
-            return 0.0
-        return self.sup_norm
-
     def piece_structure(self):
         """list of (Box, value) pairs for piecewise-constant entries, else
         None."""
         return None
-
-    def metadata(self) -> dict:
-        return {
-            "name": self.name,
-            "dim_in": self.dim_in,
-            "dim_out": self.dim_out,
-            "universe": {"lo": list(self.universe.lo), "hi": list(self.universe.hi)},
-            "y_norm": self.y_norm.value,
-            "sup_norm": self.sup_norm if math.isfinite(self.sup_norm) else "inf",
-            "lipschitz": self.lipschitz,
-            "tail_abs": self.tail_abs,
-            "jump_pieces": len(self.discontinuities()),
-        }
 
 
 def _overlap_1d(los, his, a, b):
@@ -270,50 +212,6 @@ class _PiecewiseConstant(CorpusFunction):
         # zero deviation up to the jump set, at any scale
         return self.dist_inf_batch(X)
 
-    def sup_dev_halfside_batch(self, X, eta):
-        d = self.dist_inf_batch(X)
-        span = self._value_span()
-        if eta >= span:
-            return np.full(len(np.atleast_2d(X)), np.inf)
-        return d
-
-    def _value_span(self) -> float:
-        vals = [val for _, val in self._pieces]
-        return max(self.ynorm(np.asarray(a) - np.asarray(b))
-                   for a in vals for b in vals)
-
-    def norm_certified_halfside_batch(self, X, budgets):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        norms = {round(self.ynorm(v), 12) for _, v in self._pieces}
-        if len(norms) == 1:
-            # ||f|| is a.e. constant; points with a deviating declared value
-            # are remark points, not ||f||-Lebesgue points of their own value
-            base = norms.pop()
-            FX = self.eval_batch(X)
-            own = self.ynorm_rows(FX)
-            out = np.full(len(X), np.inf)
-            out[np.abs(own - base) > 1e-12] = 0.0
-            return out
-        return self.dist_inf_batch(X)
-
-    def bad_fraction_limit(self, x, eta: float) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        fx = self.eval(x)
-        if eta >= self._value_span():
-            return 0.0
-        h = 2.0 ** -30
-        lo = np.maximum(x - h, self.universe.lo)
-        hi = np.minimum(x + h, self.universe.hi)
-        vol = float(np.prod(hi - lo))
-        bad = 0.0
-        for box, val in self._pieces:
-            if self.ynorm(np.asarray(val) - fx) > eta:
-                ov = 1.0
-                for k in range(self.dim_in):
-                    ov *= max(0.0, min(hi[k], box.hi[k]) - max(lo[k], box.lo[k]))
-                bad += ov
-        return bad / vol if vol > 0 else 1.0
-
 
 # --------------------------------------------------------------------------
 # entries
@@ -326,7 +224,6 @@ class ConstantFn(CorpusFunction):
     dim_out = 2
     universe = Box((0.0,), (1.0,))
     value = (0.6, -0.8)
-    lipschitz = 0.0
     aligned_depth = 0
 
     def __init__(self, y_norm: NormKind = NormKind.TWO):
@@ -355,12 +252,6 @@ class ConstantFn(CorpusFunction):
     def certified_halfside_batch(self, X, budgets):
         return np.full(len(np.atleast_2d(X)), np.inf)
 
-    def norm_certified_halfside_batch(self, X, budgets):
-        return np.full(len(np.atleast_2d(X)), np.inf)
-
-    def sup_dev_halfside_batch(self, X, eta):
-        return np.full(len(np.atleast_2d(X)), np.inf)
-
     def piece_structure(self):
         return [(self.universe, np.asarray(self.value, dtype=float))]
 
@@ -373,7 +264,6 @@ class Linear1Fn(CorpusFunction):
     dim_out = 1
     universe = Box((0.0,), (1.0,))
     sup_norm = 1.0
-    lipschitz = 1.0
     aligned_depth = 0
 
     def eval_batch(self, X):
@@ -400,12 +290,6 @@ class Linear1Fn(CorpusFunction):
     def certified_halfside_batch(self, X, budgets):
         # mean |y - x| over any window [x-h1, x+h2], h_i <= h, is <= h/2
         return 2.0 * np.asarray(budgets, dtype=float) * np.ones(len(np.atleast_2d(X)))
-
-    def norm_certified_halfside_batch(self, X, budgets):
-        return self.certified_halfside_batch(X, budgets)
-
-    def sup_dev_halfside_batch(self, X, eta):
-        return np.full(len(np.atleast_2d(X)), float(eta))
 
 
 class Step2Fn(_PiecewiseConstant):
@@ -453,9 +337,6 @@ class Step2AvgFn(Step2Fn):
 
     name = "step2_avg"
     jump_value = (0.5, 0.5)
-
-    def remark_points(self):
-        return [(self.cut,)]
 
 
 class Sign1Fn(_PiecewiseConstant):
@@ -569,11 +450,7 @@ class Lipschitz2DFn(CorpusFunction):
     dim_out = 1
     universe = Box((0.0, 0.0), (1.0, 1.0))
     amp = 0.1
-
-    def __init__(self, y_norm: NormKind = NormKind.TWO):
-        super().__init__(y_norm)
-        self.sup_norm = self.amp
-        self.lipschitz = self.amp * math.pi  # |grad f|_2 peaks at amp*pi
+    sup_norm = amp
 
     def eval_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -664,14 +541,6 @@ class Lipschitz2DFn(CorpusFunction):
             (np.asarray(self.universe.hi) - X).min(axis=1))
         return np.where(bdist >= h_int, h_int, np.minimum(h_int, np.maximum(crude, 0.0)))
 
-    def norm_certified_halfside_batch(self, X, budgets):
-        # |f| = f on the universe
-        return self.certified_halfside_batch(X, budgets)
-
-    def sup_dev_halfside_batch(self, X, eta):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.full(len(X), float(eta) / (math.sqrt(2.0) * self.amp * math.pi))
-
 
 class Spike1Fn(CorpusFunction):
     """f(x) = |x|^(-1/2) on [-1,1] away from 0, f(0) = 0; integrable but
@@ -748,18 +617,6 @@ class Spike1Fn(CorpusFunction):
         out[pos] = np.minimum(np.maximum(h, 0.0), 0.5 * xp)
         return out
 
-    def norm_certified_halfside_batch(self, X, budgets):
-        return self.certified_halfside_batch(X, budgets)
-
-    def sup_dev_halfside_batch(self, X, eta):
-        x = np.abs(np.atleast_2d(np.asarray(X, dtype=float))[:, 0])
-        out = np.zeros(len(x))
-        pos = x > 0
-        xp = x[pos]
-        h = xp - 1.0 / (eta + 1.0 / np.sqrt(xp)) ** 2
-        out[pos] = np.minimum(np.maximum(h, 0.0), 0.5 * xp)
-        return out
-
     def worst_abs_concentration(self, m: float, w0: float = 1.0) -> float:
         # the worst set of Lebesgue measure m hugs the singularity
         if m <= 0:
@@ -770,22 +627,12 @@ class Spike1Fn(CorpusFunction):
     def ac_modulus(self, eps: float, w0: float = 1.0) -> float:
         if eps <= 0:
             raise ValueError("eps must be positive")
-        # invert w0 * 2 sqrt(2 leb) = eps, then convert back to mu-measure
-        leb = (eps / (2.0 * w0)) ** 2 / 2.0
+        # invert w0 * 2 sqrt(2 leb) = eps, then convert back to mu-measure;
+        # past sqrt(2 vol) every set qualifies, and the clamp keeps the
+        # square finite
+        root = min(eps / (2.0 * w0), math.sqrt(2.0 * self.universe.volume()))
+        leb = root ** 2 / 2.0
         return w0 * leb
-
-    def shell_bound(self, n: int) -> float:
-        if n == 1:
-            return math.inf
-        if n == 2:
-            return 1.0  # |x| = 1 only
-        return 0.0
-
-    def bad_fraction_limit(self, x, eta: float) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x[0] != 0.0:
-            return 0.0
-        return 1.0  # every small window is mostly far above eta
 
 
 _REGISTRY = {

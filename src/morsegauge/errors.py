@@ -22,14 +22,6 @@ class NotPiecewise(TypeError):
     """Operation requires a piecewise-constant integrand."""
 
 
-class NotLebesgue(ValueError):
-    """No density-point radius exists at the queried point (declared jump set)."""
-
-
-class NotApproxContinuous(ValueError):
-    """Approximate-continuity radius does not exist at the requested tolerance."""
-
-
 class PreconditionUncertified(RuntimeError):
     """A hypothesis of a verified statement could not be certified
     numerically, or the input is outside the supported case (a non-uniform

@@ -132,7 +132,7 @@ def _tube_boxes(f: CorpusFunction, pieces, w: float) -> list[Box]:
 
 
 def _tube_measure(mu: RadonMeasure, boxes) -> float:
-    return float(sum(measure_box_clipped(mu, b).value for b in boxes))
+    return float(sum(measure_box_clipped(mu, b) for b in boxes))
 
 
 def _tube_abs_mass(f: CorpusFunction, mu: RadonMeasure, boxes) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -23,16 +22,6 @@ import numpy as np
 
 from .errors import OutOfUniverse, PreconditionUncertified
 from .geometry import Box, NormKind, norm, norm_ratio
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    value: float
-    error_bound: float = 0.0
-
-    def __post_init__(self):
-        if self.value < 0 or self.error_bound < 0:
-            raise ValueError("measure values and error bounds are nonnegative")
 
 
 class RadonMeasure:
@@ -57,7 +46,7 @@ class RadonMeasure:
         self.values.setflags(write=False)
         self.uniform = bool(values.max() == values.min())
         self.w0 = float(values.flat[0])
-        self.total = measure_box(self, universe).value
+        self.total = measure_box(self, universe)
 
     @property
     def dim(self) -> int:
@@ -138,22 +127,22 @@ def measure_box_exact(mu: RadonMeasure, b: Box) -> Fraction:
     return total
 
 
-def measure_box(mu: RadonMeasure, b: Box) -> MeasureValue:
-    """Exact measure of a box inside the universe (error_bound 0)."""
+def measure_box(mu: RadonMeasure, b: Box) -> float:
+    """Exact measure of a box inside the universe."""
     if mu.uniform:
         if b.dim != mu.dim:
             raise OutOfUniverse("box dimension mismatch")
         if not mu.universe.contains_box(b):
             raise OutOfUniverse(f"box {b} escapes the universe {mu.universe}")
-        return MeasureValue(mu.w0 * b.volume(), 0.0)
-    return MeasureValue(float(measure_box_exact(mu, b)), 0.0)
+        return mu.w0 * b.volume()
+    return float(measure_box_exact(mu, b))
 
 
-def measure_box_clipped(mu: RadonMeasure, b: Box) -> MeasureValue:
+def measure_box_clipped(mu: RadonMeasure, b: Box) -> float:
     """Measure of b intersected with the universe; 0 when disjoint."""
     inter = mu.universe.intersect(b)
     if inter is None:
-        return MeasureValue(0.0, 0.0)
+        return 0.0
     return measure_box(mu, inter)
 
 
@@ -226,7 +215,7 @@ def _ball_cap_volume(mu: RadonMeasure, R: float, domain_norm: NormKind,
             and mu.universe.contains_box(Box((-R,) * d, (R,) * d)):
         return mu.w0 * ball_volume(domain_norm, d, R)
     r = R / norm_ratio(NormKind.INF, domain_norm, d) if lower else R
-    return measure_box_clipped(mu, Box((-r,) * d, (r,) * d)).value
+    return measure_box_clipped(mu, Box((-r,) * d, (r,) * d))
 
 
 def annulus_measure(mu: RadonMeasure, n: int, domain_norm: NormKind) -> float:

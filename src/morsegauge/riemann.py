@@ -109,10 +109,6 @@ def l1_deviation_parts(fam: TaggedFamily, f: CorpusFunction,
             "total": part + part_err + res + tail}
 
 
-def l1_deviation(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure) -> float:
-    return l1_deviation_parts(fam, f, mu)["total"]
-
-
 def local_error_sum(fam: TaggedFamily, f: CorpusFunction,
                     mu: RadonMeasure) -> float:
     """Sum over cells of || w0 * Int_{S_i} f - f(tag_i) mu(S_i) ||_Y."""

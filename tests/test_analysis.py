@@ -1,174 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
-from morsegauge.analysis import (
-    CompactContinuitySet,
-    CoverFamily,
-    approx_continuity_radius,
-    lebesgue_radius,
-    lusin_compact_set,
-    verify_deviation_budget,
-)
+from morsegauge.analysis import CompactContinuitySet, lusin_compact_set
 from morsegauge.corpus import corpus_function
-from morsegauge.errors import (
-    NotApproxContinuous,
-    NotLebesgue,
-    NotPiecewise,
-    PreconditionUncertified,
-)
-from morsegauge.geometry import Box, NormKind
+from morsegauge.errors import NotPiecewise
+from morsegauge.geometry import Box
 from morsegauge.measure import RadonMeasure
 
 
 def unit(f):
     return RadonMeasure.unit(f.universe)
-
-
-# ---------------------------------------------------------------------------
-# cover families
-# ---------------------------------------------------------------------------
-
-def test_cover_family_constants():
-    fam = CoverFamily()  # euclidean cubes
-    assert fam.lam(2) == pytest.approx(math.sqrt(2))
-    assert fam.lam(3) == pytest.approx(math.sqrt(3))
-    assert fam.tag_reach(0.5, 2) == pytest.approx(0.5 * math.sqrt(2))
-    assert fam.halfside_from_reach(fam.tag_reach(0.3, 2), 2) == pytest.approx(0.3)
-    assert fam.mean_factor(2) == 1.0
-
-    sup = CoverFamily(domain_norm=NormKind.INF)
-    assert sup.lam(2) == 1.0
-    assert sup.tag_reach(0.5, 2) == 0.5
-
-    ball = CoverFamily(shape="ball")
-    assert ball.lam(2) == 1.0
-    # ball mean can exceed the enclosing-cube mean by vol ratio 4/pi
-    assert ball.mean_factor(2) == pytest.approx(4.0 / math.pi)
-
-    with pytest.raises(ValueError):
-        CoverFamily(shape="simplex")
-
-
-# ---------------------------------------------------------------------------
-# density-point radii
-# ---------------------------------------------------------------------------
-
-def test_lebesgue_radius_linear1():
-    f = corpus_function("linear1")
-    r = lebesgue_radius(f, (0.3,), 0.1, unit(f))
-    # mean |y - x| over a half-side-h window is h/2: radius 2 eps
-    assert r.certified
-    assert r.radius == pytest.approx(0.2)
-
-
-def test_lebesgue_radius_step_interior():
-    f = corpus_function("step2")
-    r = lebesgue_radius(f, (0.3,), 0.1, unit(f))
-    # constant up to the cut at 0.5
-    assert r.radius == pytest.approx(0.2)
-
-
-def test_lebesgue_radius_checker_sup_family():
-    f = corpus_function("checker2d")
-    fam = CoverFamily(domain_norm=NormKind.INF)
-    r = lebesgue_radius(f, (0.375, 0.375), 0.1, unit(f), fam)
-    # cell center of [0.25, 0.5]^2: 0.125 from every grid line
-    assert r.radius == pytest.approx(0.125)
-
-
-def test_lebesgue_radius_caps_at_gauge_ceiling():
-    f = corpus_function("constant")
-    r = lebesgue_radius(f, (0.5,), 0.1, unit(f))
-    assert r.radius == 1.0
-
-
-def test_lebesgue_radius_rejects_jump():
-    f = corpus_function("step2")
-    with pytest.raises(NotLebesgue):
-        lebesgue_radius(f, (0.5,), 0.1, unit(f))
-    spike = corpus_function("spike1")
-    with pytest.raises(NotLebesgue):
-        lebesgue_radius(spike, (0.0,), 0.1, unit(spike))
-
-
-def test_lebesgue_radius_shrinks_for_rough_density():
-    f = corpus_function("linear1")
-    mu = RadonMeasure.from_grid(f.universe, 1, [1.0, 4.0])
-    r = lebesgue_radius(f, (0.3,), 0.1, mu)
-    # budget scaled by wmin/wmax = 1/4
-    assert r.radius == pytest.approx(0.05)
-
-
-def test_lebesgue_radius_rejects_vanishing_density():
-    f = corpus_function("linear1")
-    mu = RadonMeasure.from_grid(f.universe, 1, [0.0, 2.0])
-    with pytest.raises(PreconditionUncertified):
-        lebesgue_radius(f, (0.3,), 0.1, mu)
-
-
-def test_radius_scales_with_eps():
-    f = corpus_function("linear1")
-    r1 = lebesgue_radius(f, (0.3,), 0.05, unit(f))
-    r2 = lebesgue_radius(f, (0.3,), 0.1, unit(f))
-    assert r1.radius == pytest.approx(0.5 * r2.radius)
-
-
-# ---------------------------------------------------------------------------
-# approximate-continuity radii
-# ---------------------------------------------------------------------------
-
-def test_ac_radius_at_step_jump_depends_on_eps():
-    f = corpus_function("step2")
-    # half of every small window disagrees with the declared jump value
-    with pytest.raises(NotApproxContinuous):
-        approx_continuity_radius(f, (0.5,), 0.1, 0.1, unit(f))
-    r = approx_continuity_radius(f, (0.5,), 0.6, 0.1, unit(f))
-    assert r.radius == pytest.approx(0.5)  # clearance to the boundary
-
-
-def test_ac_radius_at_spike_origin_always_fails():
-    f = corpus_function("spike1")
-    with pytest.raises(NotApproxContinuous):
-        approx_continuity_radius(f, (0.0,), 0.9, 1.0, unit(f))
-
-
-def test_ac_radius_interior_beats_mean_route():
-    f = corpus_function("step2")
-    r = approx_continuity_radius(f, (0.3,), 0.01, 0.05, unit(f))
-    # sup-deviation route: clear to the cut regardless of eps
-    assert r.radius == pytest.approx(0.2)
-
-
-def test_ac_radius_smooth_positive():
-    f = corpus_function("lipschitz2d")
-    r = approx_continuity_radius(f, (0.5, 0.5), 0.01, 0.02, unit(f))
-    assert r.certified and r.radius > 0
-
-
-# ---------------------------------------------------------------------------
-# mean-bound sweep at certified radii
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name,x", [
-    ("linear1", (0.3,)),
-    ("step2", (0.7,)),
-    ("lipschitz2d", (0.4, 0.6)),
-    ("spike1", (0.5,)),
-])
-def test_deviation_budget_sweep_passes(name, x):
-    f = corpus_function(name)
-    rep = verify_deviation_budget(f, x, 0.1, unit(f))
-    assert rep["pass"]
-    assert rep["max_ratio"] <= 1.0 + 1e-12
-    assert rep["n_sets"] == 8
-
-
-def test_deviation_budget_uncertified_at_jump():
-    f = corpus_function("step2")
-    with pytest.raises(PreconditionUncertified):
-        verify_deviation_budget(f, (0.5,), 0.01, unit(f))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -122,18 +123,6 @@ def test_lebesgue_map(tmp_path):
     assert 0 < blob["delta_min"] <= blob["delta_max"] <= 1
 
 
-def test_lambda_validation():
-    with pytest.raises(SystemExit):
-        main(["run-theorem", "--fn", "linear1", "--lambda", "sqrt2"])
-    with pytest.raises(SystemExit):
-        main(["run-theorem", "--fn", "checker2d", "--lambda", "sqrt3"])
-
-
-def test_dim_validation():
-    with pytest.raises(SystemExit):
-        main(["run-theorem", "--fn", "linear1", "--dim", "2"])
-
-
 def test_unknown_fn_rejected():
     with pytest.raises(SystemExit):
         main(["run-theorem", "--fn", "mystery"])
@@ -162,14 +151,39 @@ def test_density_file_roundtrip(tmp_path):
 
 @pytest.fixture
 def densities(tmp_path):
-    """1-d density grids: a graded one and one that vanishes on a cell."""
-    paths = {}
-    for name, values in (("graded", [1.0, 2.0, 3.0, 4.0]),
-                         ("vanishing", [0.0, 1.0, 1.0, 1.0])):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"level": 2, "values": values}))
-        paths[name] = str(path)
+    """1-d density grid files: a graded one, one that vanishes on a cell,
+    malformed ones, and the path of one that does not exist."""
+    files = {
+        "graded.json": {"level": 2, "values": [1.0, 2.0, 3.0, 4.0]},
+        "vanishing.json": {"level": 2, "values": [0.0, 1.0, 1.0, 1.0]},
+        "short.json": {"level": 2, "values": [1.0, 1.0, 1.0]},
+        "nolevel.json": {"values": [1.0]},
+        "negative.json": {"level": 1, "values": [1.0, -1.0]},
+        "infinite.json": {"level": 1, "values": [1.0, math.inf]},
+        "badlevel.csv": "level,two\n1.0\n",
+        "nan.csv": "level,1\n1.0\nnan\n",
+    }
+    paths = {"missing": str(tmp_path / "missing.json")}
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content))
+        paths[name.split(".")[0]] = str(path)
     return paths
+
+
+def assert_rejected(argv, tmp_path, capsys):
+    """The CLI exits 3 with one stderr line and writes no report; input
+    it rejects up front leaves no output directory at all."""
+    out = tmp_path / "o"
+    code = run(argv + ["--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "report.json").exists()
+    if err.startswith("INVALID INPUT"):
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -194,15 +208,35 @@ def densities(tmp_path):
                  id="corollary-graded-density"),
     pytest.param(["lebesgue-map", "--fn", "linear1", "--density", "{vanishing}"],
                  id="map-vanishing-density"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{missing}"],
+                 id="density-missing-file"),
+    pytest.param(["run-corollary", "--fn", "linear1", "--density", "{short}"],
+                 id="density-wrong-count"),
+    pytest.param(["run-lusin", "--fn", "step2", "--density", "{nolevel}"],
+                 id="density-no-level"),
+    pytest.param(["lebesgue-map", "--fn", "linear1", "--density", "{badlevel}"],
+                 id="density-csv-level-not-numeric"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{negative}"],
+                 id="density-negative"),
+    pytest.param(["run-corollary", "--fn", "linear1", "--density", "{infinite}"],
+                 id="density-infinite"),
+    pytest.param(["run-lusin", "--fn", "step2", "--density", "{nan}"],
+                 id="density-csv-nan"),
 ])
 def test_rejected_input_exits_three(argv, densities, tmp_path, capsys):
-    argv = [a.format(**densities) for a in argv]
-    code = run(argv + ["--out", str(tmp_path / "o")])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "o" / "report.json").exists()
+    assert_rejected([a.format(**densities) for a in argv], tmp_path, capsys)
+
+
+def test_lambda_validation(tmp_path, capsys):
+    assert_rejected(["run-theorem", "--fn", "linear1", "--lambda", "sqrt2"],
+                    tmp_path, capsys)
+    assert_rejected(["run-theorem", "--fn", "checker2d", "--lambda", "sqrt3"],
+                    tmp_path, capsys)
+
+
+def test_dim_validation(tmp_path, capsys):
+    assert_rejected(["run-theorem", "--fn", "linear1", "--dim", "2"],
+                    tmp_path, capsys)
 
 
 def test_lebesgue_map_accepts_graded_density(densities, tmp_path):

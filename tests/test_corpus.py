@@ -6,7 +6,6 @@ an independent route: brute midpoint sums in 1-d, the adaptive quadrature
 engine in 2-d, and direct sampling for the certificates.
 """
 
-import json
 import math
 
 import numpy as np
@@ -232,33 +231,6 @@ def test_certified_halfside_zero_on_jumps():
     assert spike.certified_halfside_batch(np.array([[0.0]]), np.array([0.1]))[0] == 0.0
 
 
-def test_sup_dev_halfside_is_sound(rng):
-    for name in ("step2", "lipschitz2d", "spike1"):
-        f = corpus_function(name)
-        lo = np.asarray(f.universe.lo)
-        hi = np.asarray(f.universe.hi)
-        X = rng.uniform(lo, hi, size=(20, f.dim_in))
-        X = X[~f.on_discontinuity_batch(X)]
-        eta = 0.05
-        hs = f.sup_dev_halfside_batch(X, eta)
-        for x, h in zip(X, hs):
-            if not (0 < h < math.inf):
-                continue
-            a = np.maximum(x - h, lo)
-            b = np.minimum(x + h, hi)
-            P = rng.uniform(a, b, size=(200, f.dim_in))
-            devs = f.ynorm_rows(f.eval_batch(P) - f.eval(x)[None, :])
-            assert devs.max() <= eta * (1 + 1e-9), (name, x, h)
-
-
-def test_bad_fraction_limits():
-    assert corpus_function("step2").bad_fraction_limit((0.5,), 0.1) == pytest.approx(0.5)
-    assert corpus_function("spike1").bad_fraction_limit((0.0,), 0.1) == 1.0
-    assert corpus_function("step2").bad_fraction_limit((0.25,), 0.1) == 0.0
-    # eta above the value span: nothing is ever bad
-    assert corpus_function("step2").bad_fraction_limit((0.5,), 2.0) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # concentration and absolute continuity
 # ---------------------------------------------------------------------------
@@ -287,7 +259,7 @@ def test_ac_modulus_frozen_and_consistent():
     assert lin.ac_modulus(0.1) == pytest.approx(0.1)
     for name in ALL_NAMES:
         f = corpus_function(name)
-        for eps in (0.5, 0.1, 0.01):
+        for eps in (1e300, 0.5, 0.1, 0.01):
             gamma = f.ac_modulus(eps)
             assert gamma > 0
             assert f.worst_abs_concentration(gamma) <= eps * (1 + 1e-12), name
@@ -300,18 +272,6 @@ def test_ac_modulus_scales_with_density():
     assert spike.ac_modulus(0.1, w0=2.0) == pytest.approx(spike.ac_modulus(0.1) / 2.0)
 
 
-def test_shell_bounds():
-    spike = corpus_function("spike1")
-    assert spike.shell_bound(1) == math.inf
-    assert spike.shell_bound(2) == 1.0
-    assert spike.shell_bound(3) == 0.0
-    lin = corpus_function("linear1")
-    assert lin.shell_bound(1) == 1.0
-    assert lin.shell_bound(3) == 0.0
-    with pytest.raises(ValueError):
-        lin.shell_bound(0)
-
-
 # ---------------------------------------------------------------------------
 # discontinuity bookkeeping
 # ---------------------------------------------------------------------------
@@ -320,12 +280,12 @@ def test_discontinuity_flags():
     step = corpus_function("step2")
     assert step.on_discontinuity((0.5,))
     assert not step.on_discontinuity((0.499,))
-    assert step.discontinuity_distance((0.3,)) == pytest.approx(0.2)
+    assert step.dist_inf_batch([[0.3]])[0] == pytest.approx(0.2)
     check = corpus_function("checker2d")
     assert check.on_discontinuity((0.25, 0.6))
     assert check.on_discontinuity((0.1, 0.75))
     assert not check.on_discontinuity((0.1, 0.1))
-    assert check.discontinuity_distance((0.1, 0.1)) == pytest.approx(0.15)
+    assert check.dist_inf_batch([[0.1, 0.1]])[0] == pytest.approx(0.15)
     assert corpus_function("lipschitz2d").discontinuities() == []
 
 
@@ -338,13 +298,8 @@ def test_checker_discontinuity_pieces_carry_eval_values():
         assert np.array_equal(p.value, check.eval(c))
 
 
-def test_remark_points():
-    assert corpus_function("step2_avg").remark_points() == [(0.5,)]
-    assert corpus_function("step2").remark_points() == []
-
-
 # ---------------------------------------------------------------------------
-# structure and metadata
+# piece structure
 # ---------------------------------------------------------------------------
 
 def test_piece_structures():
@@ -354,8 +309,3 @@ def test_piece_structures():
     assert corpus_function("lipschitz2d").piece_structure() is None
     assert corpus_function("spike1").piece_structure() is None
 
-
-def test_metadata_serializes():
-    for name in ALL_NAMES:
-        blob = json.dumps(corpus_function(name).metadata())
-        assert name in blob
