@@ -67,7 +67,10 @@ class RadonMeasure:
         path = Path(path)
         if path.suffix.lower() == ".json":
             blob = json.loads(path.read_text())
-            return RadonMeasure.from_grid(universe, int(blob["level"]), blob["values"])
+            level = blob["level"]
+            if type(level) is not int:
+                raise ValueError(f"grid level must be an integer, got {level!r}")
+            return RadonMeasure.from_grid(universe, level, blob["values"])
         with path.open(newline="") as fh:
             rows = [r for r in csv.reader(fh) if r]
         if not rows or rows[0][0].strip().lower() != "level":

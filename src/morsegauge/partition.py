@@ -2,17 +2,20 @@
 
 The dyadic sieve keeps a frontier of equal-level cells, emits the ones whose
 circumradius about the center already fits under the gauge, and splits the
-rest.  Every family (sieve output, refined trial, random partition) is
-built by _cube_family, which sorts the cells into canonical depth-first
-lexicographic order via interleaved-bit keys; the keys double as an exact
-interior disjointness certificate, since a dyadic cell owns a contiguous
-key range.
+rest.  A cell is (level, index) against the universe, and every corner and
+tag derives from that.  Every family (sieve output, refined trial, random
+partition) expands cells with _split, which builds each child's interleaved-
+bit key from its parent's key and its (level, index), and _cube_family sorts
+the keys into canonical depth-first lexicographic order.  The keys double as
+an exact interior disjointness certificate, since a dyadic cell owns a
+contiguous key range; verify_family trusts them, and a bit-interleaving
+reference in the tests pins them.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -23,25 +26,32 @@ from .measure import RadonMeasure, measure_box_batch
 _CHILD_OFFSETS = {d: np.array(np.meshgrid(*([[0, 1]] * d), indexing="ij"),
                               dtype=np.int64).reshape(d, -1).T
                   for d in (1, 2, 3)}
+# each child offset's key digit, axis 0 most significant
+_CHILD_DIGITS = {d: (off << np.arange(d - 1, -1, -1)).sum(axis=1)
+                 for d, off in _CHILD_OFFSETS.items()}
 
 
 def _key_depth_cap(dim: int) -> int:
     return 62 // dim
 
 
-def _morton_keys(level: int, idx: np.ndarray, dim: int) -> np.ndarray:
-    """Depth-first lexicographic sort keys, axis 0 most significant within
-    each level digit."""
+def _split(indices: np.ndarray, keys: np.ndarray, levels, dim: int
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^d children of each cell, parent by parent: their indices and
+    their depth-first lexicographic keys (the parent's key with the child's
+    digit at the next level down).  `levels` is the parents' level, one
+    integer or one per cell."""
     cap = _key_depth_cap(dim)
-    if level > cap:
-        raise ValueError(f"level {level} exceeds the {cap}-level key range")
-    keys = np.zeros(len(idx), dtype=np.int64)
-    for j in range(1, level + 1):
-        digit = np.zeros(len(idx), dtype=np.int64)
-        for k in range(dim):
-            digit |= ((idx[:, k] >> (level - j)) & 1) << (dim - 1 - k)
-        keys |= digit << (dim * (cap - j))
-    return keys
+    levels = np.asarray(levels, dtype=np.int64)
+    if len(indices) and int(levels.max()) + 1 > cap:
+        raise ValueError(f"level {int(levels.max()) + 1} exceeds the "
+                         f"{cap}-level key range")
+    child_ix = (indices[:, None, :] * 2 + _CHILD_OFFSETS[dim][None, :, :]) \
+        .reshape(-1, dim)
+    shift = (dim * (cap - levels - 1)).reshape(-1, 1)
+    child_keys = (keys[:, None] | (_CHILD_DIGITS[dim][None, :] << shift)) \
+        .reshape(-1)
+    return child_ix, child_keys
 
 
 def _key_spans(levels: np.ndarray, dim: int) -> np.ndarray:
@@ -65,9 +75,8 @@ class SieveParams:
 class TaggedFamily:
     """Finitely many interior-disjoint tagged cubes plus the uncovered rest.
 
-    Box corners derive from (level, index) against the universe; sabotage
-    hooks that edit geometry directly must clear `dyadic`, which downgrades
-    disjointness checking to the geometric sweep.
+    Cell corners derive from (level, index) against the universe; `keys`
+    are the cells' Morton keys, built alongside (level, index) by _split.
     """
 
     universe: Box
@@ -75,15 +84,10 @@ class TaggedFamily:
     levels: np.ndarray
     indices: np.ndarray
     tags: np.ndarray
-    halfsides: np.ndarray
     keys: np.ndarray
     residual_measure: float
     residual_los: np.ndarray
     residual_his: np.ndarray
-    warnings: list[str] = field(default_factory=list)
-    dyadic: bool = True
-    _los: np.ndarray | None = None
-    _his: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -92,24 +96,20 @@ class TaggedFamily:
     def dim(self) -> int:
         return self.universe.dim
 
-    def _derive_corners(self):
+    @cached_property
+    def _corners(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.asarray(self.universe.lo)
-        side = np.asarray(self.universe.hi) - lo
-        step = side[None, :] * (2.0 ** -self.levels.astype(float))[:, None]
-        self._los = lo[None, :] + self.indices * step
-        self._his = lo[None, :] + (self.indices + 1) * step
+        step = _steps(self.universe, self.levels)
+        return lo[None, :] + self.indices * step, \
+            lo[None, :] + (self.indices + 1) * step
 
     @property
     def los(self) -> np.ndarray:
-        if self._los is None:
-            self._derive_corners()
-        return self._los
+        return self._corners[0]
 
     @property
     def his(self) -> np.ndarray:
-        if self._his is None:
-            self._derive_corners()
-        return self._his
+        return self._corners[1]
 
     def measures(self, mu: RadonMeasure) -> np.ndarray:
         return measure_box_batch(mu, self.los, self.his)
@@ -120,21 +120,11 @@ class TaggedFamily:
         counts = np.bincount(self.levels)
         return {int(k): int(v) for k, v in enumerate(counts) if v}
 
-    def replace_geometry(self, los: np.ndarray, his: np.ndarray,
-                         tags: np.ndarray) -> "TaggedFamily":
-        """Copy with explicit corners, dropping the dyadic fast path."""
-        fam = TaggedFamily(universe=self.universe,
-                           domain_norm=self.domain_norm,
-                           levels=self.levels.copy(), indices=self.indices.copy(),
-                           tags=np.array(tags, dtype=float),
-                           halfsides=self.halfsides.copy(), keys=self.keys.copy(),
-                           residual_measure=self.residual_measure,
-                           residual_los=self.residual_los,
-                           residual_his=self.residual_his,
-                           warnings=list(self.warnings), dyadic=False)
-        fam._los = np.array(los, dtype=float)
-        fam._his = np.array(his, dtype=float)
-        return fam
+
+def _steps(omega: Box, levels: np.ndarray) -> np.ndarray:
+    """Side lengths, per cell and axis, of the dyadic cells at `levels`."""
+    side = np.asarray(omega.hi) - np.asarray(omega.lo)
+    return side[None, :] * (2.0 ** -levels.astype(float))[:, None]
 
 
 def _require_square(omega: Box):
@@ -143,36 +133,19 @@ def _require_square(omega: Box):
         raise ValueError("dyadic sieve needs a square universe")
 
 
-def _circumradius_about_tags(los, his, tags, domain_norm) -> np.ndarray:
-    far = np.maximum(his - tags, tags - los)
-    return norm_batch(far, domain_norm)
-
-
 def _cube_family(omega: Box, domain_norm: NormKind, levels: np.ndarray,
-                 indices: np.ndarray, residual_measure: float,
-                 residual_los: np.ndarray,
+                 indices: np.ndarray, keys: np.ndarray,
+                 residual_measure: float, residual_los: np.ndarray,
                  residual_his: np.ndarray) -> TaggedFamily:
-    """The dyadic cells (level, index) of omega, tagged at their centers and
-    sorted stably into canonical key order."""
-    levels = levels.astype(np.int32, copy=False)
-    keys = np.empty(len(levels), dtype=np.int64)
-    # one key computation per level, over that level's rows
-    by_level = np.argsort(levels, kind="stable")
-    starts = np.flatnonzero(np.diff(levels[by_level])) + 1
-    for rows in np.split(by_level, starts):
-        if len(rows):
-            keys[rows] = _morton_keys(int(levels[rows[0]]), indices[rows],
-                                      omega.dim)
+    """The dyadic cells (level, index) of omega with their keys, tagged at
+    their centers and sorted stably into canonical key order."""
     order = np.argsort(keys, kind="stable")
-    levels, indices, keys = levels[order], indices[order], keys[order]
-
-    lo = np.asarray(omega.lo)
-    side = np.asarray(omega.hi) - lo
-    step = side[None, :] * (2.0 ** -levels.astype(float))[:, None]
+    levels = levels.astype(np.int32, copy=False)[order]
+    indices, keys = indices[order], keys[order]
+    tags = np.asarray(omega.lo)[None, :] \
+        + (indices + 0.5) * _steps(omega, levels)
     return TaggedFamily(universe=omega, domain_norm=domain_norm,
-                        levels=levels, indices=indices,
-                        tags=lo[None, :] + (indices + 0.5) * step,
-                        halfsides=0.5 * step[:, 0], keys=keys,
+                        levels=levels, indices=indices, tags=tags, keys=keys,
                         residual_measure=float(residual_measure),
                         residual_los=residual_los, residual_his=residual_his)
 
@@ -197,8 +170,8 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
 
     level = 0
     active = np.zeros((1, dim), dtype=np.int64)
-    got_levels, got_idx = [], []
-    total = float(mu.total)
+    active_keys = np.zeros(1, dtype=np.int64)
+    got = [(np.empty(0, dtype=np.int32), active[:0], active_keys[:0])]
 
     while True:
         scale = side * 2.0 ** -level
@@ -236,44 +209,15 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
                 .reshape(-1, len(offsets)).min(axis=1)
             ok = (0.25 * scale * ratio) <= kid_d
             fine[np.nonzero(fine)[0][~ok]] = False
-        if fine.any():
-            emitted = active[fine]
-            got_levels.append(np.full(len(emitted), level, dtype=np.int32))
-            got_idx.append(emitted)
-        coarse = active[~fine]
-        if len(coarse):
-            active = (coarse[:, None, :] * 2 + offsets[None, :, :]) \
-                .reshape(-1, dim)
-        else:
-            active = np.empty((0, dim), dtype=np.int64)
+        got.append((np.full(int(fine.sum()), level, dtype=np.int32),
+                    active[fine], active_keys[fine]))
+        active, active_keys = _split(active[~fine], active_keys[~fine],
+                                     level, dim)
         level += 1
 
-    if got_levels:
-        levels = np.concatenate(got_levels)
-        indices = np.concatenate(got_idx)
-    else:
-        levels = np.empty(0, dtype=np.int32)
-        indices = np.empty((0, dim), dtype=np.int64)
-    fam = _cube_family(omega, domain_norm, levels, indices, residual,
-                       res_lo, res_hi)
-    if total and fam.residual_measure > total:
-        fam.warnings.append("residual exceeds total measure; check density")
-    return fam
-
-
-def _geometric_disjoint(los: np.ndarray, his: np.ndarray) -> bool:
-    """Interior disjointness by plane sweep along axis 0."""
-    n = len(los)
-    order = np.argsort(los[:, 0], kind="stable")
-    active: list[int] = []
-    for oi in order:
-        lo0 = los[oi, 0]
-        active = [j for j in active if his[j, 0] > lo0]
-        for j in active:
-            if np.all(np.maximum(los[oi], los[j]) < np.minimum(his[oi], his[j])):
-                return False
-        active.append(oi)
-    return True
+    levels, indices, keys = (np.concatenate(c) for c in zip(*got))
+    return _cube_family(omega, domain_norm, levels, indices, keys, residual,
+                        res_lo, res_hi)
 
 
 def verify_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
@@ -282,7 +226,9 @@ def verify_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
 
     Fineness (circumradius about the tag under the gauge, non-strict), tags
     inside each set's inner ball, interior disjointness, containment in the
-    universe, and measure balance against mu to 1e-9 relative.
+    universe, and measure balance against mu to 1e-9 relative.  The one
+    disjointness check is on the key ranges the cells own; it trusts the
+    keys _split built from (level, index), which the tests pin.
     """
     notes = report if report is not None else {}
 
@@ -296,26 +242,14 @@ def verify_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
         uni_hi = np.asarray(fam.universe.hi)
         if np.any(los < uni_lo - 1e-12) or np.any(his > uni_hi + 1e-12):
             return fail("cell escapes the universe")
-        clean = fam.dyadic
-        if clean:
-            lo_ref = np.asarray(fam.universe.lo)
-            side_ref = np.asarray(fam.universe.hi) - lo_ref
-            step = side_ref[None, :] \
-                * (2.0 ** -fam.levels.astype(float))[:, None]
-            clean = bool(np.array_equal(lo_ref[None, :] + fam.indices * step, los)
-                         and np.array_equal(
-                             lo_ref[None, :] + (fam.indices + 1) * step, his))
-        if clean:
-            order = np.argsort(fam.keys, kind="stable")
-            k = fam.keys[order]
-            ends = k + _key_spans(fam.levels[order], fam.dim)
-            if np.any(k[1:] < ends[:-1]):
-                return fail("interior overlap (key ranges collide)")
-        elif not _geometric_disjoint(los, his):
-            return fail("interior overlap (geometric sweep)")
+        order = np.argsort(fam.keys, kind="stable")
+        k = fam.keys[order]
+        ends = k + _key_spans(fam.levels[order], fam.dim)
+        if np.any(k[1:] < ends[:-1]):
+            return fail("interior overlap (key ranges collide)")
 
         deltas = g.delta_batch(tags)
-        circ = _circumradius_about_tags(los, his, tags, fam.domain_norm)
+        circ = norm_batch(np.maximum(his - tags, tags - los), fam.domain_norm)
         inner = norm_batch(tags - 0.5 * (los + his), fam.domain_norm)
         half = 0.5 * (his - los).min(axis=1)
         if np.any(inner > half + 1e-15):
@@ -345,8 +279,6 @@ def refine_family(fam: TaggedFamily, fraction: float,
     Used to vary trials; the result covers the same region, so verification
     and every approximation bound are re-run against it unchanged.
     """
-    if not fam.dyadic:
-        raise ValueError("refinement needs a dyadic family")
     n = len(fam)
     if n == 0:
         return fam
@@ -355,18 +287,16 @@ def refine_family(fam: TaggedFamily, fraction: float,
     chosen[rng.choice(n, size=min(count, n), replace=False)] = True
 
     dim = fam.dim
-    offsets = _CHILD_OFFSETS[dim]
-    keep_lv, keep_ix = fam.levels[~chosen], fam.indices[~chosen]
-    split_lv, split_ix = fam.levels[chosen], fam.indices[chosen]
-    child_ix = (split_ix[:, None, :] * 2 + offsets[None, :, :]).reshape(-1, dim)
-    child_lv = np.repeat(split_lv + 1, 2 ** dim)
-
-    out = _cube_family(fam.universe, fam.domain_norm,
-                       np.concatenate([keep_lv, child_lv]),
-                       np.concatenate([keep_ix, child_ix]),
-                       fam.residual_measure, fam.residual_los, fam.residual_his)
-    out.warnings.extend(fam.warnings)
-    return out
+    split_lv = fam.levels[chosen]
+    child_ix, child_keys = _split(fam.indices[chosen], fam.keys[chosen],
+                                  split_lv, dim)
+    return _cube_family(fam.universe, fam.domain_norm,
+                        np.concatenate([fam.levels[~chosen],
+                                        np.repeat(split_lv + 1, 2 ** dim)]),
+                        np.concatenate([fam.indices[~chosen], child_ix]),
+                        np.concatenate([fam.keys[~chosen], child_keys]),
+                        fam.residual_measure, fam.residual_los,
+                        fam.residual_his)
 
 
 def random_dyadic_partition(omega: Box, rng: np.random.Generator,
@@ -375,25 +305,23 @@ def random_dyadic_partition(omega: Box, rng: np.random.Generator,
     """Full cover (residual 0) with randomly varied cell depths."""
     _require_square(omega)
     dim = omega.dim
-    offsets = _CHILD_OFFSETS[dim]
     level = 0
     active = np.zeros((1, dim), dtype=np.int64)
-    got_lv, got_ix = [], []
+    active_keys = np.zeros(1, dtype=np.int64)
+    got = []
     while len(active):
         if level >= max_level:
             emit = np.ones(len(active), dtype=bool)
         else:
             emit = rng.random(len(active)) < stop_prob
-        if emit.any():
-            got_lv.append(np.full(int(emit.sum()), level, dtype=np.int32))
-            got_ix.append(active[emit])
-        rest = active[~emit]
-        active = (rest[:, None, :] * 2 + offsets[None, :, :]).reshape(-1, dim) \
-            if len(rest) else np.empty((0, dim), dtype=np.int64)
+        got.append((np.full(int(emit.sum()), level, dtype=np.int32),
+                    active[emit], active_keys[emit]))
+        active, active_keys = _split(active[~emit], active_keys[~emit],
+                                     level, dim)
         level += 1
 
-    return _cube_family(omega, domain_norm, np.concatenate(got_lv),
-                        np.concatenate(got_ix), 0.0,
+    levels, indices, keys = (np.concatenate(c) for c in zip(*got))
+    return _cube_family(omega, domain_norm, levels, indices, keys, 0.0,
                         np.empty((0, dim)), np.empty((0, dim)))
 
 
@@ -401,21 +329,17 @@ def random_dyadic_partition(omega: Box, rng: np.random.Generator,
 # falsification hooks
 
 def sabotage_overlap(fam: TaggedFamily, rng: np.random.Generator) -> TaggedFamily:
-    """Shift one interior cell by a third of its width; neighbors overlap."""
+    """Copy one cell (level, index, key, tag) over its neighbor, so two cells
+    of the family coincide."""
     if len(fam) < 2:
         raise ValueError("need at least two cells to create an overlap")
     i = int(rng.integers(len(fam)))
-    los = fam.los.copy()
-    his = fam.his.copy()
-    tags = fam.tags.copy()
-    shift = (his[i, 0] - los[i, 0]) / 3.0
-    direction = 1.0 if his[i, 0] + shift <= fam.universe.hi[0] else -1.0
-    los[i, 0] += direction * shift
-    his[i, 0] += direction * shift
-    tags[i, 0] += direction * shift
-    out = fam.replace_geometry(los, his, tags)
-    out.warnings.append("sabotage: overlap-cells")
-    return out
+    j = i + 1 if i + 1 < len(fam) else i - 1
+    levels, indices = fam.levels.copy(), fam.indices.copy()
+    tags, keys = fam.tags.copy(), fam.keys.copy()
+    for a in (levels, indices, tags, keys):
+        a[j] = a[i]
+    return replace(fam, levels=levels, indices=indices, tags=tags, keys=keys)
 
 
 def sabotage_offcenter(fam: TaggedFamily, rng: np.random.Generator) -> TaggedFamily:
@@ -425,8 +349,6 @@ def sabotage_offcenter(fam: TaggedFamily, rng: np.random.Generator) -> TaggedFam
     tags = fam.tags.copy()
     count = min(3, len(fam))
     idx = rng.choice(len(fam), size=count, replace=False)
-    for i in idx:
-        tags[i, 0] += 1.2 * fam.halfsides[i]
-    out = fam.replace_geometry(fam.los.copy(), fam.his.copy(), tags)
-    out.warnings.append("sabotage: offcenter-tags")
-    return out
+    half = 0.5 * _steps(fam.universe, fam.levels[idx])[:, 0]
+    tags[idx, 0] += 1.2 * half
+    return replace(fam, tags=tags)

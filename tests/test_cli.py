@@ -158,6 +158,8 @@ def densities(tmp_path):
         "vanishing.json": {"level": 2, "values": [0.0, 1.0, 1.0, 1.0]},
         "short.json": {"level": 2, "values": [1.0, 1.0, 1.0]},
         "nolevel.json": {"values": [1.0]},
+        "fractional.json": {"level": 2.5, "values": [1.0, 1.0, 1.0, 1.0]},
+        "boollevel.json": {"level": True, "values": [1.0, 1.0]},
         "negative.json": {"level": 1, "values": [1.0, -1.0]},
         "infinite.json": {"level": 1, "values": [1.0, math.inf]},
         "badlevel.csv": "level,two\n1.0\n",
@@ -222,6 +224,10 @@ def assert_rejected(argv, tmp_path, capsys):
                  id="density-infinite"),
     pytest.param(["run-lusin", "--fn", "step2", "--density", "{nan}"],
                  id="density-csv-nan"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{fractional}"],
+                 id="density-json-fractional-level"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{boollevel}"],
+                 id="density-json-bool-level"),
 ])
 def test_rejected_input_exits_three(argv, densities, tmp_path, capsys):
     assert_rejected([a.format(**densities) for a in argv], tmp_path, capsys)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,12 +136,62 @@ def test_refinement_preserves_mass(rng):
     assert np.all(np.diff(ref.keys) > 0)
 
 
-def test_refine_rejects_nondyadic_families(rng):
-    f, mu, g = gauge_for("checker2d")
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
-    moved = fam.replace_geometry(fam.los.copy(), fam.his.copy(), fam.tags.copy())
-    with pytest.raises(ValueError):
-        refine_family(moved, 0.5, rng)
+def reference_keys(levels, indices, dim):
+    """Morton keys by bit interleaving, level digit by level digit: the j-th
+    digit holds bit (level - j) of every axis, axis 0 most significant, at
+    bit position dim * (62 // dim - j)."""
+    cap = 62 // dim
+    keys = []
+    for level, idx in zip(levels.tolist(), indices.tolist()):
+        key = 0
+        for j in range(1, level + 1):
+            digit = 0
+            for k in range(dim):
+                digit |= ((idx[k] >> (level - j)) & 1) << (dim - 1 - k)
+            key |= digit << (dim * (cap - j))
+        keys.append(key)
+    return np.array(keys, dtype=np.int64)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_carried_keys_match_bit_interleaving(dim, rng):
+    universe = Box((0.0,) * dim, (1.0,) * dim)
+    fam = random_dyadic_partition(universe, rng, max_level=4)
+    assert np.array_equal(fam.keys, reference_keys(fam.levels, fam.indices, dim))
+    for fraction in (0.3, 1.0):
+        ref = refine_family(fam, fraction, rng)
+        assert np.array_equal(ref.keys,
+                              reference_keys(ref.levels, ref.indices, dim))
+        assert np.all(np.diff(ref.keys) > 0)
+        assert verify_family(ref, Gauge.constant(1.0), unit(universe),
+                             eta=1e-12)
+
+
+def graded_1d_family():
+    """A sieve family graded toward 0: two cells per level down to level
+    61, one under the 62-level key cap of 1-d."""
+    g = Gauge(batch=lambda X: np.maximum(np.abs(X[:, 0]) / 4.0, 2.0 ** -62))
+    mu = unit(UNIT_1D)
+    fam = dyadic_sieve(UNIT_1D, g, mu, SieveParams(eta=1e-30, max_depth=61))
+    return fam, g, mu
+
+
+def test_carried_keys_near_the_key_cap(rng):
+    fam, g, mu = graded_1d_family()
+    assert int(fam.levels.max()) == 61
+    assert verify_family(fam, g, mu, eta=1e-30)
+    ref = refine_family(fam, 1.0, rng)
+    assert int(ref.levels.max()) == 62
+    for f in (fam, ref):
+        assert np.array_equal(f.keys, reference_keys(f.levels, f.indices, 1))
+        assert np.all(np.diff(f.keys) > 0)
+
+
+def test_split_rejects_levels_past_the_key_cap(rng):
+    fam, _, _ = graded_1d_family()
+    ref = refine_family(fam, 1.0, rng)
+    with pytest.raises(ValueError, match="key range"):
+        refine_family(ref, 1.0, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +213,7 @@ def test_verifier_rejects_overlap(rng):
     bad = sabotage_overlap(fam, rng)
     notes = {}
     assert not verify_family(bad, g, mu, eta=0.01, report=notes)
-    assert "overlap" in notes["reason"]
+    assert notes["reason"] == "interior overlap (key ranges collide)"
 
 
 def test_verifier_rejects_offcenter_tags(rng):
@@ -187,11 +238,14 @@ def test_verifier_rejects_escaping_cell():
     g = Gauge.constant(1.0)
     mu = unit(UNIT_1D)
     fam = dyadic_sieve(UNIT_1D, g, mu, SieveParams(eta=1e-9))
-    los = fam.los.copy()
-    his = fam.his.copy()
-    his[-1, 0] += 0.5
-    shifted = fam.replace_geometry(los, his, fam.tags)
-    assert not verify_family(shifted, g, mu, eta=1e-9)
+    # the last cell moves one step past the grid's end
+    indices = fam.indices.copy()
+    indices[-1, 0] += 1
+    shifted = replace(fam, indices=indices)
+    assert shifted.his[-1, 0] > 1.0
+    notes = {}
+    assert not verify_family(shifted, g, mu, eta=1e-9, report=notes)
+    assert "escapes" in notes["reason"]
 
 
 def test_verifier_rejects_residual_above_eta():
@@ -204,14 +258,6 @@ def test_verifier_rejects_residual_above_eta():
     if fam.residual_measure > 1e-9:
         assert not ok
         assert "residual" in notes["reason"]
-
-
-def test_geometric_sweep_handles_nondyadic_geometry(rng):
-    f, mu, g = gauge_for("checker2d")
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
-    moved = fam.replace_geometry(fam.los.copy(), fam.his.copy(), fam.tags.copy())
-    assert not moved.dyadic
-    assert verify_family(moved, g, mu, eta=0.01)
 
 
 @pytest.mark.parametrize("universe,domain_norm", [
