@@ -112,9 +112,6 @@ class CorpusFunction:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.zeros(len(X), dtype=bool)
 
-    def on_discontinuity(self, x) -> bool:
-        return bool(self.on_discontinuity_batch(np.atleast_2d(np.asarray(x, float)))[0])
-
     def dist_inf_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.full(len(X), np.inf)

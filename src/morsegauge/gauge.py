@@ -99,11 +99,6 @@ class NullTube:
     width: float
     budget: float
 
-    def contains_strict(self, x) -> bool:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return any(all(a < c < b for c, a, b in zip(x, bx.lo, bx.hi))
-                   for bx in self.boxes)
-
     def clearance(self, x) -> float:
         """sup over boxes holding x of the minimal face distance."""
         x = np.asarray(x, dtype=float).reshape(-1)

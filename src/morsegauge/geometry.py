@@ -27,16 +27,6 @@ class NormKind(enum.Enum):
     TWO = "2"
     INF = "inf"
 
-    @staticmethod
-    def parse(text: str) -> "NormKind":
-        key = str(text).strip().lower()
-        table = {"1": NormKind.ONE, "one": NormKind.ONE,
-                 "2": NormKind.TWO, "two": NormKind.TWO,
-                 "inf": NormKind.INF, "max": NormKind.INF}
-        if key not in table:
-            raise ValueError(f"unknown norm kind {text!r}")
-        return table[key]
-
 
 def norm(v: Sequence[float], kind: NormKind) -> float:
     if kind is NormKind.ONE:

@@ -1,27 +1,37 @@
 """Gauge-fine dyadic cube families over a square box universe.
 
-The dyadic sieve keeps a frontier of equal-level cells, emits the ones whose
+A family stores each cell as (level, Morton key) only: an int8 level and an
+int64 key, 9 bytes per cell.  The key interleaves the cell's index bits,
+axis 0 most significant, one d-bit digit per level, so a dyadic cell owns a
+contiguous key range and canonical key order is depth-first lexicographic
+(Z-order).  Indices, corners and center tags are derived chunk by chunk
+(CHUNK_CELLS cells at a time) by de-interleaving the keys, and every
+consumer walks the family through TaggedFamily.chunks().
+
+The dyadic sieve keeps a frontier of equal-level keys, emits the cells whose
 circumradius about the center already fits under the gauge, and splits the
-rest.  A cell is (level, index) against the universe, and every corner and
-tag derives from that.  Every family (sieve output, refined trial, random
-partition) expands cells with _split, which builds each child's interleaved-
-bit key from its parent's key and its (level, index), and _cube_family sorts
-the keys into canonical depth-first lexicographic order.  The keys double as
-an exact interior disjointness certificate, since a dyadic cell owns a
-contiguous key range; verify_family trusts them, and a bit-interleaving
-reference in the tests pins them.
+rest with _split, which builds each child's key from its parent's key.
+refine_family replaces chosen cells in place by their children, which keeps
+canonical order without a sort.  verify_family rechecks everything in one
+chunked pass; its disjointness certificate is that consecutive key ranges
+do not collide, and a bit-interleaving reference in the tests pins the keys.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DepthExceeded
 from .geometry import Box, Gauge, NormKind, norm_batch, norm_ratio
 from .measure import RadonMeasure, measure_box_batch
+
+# cells per chunk of every family walk: large enough that numpy calls
+# amortize, small enough that the per-chunk temporaries stay a few MB
+CHUNK_CELLS = 1 << 16
 
 _CHILD_OFFSETS = {d: np.array(np.meshgrid(*([[0, 1]] * d), indexing="ij"),
                               dtype=np.int64).reshape(d, -1).T
@@ -35,28 +45,69 @@ def _key_depth_cap(dim: int) -> int:
     return 62 // dim
 
 
-def _split(indices: np.ndarray, keys: np.ndarray, levels, dim: int
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """The 2^d children of each cell, parent by parent: their indices and
-    their depth-first lexicographic keys (the parent's key with the child's
-    digit at the next level down).  `levels` is the parents' level, one
-    integer or one per cell."""
+def _split(keys: np.ndarray, levels, dim: int) -> np.ndarray:
+    """The 2^d children's keys of each cell, parent by parent and in key
+    order: the parent's key with the child's digit at the next level down.
+    `levels` is the parents' level, one integer or one per cell."""
     cap = _key_depth_cap(dim)
     levels = np.asarray(levels, dtype=np.int64)
-    if len(indices) and int(levels.max()) + 1 > cap:
+    if len(keys) and int(levels.max()) + 1 > cap:
         raise ValueError(f"level {int(levels.max()) + 1} exceeds the "
                          f"{cap}-level key range")
-    child_ix = (indices[:, None, :] * 2 + _CHILD_OFFSETS[dim][None, :, :]) \
-        .reshape(-1, dim)
     shift = (dim * (cap - levels - 1)).reshape(-1, 1)
-    child_keys = (keys[:, None] | (_CHILD_DIGITS[dim][None, :] << shift)) \
-        .reshape(-1)
-    return child_ix, child_keys
+    return (keys[:, None] | (_CHILD_DIGITS[dim][None, :] << shift)).reshape(-1)
 
 
 def _key_spans(levels: np.ndarray, dim: int) -> np.ndarray:
     cap = _key_depth_cap(dim)
     return np.int64(1) << (dim * (cap - levels.astype(np.int64)))
+
+
+def _indices(levels, keys: np.ndarray, dim: int) -> np.ndarray:
+    """Per-axis indices of the cells (level, key), by de-interleaving the
+    key's top `level` digits; `levels` is one integer or one per cell.  Key
+    bits above the universe's key range land on axis 0, so such a cell's
+    index leaves [0, 2^level) and its corners escape the universe."""
+    levels = np.asarray(levels, dtype=np.int64)
+    v = keys >> (dim * (_key_depth_cap(dim) - levels))
+    if dim == 1:
+        return v[:, None]
+    digits = v & ((np.int64(1) << (dim * levels)) - 1)
+    idx = np.zeros((len(keys), dim), dtype=np.int64)
+    for m in range(int(levels.max(initial=0))):
+        for k in range(dim):
+            idx[:, k] |= ((digits >> (dim * m + dim - 1 - k)) & 1) << m
+    idx[:, 0] += (v >> (dim * levels)) << levels
+    return idx
+
+
+def _steps(omega: Box, levels) -> np.ndarray:
+    """Side lengths, per cell and axis, of the dyadic cells at `levels`
+    (one level or one per cell)."""
+    side = np.asarray(omega.hi) - np.asarray(omega.lo)
+    scale = 2.0 ** -np.asarray(levels, dtype=float).reshape(-1, 1)
+    return side[None, :] * scale
+
+
+def _geometry(omega: Box, levels, indices: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower corners, upper corners and center tags of the cells."""
+    lo = np.asarray(omega.lo)[None, :]
+    step = _steps(omega, levels)
+    return lo + indices * step, lo + (indices + 1) * step, \
+        lo + (indices + 0.5) * step
+
+
+class Chunk(NamedTuple):
+    """Cells start .. start + len(levels) - 1 of a family, with their
+    derived geometry."""
+
+    start: int
+    levels: np.ndarray
+    indices: np.ndarray
+    los: np.ndarray
+    his: np.ndarray
+    tags: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,56 +126,54 @@ class SieveParams:
 class TaggedFamily:
     """Finitely many interior-disjoint tagged cubes plus the uncovered rest.
 
-    Cell corners derive from (level, index) against the universe; `keys`
-    are the cells' Morton keys, built alongside (level, index) by _split.
+    Cell i is the dyadic cube (levels[i], keys[i]) of the universe, tagged
+    at its center; the cells are in strictly increasing key order.  The
+    residual frontier is the cells residual_keys, all at residual_level.
+    tag_override, when set, is (positions, tags): tags that replace the
+    centers of those cells.
     """
 
     universe: Box
     domain_norm: NormKind
     levels: np.ndarray
-    indices: np.ndarray
-    tags: np.ndarray
     keys: np.ndarray
     residual_measure: float
-    residual_los: np.ndarray
-    residual_his: np.ndarray
+    residual_level: int
+    residual_keys: np.ndarray
+    tag_override: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return len(self.tags)
+        return len(self.keys)
 
     @property
     def dim(self) -> int:
         return self.universe.dim
 
-    @cached_property
-    def _corners(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.asarray(self.universe.lo)
-        step = _steps(self.universe, self.levels)
-        return lo[None, :] + self.indices * step, \
-            lo[None, :] + (self.indices + 1) * step
+    def chunks(self) -> Iterator[Chunk]:
+        """The cells in canonical order, CHUNK_CELLS at a time."""
+        for start in range(0, len(self), CHUNK_CELLS):
+            stop = start + CHUNK_CELLS
+            levels = self.levels[start:stop]
+            idx = _indices(levels, self.keys[start:stop], self.dim)
+            los, his, tags = _geometry(self.universe, levels, idx)
+            if self.tag_override is not None:
+                pos, moved = self.tag_override
+                here = (pos >= start) & (pos < start + len(levels))
+                tags[pos[here] - start] = moved[here]
+            yield Chunk(start, levels, idx, los, his, tags)
 
-    @property
-    def los(self) -> np.ndarray:
-        return self._corners[0]
-
-    @property
-    def his(self) -> np.ndarray:
-        return self._corners[1]
-
-    def measures(self, mu: RadonMeasure) -> np.ndarray:
-        return measure_box_batch(mu, self.los, self.his)
+    def residual_boxes(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Corners of the residual frontier's cells, CHUNK_CELLS at a time."""
+        for start in range(0, len(self.residual_keys), CHUNK_CELLS):
+            keys = self.residual_keys[start:start + CHUNK_CELLS]
+            idx = _indices(self.residual_level, keys, self.dim)
+            los, his, _ = _geometry(self.universe, self.residual_level, idx)
+            yield los, his
 
     def depth_histogram(self) -> dict[int, int]:
-        if len(self.levels) == 0:
-            return {}
-        counts = np.bincount(self.levels)
-        return {int(k): int(v) for k, v in enumerate(counts) if v}
-
-
-def _steps(omega: Box, levels: np.ndarray) -> np.ndarray:
-    """Side lengths, per cell and axis, of the dyadic cells at `levels`."""
-    side = np.asarray(omega.hi) - np.asarray(omega.lo)
-    return side[None, :] * (2.0 ** -levels.astype(float))[:, None]
+        # np.unique keeps the int8 levels; np.bincount would copy them to intp
+        levels, counts = np.unique(self.levels, return_counts=True)
+        return {int(k): int(v) for k, v in zip(levels, counts)}
 
 
 def _require_square(omega: Box):
@@ -134,20 +183,37 @@ def _require_square(omega: Box):
 
 
 def _cube_family(omega: Box, domain_norm: NormKind, levels: np.ndarray,
-                 indices: np.ndarray, keys: np.ndarray,
-                 residual_measure: float, residual_los: np.ndarray,
-                 residual_his: np.ndarray) -> TaggedFamily:
-    """The dyadic cells (level, index) of omega with their keys, tagged at
-    their centers and sorted stably into canonical key order."""
+                 keys: np.ndarray, residual_measure: float,
+                 residual_level: int, residual_keys: np.ndarray
+                 ) -> TaggedFamily:
+    """The dyadic cells (level, key) of omega, sorted stably into canonical
+    key order.  The keys of disjoint cells are distinct, so sorting them in
+    place gives the same order as the permutation the levels take, without
+    a second full-length key array."""
     order = np.argsort(keys, kind="stable")
-    levels = levels.astype(np.int32, copy=False)[order]
-    indices, keys = indices[order], keys[order]
-    tags = np.asarray(omega.lo)[None, :] \
-        + (indices + 0.5) * _steps(omega, levels)
+    levels = levels.astype(np.int8, copy=False)[order]
+    del order
+    keys.sort()
     return TaggedFamily(universe=omega, domain_norm=domain_norm,
-                        levels=levels, indices=indices, tags=tags, keys=keys,
+                        levels=levels, keys=keys,
                         residual_measure=float(residual_measure),
-                        residual_los=residual_los, residual_his=residual_his)
+                        residual_level=residual_level,
+                        residual_keys=residual_keys)
+
+
+def _frontier_measure(omega: Box, mu: RadonMeasure, level: int,
+                      keys: np.ndarray) -> float:
+    if len(keys) == 0:
+        return 0.0
+    if mu.uniform:
+        side = float(omega.hi[0] - omega.lo[0])
+        return mu.w0 * (side * 2.0 ** -level) ** omega.dim * len(keys)
+    parts = []
+    for start in range(0, len(keys), CHUNK_CELLS):
+        idx = _indices(level, keys[start:start + CHUNK_CELLS], omega.dim)
+        los, his, _ = _geometry(omega, level, idx)
+        parts.append(float(measure_box_batch(mu, los, his).sum()))
+    return math.fsum(parts)
 
 
 def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
@@ -158,77 +224,78 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
     non-strict, and the same test holds one level down at every child
     center; the extra look-ahead keeps one-step refinements of the output
     fine even where the gauge dips sharply.  Everything else splits into
-    its 2^d children.  DepthExceeded carries a sample of the stuck cells
-    with their gauge values.
+    its 2^d children.  The depth limit is p.max_depth, or one level above
+    the key range if that is shallower, so that every refinement of the
+    output still has keys.  DepthExceeded carries a sample of the stuck
+    cells with their gauge values.
     """
     _require_square(omega)
     dim = omega.dim
-    uni_lo = np.asarray(omega.lo)
     side = float(omega.hi[0] - omega.lo[0])
     ratio = norm_ratio(NormKind.INF, domain_norm, dim)
-    offsets = _CHILD_OFFSETS[dim]
+    signs = 2.0 * _CHILD_OFFSETS[dim] - 1.0
+    limit = min(p.max_depth, _key_depth_cap(dim) - 1)
+    uni_lo = np.asarray(omega.lo)[None, :]
 
     level = 0
-    active = np.zeros((1, dim), dtype=np.int64)
-    active_keys = np.zeros(1, dtype=np.int64)
-    got = [(np.empty(0, dtype=np.int32), active[:0], active_keys[:0])]
-
+    active = np.zeros(1, dtype=np.int64)
+    got = [(0, active[:0])]
     while True:
         scale = side * 2.0 ** -level
-        if len(active) == 0:
-            residual = 0.0
-        elif mu.uniform:
-            residual = mu.w0 * scale ** dim * len(active)
-        else:
-            a_lo = uni_lo[None, :] + active * scale
-            residual = float(measure_box_batch(mu, a_lo, a_lo + scale).sum())
+        residual = _frontier_measure(omega, mu, level, active)
         if residual <= p.eta or len(active) == 0:
-            res_lo = uni_lo[None, :] + active * scale
-            res_hi = res_lo + scale
             break
-        if level > p.max_depth:
-            a_lo = uni_lo[None, :] + active * scale
-            centers = a_lo + 0.5 * scale
-            deltas = g.delta_batch(centers[:8])
+        if level > limit:
+            a_lo, a_hi, centers = _geometry(
+                omega, level, _indices(level, active[:8], dim))
+            deltas = g.delta_batch(centers)
             stuck = [{"lo": [float(v) for v in a_lo[i]],
-                      "hi": [float(v) for v in a_lo[i] + scale],
+                      "hi": [float(v) for v in a_hi[i]],
                       "delta": float(deltas[i]),
                       "needed": float(0.5 * scale * ratio)}
-                     for i in range(min(8, len(active)))]
+                     for i in range(len(centers))]
             raise DepthExceeded(
                 f"residual {residual:.3e} > eta {p.eta:.3e} at depth "
-                f"{p.max_depth} ({len(active)} cells stuck)", stuck=stuck)
+                f"{limit} ({len(active)} cells stuck)", stuck=stuck)
 
-        centers = uni_lo[None, :] + (active + 0.5) * scale
-        deltas = g.delta_batch(centers)
-        fine = (0.5 * scale * ratio) <= deltas
-        if fine.any():
-            signs = 2.0 * offsets - 1.0
-            kids = centers[fine][:, None, :] + 0.25 * scale * signs[None, :, :]
-            kid_d = g.delta_batch(kids.reshape(-1, dim)) \
-                .reshape(-1, len(offsets)).min(axis=1)
-            ok = (0.25 * scale * ratio) <= kid_d
-            fine[np.nonzero(fine)[0][~ok]] = False
-        got.append((np.full(int(fine.sum()), level, dtype=np.int32),
-                    active[fine], active_keys[fine]))
-        active, active_keys = _split(active[~fine], active_keys[~fine],
-                                     level, dim)
+        step = _steps(omega, level)
+        fine = np.empty(len(active), dtype=bool)
+        for start in range(0, len(active), CHUNK_CELLS):
+            keys = active[start:start + CHUNK_CELLS]
+            centers = uni_lo + (_indices(level, keys, dim) + 0.5) * step
+            ok = (0.5 * scale * ratio) <= g.delta_batch(centers)
+            if ok.any():
+                kids = centers[ok][:, None, :] \
+                    + 0.25 * scale * signs[None, :, :]
+                kid_d = g.delta_batch(kids.reshape(-1, dim)) \
+                    .reshape(-1, len(signs)).min(axis=1)
+                kids_ok = (0.25 * scale * ratio) <= kid_d
+                ok[np.nonzero(ok)[0][~kids_ok]] = False
+            fine[start:start + len(keys)] = ok
+        got.append((level, active[fine]))
+        active = _split(active[~fine], level, dim)
         level += 1
 
-    levels, indices, keys = (np.concatenate(c) for c in zip(*got))
-    return _cube_family(omega, domain_norm, levels, indices, keys, residual,
-                        res_lo, res_hi)
+    counts = [len(k) for _, k in got]
+    levels = np.repeat(np.array([lv for lv, _ in got], dtype=np.int8), counts)
+    keys = np.concatenate([k for _, k in got])
+    del got
+    return _cube_family(omega, domain_norm, levels, keys, residual, level,
+                        active)
 
 
 def verify_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
                   report: dict | None = None) -> bool:
-    """Recheck every family invariant from scratch.
+    """Recheck every family invariant from scratch, in one chunked pass.
 
-    Fineness (circumradius about the tag under the gauge, non-strict), tags
-    inside each set's inner ball, interior disjointness, containment in the
-    universe, and measure balance against mu to 1e-9 relative.  The one
-    disjointness check is on the key ranges the cells own; it trusts the
-    keys _split built from (level, index), which the tests pin.
+    Containment in the universe, interior disjointness, tags inside each
+    set's inner ball, fineness (circumradius about the tag under the gauge,
+    non-strict) and measure balance against mu to 1e-9 relative.  A failure
+    anywhere in the family is reported in that order of priority; the
+    fineness message names the worst cell of the whole family.
+    Disjointness is certified on keys: each cell's key range must start at
+    or after the end of the previous cell's, which also rejects a family
+    out of canonical order.
     """
     notes = report if report is not None else {}
 
@@ -236,31 +303,48 @@ def verify_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
         notes["reason"] = reason
         return False
 
-    los, his, tags = fam.los, fam.his, fam.tags
-    if len(fam):
-        uni_lo = np.asarray(fam.universe.lo)
-        uni_hi = np.asarray(fam.universe.hi)
-        if np.any(los < uni_lo - 1e-12) or np.any(his > uni_hi + 1e-12):
-            return fail("cell escapes the universe")
-        order = np.argsort(fam.keys, kind="stable")
-        k = fam.keys[order]
-        ends = k + _key_spans(fam.levels[order], fam.dim)
-        if np.any(k[1:] < ends[:-1]):
-            return fail("interior overlap (key ranges collide)")
+    uni_lo = np.asarray(fam.universe.lo)
+    uni_hi = np.asarray(fam.universe.hi)
+    escapes = overlap = off_center = False
+    worst = None
+    prev_end = None
+    masses = []
+    for c in fam.chunks():
+        los, his, tags = c.los, c.his, c.tags
+        escapes = escapes or bool(np.any(los < uni_lo - 1e-12)
+                                  or np.any(his > uni_hi + 1e-12))
+        spans = _key_spans(c.levels, fam.dim)
+        # a cell owns its key with the bits below its level cleared, the
+        # same truncation its index takes
+        starts = fam.keys[c.start:c.start + len(spans)] & -spans
+        ends = starts + spans
+        overlap = overlap or bool(np.any(starts[1:] < ends[:-1])) \
+            or (prev_end is not None and starts[0] < prev_end)
+        prev_end = ends[-1]
 
         deltas = g.delta_batch(tags)
         circ = norm_batch(np.maximum(his - tags, tags - los), fam.domain_norm)
         inner = norm_batch(tags - 0.5 * (los + his), fam.domain_norm)
         half = 0.5 * (his - los).min(axis=1)
-        if np.any(inner > half + 1e-15):
-            return fail("tag outside the inner ball of its cell")
+        off_center = off_center or bool(np.any(inner > half + 1e-15))
         if np.any(circ > deltas):
-            worst = int(np.argmax(circ - deltas))
-            return fail(f"fineness violated at tag {tuple(tags[worst])}: "
-                        f"circumradius {circ[worst]} > delta {deltas[worst]}")
+            k = int(np.argmax(circ - deltas))
+            if worst is None or circ[k] - deltas[k] > worst[0]:
+                worst = (circ[k] - deltas[k], tags[k], circ[k], deltas[k])
+        masses.append(float(measure_box_batch(mu, los, his).sum()))
 
-    measures = fam.measures(mu) if len(fam) else np.empty(0)
-    balance = float(measures.sum()) + fam.residual_measure
+    if escapes:
+        return fail("cell escapes the universe")
+    if overlap:
+        return fail("interior overlap (key ranges collide)")
+    if off_center:
+        return fail("tag outside the inner ball of its cell")
+    if worst is not None:
+        _, tag, circ, delta = worst
+        return fail(f"fineness violated at tag {tuple(tag)}: "
+                    f"circumradius {circ} > delta {delta}")
+
+    balance = math.fsum(masses) + fam.residual_measure
     total = float(mu.total)
     tol = 1e-9 * max(1.0, abs(total))
     if abs(balance - total) > tol:
@@ -277,26 +361,34 @@ def refine_family(fam: TaggedFamily, fraction: float,
     """Split a random subset of cube cells into their dyadic children.
 
     Used to vary trials; the result covers the same region, so verification
-    and every approximation bound are re-run against it unchanged.
+    and every approximation bound are re-run against it unchanged.  Each
+    chosen cell is replaced in place by its children, which own its key
+    range in key order, so the result stays in canonical order.
     """
     n = len(fam)
     if n == 0:
         return fam
     count = max(1, int(round(fraction * n)))
-    chosen = np.zeros(n, dtype=bool)
-    chosen[rng.choice(n, size=min(count, n), replace=False)] = True
+    chosen = np.sort(rng.choice(n, size=min(count, n), replace=False))
 
-    dim = fam.dim
-    split_lv = fam.levels[chosen]
-    child_ix, child_keys = _split(fam.indices[chosen], fam.keys[chosen],
-                                  split_lv, dim)
-    return _cube_family(fam.universe, fam.domain_norm,
-                        np.concatenate([fam.levels[~chosen],
-                                        np.repeat(split_lv + 1, 2 ** dim)]),
-                        np.concatenate([fam.indices[~chosen], child_ix]),
-                        np.concatenate([fam.keys[~chosen], child_keys]),
-                        fam.residual_measure, fam.residual_los,
-                        fam.residual_his)
+    fan = 2 ** fam.dim
+    # a chosen cell's fan children start at its own position plus fan - 1
+    # for each chosen cell before it.  Every old cell is copied in order to
+    # the slots left over plus its first child's slot; the children then
+    # overwrite their slots.
+    first = chosen + (fan - 1) * np.arange(len(chosen))
+    slots = (first[:, None] + np.arange(fan)[None, :]).reshape(-1)
+    kept = np.ones(n + (fan - 1) * len(chosen), dtype=bool)
+    kept[slots] = False
+    kept[first] = True
+    keys = np.empty(len(kept), dtype=np.int64)
+    keys[kept] = fam.keys
+    levels = np.empty(len(kept), dtype=np.int8)
+    levels[kept] = fam.levels
+    del kept
+    keys[slots] = _split(fam.keys[chosen], fam.levels[chosen], fam.dim)
+    levels[slots] = np.repeat(fam.levels[chosen] + 1, fan)
+    return replace(fam, levels=levels, keys=keys, tag_override=None)
 
 
 def random_dyadic_partition(omega: Box, rng: np.random.Generator,
@@ -306,49 +398,47 @@ def random_dyadic_partition(omega: Box, rng: np.random.Generator,
     _require_square(omega)
     dim = omega.dim
     level = 0
-    active = np.zeros((1, dim), dtype=np.int64)
-    active_keys = np.zeros(1, dtype=np.int64)
+    active = np.zeros(1, dtype=np.int64)
     got = []
     while len(active):
         if level >= max_level:
             emit = np.ones(len(active), dtype=bool)
         else:
             emit = rng.random(len(active)) < stop_prob
-        got.append((np.full(int(emit.sum()), level, dtype=np.int32),
-                    active[emit], active_keys[emit]))
-        active, active_keys = _split(active[~emit], active_keys[~emit],
-                                     level, dim)
+        got.append((np.full(int(emit.sum()), level, dtype=np.int8),
+                    active[emit]))
+        active = _split(active[~emit], level, dim)
         level += 1
 
-    levels, indices, keys = (np.concatenate(c) for c in zip(*got))
-    return _cube_family(omega, domain_norm, levels, indices, keys, 0.0,
-                        np.empty((0, dim)), np.empty((0, dim)))
+    levels, keys = (np.concatenate(c) for c in zip(*got))
+    return _cube_family(omega, domain_norm, levels, keys, 0.0, level,
+                        np.empty(0, dtype=np.int64))
 
 
 # --------------------------------------------------------------------------
 # falsification hooks
 
 def sabotage_overlap(fam: TaggedFamily, rng: np.random.Generator) -> TaggedFamily:
-    """Copy one cell (level, index, key, tag) over its neighbor, so two cells
-    of the family coincide."""
+    """Copy one cell (level, key) over its neighbor, so two cells of the
+    family coincide."""
     if len(fam) < 2:
         raise ValueError("need at least two cells to create an overlap")
     i = int(rng.integers(len(fam)))
     j = i + 1 if i + 1 < len(fam) else i - 1
-    levels, indices = fam.levels.copy(), fam.indices.copy()
-    tags, keys = fam.tags.copy(), fam.keys.copy()
-    for a in (levels, indices, tags, keys):
-        a[j] = a[i]
-    return replace(fam, levels=levels, indices=indices, tags=tags, keys=keys)
+    levels, keys = fam.levels.copy(), fam.keys.copy()
+    levels[j], keys[j] = levels[i], keys[i]
+    return replace(fam, levels=levels, keys=keys)
 
 
 def sabotage_offcenter(fam: TaggedFamily, rng: np.random.Generator) -> TaggedFamily:
     """Move a few tags outside their cells' inner balls."""
     if len(fam) == 0:
         raise ValueError("empty family")
-    tags = fam.tags.copy()
     count = min(3, len(fam))
     idx = rng.choice(len(fam), size=count, replace=False)
-    half = 0.5 * _steps(fam.universe, fam.levels[idx])[:, 0]
-    tags[idx, 0] += 1.2 * half
-    return replace(fam, tags=tags)
+    levels = fam.levels[idx]
+    _, _, tags = _geometry(fam.universe, levels,
+                           _indices(levels, fam.keys[idx], fam.dim))
+    half = 0.5 * _steps(fam.universe, levels)[:, 0]
+    tags[:, 0] += 1.2 * half
+    return replace(fam, tag_override=(idx, tags))

@@ -5,12 +5,13 @@ Sum f(tag_i) mu(S_i), the exact weighted integral, and the certified L1
 deviation Sum Int_{S_i} ||f - f(tag_i)|| plus residual and tail mass.  The
 theorem verifier builds the gauge, sieves, and asserts the accuracy chain on
 the base family and on randomized refinements; the corollary verifier reuses
-the same family for the set-function claims.
+the same family for the set-function claims.  Every per-cell sum comes from
+one walk over the family's chunks, so memory stays at a few chunks however
+large the family grows.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ from .corpus import CorpusFunction
 from .errors import BoundViolated
 from .gauge import GaugeBuildParams, build_gauge, shell_budget, soundness_sweep
 from .geometry import Box, Gauge, NormKind
-from .measure import RadonMeasure, require_uniform
+from .measure import RadonMeasure, measure_box_batch, require_uniform
 from .partition import SieveParams, TaggedFamily, dyadic_sieve, refine_family, verify_family
 
 _REL = 1e-9
@@ -68,25 +69,87 @@ class ApproximationReport:
             "pass_flags": self.pass_flags, "notes": self.notes,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+
+def _fsum_rows(parts: list[np.ndarray], width: int) -> np.ndarray:
+    """Component-wise correctly rounded sum of per-chunk partial vectors."""
+    if not parts:
+        return np.zeros(width)
+    return np.array([math.fsum(col) for col in zip(*parts)])
+
+
+def _family_sums(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
+                 threshold: float | None = None,
+                 deviations: bool = True) -> dict:
+    """Every per-cell sum the reports need, in one walk over the family's
+    chunks: the simple sum Sum f(tag) mu(S), the local error
+    Sum ||w0 Int_S f - f(tag) mu(S)||, unless `deviations` is false the
+    deviation integrals and their certified errors, and, given a threshold,
+    the truncation profile.
+
+    Sums combine per-chunk numpy partials with math.fsum.  The prefix sums
+    of the truncation profile carry across chunks, so they are bit for bit
+    one cumsum over the whole family.
+    """
+    w0 = mu.w0
+    simple, local, dev, dev_err = [], [], [], []
+    exact = w0 * f.exact_integral(mu.universe)
+    total = float(mu.total)
+    carry_w, carry_p = 0.0, np.zeros(f.dim_out)
+    m0 = None
+    trunc = (float(f.ynorm(exact)), 0)
+    for c in fam.chunks():
+        F = f.eval_batch(c.tags)
+        w = measure_box_batch(mu, c.los, c.his)
+        Fw = F * w[:, None]
+        simple.append(F.T @ w)
+        ints = w0 * f.integral_batch(c.los, c.his)
+        local.append(float(f.ynorm_rows(ints - Fw).sum()))
+        if deviations:
+            vals, errs = f.dev_integral_for_tags(c.los, c.his, c.tags, F)
+            dev.append(float(vals.sum()))
+            dev_err.append(float(errs.sum()))
+        if threshold is None:
+            continue
+        covered = np.cumsum(np.concatenate(([carry_w], w)))[1:]
+        partial = np.cumsum(np.concatenate((carry_p[None, :], Fw)), axis=0)[1:]
+        carry_w, carry_p = covered[-1], partial[-1]
+        j = 0
+        if m0 is None:
+            # uncovered after k cells still includes the residual, so the
+            # threshold passed in must sit at or above it
+            eligible = total - covered <= threshold + 1e-15
+            if not eligible.any():
+                continue
+            j = int(np.argmax(eligible))
+            m0 = c.start + j
+            trunc = (-math.inf, m0)
+        errto = f.ynorm_rows(exact[None, :] - partial[j:])
+        k = int(np.argmax(errto))
+        if errto[k] > trunc[0]:
+            trunc = (float(errto[k]), c.start + j + k)
+    if threshold is not None and m0 is None and len(fam):
+        trunc = (float(f.ynorm_rows(exact[None, :] - carry_p[None, :])[0]),
+                 len(fam) - 1)
+    return {"simple": _fsum_rows(simple, f.dim_out), "local": math.fsum(local),
+            "dev": math.fsum(dev), "dev_err": math.fsum(dev_err),
+            "truncation": trunc}
+
+
+def _l1_parts(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
+              sums: dict) -> dict:
+    part = mu.w0 * sums["dev"]
+    part_err = mu.w0 * sums["dev_err"]
+    res = mu.w0 * math.fsum(float(f.abs_integral_batch(los, his).sum())
+                            for los, his in fam.residual_boxes())
+    tail = f.tail_abs
+    return {"partition": part, "partition_error": part_err,
+            "residual_abs": res, "tail_abs": tail,
+            "total": part + part_err + res + tail}
 
 
 def simple_sum(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure) -> np.ndarray:
     """Sum of f(tag) * mu(set) over the family, in canonical order."""
-    if len(fam) == 0:
-        return np.zeros(f.dim_out)
-    F = f.eval_batch(fam.tags)
-    w = fam.measures(mu)
-    return F.T @ w
-
-
-def _cell_devs(fam: TaggedFamily, f: CorpusFunction) -> tuple[np.ndarray, np.ndarray]:
-    if len(fam) == 0:
-        z = np.zeros(0)
-        return z, z
-    V = f.eval_batch(fam.tags)
-    return f.dev_integral_for_tags(fam.los, fam.his, fam.tags, V)
+    return _family_sums(fam, f, mu)["simple"]
 
 
 def l1_deviation_parts(fam: TaggedFamily, f: CorpusFunction,
@@ -95,52 +158,20 @@ def l1_deviation_parts(fam: TaggedFamily, f: CorpusFunction,
     approximation, split into partition, quadrature-error, residual, and
     tail contributions."""
     require_uniform(mu)
-    vals, errs = _cell_devs(fam, f)
-    part = mu.w0 * float(vals.sum())
-    part_err = mu.w0 * float(errs.sum())
-    if len(fam.residual_los):
-        res = mu.w0 * float(
-            f.abs_integral_batch(fam.residual_los, fam.residual_his).sum())
-    else:
-        res = 0.0
-    tail = f.tail_abs
-    return {"partition": part, "partition_error": part_err,
-            "residual_abs": res, "tail_abs": tail,
-            "total": part + part_err + res + tail}
+    return _l1_parts(fam, f, mu, _family_sums(fam, f, mu))
 
 
 def local_error_sum(fam: TaggedFamily, f: CorpusFunction,
                     mu: RadonMeasure) -> float:
     """Sum over cells of || w0 * Int_{S_i} f - f(tag_i) mu(S_i) ||_Y."""
-    if len(fam) == 0:
-        return 0.0
-    ints = mu.w0 * f.integral_batch(fam.los, fam.his)
-    F = f.eval_batch(fam.tags)
-    w = fam.measures(mu)
-    return float(f.ynorm_rows(ints - F * w[:, None]).sum())
+    return _family_sums(fam, f, mu)["local"]
 
 
 def truncation_profile(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
                        threshold: float) -> tuple[float, int]:
     """Worst partial-sum error from the first canonical index at which the
     still-uncovered measure drops under the threshold."""
-    if len(fam) == 0:
-        return float(f.ynorm(mu.w0 * f.exact_integral(mu.universe))), 0
-    F = f.eval_batch(fam.tags)
-    w = fam.measures(mu)
-    partial = np.cumsum(F * w[:, None], axis=0)
-    # uncovered after k cells still includes the residual, so the threshold
-    # passed in must sit at or above it
-    uncovered = float(mu.total) - np.cumsum(w)
-    eligible = uncovered <= threshold + 1e-15
-    if not eligible.any():
-        m0 = len(fam) - 1
-    else:
-        m0 = int(np.argmax(eligible))
-    exact = mu.w0 * f.exact_integral(mu.universe)
-    errto = f.ynorm_rows(exact[None, :] - partial[m0:])
-    k = int(np.argmax(errto))
-    return float(errto.max()), m0 + k
+    return _family_sums(fam, f, mu, threshold)["truncation"]
 
 
 @dataclass(frozen=True)
@@ -197,13 +228,14 @@ def _check_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
 
 def build_report(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
                  eps: float, trial: int) -> ApproximationReport:
-    parts = l1_deviation_parts(fam, f, mu)
-    exact = mu.w0 * f.exact_integral(mu.universe)
-    simple = simple_sum(fam, f, mu)
-    local = local_error_sum(fam, f, mu)
+    require_uniform(mu)
     gamma = f.ac_modulus(eps / 4.0, mu.w0)
     threshold = max(0.999 * gamma, fam.residual_measure * (1 + 1e-12))
-    trunc, trunc_idx = truncation_profile(fam, f, mu, threshold)
+    sums = _family_sums(fam, f, mu, threshold)
+    parts = _l1_parts(fam, f, mu, sums)
+    exact = mu.w0 * f.exact_integral(mu.universe)
+    simple, local = sums["simple"], sums["local"]
+    trunc, trunc_idx = sums["truncation"]
 
     gap = float(f.ynorm(exact - simple))
     slack = parts["residual_abs"] + parts["tail_abs"]
@@ -276,6 +308,8 @@ def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
         report.notes["sweep_max_budget_ratio"] = sweep.max_budget_ratio
         _assert_flags(report)
         reports.append(report)
+        # the next trial's refinement need not coexist with this one
+        del fam
     return reports
 
 
@@ -306,10 +340,8 @@ class CorollaryReport:
 
 
 def _family_mass(G: SetFunction, fam: TaggedFamily) -> float:
-    if len(fam) == 0:
-        return 0.0
-    vals = G.on_boxes(fam.los, fam.his)
-    return float(G.f.ynorm_rows(vals).sum())
+    return math.fsum(float(G.f.ynorm_rows(G.on_boxes(c.los, c.his)).sum())
+                     for c in fam.chunks())
 
 
 def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
@@ -335,7 +367,8 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
                          max_depth=default_sieve_depth(f.dim_in))
         base = dyadic_sieve(mu.universe, g, mu, sp, domain_norm)
 
-    riemann_gap = local_error_sum(base, f, mu)
+    sums = _family_sums(base, f, mu, deviations=False)
+    riemann_gap = sums["local"]
     abs_total = G.abs_total()
 
     rng = np.random.default_rng(seed)
@@ -352,13 +385,10 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
                                       domain_norm=domain_norm)
     witness_mass = _family_mass(G, witness)
 
-    simple = simple_sum(base, f, mu)
-    if len(base.residual_los):
-        residual_vec = mu.w0 * f.integral_batch(
-            base.residual_los, base.residual_his).sum(axis=0)
-    else:
-        residual_vec = np.zeros(f.dim_out)
-    recon = float(f.ynorm(G.total() - simple - residual_vec))
+    residual_vec = mu.w0 * _fsum_rows(
+        [f.integral_batch(los, his).sum(axis=0)
+         for los, his in base.residual_boxes()], f.dim_out)
+    recon = float(f.ynorm(G.total() - sums["simple"] - residual_vec))
 
     flags = {
         "riemann_gap_lt_eps": riemann_gap < eps,

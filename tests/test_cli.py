@@ -199,6 +199,9 @@ def assert_rejected(argv, tmp_path, capsys):
     pytest.param(["run-theorem", "--fn", "linear1", "--eta", "nan"], id="eta-nan"),
     pytest.param(["run-theorem", "--fn", "linear1", "--max-depth", "-1"],
                  id="max-depth-negative"),
+    pytest.param(["run-theorem", "--fn", "spike1", "--eps", "0.5", "--eta", "1e-25",
+                  "--max-depth", "70", "--trials", "1"],
+                 id="max-depth-past-key-cap"),
     pytest.param(["run-lusin", "--fn", "step2", "--eps", "0"], id="lusin-eps-zero"),
     pytest.param(["run-lusin", "--fn", "step2", "--eps", "-1"], id="lusin-eps-negative"),
     pytest.param(["run-corollary", "--fn", "linear1", "--eps", "nan"],

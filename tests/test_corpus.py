@@ -278,13 +278,11 @@ def test_ac_modulus_scales_with_density():
 
 def test_discontinuity_flags():
     step = corpus_function("step2")
-    assert step.on_discontinuity((0.5,))
-    assert not step.on_discontinuity((0.499,))
+    assert list(step.on_discontinuity_batch([[0.5], [0.499]])) == [True, False]
     assert step.dist_inf_batch([[0.3]])[0] == pytest.approx(0.2)
     check = corpus_function("checker2d")
-    assert check.on_discontinuity((0.25, 0.6))
-    assert check.on_discontinuity((0.1, 0.75))
-    assert not check.on_discontinuity((0.1, 0.1))
+    assert list(check.on_discontinuity_batch(
+        [[0.25, 0.6], [0.1, 0.75], [0.1, 0.1]])) == [True, True, False]
     assert check.dist_inf_batch([[0.1, 0.1]])[0] == pytest.approx(0.15)
     assert corpus_function("lipschitz2d").discontinuities() == []
 

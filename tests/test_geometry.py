@@ -35,14 +35,6 @@ def test_norm_batch_matches_scalar(rng):
         assert np.allclose(got, want, rtol=5e-16, atol=0)
 
 
-def test_norm_parse():
-    assert NormKind.parse("2") is NormKind.TWO
-    assert NormKind.parse("inf") is NormKind.INF
-    assert NormKind.parse("1") is NormKind.ONE
-    with pytest.raises(ValueError):
-        NormKind.parse("3")
-
-
 def test_norm_ratio_table():
     # ratio c with |x|_dst <= c * |x|_src, tight over R^d
     assert norm_ratio(NormKind.INF, NormKind.TWO, 2) == pytest.approx(math.sqrt(2))

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from morsegauge import partition
 from morsegauge.corpus import corpus_function
 from morsegauge.errors import DepthExceeded
 from morsegauge.gauge import GaugeBuildParams, build_gauge
@@ -11,7 +12,6 @@ from morsegauge.geometry import Box, Gauge, NormKind, norm_batch
 from morsegauge.measure import RadonMeasure, measure_box_batch
 from morsegauge.partition import (
     SieveParams,
-    TaggedFamily,
     dyadic_sieve,
     random_dyadic_partition,
     refine_family,
@@ -19,6 +19,7 @@ from morsegauge.partition import (
     sabotage_overlap,
     verify_family,
 )
+from morsegauge.riemann import default_eta, default_sieve_depth
 
 UNIT_1D = Box((0.0,), (1.0,))
 UNIT_2D = Box((0.0, 0.0), (1.0, 1.0))
@@ -32,6 +33,17 @@ def gauge_for(name, eps=0.1):
     f = corpus_function(name)
     mu = RadonMeasure.unit(f.universe)
     return f, mu, build_gauge(f, mu, GaugeBuildParams(eps=eps))
+
+
+def derived(fam, field):
+    """One derived per-cell array (indices, los, his, tags) of the whole
+    family, gathered from its chunks."""
+    return np.concatenate([getattr(c, field) for c in fam.chunks()])
+
+
+def cell_measures(fam, mu):
+    return np.concatenate([measure_box_batch(mu, c.los, c.his)
+                           for c in fam.chunks()])
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +81,7 @@ def test_sieve_canonical_order_and_exact_measures():
     f, mu, g = gauge_for("checker2d")
     fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
     assert np.all(np.diff(fam.keys) > 0)
-    ms = fam.measures(mu)
+    ms = cell_measures(fam, mu)
     assert math.fsum(ms) + fam.residual_measure == 1.0
 
 
@@ -132,7 +144,8 @@ def test_refinement_preserves_mass(rng):
     f, mu, g = gauge_for("checker2d")
     fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
     ref = refine_family(fam, 0.5, rng)
-    assert math.fsum(ref.measures(mu)) == pytest.approx(math.fsum(fam.measures(mu)), abs=1e-15)
+    assert math.fsum(cell_measures(ref, mu)) == pytest.approx(
+        math.fsum(cell_measures(fam, mu)), abs=1e-15)
     assert np.all(np.diff(ref.keys) > 0)
 
 
@@ -153,15 +166,28 @@ def reference_keys(levels, indices, dim):
     return np.array(keys, dtype=np.int64)
 
 
+def assert_indices_round_trip(fam):
+    """The indices chunks() derives from the keys interleave back into the
+    keys, and the tags sit at the cell centers they imply."""
+    idx = derived(fam, "indices")
+    assert np.array_equal(fam.keys, reference_keys(fam.levels, idx, fam.dim))
+    assert np.all((idx >= 0) & (idx < 2 ** fam.levels[:, None].astype(np.int64)))
+    side = np.asarray(fam.universe.hi) - np.asarray(fam.universe.lo)
+    steps = side * 2.0 ** -fam.levels[:, None].astype(float)
+    centers = np.asarray(fam.universe.lo) + (idx + 0.5) * steps
+    assert np.array_equal(derived(fam, "tags"), centers)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_carried_keys_match_bit_interleaving(dim, rng):
+def test_carried_keys_match_bit_interleaving(dim, rng, monkeypatch):
+    # small chunks, so the derivation runs across chunk boundaries
+    monkeypatch.setattr(partition, "CHUNK_CELLS", 7)
     universe = Box((0.0,) * dim, (1.0,) * dim)
     fam = random_dyadic_partition(universe, rng, max_level=4)
-    assert np.array_equal(fam.keys, reference_keys(fam.levels, fam.indices, dim))
+    assert_indices_round_trip(fam)
     for fraction in (0.3, 1.0):
         ref = refine_family(fam, fraction, rng)
-        assert np.array_equal(ref.keys,
-                              reference_keys(ref.levels, ref.indices, dim))
+        assert_indices_round_trip(ref)
         assert np.all(np.diff(ref.keys) > 0)
         assert verify_family(ref, Gauge.constant(1.0), unit(universe),
                              eta=1e-12)
@@ -183,7 +209,7 @@ def test_carried_keys_near_the_key_cap(rng):
     ref = refine_family(fam, 1.0, rng)
     assert int(ref.levels.max()) == 62
     for f in (fam, ref):
-        assert np.array_equal(f.keys, reference_keys(f.levels, f.indices, 1))
+        assert_indices_round_trip(f)
         assert np.all(np.diff(f.keys) > 0)
 
 
@@ -203,7 +229,7 @@ def test_random_partition_full_cover(rng):
     mu = unit(UNIT_2D)
     fam = random_dyadic_partition(UNIT_2D, rng, max_level=4)
     assert fam.residual_measure == 0.0
-    assert math.fsum(fam.measures(mu)) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(cell_measures(fam, mu)) == pytest.approx(1.0, abs=1e-12)
     assert verify_family(fam, g, mu, eta=1e-12)
 
 
@@ -225,6 +251,47 @@ def test_verifier_rejects_offcenter_tags(rng):
     assert "tag" in notes["reason"]
 
 
+@pytest.mark.parametrize("chunk", [4, partition.CHUNK_CELLS],
+                         ids=["across-chunks", "within-a-chunk"])
+def test_verifier_rejects_keys_out_of_order(chunk, monkeypatch):
+    # with 4-cell chunks, cells 3 and 4 sit on either side of a boundary
+    monkeypatch.setattr(partition, "CHUNK_CELLS", chunk)
+    f, mu, g = gauge_for("checker2d")
+    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    order = np.arange(len(fam))
+    order[[3, 4]] = order[[4, 3]]
+    swapped = replace(fam, levels=fam.levels[order], keys=fam.keys[order])
+    notes = {}
+    assert not verify_family(swapped, g, mu, eta=0.01, report=notes)
+    assert notes["reason"] == "interior overlap (key ranges collide)"
+
+
+@pytest.mark.parametrize("name,eps", [("spike1", 0.3), ("lipschitz2d", 0.1)])
+def test_verify_family_is_chunk_size_free(name, eps, monkeypatch):
+    f, mu, g = gauge_for(name, eps)
+    eta = default_eta(f, eps, mu.w0)
+    fam = dyadic_sieve(f.universe, g, mu, SieveParams(
+        eta=eta, max_depth=default_sieve_depth(f.dim_in)))
+    assert len(fam) > 7
+    cases = [(fam, g), (fam, g.scaled(0.5, note="tight")),
+             (refine_family(fam, 0.3, np.random.default_rng(1)), g),
+             (sabotage_overlap(fam, np.random.default_rng(2)), g),
+             (sabotage_offcenter(fam, np.random.default_rng(3)), g)]
+
+    def notes_for(chunk):
+        monkeypatch.setattr(partition, "CHUNK_CELLS", chunk)
+        out = []
+        for fm, gauge in cases:
+            notes = {}
+            out.append((verify_family(fm, gauge, mu, eta, report=notes), notes))
+        return out
+
+    whole = notes_for(len(fam))
+    assert notes_for(7) == whole
+    assert [ok for ok, _ in whole] == [True, False, True, False, False]
+    assert "fineness violated" in whole[1][1]["reason"]
+
+
 def test_verifier_rejects_shrunken_gauge():
     f, mu, g = gauge_for("step2")
     fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
@@ -238,11 +305,13 @@ def test_verifier_rejects_escaping_cell():
     g = Gauge.constant(1.0)
     mu = unit(UNIT_1D)
     fam = dyadic_sieve(UNIT_1D, g, mu, SieveParams(eta=1e-9))
-    # the last cell moves one step past the grid's end
-    indices = fam.indices.copy()
-    indices[-1, 0] += 1
-    shifted = replace(fam, indices=indices)
-    assert shifted.his[-1, 0] > 1.0
+    # bit 62 lies above the 1-d key range: the last cell's index leaves
+    # the grid
+    keys = fam.keys.copy()
+    keys[-1] |= np.int64(1) << 62
+    shifted = replace(fam, keys=keys)
+    assert derived(shifted, "indices")[-1, 0] >= 2 ** int(fam.levels[-1])
+    assert derived(shifted, "his")[-1, 0] > 1.0
     notes = {}
     assert not verify_family(shifted, g, mu, eta=1e-9, report=notes)
     assert "escapes" in notes["reason"]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from morsegauge import partition
 from morsegauge.corpus import corpus_function
 from morsegauge.errors import BoundViolated, PreconditionUncertified
 from morsegauge.gauge import GaugeBuildParams, build_gauge
@@ -13,6 +14,7 @@ from morsegauge.partition import (
     SieveParams,
     dyadic_sieve,
     random_dyadic_partition,
+    refine_family,
     sabotage_offcenter,
 )
 from morsegauge.riemann import (
@@ -129,7 +131,7 @@ def test_report_json_roundtrip():
     g = build_gauge(f, mu, GaugeBuildParams(eps=0.1))
     fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
     rep = build_report(fam, f, mu, eps=0.1, trial=3)
-    blob = json.loads(rep.to_json())
+    blob = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
     assert blob["fn"] == "step2"
     assert blob["trial"] == 3
     assert blob["cell_count"] == 2
@@ -137,6 +139,32 @@ def test_report_json_roundtrip():
         "l1_partition_lt_eps", "l1_total_lt_eps_plus_slack",
         "local_error_lt_eps", "truncation_lt_3eps", "local_le_l1",
         "gap_le_l1_total", "gap_le_l1_partition_plus_slack"}
+
+
+@pytest.mark.parametrize("name,eps", [("spike1", 0.3), ("lipschitz2d", 0.1)])
+def test_build_report_is_chunk_size_free(name, eps, monkeypatch):
+    # spike1 also has a residual frontier to walk
+    f = corpus_function(name)
+    mu = unit(f)
+    g = build_gauge(f, mu, GaugeBuildParams(eps=eps))
+    base = dyadic_sieve(f.universe, g, mu, SieveParams(
+        eta=default_eta(f, eps, 1.0), max_depth=default_sieve_depth(f.dim_in)))
+    families = [base, refine_family(base, 0.15, np.random.default_rng(4))]
+
+    def reports(chunk):
+        monkeypatch.setattr(partition, "CHUNK_CELLS", chunk)
+        return [build_report(fam, f, mu, eps, trial=0).to_dict()
+                for fam in families]
+
+    whole = reports(max(len(fam) for fam in families))
+    for got, want in zip(reports(7), whole):
+        assert got["pass_flags"] == want["pass_flags"]
+        for key in ("cell_count", "truncation_index", "depth_histogram"):
+            assert got[key] == want[key]
+        for key in ("simple", "l1_partition", "l1_partition_error",
+                    "residual_abs", "l1_total", "local_error_sum",
+                    "truncation_error"):
+            assert np.allclose(got[key], want[key], rtol=1e-12, atol=0), key
 
 
 # ---------------------------------------------------------------------------
