@@ -580,13 +580,15 @@ class Spike1Fn(CorpusFunction):
         v = np.atleast_2d(np.asarray(V, dtype=float))[:, 0]
         if np.any((a < 0) & (b > 0)):
             raise MalformedShape("deviation oracle needs one-sided boxes")
-        aa = np.minimum(np.abs(a), np.abs(b))
-        bb = np.maximum(np.abs(a), np.abs(b))
+        abs_a, abs_b = np.abs(a), np.abs(b)
+        aa = np.minimum(abs_a, abs_b)
+        bb = np.maximum(abs_a, abs_b)
         with np.errstate(divide="ignore"):
             cross = np.where(v > 0, 1.0 / (v * v), np.inf)
         c = np.clip(cross, aa, bb)
-        left = 2.0 * np.sqrt(c) - 2.0 * np.sqrt(aa) - v * (c - aa)
-        right = v * (bb - c) - (2.0 * np.sqrt(bb) - 2.0 * np.sqrt(c))
+        anti_c = 2.0 * np.sqrt(c)
+        left = anti_c - 2.0 * np.sqrt(aa) - v * (c - aa)
+        right = v * (bb - c) - (2.0 * np.sqrt(bb) - anti_c)
         return left + right, np.zeros(len(a))
 
     def discontinuities(self):
@@ -605,14 +607,19 @@ class Spike1Fn(CorpusFunction):
         <= budget for h; the left-of-tag mean dominates every clipped or
         centered window, so the certificate survives clipping."""
         x = np.abs(np.atleast_2d(np.asarray(X, dtype=float))[:, 0])
-        budgets = np.asarray(budgets, dtype=float) * np.ones(len(x))
-        out = np.zeros(len(x))
-        pos = x > 0
-        xp = x[pos]; bp = budgets[pos]
-        s = 2.0 / (bp + 1.0 / np.sqrt(xp)) - np.sqrt(xp)
-        h = np.where(s <= 0, 0.5 * xp, xp - s * s)
-        out[pos] = np.minimum(np.maximum(h, 0.0), 0.5 * xp)
-        return out
+        r = np.sqrt(x)
+        with np.errstate(divide="ignore"):
+            # x = 0 gives s = 2 / inf - 0 = 0 and so h = 0, the jump's value
+            s = 2.0 / (np.asarray(budgets, dtype=float) + 1.0 / r)
+        s -= r
+        # h = x - s^2 clipped to [0, x/2], or x/2 where s <= 0, built in
+        # r's buffer: fewer temporaries per batch, the same values
+        h = np.subtract(x, np.multiply(s, s, out=r), out=r)
+        np.maximum(h, 0.0, out=h)
+        x *= 0.5
+        np.minimum(h, x, out=h)
+        np.copyto(h, x, where=s <= 0)
+        return h
 
     def worst_abs_concentration(self, m: float, w0: float = 1.0) -> float:
         # the worst set of Lebesgue measure m hugs the singularity

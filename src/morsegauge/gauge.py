@@ -233,7 +233,7 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
 
     budgets_by_shell = shell_budget_table(p.eps, mu, p.domain_norm)
     n_max = len(budgets_by_shell)
-    cert_scale = p.margin * _density_ratio_adjust(mu)
+    cert_budgets = budgets_by_shell * (p.margin * _density_ratio_adjust(mu))
 
     def a_branch(x) -> float:
         fn_norm = f.ynorm(f.eval(x))
@@ -248,21 +248,24 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
                 f"jump point {tuple(np.atleast_1d(x))} escapes its tube")
         return 0.5 * min(1.0, clear)
 
+    def shell_branch(X: np.ndarray) -> np.ndarray:
+        shells = np.clip(shell_index_batch(X, p.domain_norm), 1, n_max)
+        h = f.certified_halfside_batch(X, cert_budgets[shells - 1])
+        # an infinite halfside is an uncapped reach; a NaN stays NaN, so
+        # Gauge.delta_batch rejects it
+        return np.minimum(1.0, h * lam)
+
     def batch(X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty(len(X))
         on_a = f.on_discontinuity_batch(X)
-        if on_a.any():
-            for i in np.nonzero(on_a)[0]:
-                out[i] = a_branch(X[i])
+        if not on_a.any():
+            return shell_branch(X)
+        out = np.empty(len(X))
+        for i in np.nonzero(on_a)[0]:
+            out[i] = a_branch(X[i])
         rest = ~on_a
         if rest.any():
-            shells = shell_index_batch(X[rest], p.domain_norm)
-            shells = np.clip(shells, 1, n_max)
-            budgets = budgets_by_shell[shells - 1] * cert_scale
-            h = f.certified_halfside_batch(X[rest], budgets)
-            reach = np.where(np.isfinite(h), h, np.inf) * lam
-            out[rest] = np.minimum(1.0, reach)
+            out[rest] = shell_branch(X[rest])
         return out
 
     provenance = {

@@ -41,6 +41,10 @@ def norm_batch(V: np.ndarray, kind: NormKind) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if V.ndim == 1:
         V = V[:, None]
+    if V.shape[1] == 1:
+        # the row reductions below, without numpy's slow length-1 reduce
+        v = V[:, 0]
+        return np.sqrt(v * v) if kind is NormKind.TWO else np.abs(v)
     if kind is NormKind.ONE:
         return np.abs(V).sum(axis=1)
     if kind is NormKind.TWO:
@@ -129,6 +133,7 @@ class Gauge:
 
     batch maps an (N, d) point array to an (N,) array of sizes; provenance
     records how the gauge was built (budgets, tubes, caps) for reports.
+    delta_batch raises ValueError if any size is NaN or outside (0, 1].
     """
 
     batch: Callable[[np.ndarray], np.ndarray]
@@ -140,7 +145,8 @@ class Gauge:
     def delta_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.asarray(self.batch(X), dtype=float)
-        if out.size and (out.min() <= 0.0 or out.max() > 1.0):
+        # written so that a NaN, which fails every comparison, is rejected
+        if out.size and not (out.min() > 0.0 and out.max() <= 1.0):
             raise ValueError("gauge batch value outside (0, 1]")
         return out
 

@@ -85,8 +85,9 @@ def _steps(omega: Box, levels) -> np.ndarray:
     """Side lengths, per cell and axis, of the dyadic cells at `levels`
     (one level or one per cell)."""
     side = np.asarray(omega.hi) - np.asarray(omega.lo)
-    scale = 2.0 ** -np.asarray(levels, dtype=float).reshape(-1, 1)
-    return side[None, :] * scale
+    # exact: scaling by a power of two, the same bits as side * 2.0**-level
+    return np.ldexp(side[None, :],
+                    -np.asarray(levels, dtype=np.int32).reshape(-1, 1))
 
 
 def _geometry(omega: Box, levels, indices: np.ndarray
@@ -171,9 +172,12 @@ class TaggedFamily:
             yield los, his
 
     def depth_histogram(self) -> dict[int, int]:
-        # np.unique keeps the int8 levels; np.bincount would copy them to intp
-        levels, counts = np.unique(self.levels, return_counts=True)
-        return {int(k): int(v) for k, v in zip(levels, counts)}
+        # chunked, so np.bincount copies only one chunk of levels to intp
+        counts = np.zeros(int(self.levels.max(initial=-1)) + 1, dtype=np.int64)
+        for start in range(0, len(self), CHUNK_CELLS):
+            counts += np.bincount(self.levels[start:start + CHUNK_CELLS],
+                                  minlength=len(counts))
+        return {k: int(v) for k, v in enumerate(counts) if v}
 
 
 def _require_square(omega: Box):

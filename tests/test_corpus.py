@@ -231,6 +231,41 @@ def test_certified_halfside_zero_on_jumps():
     assert spike.certified_halfside_batch(np.array([[0.0]]), np.array([0.1]))[0] == 0.0
 
 
+def spike1_halfside_reference(X, budgets):
+    """The masked formula: zero at x = 0, the closed form elsewhere."""
+    x = np.abs(np.asarray(X, dtype=float)[:, 0])
+    budgets = np.asarray(budgets, dtype=float) * np.ones(len(x))
+    out = np.zeros(len(x))
+    pos = x > 0
+    xp = x[pos]; bp = budgets[pos]
+    s = 2.0 / (bp + 1.0 / np.sqrt(xp)) - np.sqrt(xp)
+    h = np.where(s <= 0, 0.5 * xp, xp - s * s)
+    out[pos] = np.minimum(np.maximum(h, 0.0), 0.5 * xp)
+    return out
+
+
+def test_spike1_halfside_same_with_and_without_a_zero(rng):
+    f = corpus_function("spike1")
+    X = rng.uniform(-1, 1, size=(500, 1))
+    X[:3, 0] = [1e-300, -5e-324, 1.0]
+    budgets = np.exp(rng.uniform(-30, 5, size=len(X)))
+    # a zero and a negative budget reach the clip of h to [0, x/2]
+    budgets[3:5] = [0.0, -0.5]
+    plain = f.certified_halfside_batch(X, budgets)
+    assert plain.tobytes() == spike1_halfside_reference(X, budgets).tobytes()
+    at = [0, 17, 250, len(X)]
+    Xz = np.insert(X, at, [[0.0], [-0.0], [0.0], [0.0]], axis=0)
+    bz = np.insert(budgets, at, 0.01)
+    with_zero = f.certified_halfside_batch(Xz, bz)
+    zero = np.isin(np.arange(len(Xz)), np.array(at) + np.arange(len(at)))
+    assert with_zero[~zero].tobytes() == plain.tobytes()
+    assert with_zero[zero].tobytes() == np.zeros(len(at)).tobytes()
+    # a scalar budget broadcasts to the same values as a full array
+    assert np.array_equal(f.certified_halfside_batch(X, 0.01),
+                          f.certified_halfside_batch(X, np.full(len(X), 0.01)))
+    assert np.array_equal(X, Xz[~zero])  # the input is left alone
+
+
 # ---------------------------------------------------------------------------
 # concentration and absolute continuity
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from morsegauge.corpus import corpus_function
+from morsegauge.corpus import corpus_function, corpus_names
 from morsegauge.errors import PreconditionUncertified
 from morsegauge.gauge import (
     GaugeBuildParams,
@@ -174,6 +174,43 @@ def test_gauge_positive_and_capped(rng):
         d = g.delta_batch(X)
         assert np.all(d > 0), name
         assert np.all(d <= 1.0), name
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_mixed_batch_matches_its_subsets(name, rng):
+    # jump points send a batch down the masked path, a batch of regular
+    # points alone takes the direct one: the values must not depend on it
+    f = corpus_function(name)
+    g = build_gauge(f, unit(f), GaugeBuildParams(eps=0.1))
+    lo = np.asarray(f.universe.lo)
+    hi = np.asarray(f.universe.hi)
+    jumps = [np.asarray(c) for p in f.discontinuities()
+             for c in (p.region.lo, p.region.hi, p.region.center())]
+    X = np.concatenate([rng.uniform(lo, hi, size=(200, f.dim_in))]
+                       + [np.asarray(jumps).reshape(-1, f.dim_in)])
+    X = X[rng.permutation(len(X))]
+    on = f.on_discontinuity_batch(X)
+    assert on.any() == bool(jumps), name
+    mixed = g.delta_batch(X)
+    split = np.empty(len(X))
+    split[~on] = g.delta_batch(X[~on])
+    if on.any():
+        split[on] = g.delta_batch(X[on])
+    assert np.array_equal(mixed, split), name
+
+
+def test_nan_halfside_is_rejected_not_capped(monkeypatch):
+    f = corpus_function("spike1")
+    monkeypatch.setattr(f, "certified_halfside_batch",
+                        lambda X, budgets: np.full(len(X), np.nan))
+    g = build_gauge(f, unit(f), GaugeBuildParams(eps=0.1))
+    with pytest.raises(ValueError):
+        g.delta_batch(np.array([[0.25]]))
+    # an infinite halfside is an uncapped reach, capped to 1
+    monkeypatch.setattr(f, "certified_halfside_batch",
+                        lambda X, budgets: np.full(len(X), np.inf))
+    assert np.array_equal(g.delta_batch(np.array([[0.25], [0.0]])),
+                          [1.0, g((0.0,))])
 
 
 def test_gauge_jump_branch_half_clearance():

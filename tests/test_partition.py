@@ -193,6 +193,29 @@ def test_carried_keys_match_bit_interleaving(dim, rng, monkeypatch):
                              eta=1e-12)
 
 
+def test_steps_are_exact_powers_of_two():
+    levels = np.arange(63)
+    for universe in (UNIT_1D, Box((-1.0,), (1.0,)), Box((0.0, 0.0), (3.0, 3.0))):
+        side = np.asarray(universe.hi) - np.asarray(universe.lo)
+        want = side[None, :] * 2.0 ** -levels.astype(float)[:, None]
+        assert np.array_equal(partition._steps(universe, levels), want)
+        assert np.array_equal(partition._steps(universe, levels.astype(np.int8)),
+                              want)
+        assert np.array_equal(partition._steps(universe, 5), want[5:6])
+
+
+def test_depth_histogram_matches_unique_across_chunks(rng, monkeypatch):
+    monkeypatch.setattr(partition, "CHUNK_CELLS", 7)
+    fam = random_dyadic_partition(UNIT_2D, rng, max_level=5, stop_prob=0.2)
+    assert len(fam) > 3 * 7
+    levels, counts = np.unique(fam.levels, return_counts=True)
+    want = {int(k): int(v) for k, v in zip(levels, counts)}
+    assert fam.depth_histogram() == want
+    assert list(fam.depth_histogram()) == sorted(want)
+    empty = replace(fam, levels=fam.levels[:0], keys=fam.keys[:0])
+    assert empty.depth_histogram() == {}
+
+
 def graded_1d_family():
     """A sieve family graded toward 0: two cells per level down to level
     61, one under the 62-level key cap of 1-d."""
@@ -290,6 +313,15 @@ def test_verify_family_is_chunk_size_free(name, eps, monkeypatch):
     assert notes_for(7) == whole
     assert [ok for ok, _ in whole] == [True, False, True, False, False]
     assert "fineness violated" in whole[1][1]["reason"]
+
+
+def test_verifier_rejects_nan_gauge(rng):
+    # NaN passes both `circ > delta` and a naive range check; it must not
+    # pass fineness
+    fam = random_dyadic_partition(UNIT_1D, rng, max_level=4)
+    nan = Gauge(batch=lambda X: np.full(len(X), np.nan))
+    with pytest.raises(ValueError, match="outside"):
+        verify_family(fam, nan, unit(UNIT_1D), 1e-3)
 
 
 def test_verifier_rejects_shrunken_gauge():
