@@ -580,15 +580,13 @@ class Spike1Fn(CorpusFunction):
         v = np.atleast_2d(np.asarray(V, dtype=float))[:, 0]
         if np.any((a < 0) & (b > 0)):
             raise MalformedShape("deviation oracle needs one-sided boxes")
-        abs_a, abs_b = np.abs(a), np.abs(b)
-        aa = np.minimum(abs_a, abs_b)
-        bb = np.maximum(abs_a, abs_b)
+        aa = np.minimum(np.abs(a), np.abs(b))
+        bb = np.maximum(np.abs(a), np.abs(b))
         with np.errstate(divide="ignore"):
             cross = np.where(v > 0, 1.0 / (v * v), np.inf)
         c = np.clip(cross, aa, bb)
-        anti_c = 2.0 * np.sqrt(c)
-        left = anti_c - 2.0 * np.sqrt(aa) - v * (c - aa)
-        right = v * (bb - c) - (2.0 * np.sqrt(bb) - anti_c)
+        left = 2.0 * np.sqrt(c) - 2.0 * np.sqrt(aa) - v * (c - aa)
+        right = v * (bb - c) - (2.0 * np.sqrt(bb) - 2.0 * np.sqrt(c))
         return left + right, np.zeros(len(a))
 
     def discontinuities(self):

@@ -248,24 +248,17 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
                 f"jump point {tuple(np.atleast_1d(x))} escapes its tube")
         return 0.5 * min(1.0, clear)
 
-    def shell_branch(X: np.ndarray) -> np.ndarray:
+    def batch(X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         shells = np.clip(shell_index_batch(X, p.domain_norm), 1, n_max)
         h = f.certified_halfside_batch(X, cert_budgets[shells - 1])
         # an infinite halfside is an uncapped reach; a NaN stays NaN, so
         # Gauge.delta_batch rejects it
-        return np.minimum(1.0, h * lam)
-
-    def batch(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        on_a = f.on_discontinuity_batch(X)
-        if not on_a.any():
-            return shell_branch(X)
-        out = np.empty(len(X))
-        for i in np.nonzero(on_a)[0]:
+        out = np.minimum(1.0, h * lam)
+        # the certified halfside is zero at declared jumps, so every point
+        # takes the line above and the jump entries are then replaced
+        for i in np.nonzero(f.on_discontinuity_batch(X))[0]:
             out[i] = a_branch(X[i])
-        rest = ~on_a
-        if rest.any():
-            out[rest] = shell_branch(X[rest])
         return out
 
     provenance = {

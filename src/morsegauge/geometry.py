@@ -41,10 +41,6 @@ def norm_batch(V: np.ndarray, kind: NormKind) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if V.ndim == 1:
         V = V[:, None]
-    if V.shape[1] == 1:
-        # the row reductions below, without numpy's slow length-1 reduce
-        v = V[:, 0]
-        return np.sqrt(v * v) if kind is NormKind.TWO else np.abs(v)
     if kind is NormKind.ONE:
         return np.abs(V).sum(axis=1)
     if kind is NormKind.TWO:

@@ -178,8 +178,8 @@ def test_gauge_positive_and_capped(rng):
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_mixed_batch_matches_its_subsets(name, rng):
-    # jump points send a batch down the masked path, a batch of regular
-    # points alone takes the direct one: the values must not depend on it
+    # every point takes the shell-budget formula and the jump entries are
+    # then replaced: each value must depend on its own point only
     f = corpus_function(name)
     g = build_gauge(f, unit(f), GaugeBuildParams(eps=0.1))
     lo = np.asarray(f.universe.lo)

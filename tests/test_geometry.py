@@ -35,20 +35,6 @@ def test_norm_batch_matches_scalar(rng):
         assert np.allclose(got, want, rtol=5e-16, atol=0)
 
 
-def test_norm_batch_single_column_matches_row_reductions():
-    v = np.array([0.0, -0.0, 3.0, -2.5, 1e-160, -1e200, np.inf, -np.inf,
-                  np.nan, 5e-324])
-    V = v[:, None]
-    with np.errstate(over="ignore"):
-        want = {NormKind.ONE: np.abs(V).sum(axis=1),
-                NormKind.TWO: np.sqrt((V * V).sum(axis=1)),
-                NormKind.INF: np.abs(V).max(axis=1)}
-        for kind in NormKind:
-            got = norm_batch(V, kind)
-            assert got.tobytes() == want[kind].tobytes(), kind
-            assert np.array_equal(norm_batch(v, kind), got, equal_nan=True)
-
-
 def test_norm_ratio_table():
     # ratio c with |x|_dst <= c * |x|_src, tight over R^d
     assert norm_ratio(NormKind.INF, NormKind.TWO, 2) == pytest.approx(math.sqrt(2))
