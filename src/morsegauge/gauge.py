@@ -22,7 +22,7 @@ from .errors import BoundViolated, PreconditionUncertified, TubeInfeasible
 from .geometry import Box, Gauge, NormKind, norm, norm_batch, norm_ratio
 from .measure import (RadonMeasure, annulus_measure, measure_box_batch,
                       measure_box_clipped, require_uniform)
-from .quadrature import adaptive_box_quadrature
+from .quadrature import adaptive_box_quadrature_batch
 
 _WIDTH_FLOOR = 1e-300
 
@@ -386,17 +386,15 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
         cvals, cerrs = f.dev_integral_for_tags(q_lo, q_hi, X[pick], Vp)
         allow = budgets[pick] * np.prod(q_hi - q_lo, axis=1)
 
+        # the enclosure stays sound if the cell budget runs out; the
+        # tolerance floor only keeps the overlap test informative
+        tols = [max(1e-12, 0.05 * float(cvals[i] + cerrs[i]),
+                    0.1 * float(allow[i])) for i in range(len(pick))]
+        qvs, qes = adaptive_box_quadrature_batch(
+            lambda P, owner: f.ynorm_rows(f.eval_batch(P) - Vp[owner])[:, None],
+            q_lo, q_hi, 1, tols, max_cells=6000, strict=False)
         for i in range(len(pick)):
-            v = Vp[i]
-            dev = lambda P: f.ynorm_rows(f.eval_batch(P) - v[None, :])[:, None]
-            # the enclosure stays sound if the cell budget runs out; the
-            # tolerance floor only keeps the overlap test informative
-            qv, qe = adaptive_box_quadrature(
-                dev, q_lo[i], q_hi[i], 1,
-                tol=max(1e-12, 0.05 * float(cvals[i] + cerrs[i]),
-                        0.1 * float(allow[i])),
-                max_cells=6000, strict=False)
-            qv = float(qv[0])
+            qv, qe = float(qvs[i, 0]), float(qes[i])
             upper = float(cvals[i] + cerrs[i])
             lower = float(cvals[i] - cerrs[i])
             if qv - qe > upper * (1 + 1e-9) + 1e-12 \

@@ -9,12 +9,22 @@ cell, monotone singular tails attain their range at lattice corners, smooth
 entries sit far below the charge) but not for an arbitrary integrand, so
 the bound is an enclosure for the corpus only, not a proof in general.
 
-Refinement rule: each round splits the _POP_ROUND cells with the largest
-charges into their 2^d halves, ties going to the oldest cell.  A cell whose
-charge is at most 1e-300 is set aside and never split.  The bound is the
-correctly rounded sum (math.fsum) of the charges of all current cells;
-refinement stops once it is within tol, or, before a round, once more than
-max_cells cells have been assessed.
+Refinement rule, per box: each round splits the _POP_ROUND cells with the
+largest charges into their 2^d halves, ties going to the oldest cell.  A
+cell whose charge is at most 1e-300 is set aside and never split.  The bound
+is the correctly rounded sum (math.fsum) of the charges of all current
+cells; refinement stops once it is within tol, or, before a round, once
+more than max_cells cells have been assessed.
+
+Lock-step rounds: many boxes are refined together, in the style of globally
+adaptive cubature over many subregions (Berntsen, Espelid and Genz, ACM
+TOMS 17(4), 1991).  One integrand call assesses every box's root cell.
+Then each round advances the oldest live boxes whose children fit in
+_ROUND_CELLS cells, and always at least one box; it assesses all their
+children in one integrand call and touches no other box's cells.
+Each box still follows the rule above on its own, so its cells, value and
+bound are the same as when it is integrated alone.  That holds only if the
+integrand is row-wise: each output row depends on its own point only.
 
 The engine is deliberately independent of the exact-integral oracles in
 corpus: it only ever touches eval_batch.
@@ -31,6 +41,8 @@ from .errors import ToleranceUnreachable
 from .geometry import NormKind, norm_batch
 
 _POP_ROUND = 256
+# children assessed per lock-step round: one 2-d box's full round fits
+_ROUND_CELLS = 1024
 
 
 def _lattice_offsets(dim: int) -> np.ndarray:
@@ -46,67 +58,128 @@ def _simpson_weights(dim: int) -> np.ndarray:
     return w
 
 
-def adaptive_box_quadrature(eval_batch, lo, hi, m: int, tol: float,
-                            y_norm=None, max_cells: int = 200_000,
-                            strict: bool = True):
-    """Integrate a vector map over a box; returns (value (m,), error bound).
+def adaptive_box_quadrature_batch(eval_batch, los, his, m: int, tols,
+                                  y_norm=None, max_cells: int = 200_000,
+                                  strict: bool = True):
+    """Integrate a vector map over k boxes; returns (values (k, m), bounds
+    (k,)).
 
-    eval_batch maps an (N, d) point array to an (N, m) value array.  The
-    returned bound is the sum of per-cell range charges in the Y-norm
-    (Euclidean unless y_norm says otherwise).  With strict=False, running
-    out of cell budget returns the looser bound instead of raising.
+    eval_batch maps an (N, d) point array and the (N,) box index of each
+    point to an (N, m) value array, row by row.  Box i is refined against
+    tols[i].  Its bound is the sum of its per-cell range charges in the
+    Y-norm (Euclidean unless y_norm says otherwise).  With strict=False, a
+    box that runs out of cell budget returns its looser bound instead of
+    raising.
     """
     if y_norm is None:
         y_norm = NormKind.TWO
-    lo = np.asarray(lo, dtype=float)[None, :]
-    hi = np.asarray(hi, dtype=float)[None, :]
-    dim = lo.shape[1]
+    los = np.asarray(los, dtype=float)
+    his = np.asarray(his, dtype=float)
+    k, dim = los.shape
     offsets = _lattice_offsets(dim)
     weights = _simpson_weights(dim)
     npt = len(offsets)
+    kids = 2 ** dim
+    val_cols = slice(2 * dim, 2 * dim + m)
     # child c of a cell takes the upper half on the axes where upper[c] is set
     upper = np.array(list(itertools.product((False, True), repeat=dim)))
 
-    def assess(los: np.ndarray, his: np.ndarray):
-        """Simpson values and range charges for a stack of boxes."""
-        k = len(los)
-        pts = (los[:, None, :] + offsets[None, :, :] * (his - los)[:, None, :])
-        vals = np.asarray(eval_batch(pts.reshape(k * npt, dim)), dtype=float)
-        vals = vals.reshape(k, npt, m)
-        vols = np.prod(his - los, axis=1)
+    def assess(lo: np.ndarray, hi: np.ndarray, box: np.ndarray):
+        """Rows [lo | hi | Simpson value | range charge] for a stack of
+        cells of the given boxes."""
+        n = len(lo)
+        pts = (lo[:, None, :] + offsets[None, :, :] * (hi - lo)[:, None, :])
+        vals = np.asarray(eval_batch(pts.reshape(n * npt, dim),
+                                     np.repeat(box, npt)), dtype=float)
+        vals = vals.reshape(n, npt, m)
+        vols = np.prod(hi - lo, axis=1)
         cell_vals = (weights[None, :, None] * vals).sum(axis=1) * vols[:, None]
         rng = vals.max(axis=1) - vals.min(axis=1)
         charges = norm_batch(rng, y_norm) * vols
-        return cell_vals, charges
+        return np.concatenate([lo, hi, cell_vals, charges[:, None]], axis=1)
 
-    # the pool holds the splittable cells in creation order; set-aside cells
-    # keep only their value sum and their nonzero charges
-    val, charge = assess(lo, hi)
-    set_val = np.zeros(m)
-    set_err: list[float] = []
-    cells = 1
-    while (err := math.fsum(charge.tolist() + set_err)) > tol and len(charge):
-        if cells > max_cells:
-            if strict:
-                raise ToleranceUnreachable(
-                    f"quadrature budget exhausted at error {err:.3e} "
-                    f"(target {tol:.3e})")
+    def by_box(rows, own, n: int):
+        """Cut rows sorted by owner 0..n-1 into one slice per owner."""
+        cut = np.searchsorted(own, np.arange(n + 1)).tolist()
+        return [rows[a:b] for a, b in zip(cut, cut[1:])]
+
+    # each box's pool holds its splittable cells in creation order; its
+    # set-aside cells keep only their value sum and their nonzero charges
+    roots = assess(los, his, np.arange(k))
+    pools = [roots[b:b + 1] for b in range(k)]
+    values = np.zeros((k, m))
+    set_err: list[list[float]] = [[] for _ in range(k)]
+    cells = [1] * k
+    bounds = np.empty(k)
+    stale = [True] * k
+    live = list(range(k))
+    while live:
+        # advance the oldest live boxes whose children fit in the round
+        adv, grow, i = [], 0, 0
+        while i < len(live):
+            b = live[i]
+            if stale[b]:
+                bounds[b] = math.fsum(pools[b][:, -1].tolist() + set_err[b])
+                stale[b] = False
+            err, tol = bounds[b], tols[b]
+            if not (err > tol and len(pools[b])) or cells[b] > max_cells:
+                if strict and err > tol and len(pools[b]):
+                    raise ToleranceUnreachable(
+                        f"quadrature budget exhausted at error {err:.3e} "
+                        f"(target {tol:.3e})")
+                values[b] += pools[b][:, val_cols].sum(axis=0)
+                pools[b] = None
+                del live[i]
+                continue
+            n = min(len(pools[b]), _POP_ROUND) * kids
+            if adv and grow + n > _ROUND_CELLS:
+                break
+            adv.append(b)
+            grow += n
+            i += 1
+        if not adv:
             break
-        order = np.argsort(-charge, kind="stable")
-        pick, rest = order[:_POP_ROUND], np.sort(order[_POP_ROUND:])
-        plo, phi = lo[pick][:, None], hi[pick][:, None]
-        mid = 0.5 * (plo + phi)
-        clo = np.where(upper, mid, plo).reshape(-1, dim)
-        chi = np.where(upper, phi, mid).reshape(-1, dim)
-        cval, cchg = assess(clo, chi)
-        cells += len(clo)
-        keep = cchg > 1e-300
-        set_val += cval[~keep].sum(axis=0)
-        tiny = cchg[~keep]
-        set_err += tiny[tiny != 0].tolist()
-        lo = np.concatenate([lo[rest], clo[keep]])
-        hi = np.concatenate([hi[rest], chi[keep]])
-        val = np.concatenate([val[rest], cval[keep]])
-        charge = np.concatenate([charge[rest], cchg[keep]])
 
-    return set_val + val.sum(axis=0), err
+        sizes = [len(pools[b]) for b in adv]
+        pool = np.concatenate([pools[b] for b in adv])
+        owner = np.repeat(np.arange(len(adv)), sizes)
+        # per box, the _POP_ROUND largest charges, ties to the oldest cell
+        order = np.lexsort((-pool[:, -1], owner))
+        rank = np.arange(len(pool)) - (np.cumsum(sizes) - sizes)[owner]
+        pick = order[rank < _POP_ROUND]
+        rest = np.sort(order[rank >= _POP_ROUND])
+        plo, phi = pool[pick, None, :dim], pool[pick, None, dim:2 * dim]
+        mid = 0.5 * (plo + phi)
+        cown = np.repeat(owner[pick], kids)
+        child = assess(np.where(upper, mid, plo).reshape(-1, dim),
+                       np.where(upper, phi, mid).reshape(-1, dim),
+                       np.asarray(adv)[cown])
+        keep = child[:, -1] > 1e-300
+        tiny = ~keep & (child[:, -1] != 0)
+        n = len(adv)
+        gone = by_box(child[~keep, val_cols], cown[~keep], n)
+        gone_err = by_box(child[tiny, -1], cown[tiny], n)
+        kept = by_box(child[keep], cown[keep], n)
+        rest = by_box(pool[rest], owner[rest], n)
+        for j, b in enumerate(adv):
+            cells[b] += min(sizes[j], _POP_ROUND) * kids
+            if len(gone[j]):
+                values[b] += gone[j].sum(axis=0)
+                set_err[b] += gone_err[j].tolist()
+            pools[b] = np.concatenate([rest[j], kept[j]])
+            stale[b] = True
+    return values, bounds
+
+
+def adaptive_box_quadrature(eval_batch, lo, hi, m: int, tol: float,
+                            y_norm=None, max_cells: int = 200_000,
+                            strict: bool = True):
+    """Integrate a vector map over one box; returns (value (m,), error bound).
+
+    eval_batch maps an (N, d) point array to an (N, m) value array.  This is
+    adaptive_box_quadrature_batch with a single box.
+    """
+    values, bounds = adaptive_box_quadrature_batch(
+        lambda P, box: eval_batch(P), [lo], [hi], m, [tol], y_norm=y_norm,
+        max_cells=max_cells, strict=strict)
+    return values[0], float(bounds[0])

@@ -101,7 +101,7 @@ def _family_sums(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
         F = f.eval_batch(c.tags)
         w = measure_box_batch(mu, c.los, c.his)
         Fw = F * w[:, None]
-        simple.append(F.T @ w)
+        simple.append(Fw.sum(axis=0))
         ints = w0 * f.integral_batch(c.los, c.his)
         local.append(float(f.ynorm_rows(ints - Fw).sum()))
         if deviations:

@@ -197,6 +197,10 @@ def test_mixed_batch_matches_its_subsets(name, rng):
     if on.any():
         split[on] = g.delta_batch(X[on])
     assert np.array_equal(mixed, split), name
+    # the lock-step quadrature evaluates many boxes' points in one call, so
+    # eval_batch must be row-wise too
+    rows = np.concatenate([f.eval_batch(X[i:i + 1]) for i in range(len(X))])
+    assert np.array_equal(f.eval_batch(X), rows), name
 
 
 def test_nan_halfside_is_rejected_not_capped(monkeypatch):

@@ -7,7 +7,12 @@ import pytest
 
 from morsegauge.errors import ToleranceUnreachable
 from morsegauge.geometry import NormKind, norm_batch
-from morsegauge.quadrature import _POP_ROUND, adaptive_box_quadrature
+from morsegauge.quadrature import (
+    _POP_ROUND,
+    _ROUND_CELLS,
+    adaptive_box_quadrature,
+    adaptive_box_quadrature_batch,
+)
 
 
 def poly_1d(X):
@@ -29,6 +34,13 @@ def step_2d(X):
     # flat away from x0 = 0.3 and x1 = 0.6: most cells carry zero charge
     return np.stack([(X[:, 0] >= 0.3).astype(float),
                      np.where(X[:, 1] >= 0.6, 2.0, -1.0)], axis=1)
+
+
+def tiny_step(X):
+    # the straddling cell's charge falls to at most 1e-300 while still
+    # nonzero: it is set aside, yet still counted in the bound (in the
+    # 1-norm; the 2-norm squares the range to zero)
+    return np.where(X[:, 0] >= 0.3, 1e-290, 0.0)[:, None]
 
 
 class RowCounter:
@@ -158,7 +170,9 @@ def test_refinement_rule_pinned(f, lo, hi, kw, rows, value, bound):
     (checker_3x3, [0.0, 0.0], [1.0, 1.0], 1, 1e-6, NormKind.TWO, 3000),
     (step_2d, [0.0, 0.0], [1.0, 1.0], 2, 2e-2, NormKind.INF, 200_000),
     (step_2d, [0.1, 0.2], [0.9, 0.7], 2, 1e-6, NormKind.ONE, 4000),
-], ids=["smooth_1d", "poly_1d", "checker_3x3", "step_2d_inf", "step_2d_one"])
+    (tiny_step, [0.0], [1.0], 1, 0.0, NormKind.ONE, 200_000),
+], ids=["smooth_1d", "poly_1d", "checker_3x3", "step_2d_inf", "step_2d_one",
+        "tiny_step"])
 def test_matches_heap_reference(f, lo, hi, m, tol, y_norm, max_cells):
     counter = RowCounter(f)
     val, err = adaptive_box_quadrature(counter, lo, hi, m, tol=tol,
@@ -167,7 +181,7 @@ def test_matches_heap_reference(f, lo, hi, m, tol, y_norm, max_cells):
     ref_val, ref_err, ref_cells = heap_reference(f, lo, hi, m, tol, y_norm,
                                                  max_cells)
     assert counter.rows == ref_cells * 3 ** len(lo)
-    assert err == pytest.approx(ref_err, rel=1e-12)
+    assert err == pytest.approx(ref_err, rel=1e-12, abs=0)
     assert val == pytest.approx(ref_val, rel=1e-9, abs=1e-12)
 
 
@@ -179,3 +193,75 @@ def test_set_aside_cells_2d_inf_norm():
     want = np.array([0.7, 2.0 * 0.4 - 1.0 * 0.6])
     assert err <= 2e-2
     assert np.max(np.abs(val - want)) <= err + 1e-12
+
+
+def random_boxes(rng, lo, hi, k):
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    a = lo + rng.uniform(size=(k, len(lo))) * (hi - lo)
+    b = lo + rng.uniform(size=(k, len(lo))) * (hi - lo)
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+@pytest.mark.parametrize("f,lo,hi,m,y_norm,max_cells", [
+    (smooth_1d, [0.0], [1.0], 1, NormKind.TWO, 300),
+    (poly_1d, [0.0], [2.0], 1, NormKind.TWO, 2000),
+    (checker_3x3, [0.0, 0.0], [1.0, 1.0], 1, NormKind.TWO, 3000),
+    (step_2d, [0.0, 0.0], [1.0, 1.0], 2, NormKind.INF, 3000),
+], ids=["smooth_1d", "poly_1d", "checker_3x3", "step_2d_inf"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_batch_matches_one_box_calls(f, lo, hi, m, y_norm, max_cells, reverse,
+                                     rng):
+    # lock-step rounds must leave every box with the cells, value and bound
+    # it gets alone, whatever boxes share its rounds and in whatever order
+    k = 24
+    los, his = random_boxes(rng, lo, hi, k)
+    tols = list(10.0 ** rng.uniform(-8, -2, size=k))
+    order = np.arange(k)[::-1] if reverse else np.arange(k)
+    rows = np.zeros(k, dtype=int)
+
+    def counted(P, owner):
+        np.add.at(rows, order[owner], 1)
+        return f(P)
+
+    vals, errs = adaptive_box_quadrature_batch(
+        counted, los[order], his[order], m, [tols[i] for i in order],
+        y_norm=y_norm, max_cells=max_cells, strict=False)
+    assert vals.shape == (k, m) and errs.shape == (k,)
+    for j, i in enumerate(order):
+        counter = RowCounter(f)
+        val, err = adaptive_box_quadrature(counter, los[i], his[i], m,
+                                           tol=tols[i], y_norm=y_norm,
+                                           max_cells=max_cells, strict=False)
+        assert rows[i] == counter.rows
+        assert np.array_equal(vals[j], val) and errs[j] == err
+
+
+def test_batch_budget_exhaustion():
+    los, his = [[0.0], [0.5]], [[0.5], [1.0]]
+    vals, errs = adaptive_box_quadrature_batch(
+        lambda P, owner: smooth_1d(P), los, his, 1, [1e-12, 1e-12],
+        max_cells=200, strict=False)
+    want = (np.cos(3.0 * np.array([0.0, 0.5])) - np.cos(3.0 * np.array(
+        [0.5, 1.0]))) / 3.0
+    assert np.all(errs > 1e-12)
+    assert np.all(np.abs(vals[:, 0] - want) <= errs)
+    with pytest.raises(ToleranceUnreachable):
+        adaptive_box_quadrature_batch(
+            lambda P, owner: smooth_1d(P), los, his, 1, [1e-12, 1e-12],
+            max_cells=200, strict=True)
+
+
+def test_batch_rounds_stay_within_budget(rng):
+    # 128 boxes that all run out of cells: no round may assess more than
+    # the round budget, however many boxes are still live
+    los, his = random_boxes(rng, [0.0, 0.0], [1.0, 1.0], 128)
+    calls = []
+
+    def f(P, owner):
+        calls.append((len(P), len(np.unique(owner))))
+        return np.sin(3.0 * P[:, :1]) * np.cos(2.0 * P[:, 1:])
+
+    adaptive_box_quadrature_batch(f, los, his, 1, [1e-15] * 128,
+                                  max_cells=6000, strict=False)
+    assert max(n for n, _ in calls) <= _ROUND_CELLS * 3 ** 2
+    assert max(boxes for _, boxes in calls) > 1

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +261,25 @@ def test_corollary_report_serializes():
     blob = json.loads(json.dumps(rep.to_dict()))
     assert blob["fn"] == "linear1"
     assert all(blob["pass_flags"].values())
+
+
+def test_report_bytes_do_not_depend_on_blas_threads():
+    # a BLAS product sums in an order that depends on its thread count; the
+    # spike1 simple sum at this eps used to differ in its last bit
+    script = (
+        "import json\n"
+        "from morsegauge.corpus import corpus_function\n"
+        "from morsegauge.measure import RadonMeasure\n"
+        "from morsegauge.riemann import verify_theorem\n"
+        "f = corpus_function('spike1')\n"
+        "reps = verify_theorem(f, RadonMeasure.unit(f.universe), eps=0.03,\n"
+        "                      trials=1, seed=7, sweep_probes=0)\n"
+        "print(json.dumps([r.to_dict() for r in reps]))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, check=True,
+                                   timeout=300).stdout)
+    assert outs[0] == outs[1]
