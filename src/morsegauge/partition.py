@@ -12,9 +12,11 @@ The dyadic sieve keeps a frontier of equal-level keys, emits the cells whose
 circumradius about the center already fits under the gauge, and splits the
 rest with _split, which builds each child's key from its parent's key.
 refine_family replaces chosen cells in place by their children, which keeps
-canonical order without a sort.  verify_family rechecks everything in one
-chunked pass; its disjointness certificate is that consecutive key ranges
-do not collide, and a bit-interleaving reference in the tests pins the keys.
+canonical order without a sort.  FamilyCheck rechecks every invariant one
+chunk at a time, so a walk that sums a report over the family can check it
+in the same pass; verify_family is that check on its own.  Its disjointness
+certificate is that consecutive key ranges do not collide, and a
+bit-interleaving reference in the tests pins the keys.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ class Chunk(NamedTuple):
 
     start: int
     levels: np.ndarray
+    keys: np.ndarray
     indices: np.ndarray
     los: np.ndarray
     his: np.ndarray
@@ -154,14 +157,14 @@ class TaggedFamily:
         """The cells in canonical order, CHUNK_CELLS at a time."""
         for start in range(0, len(self), CHUNK_CELLS):
             stop = start + CHUNK_CELLS
-            levels = self.levels[start:stop]
-            idx = _indices(levels, self.keys[start:stop], self.dim)
+            levels, keys = self.levels[start:stop], self.keys[start:stop]
+            idx = _indices(levels, keys, self.dim)
             los, his, tags = _geometry(self.universe, levels, idx)
             if self.tag_override is not None:
                 pos, moved = self.tag_override
                 here = (pos >= start) & (pos < start + len(levels))
                 tags[pos[here] - start] = moved[here]
-            yield Chunk(start, levels, idx, los, his, tags)
+            yield Chunk(start, levels, keys, idx, los, his, tags)
 
     def residual_boxes(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Corners of the residual frontier's cells, CHUNK_CELLS at a time."""
@@ -170,14 +173,6 @@ class TaggedFamily:
             idx = _indices(self.residual_level, keys, self.dim)
             los, his, _ = _geometry(self.universe, self.residual_level, idx)
             yield los, his
-
-    def depth_histogram(self) -> dict[int, int]:
-        # chunked, so np.bincount copies only one chunk of levels to intp
-        counts = np.zeros(int(self.levels.max(initial=-1)) + 1, dtype=np.int64)
-        for start in range(0, len(self), CHUNK_CELLS):
-            counts += np.bincount(self.levels[start:start + CHUNK_CELLS],
-                                  minlength=len(counts))
-        return {k: int(v) for k, v in enumerate(counts) if v}
 
 
 def _require_square(omega: Box):
@@ -288,76 +283,99 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
                         active)
 
 
-def verify_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
-                  report: dict | None = None) -> bool:
-    """Recheck every family invariant from scratch, in one chunked pass.
+class FamilyCheck:
+    """Every family invariant, rechecked from scratch one chunk at a time.
 
-    Containment in the universe, interior disjointness, tags inside each
-    set's inner ball, fineness (circumradius about the tag under the gauge,
-    non-strict) and measure balance against mu to 1e-9 relative.  A failure
-    anywhere in the family is reported in that order of priority; the
-    fineness message names the worst cell of the whole family.
-    Disjointness is certified on keys: each cell's key range must start at
-    or after the end of the previous cell's, which also rejects a family
-    out of canonical order.
+    Feed the family's chunks in order to add(), each with its cells'
+    masses, then ask verdict().  Containment in the universe, interior
+    disjointness, tags inside each set's inner ball, fineness (circumradius
+    about the tag under the gauge, non-strict) and measure balance against
+    mu to 1e-9 relative.  A failure anywhere in the family is reported in
+    that order of priority; the fineness message names the worst cell of
+    the whole family.  Disjointness is certified on keys: each cell's key
+    range must start at or after the end of the previous cell's, which
+    also rejects a family out of canonical order.  Only running totals are
+    kept, so the check holds none of the family's arrays alive.
     """
-    notes = report if report is not None else {}
 
-    def fail(reason: str) -> bool:
-        notes["reason"] = reason
-        return False
+    def __init__(self, fam: TaggedFamily, g: Gauge, mu: RadonMeasure,
+                 eta: float):
+        self.g, self.mu, self.eta = g, mu, eta
+        self.dim, self.domain_norm = fam.dim, fam.domain_norm
+        self.cells, self.residual = len(fam), fam.residual_measure
+        self.uni_lo, self.uni_hi = (np.asarray(fam.universe.lo),
+                                    np.asarray(fam.universe.hi))
+        self.escapes = self.overlap = self.off_center = False
+        self.worst = self.prev_end = None
+        self.masses = []
 
-    uni_lo = np.asarray(fam.universe.lo)
-    uni_hi = np.asarray(fam.universe.hi)
-    escapes = overlap = off_center = False
-    worst = None
-    prev_end = None
-    masses = []
-    for c in fam.chunks():
+    def add(self, c: Chunk, w: np.ndarray) -> bool:
+        """Check one chunk whose cells have masses w.  True while no cell
+        so far fails a check."""
         los, his, tags = c.los, c.his, c.tags
-        escapes = escapes or bool(np.any(los < uni_lo - 1e-12)
-                                  or np.any(his > uni_hi + 1e-12))
-        spans = _key_spans(c.levels, fam.dim)
+        self.escapes = self.escapes or bool(np.any(los < self.uni_lo - 1e-12)
+                                            or np.any(his > self.uni_hi + 1e-12))
+        spans = _key_spans(c.levels, self.dim)
         # a cell owns its key with the bits below its level cleared, the
         # same truncation its index takes
-        starts = fam.keys[c.start:c.start + len(spans)] & -spans
+        starts = c.keys & -spans
         ends = starts + spans
-        overlap = overlap or bool(np.any(starts[1:] < ends[:-1])) \
-            or (prev_end is not None and starts[0] < prev_end)
-        prev_end = ends[-1]
+        self.overlap = self.overlap or bool(np.any(starts[1:] < ends[:-1])) \
+            or (self.prev_end is not None and starts[0] < self.prev_end)
+        self.prev_end = ends[-1]
 
-        deltas = g.delta_batch(tags)
-        circ = norm_batch(np.maximum(his - tags, tags - los), fam.domain_norm)
-        inner = norm_batch(tags - 0.5 * (los + his), fam.domain_norm)
+        deltas = self.g.delta_batch(tags)
+        circ = norm_batch(np.maximum(his - tags, tags - los), self.domain_norm)
+        inner = norm_batch(tags - 0.5 * (los + his), self.domain_norm)
         half = 0.5 * (his - los).min(axis=1)
-        off_center = off_center or bool(np.any(inner > half + 1e-15))
+        self.off_center = self.off_center or bool(np.any(inner > half + 1e-15))
         if np.any(circ > deltas):
             k = int(np.argmax(circ - deltas))
-            if worst is None or circ[k] - deltas[k] > worst[0]:
-                worst = (circ[k] - deltas[k], tags[k], circ[k], deltas[k])
-        masses.append(float(measure_box_batch(mu, los, his).sum()))
+            if self.worst is None or circ[k] - deltas[k] > self.worst[0]:
+                self.worst = (circ[k] - deltas[k], tags[k], circ[k], deltas[k])
+        self.masses.append(float(w.sum()))
+        return not (self.escapes or self.overlap or self.off_center
+                    or self.worst is not None)
 
-    if escapes:
-        return fail("cell escapes the universe")
-    if overlap:
-        return fail("interior overlap (key ranges collide)")
-    if off_center:
-        return fail("tag outside the inner ball of its cell")
-    if worst is not None:
-        _, tag, circ, delta = worst
-        return fail(f"fineness violated at tag {tuple(tag)}: "
-                    f"circumradius {circ} > delta {delta}")
+    def verdict(self, report: dict | None = None) -> bool:
+        """True when the whole family passed, else report["reason"] says why."""
+        notes = report if report is not None else {}
 
-    balance = math.fsum(masses) + fam.residual_measure
-    total = float(mu.total)
-    tol = 1e-9 * max(1.0, abs(total))
-    if abs(balance - total) > tol:
-        return fail(f"measure balance off: {balance} vs {total}")
-    if fam.residual_measure > eta * (1 + 1e-12) + 1e-15:
-        return fail(f"residual {fam.residual_measure} above eta {eta}")
-    notes["cells"] = len(fam)
-    notes["residual"] = fam.residual_measure
-    return True
+        def fail(reason: str) -> bool:
+            notes["reason"] = reason
+            return False
+
+        if self.escapes:
+            return fail("cell escapes the universe")
+        if self.overlap:
+            return fail("interior overlap (key ranges collide)")
+        if self.off_center:
+            return fail("tag outside the inner ball of its cell")
+        if self.worst is not None:
+            _, tag, circ, delta = self.worst
+            return fail(f"fineness violated at tag {tuple(tag)}: "
+                        f"circumradius {circ} > delta {delta}")
+
+        balance = math.fsum(self.masses) + self.residual
+        total = float(self.mu.total)
+        tol = 1e-9 * max(1.0, abs(total))
+        if abs(balance - total) > tol:
+            return fail(f"measure balance off: {balance} vs {total}")
+        if self.residual > self.eta * (1 + 1e-12) + 1e-15:
+            return fail(f"residual {self.residual} above eta {self.eta}")
+        notes["cells"] = self.cells
+        notes["residual"] = self.residual
+        return True
+
+
+def verify_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
+                  report: dict | None = None) -> bool:
+    """Recheck every invariant of FamilyCheck in one chunked pass: True
+    when all hold, else report["reason"] names the failure."""
+    check = FamilyCheck(fam, g, mu, eta)
+    for c in fam.chunks():
+        check.add(c, measure_box_batch(mu, c.los, c.his))
+    return check.verdict(report)
 
 
 def refine_family(fam: TaggedFamily, fraction: float,

@@ -7,7 +7,9 @@ theorem verifier builds the gauge, sieves, and asserts the accuracy chain on
 the base family and on randomized refinements; the corollary verifier reuses
 the same family for the set-function claims.  Every per-cell sum comes from
 one walk over the family's chunks, so memory stays at a few chunks however
-large the family grows.
+large the family grows.  In the theorem verifier that walk also checks
+the family, so each trial walks it once and its verdict comes before any
+bound; the residual frontier, which refinement keeps, is integrated once.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 from .corpus import CorpusFunction
 from .errors import BoundViolated
 from .gauge import GaugeBuildParams, build_gauge, shell_budget, soundness_sweep
-from .geometry import Box, Gauge, NormKind
+from .geometry import Box, NormKind
 from .measure import RadonMeasure, measure_box_batch, require_uniform
-from .partition import SieveParams, TaggedFamily, dyadic_sieve, refine_family, verify_family
+from .partition import FamilyCheck, SieveParams, TaggedFamily, dyadic_sieve, refine_family
 
 _REL = 1e-9
 
@@ -78,28 +80,35 @@ def _fsum_rows(parts: list[np.ndarray], width: int) -> np.ndarray:
 
 
 def _family_sums(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
-                 threshold: float | None = None,
-                 deviations: bool = True) -> dict:
+                 threshold: float | None = None, deviations: bool = True,
+                 check: FamilyCheck | None = None) -> dict:
     """Every per-cell sum the reports need, in one walk over the family's
     chunks: the simple sum Sum f(tag) mu(S), the local error
-    Sum ||w0 Int_S f - f(tag) mu(S)||, unless `deviations` is false the
-    deviation integrals and their certified errors, and, given a threshold,
-    the truncation profile.
+    Sum ||w0 Int_S f - f(tag) mu(S)||, the cells per level, the deviation
+    integrals and their certified errors (if `deviations` is false, the
+    family mass Sum ||w0 Int_S f|| instead) and, given a threshold, the
+    truncation profile.  Given a check, each chunk is checked first and
+    from the first failing chunk on only the check runs, so no sum kernel
+    sees a corrupt cell; take its verdict before using the sums.
 
     Sums combine per-chunk numpy partials with math.fsum.  The prefix sums
     of the truncation profile carry across chunks, so they are bit for bit
     one cumsum over the whole family.
     """
     w0 = mu.w0
-    simple, local, dev, dev_err = [], [], [], []
+    simple, local, dev, dev_err, mass = [], [], [], [], []
+    depths = np.zeros(int(fam.levels.max(initial=-1)) + 1, dtype=np.int64)
     exact = w0 * f.exact_integral(mu.universe)
     total = float(mu.total)
     carry_w, carry_p = 0.0, np.zeros(f.dim_out)
     m0 = None
     trunc = (float(f.ynorm(exact)), 0)
     for c in fam.chunks():
-        F = f.eval_batch(c.tags)
         w = measure_box_batch(mu, c.los, c.his)
+        if check is not None and not check.add(c, w):
+            continue
+        depths += np.bincount(c.levels, minlength=len(depths))
+        F = f.eval_batch(c.tags)
         Fw = F * w[:, None]
         simple.append(Fw.sum(axis=0))
         ints = w0 * f.integral_batch(c.los, c.his)
@@ -108,6 +117,8 @@ def _family_sums(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
             vals, errs = f.dev_integral_for_tags(c.los, c.his, c.tags, F)
             dev.append(float(vals.sum()))
             dev_err.append(float(errs.sum()))
+        else:
+            mass.append(float(f.ynorm_rows(ints).sum()))
         if threshold is None:
             continue
         covered = np.cumsum(np.concatenate(([carry_w], w)))[1:]
@@ -132,15 +143,21 @@ def _family_sums(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
                  len(fam) - 1)
     return {"simple": _fsum_rows(simple, f.dim_out), "local": math.fsum(local),
             "dev": math.fsum(dev), "dev_err": math.fsum(dev_err),
-            "truncation": trunc}
+            "mass": math.fsum(mass), "truncation": trunc,
+            "depth_histogram": {k: int(v) for k, v in enumerate(depths) if v}}
 
 
-def _l1_parts(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
-              sums: dict) -> dict:
+def _residual_abs(fam: TaggedFamily, f: CorpusFunction,
+                  mu: RadonMeasure) -> float:
+    """w0 Sum Int ||f|| over the residual frontier."""
+    return mu.w0 * math.fsum(float(f.abs_integral_batch(los, his).sum())
+                             for los, his in fam.residual_boxes())
+
+
+def _l1_parts(f: CorpusFunction, mu: RadonMeasure, sums: dict,
+              res: float) -> dict:
     part = mu.w0 * sums["dev"]
     part_err = mu.w0 * sums["dev_err"]
-    res = mu.w0 * math.fsum(float(f.abs_integral_batch(los, his).sum())
-                            for los, his in fam.residual_boxes())
     tail = f.tail_abs
     return {"partition": part, "partition_error": part_err,
             "residual_abs": res, "tail_abs": tail,
@@ -158,7 +175,7 @@ def l1_deviation_parts(fam: TaggedFamily, f: CorpusFunction,
     approximation, split into partition, quadrature-error, residual, and
     tail contributions."""
     require_uniform(mu)
-    return _l1_parts(fam, f, mu, _family_sums(fam, f, mu))
+    return _l1_parts(f, mu, _family_sums(fam, f, mu), _residual_abs(fam, f, mu))
 
 
 def local_error_sum(fam: TaggedFamily, f: CorpusFunction,
@@ -217,22 +234,24 @@ def _assert_flags(report: ApproximationReport):
         raise BoundViolated(f"bounds failed: {', '.join(bad)}", report)
 
 
-def _check_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
-                  context: str):
-    notes: dict = {}
-    if not verify_family(fam, g, mu, eta, report=notes):
-        raise BoundViolated(
-            f"family verification failed ({context}): {notes.get('reason')}",
-            notes)
-
-
 def build_report(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
-                 eps: float, trial: int) -> ApproximationReport:
+                 eps: float, trial: int, check: FamilyCheck | None = None,
+                 residual_abs: float | None = None) -> ApproximationReport:
+    """The accuracy chain of one family, from one walk over its chunks.
+    Given a check, that walk also verifies the family and a failed verdict
+    raises BoundViolated; given residual_abs, the frontier is not re-walked.
+    """
     require_uniform(mu)
     gamma = f.ac_modulus(eps / 4.0, mu.w0)
     threshold = max(0.999 * gamma, fam.residual_measure * (1 + 1e-12))
-    sums = _family_sums(fam, f, mu, threshold)
-    parts = _l1_parts(fam, f, mu, sums)
+    sums = _family_sums(fam, f, mu, threshold, check=check)
+    notes: dict = {}
+    if check is not None and not check.verdict(notes):
+        raise BoundViolated(f"family verification failed (trial {trial}): "
+                            f"{notes.get('reason')}", notes)
+    if residual_abs is None:
+        residual_abs = _residual_abs(fam, f, mu)
+    parts = _l1_parts(f, mu, sums, residual_abs)
     exact = mu.w0 * f.exact_integral(mu.universe)
     simple, local = sums["simple"], sums["local"]
     trunc, trunc_idx = sums["truncation"]
@@ -260,7 +279,7 @@ def build_report(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
         residual_abs=parts["residual_abs"], tail_abs=parts["tail_abs"],
         l1_total=parts["total"], local_error_sum=local,
         truncation_error=trunc, truncation_index=trunc_idx,
-        depth_histogram=fam.depth_histogram(), pass_flags=flags)
+        depth_histogram=sums["depth_histogram"], pass_flags=flags)
 
 
 def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
@@ -296,14 +315,17 @@ def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
     sp = SieveParams(eta=eta, max_depth=max_depth)
     base = dyadic_sieve(mu.universe, g, mu, sp, domain_norm)
 
+    # refinement keeps the base's residual frontier, so its term is shared
+    residual_abs = _residual_abs(base, f, mu)
     rng = np.random.default_rng(seed)
     reports = []
     for t in range(max(1, trials)):
         fam = base if t == 0 else refine_family(base, 0.15, rng)
         if _family_hook is not None:
             fam = _family_hook(fam, rng)
-        _check_family(fam, g, mu, eta, context=f"trial {t}")
-        report = build_report(fam, f, mu, eps, trial=t)
+        report = build_report(fam, f, mu, eps, trial=t,
+                              check=FamilyCheck(fam, g, mu, eta),
+                              residual_abs=residual_abs)
         report.notes["eta"] = eta
         report.notes["sweep_max_budget_ratio"] = sweep.max_budget_ratio
         _assert_flags(report)
@@ -372,7 +394,7 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
     abs_total = G.abs_total()
 
     rng = np.random.default_rng(seed)
-    worst = _family_mass(G, base)
+    worst = sums["mass"]
     for _ in range(n_random):
         fam = random_dyadic_partition(mu.universe, rng,
                                       max_level=min(6, default_sieve_depth(f.dim_in)),

@@ -19,7 +19,7 @@ from morsegauge.partition import (
     sabotage_overlap,
     verify_family,
 )
-from morsegauge.riemann import default_eta, default_sieve_depth
+from morsegauge.riemann import build_report, default_eta, default_sieve_depth
 
 UNIT_1D = Box((0.0,), (1.0,))
 UNIT_2D = Box((0.0, 0.0), (1.0, 1.0))
@@ -41,6 +41,12 @@ def derived(fam, field):
     return np.concatenate([getattr(c, field) for c in fam.chunks()])
 
 
+def depth_histogram(fam):
+    """Cells per level of the whole family, from its full level array."""
+    levels, counts = np.unique(fam.levels, return_counts=True)
+    return {int(k): int(v) for k, v in zip(levels, counts)}
+
+
 def cell_measures(fam, mu):
     return np.concatenate([measure_box_batch(mu, c.los, c.his)
                            for c in fam.chunks()])
@@ -54,7 +60,7 @@ def test_sieve_step2_two_cells():
     f, mu, g = gauge_for("step2")
     fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
     assert len(fam) == 2
-    assert fam.depth_histogram() == {1: 2}
+    assert depth_histogram(fam) == {1: 2}
     assert fam.residual_measure == 0.0
     assert verify_family(fam, g, mu, eta=0.01)
 
@@ -63,7 +69,7 @@ def test_sieve_checker_sixteen_cells():
     f, mu, g = gauge_for("checker2d")
     fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
     assert len(fam) == 16
-    assert fam.depth_histogram() == {2: 16}
+    assert depth_histogram(fam) == {2: 16}
     assert verify_family(fam, g, mu, eta=0.01)
 
 
@@ -73,7 +79,7 @@ def test_sieve_linear1_uniform_depth():
     # constant gauge 0.01125: level 6 cells (half-side 1/128) pass the
     # look-ahead, level 5 does not
     assert len(fam) == 64
-    assert fam.depth_histogram() == {6: 64}
+    assert depth_histogram(fam) == {6: 64}
     assert verify_family(fam, g, mu, eta=0.01)
 
 
@@ -205,15 +211,18 @@ def test_steps_are_exact_powers_of_two():
 
 
 def test_depth_histogram_matches_unique_across_chunks(rng, monkeypatch):
+    # the report counts cells per level chunk by chunk, in its one walk
     monkeypatch.setattr(partition, "CHUNK_CELLS", 7)
-    fam = random_dyadic_partition(UNIT_2D, rng, max_level=5, stop_prob=0.2)
+    f = corpus_function("checker2d")
+    mu = unit(f.universe)
+    fam = random_dyadic_partition(f.universe, rng, max_level=5, stop_prob=0.2)
     assert len(fam) > 3 * 7
-    levels, counts = np.unique(fam.levels, return_counts=True)
-    want = {int(k): int(v) for k, v in zip(levels, counts)}
-    assert fam.depth_histogram() == want
-    assert list(fam.depth_histogram()) == sorted(want)
+    want = depth_histogram(fam)
+    got = build_report(fam, f, mu, 0.1, trial=0).depth_histogram
+    assert got == want
+    assert list(got) == sorted(want)
     empty = replace(fam, levels=fam.levels[:0], keys=fam.keys[:0])
-    assert empty.depth_histogram() == {}
+    assert build_report(empty, f, mu, 0.1, trial=0).depth_histogram == {}
 
 
 def graded_1d_family():

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from morsegauge import partition
+from morsegauge import partition, riemann
 from morsegauge.corpus import corpus_function
 from morsegauge.errors import BoundViolated, PreconditionUncertified
 from morsegauge.gauge import GaugeBuildParams, build_gauge
@@ -20,6 +21,7 @@ from morsegauge.partition import (
     random_dyadic_partition,
     refine_family,
     sabotage_offcenter,
+    verify_family,
 )
 from morsegauge.riemann import (
     build_report,
@@ -218,6 +220,110 @@ def test_sabotaged_family_trips_verification():
         verify_theorem(f, unit(f), eps=0.1, trials=1, sweep_probes=64,
                        _family_hook=sabotage_offcenter)
     assert "family verification failed" in str(exc.value)
+
+
+def sieved(f, eps):
+    """The gauge, eta and base family verify_theorem builds for f at eps."""
+    mu = unit(f)
+    g = build_gauge(f, mu, GaugeBuildParams(eps=eps))
+    eta = default_eta(f, eps, mu.w0)
+    base = dyadic_sieve(f.universe, g, mu, SieveParams(
+        eta=eta, max_depth=default_sieve_depth(f.dim_in)))
+    return g, eta, base
+
+
+@pytest.mark.parametrize("name,eps", [("spike1", 0.03), ("checker2d", 0.1),
+                                      ("linear1", 0.01)])
+def test_fused_trials_equal_standalone_checks_and_reports(name, eps):
+    f = corpus_function(name)
+    mu = unit(f)
+    got = verify_theorem(f, mu, eps, trials=3, seed=7)
+    g, eta, base = sieved(f, eps)
+    rng = np.random.default_rng(7)
+    for t, rep in enumerate(got):
+        fam = base if t == 0 else refine_family(base, 0.15, rng)
+        assert verify_family(fam, g, mu, eta)
+        want = build_report(fam, f, mu, eps, trial=t)
+        want.notes = dict(rep.notes)
+        assert rep.to_dict() == want.to_dict()
+
+
+def _escape(fam, i):
+    # a key bit above the 1-d key range moves the cell out of the universe
+    keys = fam.keys.copy()
+    keys[i] |= np.int64(1) << 62
+    return replace(fam, keys=keys)
+
+
+def _straddle(fam, i):
+    # the level-0 cell [-1, 1] holds spike1's singularity in its interior
+    levels, keys = fam.levels.copy(), fam.keys.copy()
+    levels[i], keys[i] = 0, 0
+    return replace(fam, levels=levels, keys=keys)
+
+
+@pytest.mark.parametrize("corrupt,reason", [
+    (_escape, "cell escapes the universe"),
+    (_straddle, "interior overlap (key ranges collide)")])
+def test_corrupt_family_is_named_by_the_verifier(corrupt, reason, monkeypatch):
+    # the sums stop at the first failing chunk, so spike1's deviation
+    # oracle never sees the straddling cell and raises no MalformedShape
+    monkeypatch.setattr(partition, "CHUNK_CELLS", 256)
+    f = corpus_function("spike1")
+    mu = unit(f)
+    seen = []
+
+    def hook(fam, rng):
+        seen.append(corrupt(fam, len(fam) // 2 + 3))
+        return seen[-1]
+
+    with pytest.raises(BoundViolated) as exc:
+        verify_theorem(f, mu, 0.3, trials=1, seed=7, _family_hook=hook)
+    g, eta, _ = sieved(f, 0.3)
+    assert len(seen[0]) > 4 * 256
+    notes = {}
+    assert not verify_family(seen[0], g, mu, eta, report=notes)
+    assert notes["reason"] == reason
+    assert str(exc.value) == f"family verification failed (trial 0): {reason}"
+
+
+def test_residual_is_integrated_once_per_sieve(monkeypatch):
+    walked, yielded, calls = [], [], []
+    boxes = partition.TaggedFamily.residual_boxes
+
+    def counted_boxes(fam):
+        walked.append(len(fam))
+        for los, his in boxes(fam):
+            yielded.append(los)
+            yield los, his
+
+    monkeypatch.setattr(partition.TaggedFamily, "residual_boxes", counted_boxes)
+    f = corpus_function("spike1")
+    abs_batch = f.abs_integral_batch
+
+    def counted_abs(los, his):
+        if any(los is y for y in yielded):
+            calls.append(len(los))
+        return abs_batch(los, his)
+
+    monkeypatch.setattr(f, "abs_integral_batch", counted_abs)
+    reports = verify_theorem(f, unit(f), 0.03, trials=5, seed=7)
+    assert len(walked) == 1
+    assert len(calls) == len(yielded) > 0
+    assert reports[0].residual_abs > 0
+    assert len({r.residual_abs for r in reports}) == 1
+
+
+@pytest.mark.parametrize("name,eps", [("spike1", 0.3), ("step2", 0.1)])
+def test_corollary_mass_from_the_sum_walk(name, eps):
+    # verify_corollary takes the gauge family's mass from its sum walk;
+    # it must be the same bits as the set-function walk the random
+    # partitions use
+    f = corpus_function(name)
+    mu = unit(f)
+    _, _, base = sieved(f, eps)
+    want = riemann._family_mass(make_integral_set_function(f, mu), base)
+    assert riemann._family_sums(base, f, mu, deviations=False)["mass"] == want
 
 
 def test_coarse_family_fails_the_bounds_honestly(rng):
