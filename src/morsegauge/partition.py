@@ -12,9 +12,13 @@ The dyadic sieve keeps a frontier of equal-level keys, emits the cells whose
 circumradius about the center already fits under the gauge, and splits the
 rest with _split, which builds each child's key from its parent's key.
 refine_family replaces chosen cells in place by their children, which keeps
-canonical order without a sort.  FamilyCheck rechecks every invariant one
-chunk at a time, so a walk that sums a report over the family can check it
-in the same pass; verify_family is that check on its own.  Its disjointness
+canonical order without a sort; expand is the same step for one chunk and
+several refinements at once, so one base walk can carry every trial, each
+trial gathering its cells from the chunk's cells and their children.  The
+checks split in two: check_cells runs the per-cell checks once per distinct
+cell, and FamilyCheck runs the order and balance checks per family, piece
+by piece, so a walk that sums a report over the family can check it in the
+same pass; verify_family is that check on its own.  Its disjointness
 certificate is that consecutive key ranges do not collide, and a
 bit-interleaving reference in the tests pins the keys.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,6 +38,9 @@ from .measure import RadonMeasure, measure_box_batch
 # cells per chunk of every family walk: large enough that numpy calls
 # amortize, small enough that the per-chunk temporaries stay a few MB
 CHUNK_CELLS = 1 << 16
+# cells per kernel call when a walk evaluates a chunk and its children:
+# their temporaries then stay small however many children the trials add
+KERNEL_ROWS = 1 << 13
 
 _CHILD_OFFSETS = {d: np.array(np.meshgrid(*([[0, 1]] * d), indexing="ij"),
                               dtype=np.int64).reshape(d, -1).T
@@ -103,15 +110,23 @@ def _geometry(omega: Box, levels, indices: np.ndarray
 
 class Chunk(NamedTuple):
     """Cells start .. start + len(levels) - 1 of a family, with their
-    derived geometry."""
+    derived geometry.  The children expand() gives leave los, his and tags
+    as None, for geometry() to derive a batch at a time."""
 
     start: int
     levels: np.ndarray
     keys: np.ndarray
     indices: np.ndarray
-    los: np.ndarray
-    his: np.ndarray
-    tags: np.ndarray
+    los: np.ndarray | None
+    his: np.ndarray | None
+    tags: np.ndarray | None
+
+    def geometry(self, universe: Box, rows: slice = slice(None)
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lower corners, upper corners and tags of the cells in rows."""
+        if self.los is not None:
+            return self.los[rows], self.his[rows], self.tags[rows]
+        return _geometry(universe, self.levels[rows], self.indices[rows])
 
 
 @dataclass(frozen=True)
@@ -155,16 +170,20 @@ class TaggedFamily:
 
     def chunks(self) -> Iterator[Chunk]:
         """The cells in canonical order, CHUNK_CELLS at a time."""
+        # the generator holds none of a chunk's arrays while suspended, so
+        # a consumer can drop a chunk before asking for the next one
         for start in range(0, len(self), CHUNK_CELLS):
-            stop = start + CHUNK_CELLS
-            levels, keys = self.levels[start:stop], self.keys[start:stop]
-            idx = _indices(levels, keys, self.dim)
-            los, his, tags = _geometry(self.universe, levels, idx)
-            if self.tag_override is not None:
-                pos, moved = self.tag_override
-                here = (pos >= start) & (pos < start + len(levels))
-                tags[pos[here] - start] = moved[here]
-            yield Chunk(start, levels, keys, idx, los, his, tags)
+            yield self._chunk(start, start + CHUNK_CELLS)
+
+    def _chunk(self, start: int, stop: int) -> Chunk:
+        levels, keys = self.levels[start:stop], self.keys[start:stop]
+        idx = _indices(levels, keys, self.dim)
+        los, his, tags = _geometry(self.universe, levels, idx)
+        if self.tag_override is not None:
+            pos, moved = self.tag_override
+            here = (pos >= start) & (pos < start + len(levels))
+            tags[pos[here] - start] = moved[here]
+        return Chunk(start, levels, keys, idx, los, his, tags)
 
     def residual_boxes(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Corners of the residual frontier's cells, CHUNK_CELLS at a time."""
@@ -283,62 +302,132 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
                         active)
 
 
-class FamilyCheck:
-    """Every family invariant, rechecked from scratch one chunk at a time.
+class CellChecks(NamedTuple):
+    """What the checks that look at one cell alone found on each cell of a
+    pool: computed once per distinct cell and gathered into every family
+    that holds it.  A pool in which every cell passes keeps only its size,
+    with the arrays None."""
 
-    Feed the family's chunks in order to add(), each with its cells'
-    masses, then ask verdict().  Containment in the universe, interior
-    disjointness, tags inside each set's inner ball, fineness (circumradius
-    about the tag under the gauge, non-strict) and measure balance against
-    mu to 1e-9 relative.  A failure anywhere in the family is reported in
-    that order of priority; the fineness message names the worst cell of
-    the whole family.  Disjointness is certified on keys: each cell's key
-    range must start at or after the end of the previous cell's, which
-    also rejects a family out of canonical order.  Only running totals are
-    kept, so the check holds none of the family's arrays alive.
+    size: int
+    tags: np.ndarray | None = None
+    escapes: np.ndarray | None = None
+    off_center: np.ndarray | None = None
+    circ: np.ndarray | None = None
+    delta: np.ndarray | None = None
+
+    @property
+    def bad(self) -> bool:
+        """Some cell fails a check."""
+        return self.tags is not None
+
+    def take(self, sel: np.ndarray) -> "CellChecks":
+        """The checks of the cells at positions sel."""
+        if not self.bad:
+            return CellChecks(len(sel))
+        return _cell_checks(*(a[sel] for a in self[1:]))
+
+    def join(self, other: "CellChecks") -> "CellChecks":
+        """The checks of this pool followed by other's."""
+        if not (self.bad or other.bad):
+            return CellChecks(self.size + other.size)
+        dim = (self if self.bad else other).tags.shape[1]
+        return _cell_checks(*(np.concatenate(pair) for pair in
+                              zip(self._arrays(dim), other._arrays(dim))))
+
+    def _arrays(self, dim: int) -> tuple:
+        # a passing pool's cells as passing ones: inside, centered, and
+        # circumradius 0 against delta 0, never a worst cell
+        if self.bad:
+            return self[1:]
+        n = self.size
+        return (np.zeros((n, dim)), np.zeros(n, dtype=bool),
+                np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n))
+
+
+def _cell_checks(tags, escapes, off_center, circ, delta) -> CellChecks:
+    if escapes.any() or off_center.any() or np.any(circ > delta):
+        return CellChecks(len(tags), tags, escapes, off_center, circ, delta)
+    return CellChecks(len(tags))
+
+
+def check_cells(c: Chunk, g: Gauge, fam: TaggedFamily) -> CellChecks:
+    """Containment in fam's universe, the tag inside the inner ball and the
+    circumradius about the tag against the gauge, for each cell of c, a
+    KERNEL_ROWS batch at a time."""
+    lo, hi = np.asarray(fam.universe.lo), np.asarray(fam.universe.hi)
+    batches = []
+    for start in range(0, max(len(c.levels), 1), KERNEL_ROWS):
+        los, his, tags = c.geometry(fam.universe,
+                                    slice(start, start + KERNEL_ROWS))
+        inner = norm_batch(tags - 0.5 * (los + his), fam.domain_norm)
+        batches.append((
+            tags,
+            np.any(los < lo - 1e-12, axis=1) | np.any(his > hi + 1e-12, axis=1),
+            inner > 0.5 * (his - los).min(axis=1) + 1e-15,
+            norm_batch(np.maximum(his - tags, tags - los), fam.domain_norm),
+            g.delta_batch(tags)))
+    if len(batches) == 1:
+        return _cell_checks(*batches[0])
+    return _cell_checks(*(np.concatenate(a) for a in zip(*batches)))
+
+
+class FamilyCheck:
+    """Every invariant of one family, rechecked from scratch piece by piece.
+
+    Feed the family's cells in canonical order to add(), a piece at a time,
+    with their CellChecks, then ask verdict() with the family's mass.
+    Containment in the universe, interior disjointness, tags inside each
+    set's inner ball, fineness (circumradius about the tag under the gauge,
+    non-strict) and measure balance against mu to 1e-9 relative.  A failure
+    anywhere in the family is reported in that order of priority; the
+    fineness message names the worst cell of the whole family.
+    Disjointness is certified on keys: each cell's key range must start at
+    or after the end of the previous cell's, which also rejects a family
+    out of canonical order.  Only running totals are kept, and the per-cell
+    results can be shared by families that hold the same cells, so several
+    refinements of one family are checked in full in one walk of it.
     """
 
-    def __init__(self, fam: TaggedFamily, g: Gauge, mu: RadonMeasure,
-                 eta: float):
-        self.g, self.mu, self.eta = g, mu, eta
-        self.dim, self.domain_norm = fam.dim, fam.domain_norm
-        self.cells, self.residual = len(fam), fam.residual_measure
-        self.uni_lo, self.uni_hi = (np.asarray(fam.universe.lo),
-                                    np.asarray(fam.universe.hi))
+    def __init__(self, fam: TaggedFamily, mu: RadonMeasure, eta: float,
+                 cells: int | None = None):
+        self.mu, self.eta, self.dim = mu, eta, fam.dim
+        self.cells = len(fam) if cells is None else cells
+        self.residual = fam.residual_measure
         self.escapes = self.overlap = self.off_center = False
         self.worst = self.prev_end = None
-        self.masses = []
 
-    def add(self, c: Chunk, w: np.ndarray) -> bool:
-        """Check one chunk whose cells have masses w.  True while no cell
-        so far fails a check."""
-        los, his, tags = c.los, c.his, c.tags
-        self.escapes = self.escapes or bool(np.any(los < self.uni_lo - 1e-12)
-                                            or np.any(his > self.uni_hi + 1e-12))
-        spans = _key_spans(c.levels, self.dim)
+    @property
+    def ok(self) -> bool:
+        """No cell so far fails a check."""
+        return not (self.escapes or self.overlap or self.off_center
+                    or self.worst is not None)
+
+    def add(self, levels: np.ndarray, keys: np.ndarray,
+            cells: CellChecks) -> bool:
+        """Check the next cells (levels, keys) of the family, whose per-cell
+        checks are cells; returns ok."""
+        spans = _key_spans(levels, self.dim)
         # a cell owns its key with the bits below its level cleared, the
         # same truncation its index takes
-        starts = c.keys & -spans
+        starts = keys & -spans
         ends = starts + spans
         self.overlap = self.overlap or bool(np.any(starts[1:] < ends[:-1])) \
             or (self.prev_end is not None and starts[0] < self.prev_end)
         self.prev_end = ends[-1]
+        if cells.bad:
+            self.escapes = self.escapes or bool(cells.escapes.any())
+            self.off_center = self.off_center or bool(cells.off_center.any())
+            circ, delta = cells.circ, cells.delta
+            if np.any(circ > delta):
+                k = int(np.argmax(circ - delta))
+                if self.worst is None or circ[k] - delta[k] > self.worst[0]:
+                    self.worst = (circ[k] - delta[k], cells.tags[k], circ[k],
+                                  delta[k])
+        return self.ok
 
-        deltas = self.g.delta_batch(tags)
-        circ = norm_batch(np.maximum(his - tags, tags - los), self.domain_norm)
-        inner = norm_batch(tags - 0.5 * (los + his), self.domain_norm)
-        half = 0.5 * (his - los).min(axis=1)
-        self.off_center = self.off_center or bool(np.any(inner > half + 1e-15))
-        if np.any(circ > deltas):
-            k = int(np.argmax(circ - deltas))
-            if self.worst is None or circ[k] - deltas[k] > self.worst[0]:
-                self.worst = (circ[k] - deltas[k], tags[k], circ[k], deltas[k])
-        self.masses.append(float(w.sum()))
-        return not (self.escapes or self.overlap or self.off_center
-                    or self.worst is not None)
-
-    def verdict(self, report: dict | None = None) -> bool:
-        """True when the whole family passed, else report["reason"] says why."""
+    def verdict(self, mass: float, report: dict | None = None) -> bool:
+        """True when the whole family, of total measure mass, passed, else
+        report["reason"] says why."""
         notes = report if report is not None else {}
 
         def fail(reason: str) -> bool:
@@ -356,7 +445,7 @@ class FamilyCheck:
             return fail(f"fineness violated at tag {tuple(tag)}: "
                         f"circumradius {circ} > delta {delta}")
 
-        balance = math.fsum(self.masses) + self.residual
+        balance = mass + self.residual
         total = float(self.mu.total)
         tol = 1e-9 * max(1.0, abs(total))
         if abs(balance - total) > tol:
@@ -372,10 +461,24 @@ def verify_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
                   report: dict | None = None) -> bool:
     """Recheck every invariant of FamilyCheck in one chunked pass: True
     when all hold, else report["reason"] names the failure."""
-    check = FamilyCheck(fam, g, mu, eta)
+    check = FamilyCheck(fam, mu, eta)
+    masses = []
     for c in fam.chunks():
-        check.add(c, measure_box_batch(mu, c.los, c.his))
-    return check.verdict(report)
+        check.add(c.levels, c.keys, check_cells(c, g, fam))
+        masses.append(float(measure_box_batch(mu, c.los, c.his).sum()))
+    return check.verdict(math.fsum(masses), report)
+
+
+def refinement_choice(n: int, fraction: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """The sorted positions of the cells a refinement of an n-cell family
+    splits: round(fraction * n) of them, at least one, drawn without
+    replacement (no draw at all for an empty family)."""
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    count = max(1, int(round(fraction * n)))
+    chosen = np.sort(rng.choice(n, size=min(count, n), replace=False))
+    return chosen.astype(np.int32) if n < 2 ** 31 else chosen
 
 
 def refine_family(fam: TaggedFamily, fraction: float,
@@ -385,13 +488,14 @@ def refine_family(fam: TaggedFamily, fraction: float,
     Used to vary trials; the result covers the same region, so verification
     and every approximation bound are re-run against it unchanged.  Each
     chosen cell is replaced in place by its children, which own its key
-    range in key order, so the result stays in canonical order.
+    range in key order, so the result stays in canonical order.  This is
+    the whole-family form of expand(); the theorem verifier walks its
+    refinements without building them.
     """
     n = len(fam)
     if n == 0:
         return fam
-    count = max(1, int(round(fraction * n)))
-    chosen = np.sort(rng.choice(n, size=min(count, n), replace=False))
+    chosen = refinement_choice(n, fraction, rng)
 
     fan = 2 ** fam.dim
     # a chosen cell's fan children start at its own position plus fan - 1
@@ -411,6 +515,51 @@ def refine_family(fam: TaggedFamily, fraction: float,
     keys[slots] = _split(fam.keys[chosen], fam.levels[chosen], fam.dim)
     levels[slots] = np.repeat(fam.levels[chosen] + 1, fan)
     return replace(fam, levels=levels, keys=keys, tag_override=None)
+
+
+def expand(c: Chunk, chosen: list[np.ndarray], universe: Box
+           ) -> tuple[Chunk, Callable[[int], np.ndarray]]:
+    """One chunk of several refinements of a family at once.
+
+    chosen[t] holds the sorted positions, within c, of the cells that
+    refinement t splits.  Returns the children of every cell some
+    refinement splits, each parent's once, parent by parent and in key
+    order, and piece: piece(t) is refinement t's piece, the positions of
+    its cells in canonical order in the pool of c's cells followed by
+    those children.  A piece is built on each call and the children's
+    corners and tags when needed, so nothing per refinement and no second
+    copy of a chunk's geometry need be held.
+    """
+    n, dim = len(c.levels), universe.dim
+    fan = 2 ** dim
+    split = np.zeros(n, dtype=bool)
+    for ch in chosen:
+        split[ch] = True
+    parents = np.flatnonzero(split)
+    rank = np.cumsum(split) - 1
+    levels = np.repeat(c.levels[parents] + 1, fan)
+    keys = _split(c.keys[parents], c.levels[parents], dim)
+    # the same integers de-interleaving the children's keys gives
+    idx = (2 * c.indices[parents][:, None, :]
+           + _CHILD_OFFSETS[dim][None, :, :]).reshape(-1, dim)
+
+    def piece(t: int) -> np.ndarray:
+        # each position holds the pool position one past the previous one,
+        # except where the piece jumps to a split cell's first child, at
+        # n + fan * rank, and back to the cell after it; a split cell's
+        # children start at its own position plus fan - 1 for each split
+        # cell before it, as in refine_family
+        ch = chosen[t]
+        first = ch + (fan - 1) * np.arange(len(ch))
+        kid = n + fan * rank[ch]
+        step = np.ones(n + (fan - 1) * len(ch), dtype=np.int32)
+        step[0] = 0
+        step[first] += kid - ch
+        back = first + fan < len(step)
+        step[first[back] + fan] += ch[back] + 1 - (kid[back] + fan)
+        return np.cumsum(step, dtype=np.int32)
+
+    return Chunk(c.start, levels, keys, idx, None, None, None), piece
 
 
 def random_dyadic_partition(omega: Box, rng: np.random.Generator,

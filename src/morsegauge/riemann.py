@@ -7,26 +7,36 @@ theorem verifier builds the gauge, sieves, and asserts the accuracy chain on
 the base family and on randomized refinements; the corollary verifier reuses
 the same family for the set-function claims.  Every per-cell sum comes from
 one walk over the family's chunks, so memory stays at a few chunks however
-large the family grows.  In the theorem verifier that walk also checks
-the family, so each trial walks it once and its verdict comes before any
-bound; the residual frontier, which refinement keeps, is integrated once.
+large the family grows.  In the theorem verifier one base walk serves all
+trials (up to TRIALS_PER_WALK refined trials per walk): it checks and sums
+each distinct cell once, base cells and the children of every cell some
+trial splits, and each trial gathers its own cells and sums them over its
+own windows, so its report and verdict are those of its built family.  The
+residual frontier, which refinement keeps, is integrated once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .corpus import CorpusFunction
 from .errors import BoundViolated
 from .gauge import GaugeBuildParams, build_gauge, shell_budget, soundness_sweep
-from .geometry import Box, NormKind
+from .geometry import Box, Gauge, NormKind
 from .measure import RadonMeasure, measure_box_batch, require_uniform
-from .partition import FamilyCheck, SieveParams, TaggedFamily, dyadic_sieve, refine_family
+from . import partition
+from .partition import (CellChecks, Chunk, FamilyCheck, SieveParams,
+                        TaggedFamily, check_cells, dyadic_sieve, expand,
+                        refinement_choice)
 
 _REL = 1e-9
+# refined trials one walk of the base family carries; more trials take more
+# walks, so memory does not grow with the trial count
+TRIALS_PER_WALK = 8
 
 
 @dataclass
@@ -79,72 +89,272 @@ def _fsum_rows(parts: list[np.ndarray], width: int) -> np.ndarray:
     return np.array([math.fsum(col) for col in zip(*parts)])
 
 
+def _empty_values(f: CorpusFunction, n: int,
+                  deviations: bool) -> dict[str, np.ndarray]:
+    names = ("dev", "err") if deviations else ("mass",)
+    return {"w": np.empty(n), "Fw": np.empty((n, f.dim_out)),
+            "local": np.empty(n), **{name: np.empty(n) for name in names}}
+
+
+def _cell_values(f: CorpusFunction, mu: RadonMeasure, universe: Box,
+                 part: Chunk, deviations: bool, vals: dict | None = None,
+                 at: int = 0, rows: np.ndarray | None = None
+                 ) -> dict[str, np.ndarray]:
+    """Every per-cell term a report sums, for the cells of part (or those
+    at positions rows of it): the mass w, f(tag) w, the local error
+    ||w0 Int_S f - f(tag) w|| and either the deviation integral with its
+    certified error or the mass ||w0 Int_S f||.  Written to vals from
+    position at on (cell i of part to at + i), or to fresh arrays.  The
+    kernels run KERNEL_ROWS cells at a time, so their temporaries stay
+    small however many children a chunk's trials add."""
+    if vals is None:
+        vals = _empty_values(f, len(part.levels), deviations)
+    count = len(part.levels) if rows is None else len(rows)
+    for start in range(0, count, partition.KERNEL_ROWS):
+        stop = min(start + partition.KERNEL_ROWS, count)
+        batch = slice(start, stop) if rows is None else rows[start:stop]
+        out = slice(at + start, at + stop) if rows is None else at + batch
+        los, his, tags = part.geometry(universe, batch)
+        w = vals["w"][out] = measure_box_batch(mu, los, his)
+        F = f.eval_batch(tags)
+        Fw = vals["Fw"][out] = F * w[:, None]
+        ints = mu.w0 * f.integral_batch(los, his)
+        vals["local"][out] = f.ynorm_rows(ints - Fw)
+        if deviations:
+            vals["dev"][out], vals["err"][out] = \
+                f.dev_integral_for_tags(los, his, tags, F)
+        else:
+            vals["mass"][out] = f.ynorm_rows(ints)
+    return vals
+
+
+class _Trial:
+    """One family's share of a walk: its check, if any, and its sums.
+
+    The family's cells arrive piece by piece in canonical order, as
+    positions in a pool of per-cell values, or as a whole pool that is
+    exactly one window.  Every float sum is taken over the family's own
+    windows of CHUNK_CELLS cells, gathered when complete, so each partial,
+    and so each total, is the one a walk of the family by itself takes,
+    whichever pieces the cells came in.  A piece is never shorter than a
+    window, so a window waits on at most one earlier pool.  The prefix
+    sums of the truncation profile carry across windows, so they are bit
+    for bit one cumsum over the whole family.
+    """
+
+    def __init__(self, cells: int, f: CorpusFunction, mu: RadonMeasure,
+                 threshold: float | None, check: FamilyCheck | None):
+        self.cells, self.f, self.check = cells, f, check
+        self.threshold = threshold
+        self.total = float(mu.total)
+        self.exact = mu.w0 * f.exact_integral(mu.universe)
+        self.width = partition.CHUNK_CELLS
+        self.done = self.fill = 0
+        self.pending = []
+        self.parts = {"w": [], "simple": [], "local": [], "dev": [],
+                      "err": [], "mass": []}
+        self.depths = np.zeros(64, dtype=np.int64)
+        self.carry_w, self.carry_p = 0.0, np.zeros(f.dim_out)
+        self.m0 = None
+        self.trunc = (float(f.ynorm(self.exact)), 0)
+
+    @property
+    def summing(self) -> bool:
+        return self.check is None or self.check.ok
+
+    def add(self, vals: dict[str, np.ndarray], levels: np.ndarray,
+            sel: np.ndarray | None = None):
+        """The next cells, of levels `levels`: vals[sel], or without sel all
+        of vals, which must be exactly the next window (a chunk of the
+        walked family itself)."""
+        self.depths += np.bincount(levels, minlength=len(self.depths))
+        if sel is None:
+            self._window(vals.__getitem__, list(vals))
+            return
+        n, pos = len(sel), 0
+        while pos < n:
+            m = min(self._next_window() - self.fill, n - pos)
+            self.pending.append((vals, sel[pos:pos + m]))
+            self.fill += m
+            pos += m
+            if self.fill == self._next_window():
+                self._window(self._gathered, list(vals))
+                self.pending, self.fill = [], 0
+        if self.pending:
+            # hold on to the leftover's positions, not the whole piece's
+            self.pending[-1] = (vals, self.pending[-1][1].copy())
+
+    def _next_window(self) -> int:
+        """The length of the window being filled."""
+        return min(self.width, self.cells - self.done)
+
+    def _gathered(self, name: str) -> np.ndarray:
+        """The pending window's values of one kind, in order."""
+        out, pos = None, 0
+        for vals, sel in self.pending:
+            v = vals[name]
+            if out is None:
+                out = np.empty((self.fill,) + v.shape[1:])
+            np.take(v, sel, axis=0, out=out[pos:pos + len(sel)], mode="clip")
+            pos += len(sel)
+        return out
+
+    def _window(self, get, names: list[str]):
+        """Sum one whole window, cells done .. done + len - 1, whose values
+        of each kind get(name) gives; one kind at a time, so the values of
+        the kinds only summed are dropped before the truncation profile."""
+        for name in names:
+            if name not in ("w", "Fw"):
+                self.parts[name].append(float(get(name).sum()))
+        w, Fw = get("w"), get("Fw")
+        start = self.done
+        self.done += len(w)
+        self.parts["w"].append(float(w.sum()))
+        self.parts["simple"].append(Fw.sum(axis=0))
+        if self.threshold is None:
+            return
+        covered = np.cumsum(np.concatenate(([self.carry_w], w)))[1:]
+        partial = np.cumsum(np.concatenate((self.carry_p[None, :], Fw)),
+                            axis=0)[1:]
+        # a copy: a view would keep the whole window's prefix sums alive
+        self.carry_w, self.carry_p = covered[-1], partial[-1].copy()
+        j = 0
+        if self.m0 is None:
+            # uncovered after k cells still includes the residual, so the
+            # threshold passed in must sit at or above it
+            eligible = self.total - covered <= self.threshold + 1e-15
+            if not eligible.any():
+                return
+            j = int(np.argmax(eligible))
+            self.m0 = start + j
+            self.trunc = (-math.inf, self.m0)
+        errto = self.f.ynorm_rows(self.exact[None, :] - partial[j:])
+        k = int(np.argmax(errto))
+        if errto[k] > self.trunc[0]:
+            self.trunc = (float(errto[k]), start + j + k)
+
+    def sums(self) -> dict:
+        """The family's sums; call once every cell is in."""
+        trunc = self.trunc
+        if self.threshold is not None and self.m0 is None and self.cells:
+            trunc = (float(self.f.ynorm_rows(
+                self.exact[None, :] - self.carry_p[None, :])[0]),
+                self.cells - 1)
+        parts = self.parts
+        return {"simple": _fsum_rows(parts["simple"], self.f.dim_out),
+                "local": math.fsum(parts["local"]),
+                "dev": math.fsum(parts["dev"]),
+                "dev_err": math.fsum(parts["err"]),
+                "mass": math.fsum(parts["mass"]),
+                "measure": math.fsum(parts["w"]), "truncation": trunc,
+                "depth_histogram": {k: int(v) for k, v in
+                                    enumerate(self.depths) if v}}
+
+
+def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
+          threshold: float | None = None, deviations: bool = True,
+          g: Gauge | None = None, eta: float | None = None,
+          chosen: list[np.ndarray] = ()) -> list[_Trial]:
+    """One walk over fam's chunks that sums fam and each refinement of it
+    that splits the cells at the sorted positions chosen[t], without
+    building the refinements.
+
+    Per chunk, given a gauge g, fam's own check runs first: from its first
+    failing chunk on only that check runs, so no sum kernel sees a corrupt
+    cell and no refinement of a corrupt family is expanded.  Then the
+    chunk's cells are summed once, for fam and for every refinement; the
+    children of every cell some refinement splits are derived once and
+    checked once, each refinement checks its own piece, and one kernel
+    pass sums the children that refinements still passing hold.  A
+    refinement's sums so stop at its first failing piece while its check
+    goes on to the end, and its verdict names the same failure as
+    verify_family on the built refinement.  Take each check's verdict
+    before using its sums.  Returns fam's trial followed by one per
+    refinement.
+    """
+    fan = 2 ** fam.dim
+    sizes = [len(fam)] + [len(fam) + (fan - 1) * len(ch) for ch in chosen]
+    trials = [_Trial(size, f, mu, threshold,
+                     None if g is None else FamilyCheck(fam, mu, eta, size))
+              for size in sizes]
+    base, refined = trials[0], trials[1:]
+    # where each refinement's chosen cells cross into each chunk
+    width = partition.CHUNK_CELLS
+    edges = np.arange(0, len(fam), width)[1:]
+    bounds = [np.concatenate(([0], np.searchsorted(ch, edges), [len(ch)]))
+              for ch in chosen]
+    for c in fam.chunks():
+        cells = None if g is None else check_cells(c, g, fam)
+        if cells is not None and not base.check.add(c.levels, c.keys, cells):
+            continue
+        if not refined:
+            base.add(_cell_values(f, mu, fam.universe, c, deviations),
+                     c.levels)
+            continue
+        k = c.start // width
+        kids, piece = expand(c, [ch[b[k]:b[k + 1]] - c.start
+                                 for ch, b in zip(chosen, bounds)],
+                             fam.universe)
+        # the pool's values: fam's cells now, then the children held by
+        # trials whose checks pass
+        n = len(c.levels)
+        vals = _cell_values(f, mu, fam.universe, c, deviations,
+                            _empty_values(f, n + len(kids.levels), deviations))
+        base.add({name: v[:n] for name, v in vals.items()}, c.levels)
+        # all trials' windows are open at once, so each array is let go as
+        # soon as it is done with, which keeps the walk's peak at about
+        # that of walking one trial alone
+        c = c._replace(los=None, his=None, tags=None)
+        levels = np.concatenate((c.levels, kids.levels))
+        if cells is not None:
+            _check_pieces(c, kids, levels, piece, refined, cells, g, fam)
+            cells = None
+        live = [t for t, trial in enumerate(refined) if trial.summing]
+        _cell_values(f, mu, fam.universe, kids, deviations, vals, n,
+                     _children_of(kids, [piece(t) for t in live], n, fan)
+                     if len(live) < len(refined) else None)
+        kids = None
+        for t in live:
+            sel = piece(t)
+            refined[t].add(vals, np.take(levels, sel, mode="clip"), sel)
+    return trials
+
+
+def _check_pieces(c: Chunk, kids: Chunk, levels: np.ndarray,
+                  piece: Callable[[int], np.ndarray], refined: list[_Trial],
+                  cells: CellChecks, g: Gauge, fam: TaggedFamily):
+    """Check each refined trial's piece(t) of chunk c, whose cells have the
+    per-cell checks `cells` and whose split cells have the children kids;
+    the children's per-cell checks run once."""
+    pool = cells.join(check_cells(kids, g, fam))
+    keys = np.concatenate((c.keys, kids.keys))
+    for t, trial in enumerate(refined):
+        sel = piece(t)
+        trial.check.add(np.take(levels, sel, mode="clip"),
+                        np.take(keys, sel, mode="clip"), pool.take(sel))
+
+
+def _children_of(kids: Chunk, sels: list[np.ndarray], n: int,
+                 fan: int) -> np.ndarray:
+    """The positions in kids of the children the pieces sels hold, where
+    the pool's children start at n."""
+    held = np.zeros(len(kids.levels) // fan, dtype=bool)
+    for sel in sels:
+        held[(sel[sel >= n] - n) // fan] = True
+    return (fan * np.flatnonzero(held)[:, None] + np.arange(fan)).reshape(-1)
+
+
 def _family_sums(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
-                 threshold: float | None = None, deviations: bool = True,
-                 check: FamilyCheck | None = None) -> dict:
-    """Every per-cell sum the reports need, in one walk over the family's
+                 threshold: float | None = None,
+                 deviations: bool = True) -> dict:
+    """Every per-cell sum the reports need, from one walk over the family's
     chunks: the simple sum Sum f(tag) mu(S), the local error
     Sum ||w0 Int_S f - f(tag) mu(S)||, the cells per level, the deviation
     integrals and their certified errors (if `deviations` is false, the
     family mass Sum ||w0 Int_S f|| instead) and, given a threshold, the
-    truncation profile.  Given a check, each chunk is checked first and
-    from the first failing chunk on only the check runs, so no sum kernel
-    sees a corrupt cell; take its verdict before using the sums.
-
-    Sums combine per-chunk numpy partials with math.fsum.  The prefix sums
-    of the truncation profile carry across chunks, so they are bit for bit
-    one cumsum over the whole family.
-    """
-    w0 = mu.w0
-    simple, local, dev, dev_err, mass = [], [], [], [], []
-    depths = np.zeros(int(fam.levels.max(initial=-1)) + 1, dtype=np.int64)
-    exact = w0 * f.exact_integral(mu.universe)
-    total = float(mu.total)
-    carry_w, carry_p = 0.0, np.zeros(f.dim_out)
-    m0 = None
-    trunc = (float(f.ynorm(exact)), 0)
-    for c in fam.chunks():
-        w = measure_box_batch(mu, c.los, c.his)
-        if check is not None and not check.add(c, w):
-            continue
-        depths += np.bincount(c.levels, minlength=len(depths))
-        F = f.eval_batch(c.tags)
-        Fw = F * w[:, None]
-        simple.append(Fw.sum(axis=0))
-        ints = w0 * f.integral_batch(c.los, c.his)
-        local.append(float(f.ynorm_rows(ints - Fw).sum()))
-        if deviations:
-            vals, errs = f.dev_integral_for_tags(c.los, c.his, c.tags, F)
-            dev.append(float(vals.sum()))
-            dev_err.append(float(errs.sum()))
-        else:
-            mass.append(float(f.ynorm_rows(ints).sum()))
-        if threshold is None:
-            continue
-        covered = np.cumsum(np.concatenate(([carry_w], w)))[1:]
-        partial = np.cumsum(np.concatenate((carry_p[None, :], Fw)), axis=0)[1:]
-        carry_w, carry_p = covered[-1], partial[-1]
-        j = 0
-        if m0 is None:
-            # uncovered after k cells still includes the residual, so the
-            # threshold passed in must sit at or above it
-            eligible = total - covered <= threshold + 1e-15
-            if not eligible.any():
-                continue
-            j = int(np.argmax(eligible))
-            m0 = c.start + j
-            trunc = (-math.inf, m0)
-        errto = f.ynorm_rows(exact[None, :] - partial[j:])
-        k = int(np.argmax(errto))
-        if errto[k] > trunc[0]:
-            trunc = (float(errto[k]), c.start + j + k)
-    if threshold is not None and m0 is None and len(fam):
-        trunc = (float(f.ynorm_rows(exact[None, :] - carry_p[None, :])[0]),
-                 len(fam) - 1)
-    return {"simple": _fsum_rows(simple, f.dim_out), "local": math.fsum(local),
-            "dev": math.fsum(dev), "dev_err": math.fsum(dev_err),
-            "mass": math.fsum(mass), "truncation": trunc,
-            "depth_histogram": {k: int(v) for k, v in enumerate(depths) if v}}
+    truncation profile.  Sums combine per-chunk numpy partials with
+    math.fsum."""
+    return _walk(fam, f, mu, threshold, deviations)[0].sums()
 
 
 def _residual_abs(fam: TaggedFamily, f: CorpusFunction,
@@ -234,23 +444,18 @@ def _assert_flags(report: ApproximationReport):
         raise BoundViolated(f"bounds failed: {', '.join(bad)}", report)
 
 
-def build_report(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
-                 eps: float, trial: int, check: FamilyCheck | None = None,
-                 residual_abs: float | None = None) -> ApproximationReport:
-    """The accuracy chain of one family, from one walk over its chunks.
-    Given a check, that walk also verifies the family and a failed verdict
-    raises BoundViolated; given residual_abs, the frontier is not re-walked.
-    """
-    require_uniform(mu)
+def _threshold(f: CorpusFunction, mu: RadonMeasure, eps: float,
+               fam: TaggedFamily) -> float:
+    """Where the truncation profile starts: under the eps/4 continuity
+    modulus, but never under the residual, which stays uncovered."""
     gamma = f.ac_modulus(eps / 4.0, mu.w0)
-    threshold = max(0.999 * gamma, fam.residual_measure * (1 + 1e-12))
-    sums = _family_sums(fam, f, mu, threshold, check=check)
-    notes: dict = {}
-    if check is not None and not check.verdict(notes):
-        raise BoundViolated(f"family verification failed (trial {trial}): "
-                            f"{notes.get('reason')}", notes)
-    if residual_abs is None:
-        residual_abs = _residual_abs(fam, f, mu)
+    return max(0.999 * gamma, fam.residual_measure * (1 + 1e-12))
+
+
+def _report(f: CorpusFunction, mu: RadonMeasure, eps: float, trial: int,
+            cells: int, residual_measure: float, sums: dict,
+            residual_abs: float) -> ApproximationReport:
+    """The accuracy chain of one family of `cells` cells from its sums."""
     parts = _l1_parts(f, mu, sums, residual_abs)
     exact = mu.w0 * f.exact_integral(mu.universe)
     simple, local = sums["simple"], sums["local"]
@@ -270,8 +475,8 @@ def build_report(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
             gap - slack <= l1p * (1 + _REL) + 1e-15,
     }
     return ApproximationReport(
-        fn=f.name, eps=eps, trial=trial, cell_count=len(fam),
-        residual_measure=fam.residual_measure,
+        fn=f.name, eps=eps, trial=trial, cell_count=cells,
+        residual_measure=residual_measure,
         exact=tuple(float(v) for v in exact),
         simple=tuple(float(v) for v in simple),
         l1_partition=parts["partition"],
@@ -280,6 +485,15 @@ def build_report(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
         l1_total=parts["total"], local_error_sum=local,
         truncation_error=trunc, truncation_index=trunc_idx,
         depth_histogram=sums["depth_histogram"], pass_flags=flags)
+
+
+def build_report(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
+                 eps: float, trial: int) -> ApproximationReport:
+    """The accuracy chain of one family, from one walk over its chunks."""
+    require_uniform(mu)
+    sums = _family_sums(fam, f, mu, _threshold(f, mu, eps, fam))
+    return _report(f, mu, eps, trial, len(fam), fam.residual_measure, sums,
+                   _residual_abs(fam, f, mu))
 
 
 def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
@@ -292,9 +506,14 @@ def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
     """Build the gauge, sieve, and certify the accuracy chain per trial.
 
     Trial 0 is the raw sieve output; later trials randomly refine ~15% of
-    its cells.  Raises BoundViolated with the offending report when any
-    asserted inequality fails; the private hooks let the falsification modes
-    degrade the gauge or the family before verification.
+    its cells.  One walk of the base family checks and sums trial 0 and up
+    to TRIALS_PER_WALK refined trials at once: each distinct cell is
+    evaluated once, and each trial is checked in full and summed over its
+    own windows, so its report is the one a walk of its built family gives.
+    Trials are judged in order, so the first failing trial raises, with
+    BoundViolated carrying the offending report or the verifier's reason.
+    The private hooks let the falsification modes degrade the gauge or
+    the base family, with the rng before any refinement draws from it.
     """
     require_uniform(mu)
     p = GaugeBuildParams(eps=eps, domain_norm=domain_norm)
@@ -318,20 +537,31 @@ def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
     # refinement keeps the base's residual frontier, so its term is shared
     residual_abs = _residual_abs(base, f, mu)
     rng = np.random.default_rng(seed)
+    if _family_hook is not None:
+        base = _family_hook(base, rng)
+    threshold = _threshold(f, mu, eps, base)
+    refined = list(range(1, max(1, trials)))
     reports = []
-    for t in range(max(1, trials)):
-        fam = base if t == 0 else refine_family(base, 0.15, rng)
-        if _family_hook is not None:
-            fam = _family_hook(fam, rng)
-        report = build_report(fam, f, mu, eps, trial=t,
-                              check=FamilyCheck(fam, g, mu, eta),
-                              residual_abs=residual_abs)
-        report.notes["eta"] = eta
-        report.notes["sweep_max_budget_ratio"] = sweep.max_budget_ratio
-        _assert_flags(report)
-        reports.append(report)
-        # the next trial's refinement need not coexist with this one
-        del fam
+    for first in range(0, max(1, len(refined)), TRIALS_PER_WALK):
+        group = refined[first:first + TRIALS_PER_WALK]
+        # drawn in trial order, as refine_family would draw them
+        chosen = [refinement_choice(len(base), 0.15, rng) for _ in group]
+        walked = _walk(base, f, mu, threshold, g=g, eta=eta, chosen=chosen)
+        for t, trial in zip([0] + group, walked):
+            if t == 0 and first:
+                # later walks re-walk the base only to carry their trials
+                continue
+            sums, notes = trial.sums(), {}
+            if not trial.check.verdict(sums["measure"], notes):
+                raise BoundViolated(f"family verification failed (trial {t}): "
+                                    f"{notes.get('reason')}", notes)
+            report = _report(f, mu, eps, t, trial.cells, base.residual_measure,
+                             sums, residual_abs)
+            report.notes["eta"] = eta
+            report.notes["sweep_max_budget_ratio"] = sweep.max_budget_ratio
+            _assert_flags(report)
+            reports.append(report)
+        del walked
     return reports
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from morsegauge import partition, riemann
 from morsegauge.corpus import corpus_function
 from morsegauge.errors import BoundViolated, PreconditionUncertified
 from morsegauge.gauge import GaugeBuildParams, build_gauge
-from morsegauge.geometry import Box, NormKind
+from morsegauge.geometry import Box, Gauge, NormKind
 from morsegauge.measure import RadonMeasure
 from morsegauge.partition import (
     SieveParams,
@@ -246,6 +247,139 @@ def test_fused_trials_equal_standalone_checks_and_reports(name, eps):
         want = build_report(fam, f, mu, eps, trial=t)
         want.notes = dict(rep.notes)
         assert rep.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("name,eps,chunk", [
+    ("spike1", 0.3, 7), ("spike1", 0.03, 256), ("checker2d", 0.1, 7),
+    ("checker2d", 0.1, 256), ("lipschitz2d", 0.1, 7),
+    ("lipschitz2d", 0.1, 256)])
+def test_lock_step_trials_equal_standalone_at_window_edges(name, eps, chunk,
+                                                           monkeypatch):
+    # refined trials gather their cells into windows of their own, which
+    # cut across the base walk's chunks; the sieve runs at the full chunk
+    # size and the walks at `chunk` (spike1 at 0.03 has 338,976 cells, too
+    # many for 7-cell windows in a unit test)
+    f = corpus_function(name)
+    mu = unit(f)
+    g, eta, base = sieved(f, eps)
+    sieve = riemann.dyadic_sieve
+
+    def sieve_then_shrink(*args):
+        fam = sieve(*args)
+        monkeypatch.setattr(partition, "CHUNK_CELLS", chunk)
+        return fam
+
+    monkeypatch.setattr(riemann, "dyadic_sieve", sieve_then_shrink)
+    got = verify_theorem(f, mu, eps, trials=4, seed=11, sweep_probes=16)
+    assert partition.CHUNK_CELLS == chunk
+    rng = np.random.default_rng(11)
+    for t, rep in enumerate(got):
+        fam = base if t == 0 else refine_family(base, 0.15, rng)
+        assert verify_family(fam, g, mu, eta)
+        want = build_report(fam, f, mu, eps, trial=t)
+        want.notes = dict(rep.notes)
+        assert rep.to_dict() == want.to_dict()
+
+
+def test_failure_only_in_a_refined_trial(monkeypatch):
+    # a check gauge that agrees with the sieve's everywhere but at one
+    # child's center, a child only trial 2 holds: trials 0 and 1 pass,
+    # trial 2 fails with the reason verify_family gives on its built
+    # family, and no child of trial 2 from the failing piece on reaches a
+    # sum kernel
+    monkeypatch.setattr(partition, "CHUNK_CELLS", 256)
+    f = corpus_function("spike1")
+    mu = unit(f)
+    eps, seed = 0.3, 7
+    g, eta, base = sieved(f, eps)
+    rng = np.random.default_rng(seed)
+    chosen = [partition.refinement_choice(len(base), 0.15, rng)
+              for _ in range(3)]
+    only2 = np.setdiff1d(chosen[1], np.union1d(chosen[0], chosen[2]))
+    parent = only2[len(only2) // 2]
+    assert 0 < parent // 256 < len(base) // 256
+    rng = np.random.default_rng(seed)
+    refine_family(base, 0.15, rng)
+    ref2 = refine_family(base, 0.15, rng)
+    tags = np.concatenate([c.tags for c in ref2.chunks()])[:, 0]
+    # fan 2: a chosen cell's first child sits one slot further right for
+    # each chosen cell before it
+    first = only2 + np.searchsorted(chosen[1], only2)
+    bad = tags[first[only2 == parent][0]]
+    tight = Gauge(batch=lambda X: np.where(X[:, 0] == bad, 1e-300,
+                                           g.delta_batch(X)))
+    seen = []
+    eval_batch = f.eval_batch
+
+    def recorded(X):
+        seen.append(np.array(X[:, 0]))
+        return eval_batch(X)
+
+    monkeypatch.setattr(f, "eval_batch", recorded)
+    # the sieve and the sweep see the gauge the base was built with
+    monkeypatch.setattr(riemann, "dyadic_sieve", lambda *args: base)
+    sweep = riemann.soundness_sweep
+    monkeypatch.setattr(riemann, "soundness_sweep",
+                        lambda f, _, *args, **kw: sweep(f, g, *args, **kw))
+    with pytest.raises(BoundViolated) as exc:
+        verify_theorem(f, mu, eps, trials=4, seed=seed, sweep_probes=16,
+                       _gauge_hook=lambda _: tight)
+    notes = {}
+    assert not verify_family(ref2, tight, mu, eta, report=notes)
+    assert notes["reason"].startswith("fineness violated at tag")
+    assert str(exc.value) == \
+        f"family verification failed (trial 2): {notes['reason']}"
+    evaluated = set(np.concatenate(seen).tolist())
+    kids = np.stack((tags[first], tags[first + 1]), axis=1)
+    stopped = only2 // 256 >= parent // 256
+    assert 0 < stopped.sum() < len(stopped)
+    assert all(k in evaluated for k in kids[~stopped].ravel())
+    assert not any(k in evaluated for k in kids[stopped].ravel())
+
+
+def test_overlap_only_a_refinement_has_is_caught_in_that_trial():
+    # a stray key bit just below one cell's level leaves the cell itself
+    # intact (its range and index drop the bit), but its two children get
+    # the same key: only the order check of a trial that splits it fails
+    f = corpus_function("spike1")
+    mu = unit(f)
+    g, eta, base = sieved(f, 0.3)
+    rng = np.random.default_rng(7)
+    i = int(partition.refinement_choice(len(base), 0.15, rng)[0])
+    keys = base.keys.copy()
+    keys[i] |= np.int64(1) << (61 - int(base.levels[i]))
+    stray = replace(base, keys=keys)
+    assert verify_family(stray, g, mu, eta)
+    notes = {}
+    ref = refine_family(stray, 0.15, np.random.default_rng(7))
+    assert not verify_family(ref, g, mu, eta, report=notes)
+    with pytest.raises(BoundViolated) as exc:
+        verify_theorem(f, mu, 0.3, trials=3, seed=7,
+                       _family_hook=lambda fam, rng: stray)
+    assert str(exc.value) == \
+        f"family verification failed (trial 1): {notes['reason']}"
+    assert notes["reason"] == "interior overlap (key ranges collide)"
+
+
+def test_trial_groups_bound_memory():
+    # one base walk carries TRIALS_PER_WALK refined trials, so two groups'
+    # worth of trials peak no higher than one group's
+    f = corpus_function("spike1")
+    mu = unit(f)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for groups in (1, 2):
+            tracemalloc.reset_peak()
+            reports = verify_theorem(
+                f, mu, 0.03, trials=1 + groups * riemann.TRIALS_PER_WALK,
+                seed=3, sweep_probes=16)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            assert len(reports) == 1 + groups * riemann.TRIALS_PER_WALK
+            del reports
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def _escape(fam, i):
