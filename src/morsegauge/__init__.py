@@ -17,9 +17,7 @@ from .geometry import Box, Gauge, NormKind, norm, norm_ratio
 from .measure import RadonMeasure, annulus_measure, ball_volume, measure_box
 from .partition import (SieveParams, TaggedFamily, dyadic_sieve,
                         random_dyadic_partition, refine_family, verify_family)
-from .riemann import (ApproximationReport, CorollaryReport, SetFunction,
-                      l1_deviation_parts, local_error_sum,
-                      make_integral_set_function, simple_sum, verify_corollary,
+from .riemann import (ApproximationReport, CorollaryReport, verify_corollary,
                       verify_theorem)
 
 __version__ = "0.1.0"
@@ -29,12 +27,10 @@ __all__ = [
     "CorollaryReport", "CorpusFunction", "DepthExceeded", "Gauge",
     "GaugeBuildParams", "MalformedShape", "NormKind", "NotPiecewise",
     "NullTube", "OutOfUniverse", "PreconditionUncertified", "RadonMeasure",
-    "SetFunction", "SieveParams", "TaggedFamily", "ToleranceUnreachable",
-    "TubeInfeasible", "annulus_measure", "ball_volume", "build_gauge",
-    "build_null_tubes", "corpus_function", "corpus_names", "dyadic_sieve",
-    "l1_deviation_parts", "local_error_sum", "lusin_compact_set",
-    "make_integral_set_function", "measure_box", "norm", "norm_ratio",
-    "random_dyadic_partition", "refine_family", "shell_budget", "shell_index",
-    "simple_sum", "soundness_sweep", "verify_corollary", "verify_family",
-    "verify_theorem",
+    "SieveParams", "TaggedFamily", "ToleranceUnreachable", "TubeInfeasible",
+    "annulus_measure", "ball_volume", "build_gauge", "build_null_tubes",
+    "corpus_function", "corpus_names", "dyadic_sieve", "lusin_compact_set",
+    "measure_box", "norm", "norm_ratio", "random_dyadic_partition",
+    "refine_family", "shell_budget", "shell_index", "soundness_sweep",
+    "verify_corollary", "verify_family", "verify_theorem",
 ]

@@ -30,6 +30,8 @@ from .riemann import verify_corollary, verify_theorem
 
 _LAMBDA_CHOICES = ("1", "sqrt2", "sqrt3")
 _SABOTAGE_CHOICES = ("inflate-delta", "overlap-cells", "offcenter-tags")
+# most points (grid ** dim) lebesgue-map tabulates; its memory grows with them
+_MAX_MAP_POINTS = 1 << 20
 
 
 def _fmt(v) -> str:
@@ -260,8 +262,12 @@ def _input_error(args, dim: int) -> str | None:
         return f"--max-depth must be nonnegative, got {args.max_depth}"
     if args.trials < 1:
         return f"--trials must be at least 1, got {args.trials}"
-    if getattr(args, "grid", 1) < 1:
-        return f"--grid must be at least 1, got {args.grid}"
+    grid = getattr(args, "grid", 1)
+    if grid < 1:
+        return f"--grid must be at least 1, got {grid}"
+    if grid ** dim > _MAX_MAP_POINTS:
+        return (f"--grid {grid} gives {grid ** dim} points in {dim}-d, "
+                f"above the limit of {_MAX_MAP_POINTS}")
     if args.dim is not None and args.dim != dim:
         return f"--dim {args.dim} does not match {args.fn} ({dim}-d)"
     need = {"sqrt2": 2, "sqrt3": 3}.get(args.lam, dim)

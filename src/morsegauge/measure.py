@@ -3,10 +3,10 @@
 The measure is Lebesgue measure weighted by a nonnegative piecewise-constant
 density on a dyadic grid of the universe.  Box values are exact: the scalar
 path runs in rational arithmetic so that additivity over dyadic splits holds
-with zero error, and the batch path is plain float for the hot loops.  The
-shell annuli behind the gauge budgets are measured in closed form where one
-exists and otherwise bounded by sup-norm boxes, from above for the outer
-ball and from below for the inner one.
+with zero error, and the batch path, plain float for the hot loops, takes
+uniform densities only.  The shell annuli behind the gauge budgets are
+measured in closed form where one exists and otherwise bounded by sup-norm
+boxes, from above for the outer ball and from below for the inner one.
 """
 
 from __future__ import annotations
@@ -150,32 +150,15 @@ def measure_box_clipped(mu: RadonMeasure, b: Box) -> float:
 
 
 def measure_box_batch(mu: RadonMeasure, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """Float fast path: measures of N boxes given as (N, d) corner arrays.
+    """Float fast path: measures of N boxes given as (N, d) corner arrays,
+    for a uniform density.
 
     Boxes must already lie inside the universe (not rechecked here).
     """
+    require_uniform(mu)
     los = np.atleast_2d(np.asarray(los, dtype=float))
     his = np.atleast_2d(np.asarray(his, dtype=float))
-    if mu.uniform:
-        return mu.w0 * np.prod(his - los, axis=1)
-    out = np.empty(len(los))
-    for i, (lo, hi) in enumerate(zip(los, his)):
-        out[i] = _measure_box_float(mu, lo, hi)
-    return out
-
-
-def _measure_box_float(mu: RadonMeasure, lo: Sequence[float], hi: Sequence[float]) -> float:
-    side = 2 ** mu.level
-    axes = []
-    for k in range(mu.dim):
-        edges = np.linspace(mu.universe.lo[k], mu.universe.hi[k], side + 1)
-        seg = np.minimum(hi[k], edges[1:]) - np.maximum(lo[k], edges[:-1])
-        axes.append(np.maximum(seg, 0.0))
-    if mu.dim == 1:
-        return float(np.dot(mu.values, axes[0]))
-    if mu.dim == 2:
-        return float(np.einsum("ij,i,j->", mu.values, axes[0], axes[1]))
-    return float(np.einsum("ijk,i,j,k->", mu.values, axes[0], axes[1], axes[2]))
+    return mu.w0 * np.prod(his - los, axis=1)
 
 
 def ball_volume(kind: NormKind, dim: int, r: float) -> float:

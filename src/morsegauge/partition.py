@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DepthExceeded
 from .geometry import Box, Gauge, NormKind, norm_batch, norm_ratio
-from .measure import RadonMeasure, measure_box_batch
+from .measure import RadonMeasure, measure_box_batch, require_uniform
 
 # cells per chunk of every family walk: large enough that numpy calls
 # amortize, small enough that the per-chunk temporaries stay a few MB
@@ -219,21 +219,6 @@ def _cube_family(omega: Box, domain_norm: NormKind, levels: np.ndarray,
                         residual_keys=residual_keys)
 
 
-def _frontier_measure(omega: Box, mu: RadonMeasure, level: int,
-                      keys: np.ndarray) -> float:
-    if len(keys) == 0:
-        return 0.0
-    if mu.uniform:
-        side = float(omega.hi[0] - omega.lo[0])
-        return mu.w0 * (side * 2.0 ** -level) ** omega.dim * len(keys)
-    parts = []
-    for start in range(0, len(keys), CHUNK_CELLS):
-        idx = _indices(level, keys[start:start + CHUNK_CELLS], omega.dim)
-        los, his, _ = _geometry(omega, level, idx)
-        parts.append(float(measure_box_batch(mu, los, his).sum()))
-    return math.fsum(parts)
-
-
 def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
                  domain_norm: NormKind = NormKind.TWO) -> TaggedFamily:
     """Level-synchronous refinement until the uncovered measure drops to eta.
@@ -245,8 +230,9 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
     its 2^d children.  The depth limit is p.max_depth, or one level above
     the key range if that is shallower, so that every refinement of the
     output still has keys.  DepthExceeded carries a sample of the stuck
-    cells with their gauge values.
+    cells with their gauge values.  The density must be uniform.
     """
+    require_uniform(mu)
     _require_square(omega)
     dim = omega.dim
     side = float(omega.hi[0] - omega.lo[0])
@@ -260,7 +246,7 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
     got = [(0, active[:0])]
     while True:
         scale = side * 2.0 ** -level
-        residual = _frontier_measure(omega, mu, level, active)
+        residual = mu.w0 * scale ** dim * len(active)
         if residual <= p.eta or len(active) == 0:
             break
         if level > limit:

@@ -4,15 +4,18 @@ Everything here compares three quantities per tagged family: the simple sum
 Sum f(tag_i) mu(S_i), the exact weighted integral, and the certified L1
 deviation Sum Int_{S_i} ||f - f(tag_i)|| plus residual and tail mass.  The
 theorem verifier builds the gauge, sieves, and asserts the accuracy chain on
-the base family and on randomized refinements; the corollary verifier reuses
-the same family for the set-function claims.  Every per-cell sum comes from
-one walk over the family's chunks, so memory stays at a few chunks however
-large the family grows.  In the theorem verifier one base walk serves all
-trials (up to TRIALS_PER_WALK refined trials per walk): it checks and sums
-each distinct cell once, base cells and the children of every cell some
-trial splits, and each trial gathers its own cells and sums them over its
-own windows, so its report and verdict are those of its built family.  The
-residual frontier, which refinement keeps, is integrated once.
+the base family and on randomized refinements.  The corollary verifier
+takes its Riemann gap and simple sum from the same walk of the gauge family
+and each family's mass Sum ||w0 Int_S f|| from a separate chunked sum,
+which the random partitions and the witness share.  Every per-cell sum
+comes from one walk over the family's chunks, so memory stays at a few
+chunks however large the family grows.  In the theorem verifier one base
+walk serves all trials (up to TRIALS_PER_WALK refined trials per walk): it
+checks and sums each distinct cell once, base cells and the children of
+every cell some trial splits, and each trial gathers its own cells and sums
+them over its own windows, so its report and verdict are those of its
+built family.  The residual frontier, which refinement keeps, is
+integrated once.
 """
 
 from __future__ import annotations
@@ -89,26 +92,23 @@ def _fsum_rows(parts: list[np.ndarray], width: int) -> np.ndarray:
     return np.array([math.fsum(col) for col in zip(*parts)])
 
 
-def _empty_values(f: CorpusFunction, n: int,
-                  deviations: bool) -> dict[str, np.ndarray]:
-    names = ("dev", "err") if deviations else ("mass",)
+def _empty_values(f: CorpusFunction, n: int) -> dict[str, np.ndarray]:
     return {"w": np.empty(n), "Fw": np.empty((n, f.dim_out)),
-            "local": np.empty(n), **{name: np.empty(n) for name in names}}
+            **{name: np.empty(n) for name in ("local", "dev", "err")}}
 
 
 def _cell_values(f: CorpusFunction, mu: RadonMeasure, universe: Box,
-                 part: Chunk, deviations: bool, vals: dict | None = None,
-                 at: int = 0, rows: np.ndarray | None = None
-                 ) -> dict[str, np.ndarray]:
+                 part: Chunk, vals: dict | None = None, at: int = 0,
+                 rows: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Every per-cell term a report sums, for the cells of part (or those
     at positions rows of it): the mass w, f(tag) w, the local error
-    ||w0 Int_S f - f(tag) w|| and either the deviation integral with its
-    certified error or the mass ||w0 Int_S f||.  Written to vals from
-    position at on (cell i of part to at + i), or to fresh arrays.  The
-    kernels run KERNEL_ROWS cells at a time, so their temporaries stay
-    small however many children a chunk's trials add."""
+    ||w0 Int_S f - f(tag) w|| and the deviation integral with its
+    certified error.  Written to vals from position at on (cell i of part
+    to at + i), or to fresh arrays.  The kernels run KERNEL_ROWS cells at a
+    time, so their temporaries stay small however many children a chunk's
+    trials add."""
     if vals is None:
-        vals = _empty_values(f, len(part.levels), deviations)
+        vals = _empty_values(f, len(part.levels))
     count = len(part.levels) if rows is None else len(rows)
     for start in range(0, count, partition.KERNEL_ROWS):
         stop = min(start + partition.KERNEL_ROWS, count)
@@ -118,13 +118,10 @@ def _cell_values(f: CorpusFunction, mu: RadonMeasure, universe: Box,
         w = vals["w"][out] = measure_box_batch(mu, los, his)
         F = f.eval_batch(tags)
         Fw = vals["Fw"][out] = F * w[:, None]
-        ints = mu.w0 * f.integral_batch(los, his)
-        vals["local"][out] = f.ynorm_rows(ints - Fw)
-        if deviations:
-            vals["dev"][out], vals["err"][out] = \
-                f.dev_integral_for_tags(los, his, tags, F)
-        else:
-            vals["mass"][out] = f.ynorm_rows(ints)
+        vals["local"][out] = f.ynorm_rows(
+            mu.w0 * f.integral_batch(los, his) - Fw)
+        vals["dev"][out], vals["err"][out] = \
+            f.dev_integral_for_tags(los, his, tags, F)
     return vals
 
 
@@ -151,8 +148,8 @@ class _Trial:
         self.width = partition.CHUNK_CELLS
         self.done = self.fill = 0
         self.pending = []
-        self.parts = {"w": [], "simple": [], "local": [], "dev": [],
-                      "err": [], "mass": []}
+        self.parts = {name: [] for name in
+                      ("w", "simple", "local", "dev", "err")}
         self.depths = np.zeros(64, dtype=np.int64)
         self.carry_w, self.carry_p = 0.0, np.zeros(f.dim_out)
         self.m0 = None
@@ -245,16 +242,15 @@ class _Trial:
                 "local": math.fsum(parts["local"]),
                 "dev": math.fsum(parts["dev"]),
                 "dev_err": math.fsum(parts["err"]),
-                "mass": math.fsum(parts["mass"]),
                 "measure": math.fsum(parts["w"]), "truncation": trunc,
                 "depth_histogram": {k: int(v) for k, v in
                                     enumerate(self.depths) if v}}
 
 
 def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
-          threshold: float | None = None, deviations: bool = True,
-          g: Gauge | None = None, eta: float | None = None,
-          chosen: list[np.ndarray] = ()) -> list[_Trial]:
+          threshold: float | None = None, g: Gauge | None = None,
+          eta: float | None = None, chosen: list[np.ndarray] = ()
+          ) -> list[_Trial]:
     """One walk over fam's chunks that sums fam and each refinement of it
     that splits the cells at the sorted positions chosen[t], without
     building the refinements.
@@ -288,8 +284,7 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
         if cells is not None and not base.check.add(c.levels, c.keys, cells):
             continue
         if not refined:
-            base.add(_cell_values(f, mu, fam.universe, c, deviations),
-                     c.levels)
+            base.add(_cell_values(f, mu, fam.universe, c), c.levels)
             continue
         k = c.start // width
         kids, piece = expand(c, [ch[b[k]:b[k + 1]] - c.start
@@ -298,8 +293,8 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
         # the pool's values: fam's cells now, then the children held by
         # trials whose checks pass
         n = len(c.levels)
-        vals = _cell_values(f, mu, fam.universe, c, deviations,
-                            _empty_values(f, n + len(kids.levels), deviations))
+        vals = _cell_values(f, mu, fam.universe, c,
+                            _empty_values(f, n + len(kids.levels)))
         base.add({name: v[:n] for name, v in vals.items()}, c.levels)
         # all trials' windows are open at once, so each array is let go as
         # soon as it is done with, which keeps the walk's peak at about
@@ -310,7 +305,7 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
             _check_pieces(c, kids, levels, piece, refined, cells, g, fam)
             cells = None
         live = [t for t, trial in enumerate(refined) if trial.summing]
-        _cell_values(f, mu, fam.universe, kids, deviations, vals, n,
+        _cell_values(f, mu, fam.universe, kids, vals, n,
                      _children_of(kids, [piece(t) for t in live], n, fan)
                      if len(live) < len(refined) else None)
         kids = None
@@ -344,19 +339,6 @@ def _children_of(kids: Chunk, sels: list[np.ndarray], n: int,
     return (fan * np.flatnonzero(held)[:, None] + np.arange(fan)).reshape(-1)
 
 
-def _family_sums(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
-                 threshold: float | None = None,
-                 deviations: bool = True) -> dict:
-    """Every per-cell sum the reports need, from one walk over the family's
-    chunks: the simple sum Sum f(tag) mu(S), the local error
-    Sum ||w0 Int_S f - f(tag) mu(S)||, the cells per level, the deviation
-    integrals and their certified errors (if `deviations` is false, the
-    family mass Sum ||w0 Int_S f|| instead) and, given a threshold, the
-    truncation profile.  Sums combine per-chunk numpy partials with
-    math.fsum."""
-    return _walk(fam, f, mu, threshold, deviations)[0].sums()
-
-
 def _residual_abs(fam: TaggedFamily, f: CorpusFunction,
                   mu: RadonMeasure) -> float:
     """w0 Sum Int ||f|| over the residual frontier."""
@@ -372,61 +354,6 @@ def _l1_parts(f: CorpusFunction, mu: RadonMeasure, sums: dict,
     return {"partition": part, "partition_error": part_err,
             "residual_abs": res, "tail_abs": tail,
             "total": part + part_err + res + tail}
-
-
-def simple_sum(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure) -> np.ndarray:
-    """Sum of f(tag) * mu(set) over the family, in canonical order."""
-    return _family_sums(fam, f, mu)["simple"]
-
-
-def l1_deviation_parts(fam: TaggedFamily, f: CorpusFunction,
-                       mu: RadonMeasure) -> dict:
-    """Certified upper bound on the L1 distance between f and its simple
-    approximation, split into partition, quadrature-error, residual, and
-    tail contributions."""
-    require_uniform(mu)
-    return _l1_parts(f, mu, _family_sums(fam, f, mu), _residual_abs(fam, f, mu))
-
-
-def local_error_sum(fam: TaggedFamily, f: CorpusFunction,
-                    mu: RadonMeasure) -> float:
-    """Sum over cells of || w0 * Int_{S_i} f - f(tag_i) mu(S_i) ||_Y."""
-    return _family_sums(fam, f, mu)["local"]
-
-
-def truncation_profile(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
-                       threshold: float) -> tuple[float, int]:
-    """Worst partial-sum error from the first canonical index at which the
-    still-uncovered measure drops under the threshold."""
-    return _family_sums(fam, f, mu, threshold)["truncation"]
-
-
-@dataclass(frozen=True)
-class SetFunction:
-    """The weighted vector integral as a function of finite box unions."""
-
-    f: CorpusFunction
-    mu: RadonMeasure
-
-    def on_box(self, b: Box) -> np.ndarray:
-        inter = self.mu.universe.intersect(b)
-        if inter is None:
-            return np.zeros(self.f.dim_out)
-        return self.mu.w0 * self.f.exact_integral(inter)
-
-    def on_boxes(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """Row-wise values on disjoint boxes already inside the universe."""
-        return self.mu.w0 * self.f.integral_batch(los, his)
-
-    def total(self) -> np.ndarray:
-        return self.on_box(self.mu.universe)
-
-    def abs_total(self) -> float:
-        return self.mu.w0 * self.f.abs_total() + self.f.tail_abs
-
-
-def make_integral_set_function(f: CorpusFunction, mu: RadonMeasure) -> SetFunction:
-    return SetFunction(f, mu)
 
 
 def default_eta(f: CorpusFunction, eps: float, w0: float) -> float:
@@ -491,7 +418,7 @@ def build_report(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
                  eps: float, trial: int) -> ApproximationReport:
     """The accuracy chain of one family, from one walk over its chunks."""
     require_uniform(mu)
-    sums = _family_sums(fam, f, mu, _threshold(f, mu, eps, fam))
+    sums = _walk(fam, f, mu, _threshold(f, mu, eps, fam))[0].sums()
     return _report(f, mu, eps, trial, len(fam), fam.residual_measure, sums,
                    _residual_abs(fam, f, mu))
 
@@ -591,16 +518,19 @@ class CorollaryReport:
                 "pass_flags": self.pass_flags}
 
 
-def _family_mass(G: SetFunction, fam: TaggedFamily) -> float:
-    return math.fsum(float(G.f.ynorm_rows(G.on_boxes(c.los, c.his)).sum())
-                     for c in fam.chunks())
+def _family_mass(f: CorpusFunction, mu: RadonMeasure,
+                 fam: TaggedFamily) -> float:
+    """Sum ||w0 Int_S f|| over the family's cells."""
+    return math.fsum(float(f.ynorm_rows(
+        mu.w0 * f.integral_batch(c.los, c.his)).sum()) for c in fam.chunks())
 
 
 def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
                      seed: int = 0, domain_norm: NormKind = NormKind.TWO,
                      n_random: int = 20,
                      base: TaggedFamily | None = None) -> CorollaryReport:
-    """Set-function form of the approximation statement.
+    """Set-function form of the approximation statement, for the set
+    function G(S) = w0 Int_S f.
 
     (a) the local Riemann gap against G stays under eps on a gauge-fine
     family; (b) every disjoint family keeps Sum ||G(S_i)|| under the total
@@ -611,7 +541,6 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
     from .partition import random_dyadic_partition
 
     require_uniform(mu)
-    G = make_integral_set_function(f, mu)
     if base is None:
         p = GaugeBuildParams(eps=eps, domain_norm=domain_norm)
         g = build_gauge(f, mu, p)
@@ -619,28 +548,29 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
                          max_depth=default_sieve_depth(f.dim_in))
         base = dyadic_sieve(mu.universe, g, mu, sp, domain_norm)
 
-    sums = _family_sums(base, f, mu, deviations=False)
+    sums = _walk(base, f, mu)[0].sums()
     riemann_gap = sums["local"]
-    abs_total = G.abs_total()
+    abs_total = mu.w0 * f.abs_total() + f.tail_abs
 
     rng = np.random.default_rng(seed)
-    worst = sums["mass"]
+    worst = _family_mass(f, mu, base)
     for _ in range(n_random):
         fam = random_dyadic_partition(mu.universe, rng,
                                       max_level=min(6, default_sieve_depth(f.dim_in)),
                                       domain_norm=domain_norm)
-        worst = max(worst, _family_mass(G, fam))
+        worst = max(worst, _family_mass(f, mu, fam))
 
     witness_level = max(1, f.aligned_depth)
     witness = random_dyadic_partition(mu.universe, rng,
                                       max_level=witness_level, stop_prob=0.0,
                                       domain_norm=domain_norm)
-    witness_mass = _family_mass(G, witness)
+    witness_mass = _family_mass(f, mu, witness)
 
     residual_vec = mu.w0 * _fsum_rows(
         [f.integral_batch(los, his).sum(axis=0)
          for los, his in base.residual_boxes()], f.dim_out)
-    recon = float(f.ynorm(G.total() - sums["simple"] - residual_vec))
+    recon = float(f.ynorm(mu.w0 * f.exact_integral(mu.universe)
+                          - sums["simple"] - residual_vec))
 
     flags = {
         "riemann_gap_lt_eps": riemann_gap < eps,

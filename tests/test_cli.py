@@ -207,6 +207,10 @@ def assert_rejected(argv, tmp_path, capsys):
     pytest.param(["run-corollary", "--fn", "linear1", "--eps", "nan"],
                  id="corollary-eps-nan"),
     pytest.param(["lebesgue-map", "--fn", "linear1", "--grid", "0"], id="grid-zero"),
+    pytest.param(["lebesgue-map", "--fn", "checker2d", "--grid", "100000"],
+                 id="grid-2d-too-many-points"),
+    pytest.param(["lebesgue-map", "--fn", "linear1", "--grid", "1000000000"],
+                 id="grid-1d-too-many-points"),
     pytest.param(["run-theorem", "--fn", "linear1", "--density", "{graded}"],
                  id="theorem-graded-density"),
     pytest.param(["run-corollary", "--fn", "linear1", "--density", "{graded}"],

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from morsegauge.corpus import corpus_function, corpus_names
-from morsegauge.errors import OutOfUniverse
-from morsegauge.geometry import Box, NormKind
+from morsegauge.errors import OutOfUniverse, PreconditionUncertified
+from morsegauge.geometry import Box, Gauge, NormKind
 from morsegauge.measure import (
     RadonMeasure,
     annulus_measure,
@@ -17,6 +17,7 @@ from morsegauge.measure import (
     measure_box_clipped,
     measure_box_exact,
 )
+from morsegauge.partition import SieveParams, dyadic_sieve
 
 UNIT_1D = Box(lo=(0.0,), hi=(1.0,))
 SYM_1D = Box(lo=(-4.0,), hi=(4.0,))
@@ -65,12 +66,22 @@ def test_dyadic_additivity_is_exact(rng):
 
 
 def test_measure_box_batch_matches_scalar(rng):
-    mu = RadonMeasure.from_grid(UNIT_1D, 2, [1.0, 2.0, 4.0, 8.0])
+    mu = RadonMeasure.from_grid(UNIT_1D, 2, [3.0] * 4)
     los = rng.uniform(0.0, 0.5, size=(10, 1))
     his = los + rng.uniform(0.05, 0.5, size=(10, 1))
     got = measure_box_batch(mu, los, his)
     want = [measure_box(mu, Box(lo=tuple(a), hi=tuple(b))) for a, b in zip(los, his)]
     assert np.allclose(got, want, rtol=1e-12)
+
+
+def test_float_paths_reject_a_graded_density():
+    # the float batch path and the sieve measure uniform densities only;
+    # a graded one is refused, not measured as if its first value held
+    mu = RadonMeasure.from_grid(UNIT_1D, 2, [1.0, 2.0, 4.0, 8.0])
+    with pytest.raises(PreconditionUncertified):
+        measure_box_batch(mu, np.array([[0.0]]), np.array([[0.5]]))
+    with pytest.raises(PreconditionUncertified):
+        dyadic_sieve(UNIT_1D, Gauge.constant(1.0), mu, SieveParams(eta=0.1))
 
 
 def test_from_file_json(tmp_path):

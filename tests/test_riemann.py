@@ -28,11 +28,6 @@ from morsegauge.riemann import (
     build_report,
     default_eta,
     default_sieve_depth,
-    l1_deviation_parts,
-    local_error_sum,
-    make_integral_set_function,
-    simple_sum,
-    truncation_profile,
     verify_corollary,
     verify_theorem,
 )
@@ -56,15 +51,15 @@ def test_single_cell_linear1(rng):
     mu = unit(f)
     fam = full_partition(f, rng, 0)
     assert len(fam) == 1
-    assert simple_sum(fam, f, mu)[0] == pytest.approx(0.5)
-    parts = l1_deviation_parts(fam, f, mu)
+    rep = build_report(fam, f, mu, eps=0.1, trial=0)
+    assert rep.simple[0] == pytest.approx(0.5)
     # int |x - 1/2| over [0,1] = 1/4, no residual, no tail
-    assert parts["partition"] == pytest.approx(0.25)
-    assert parts["partition_error"] == 0.0
-    assert parts["residual_abs"] == 0.0
-    assert parts["total"] == pytest.approx(0.25)
+    assert rep.l1_partition == pytest.approx(0.25)
+    assert rep.l1_partition_error == 0.0
+    assert rep.residual_abs == 0.0
+    assert rep.l1_total == pytest.approx(0.25)
     # midpoint tag integrates x exactly on each cell
-    assert local_error_sum(fam, f, mu) == pytest.approx(0.0, abs=1e-15)
+    assert rep.local_error_sum == pytest.approx(0.0, abs=1e-15)
 
 
 def test_two_cell_truncation_profile(rng):
@@ -73,11 +68,11 @@ def test_two_cell_truncation_profile(rng):
     fam = full_partition(f, rng, 1)
     assert len(fam) == 2
     # threshold 1/2: the first cell alone is allowed to stand in
-    err, idx = truncation_profile(fam, f, mu, threshold=0.5)
+    err, idx = riemann._walk(fam, f, mu, 0.5)[0].sums()["truncation"]
     assert err == pytest.approx(0.375)  # |1/2 - 1/8|
     assert idx == 0
     # threshold 0: must take both cells, and they reproduce the integral
-    err0, idx0 = truncation_profile(fam, f, mu, threshold=0.0)
+    err0, idx0 = riemann._walk(fam, f, mu, 0.0)[0].sums()["truncation"]
     assert err0 == pytest.approx(0.0, abs=1e-15)
     assert idx0 == 1
 
@@ -89,17 +84,17 @@ def test_simple_sum_empty_family():
 
     fam = dyadic_sieve(f.universe, Gauge.constant(1.0), mu, SieveParams(eta=2.0))
     assert len(fam) == 0
-    assert np.array_equal(simple_sum(fam, f, mu), np.zeros(2))
+    rep = build_report(fam, f, mu, eps=0.1, trial=0)
+    assert np.array_equal(rep.simple, np.zeros(2))
 
 
 def test_set_function_values():
     f = corpus_function("linear1")
-    G = make_integral_set_function(f, unit(f))
-    assert G.total()[0] == pytest.approx(0.5)
-    assert G.abs_total() == pytest.approx(0.5)
-    assert G.on_box(Box((0.0,), (0.5,)))[0] == pytest.approx(0.125)
-    got = G.on_boxes(np.array([[0.0], [0.5]]), np.array([[0.5], [1.0]]))
+    assert f.exact_integral(f.universe)[0] == pytest.approx(0.5)
+    assert f.exact_integral(Box((0.0,), (0.5,)))[0] == pytest.approx(0.125)
+    got = f.integral_batch(np.array([[0.0], [0.5]]), np.array([[0.5], [1.0]]))
     assert got[:, 0] == pytest.approx([0.125, 0.375])
+    assert verify_corollary(f, unit(f), 0.1).abs_total == pytest.approx(0.5)
 
 
 def test_defaults():
@@ -446,18 +441,6 @@ def test_residual_is_integrated_once_per_sieve(monkeypatch):
     assert len(calls) == len(yielded) > 0
     assert reports[0].residual_abs > 0
     assert len({r.residual_abs for r in reports}) == 1
-
-
-@pytest.mark.parametrize("name,eps", [("spike1", 0.3), ("step2", 0.1)])
-def test_corollary_mass_from_the_sum_walk(name, eps):
-    # verify_corollary takes the gauge family's mass from its sum walk;
-    # it must be the same bits as the set-function walk the random
-    # partitions use
-    f = corpus_function(name)
-    mu = unit(f)
-    _, _, base = sieved(f, eps)
-    want = riemann._family_mass(make_integral_set_function(f, mu), base)
-    assert riemann._family_sums(base, f, mu, deviations=False)["mass"] == want
 
 
 def test_coarse_family_fails_the_bounds_honestly(rng):
