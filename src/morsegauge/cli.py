@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +33,8 @@ _LAMBDA_CHOICES = ("1", "sqrt2", "sqrt3")
 _SABOTAGE_CHOICES = ("inflate-delta", "overlap-cells", "offcenter-tags")
 # most points (grid ** dim) lebesgue-map tabulates; its memory grows with them
 _MAX_MAP_POINTS = 1 << 20
+# lebesgue-map rows turned into Python floats at a time
+_MAP_CHUNK_ROWS = 4096
 
 
 def _fmt(v) -> str:
@@ -40,10 +43,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write each row as it comes, so a generator keeps memory flat."""
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -188,8 +193,9 @@ def cmd_lebesgue_map(args, f, mu) -> int:
     deltas = g.delta_batch(X)
 
     header = [f"x{k}" for k in range(f.dim_in)] + ["delta"]
-    rows = [[*(float(c) for c in X[i]), float(deltas[i])]
-            for i in range(len(X))]
+    rows = (row for i in range(0, len(X), _MAP_CHUNK_ROWS)
+            for row in np.column_stack((X[i:i + _MAP_CHUNK_ROWS],
+                                        deltas[i:i + _MAP_CHUNK_ROWS])).tolist())
     _write_csv(out / "lebesgue_map.csv", header, rows)
     _write_json(out / "report.json",
                 {"command": "lebesgue-map", "fn": f.name, "eps": eps,

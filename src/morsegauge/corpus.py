@@ -4,7 +4,9 @@ Each entry is a vector-valued function on a bounded universe box together
 with everything the pipeline needs in certified form: closed-form box
 integrals, absolute integrals, mean-deviation certificates for centered
 cubes, declared jump pieces with their one-sided values, and the
-absolute-continuity modulus.
+absolute-continuity modulus.  The piecewise-constant entries are value
+tables on a rectilinear grid of the universe, and every oracle of theirs
+is derived from the table.
 
 Conventions that the rest of the package leans on:
 
@@ -20,6 +22,7 @@ Conventions that the rest of the package leans on:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,20 +91,15 @@ class CorpusFunction:
     def abs_total(self) -> float:
         return self.exact_abs_integral(self.universe)
 
-    def dev_integral_batch(self, los, his, V) -> tuple[np.ndarray, np.ndarray]:
+    def dev_integral_for_tags(self, los, his, tags, V) -> tuple[np.ndarray, np.ndarray]:
         """Per-box integral of ||f - v||_Y with a certified error split.
 
         Returns (values, error_bounds); truth lies in [v - e, v + e]
-        component-wise.  For entries without a closed form the boxes must be
-        centered on their tags (the pipeline's only use).
+        component-wise.  The windows are centered on their tags unless the
+        universe clips them; entries whose oracle depends on the window's
+        shape read the tags, the others ignore them.
         """
         raise NotImplementedError
-
-    def dev_integral_for_tags(self, los, his, tags, V) -> tuple[np.ndarray, np.ndarray]:
-        """Deviation integrals for windows that may be clipped off-center
-        around their tags.  Entries with window-shape-free oracles inherit
-        the plain batch path."""
-        return self.dev_integral_batch(los, his, V)
 
     # -- jump metadata ------------------------------------------------------
 
@@ -158,99 +156,128 @@ def _overlap_1d(los, his, a, b):
 
 
 class _PiecewiseConstant(CorpusFunction):
-    """Shared machinery for piecewise-constant entries.
+    """A value table on a rectilinear grid of the universe.
 
-    Subclasses define _pieces (list of (Box, value)) and the jump set.
+    cuts[k] lists the interior grid lines on axis k in increasing order and
+    values the cell values in C order (axis 0 slowest).  A point on a cut
+    takes the value of the cell above it, or jump_value where that is set.
+    The jump set is the cuts inside the universe, declared one cell face at
+    a time.
     """
+
+    cuts: tuple
+    values: tuple
+    jump_value = None
 
     def __init__(self, y_norm: NormKind = NormKind.TWO):
         super().__init__(y_norm)
-        self._pieces = self._build_pieces()
-
-    def _build_pieces(self):
-        raise NotImplementedError
+        self._values = np.asarray(self.values, dtype=float)
+        self._values.setflags(write=False)
+        self.sup_norm = max(self.ynorm(v) for v in self._values)
+        # the (lo, hi) of every cell along each axis
+        self._spans = []
+        for a, b, cuts in zip(self.universe.lo, self.universe.hi, self.cuts):
+            edges = (a, *cuts, b)
+            self._spans.append(list(zip(edges[:-1], edges[1:])))
+        cells = itertools.product(*self._spans)
+        self._pieces = [(Box(*zip(*cell)), v) for cell, v in zip(cells, self._values)]
 
     def piece_structure(self):
         return list(self._pieces)
+
+    def eval_batch(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        cell = np.zeros(len(X), dtype=np.intp)
+        for k, cuts in enumerate(self.cuts):
+            # counting the cuts at or below x puts a point on a cut in the
+            # upper cell; a contiguous column keeps the comparisons cheap
+            col = np.ascontiguousarray(X[:, k])
+            cell *= len(cuts) + 1
+            for c in cuts:
+                cell += col >= c
+        out = self._values.take(cell, axis=0)
+        if self.jump_value is not None:
+            out[self.on_discontinuity_batch(X)] = self.jump_value
+        return out
+
+    def discontinuities(self):
+        """One piece per cell face on a cut, valued by eval at its centre:
+        axis by axis, cut by cut, the faces in C order."""
+        pieces = []
+        for k, cuts in enumerate(self.cuts):
+            for c in cuts:
+                spans = [[(c, c)] if j == k else s
+                         for j, s in enumerate(self._spans)]
+                for face in itertools.product(*spans):
+                    region = Box(*zip(*face))
+                    pieces.append(DiscPiece(region, self.eval(region.center())))
+        return pieces
+
+    def on_discontinuity_batch(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        hit = np.zeros(len(X), dtype=bool)
+        inside = np.ones(len(X), dtype=bool)
+        for k, cuts in enumerate(self.cuts):
+            for c in cuts:
+                hit |= X[:, k] == c
+            inside &= (X[:, k] >= self.universe.lo[k]) & (X[:, k] <= self.universe.hi[k])
+        return hit & inside
+
+    def dist_inf_batch(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        out = np.full(len(X), np.inf)
+        for k, cuts in enumerate(self.cuts):
+            for c in cuts:
+                np.minimum(out, np.abs(X[:, k] - c), out=out)
+        return out
+
+    def certified_halfside_batch(self, X, budgets):
+        # zero deviation up to the jump set, at any scale
+        return self.dist_inf_batch(X)
+
+    def _overlap(self, los, his, box):
+        """Each window's overlap volume with one cell."""
+        ov = np.ones(len(los))
+        for k in range(self.dim_in):
+            ov = ov * _overlap_1d(los[:, k], his[:, k], box.lo[k], box.hi[k])
+        return ov
 
     def integral_batch(self, los, his):
         los = np.atleast_2d(los); his = np.atleast_2d(his)
         out = np.zeros((len(los), self.dim_out))
         for box, val in self._pieces:
-            ov = np.ones(len(los))
-            for k in range(self.dim_in):
-                ov = ov * _overlap_1d(los[:, k], his[:, k], box.lo[k], box.hi[k])
-            out += ov[:, None] * np.asarray(val, dtype=float)[None, :]
+            out += self._overlap(los, his, box)[:, None] * val[None, :]
         return out
 
     def abs_integral_batch(self, los, his):
         los = np.atleast_2d(los); his = np.atleast_2d(his)
         out = np.zeros(len(los))
         for box, val in self._pieces:
-            ov = np.ones(len(los))
-            for k in range(self.dim_in):
-                ov = ov * _overlap_1d(los[:, k], his[:, k], box.lo[k], box.hi[k])
-            out += ov * self.ynorm(val)
+            out += self._overlap(los, his, box) * self.ynorm(val)
         return out
 
-    def dev_integral_batch(self, los, his, V):
+    def dev_integral_for_tags(self, los, his, tags, V):
         los = np.atleast_2d(los); his = np.atleast_2d(his)
         V = np.atleast_2d(np.asarray(V, dtype=float))
         out = np.zeros(len(los))
         for box, val in self._pieces:
-            ov = np.ones(len(los))
-            for k in range(self.dim_in):
-                ov = ov * _overlap_1d(los[:, k], his[:, k], box.lo[k], box.hi[k])
-            dev = self.ynorm_rows(np.asarray(val, dtype=float)[None, :] - V)
-            out += ov * dev
+            out += self._overlap(los, his, box) * self.ynorm_rows(val[None, :] - V)
         return out, np.zeros(len(los))
-
-    def certified_halfside_batch(self, X, budgets):
-        # zero deviation up to the jump set, at any scale
-        return self.dist_inf_batch(X)
 
 
 # --------------------------------------------------------------------------
 # entries
 
-class ConstantFn(CorpusFunction):
+class ConstantFn(_PiecewiseConstant):
     """f == (0.6, -0.8) on [0, 1]."""
 
     name = "constant"
     dim_in = 1
     dim_out = 2
     universe = Box((0.0,), (1.0,))
-    value = (0.6, -0.8)
+    cuts = ((),)
+    values = ((0.6, -0.8),)
     aligned_depth = 0
-
-    def __init__(self, y_norm: NormKind = NormKind.TWO):
-        super().__init__(y_norm)
-        self.sup_norm = self.ynorm(self.value)
-
-    def eval_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.tile(np.asarray(self.value, dtype=float), (len(X), 1))
-
-    def integral_batch(self, los, his):
-        los = np.atleast_2d(los); his = np.atleast_2d(his)
-        lens = (his - los).prod(axis=1)
-        return lens[:, None] * np.asarray(self.value, dtype=float)[None, :]
-
-    def abs_integral_batch(self, los, his):
-        los = np.atleast_2d(los); his = np.atleast_2d(his)
-        return (his - los).prod(axis=1) * self.sup_norm
-
-    def dev_integral_batch(self, los, his, V):
-        los = np.atleast_2d(los); his = np.atleast_2d(his)
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        dev = self.ynorm_rows(np.asarray(self.value, dtype=float)[None, :] - V)
-        return (his - los).prod(axis=1) * dev, np.zeros(len(los))
-
-    def certified_halfside_batch(self, X, budgets):
-        return np.full(len(np.atleast_2d(X)), np.inf)
-
-    def piece_structure(self):
-        return [(self.universe, np.asarray(self.value, dtype=float))]
 
 
 class Linear1Fn(CorpusFunction):
@@ -276,7 +303,7 @@ class Linear1Fn(CorpusFunction):
         los = np.atleast_2d(los); his = np.atleast_2d(his)
         return 0.5 * (his[:, 0] ** 2 - los[:, 0] ** 2)
 
-    def dev_integral_batch(self, los, his, V):
+    def dev_integral_for_tags(self, los, his, tags, V):
         los = np.atleast_2d(los)[:, 0]; his = np.atleast_2d(his)[:, 0]
         v = np.atleast_2d(np.asarray(V, dtype=float))[:, 0]
         c = np.clip(v, los, his)
@@ -297,35 +324,9 @@ class Step2Fn(_PiecewiseConstant):
     dim_in = 1
     dim_out = 2
     universe = Box((0.0,), (1.0,))
-    sup_norm = 1.0
-    cut = 0.5
-    jump_value = (0.0, 1.0)
+    cuts = ((0.5,),)
+    values = ((1.0, 0.0), (0.0, 1.0))
     aligned_depth = 1
-
-    def _build_pieces(self):
-        return [(Box((0.0,), (self.cut,)), np.array([1.0, 0.0])),
-                (Box((self.cut,), (1.0,)), np.array([0.0, 1.0]))]
-
-    def eval_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.zeros((len(X), 2))
-        left = X[:, 0] < self.cut
-        out[left] = [1.0, 0.0]
-        out[~left] = [0.0, 1.0]
-        out[X[:, 0] == self.cut] = np.asarray(self.jump_value, dtype=float)
-        return out
-
-    def discontinuities(self):
-        return [DiscPiece(Box((self.cut,), (self.cut,)),
-                          np.asarray(self.jump_value, dtype=float))]
-
-    def on_discontinuity_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X[:, 0] == self.cut
-
-    def dist_inf_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.abs(X[:, 0] - self.cut)
 
 
 class Step2AvgFn(Step2Fn):
@@ -343,27 +344,9 @@ class Sign1Fn(_PiecewiseConstant):
     dim_in = 1
     dim_out = 1
     universe = Box((-1.0,), (1.0,))
-    sup_norm = 1.0
+    cuts = ((0.0,),)
+    values = ((-1.0,), (1.0,))
     aligned_depth = 1
-
-    def _build_pieces(self):
-        return [(Box((-1.0,), (0.0,)), np.array([-1.0])),
-                (Box((0.0,), (1.0,)), np.array([1.0]))]
-
-    def eval_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.where(X[:, :1] >= 0.0, 1.0, -1.0)
-
-    def discontinuities(self):
-        return [DiscPiece(Box((0.0,), (0.0,)), np.array([1.0]))]
-
-    def on_discontinuity_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X[:, 0] == 0.0
-
-    def dist_inf_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.abs(X[:, 0])
 
 
 class Checker2DFn(_PiecewiseConstant):
@@ -378,65 +361,9 @@ class Checker2DFn(_PiecewiseConstant):
     dim_in = 2
     dim_out = 1
     universe = Box((0.0, 0.0), (1.0, 1.0))
-    sup_norm = 1.0
-    grid = 4
+    cuts = ((0.25, 0.5, 0.75),) * 2
+    values = tuple((float((i + j) % 2),) for i in range(4) for j in range(4))
     aligned_depth = 2
-
-    def _build_pieces(self):
-        g = self.grid
-        out = []
-        for i in range(g):
-            for j in range(g):
-                val = float((i + j) % 2)
-                out.append((Box((i / g, j / g), ((i + 1) / g, (j + 1) / g)),
-                            np.array([val])))
-        return out
-
-    def _cell_index(self, coords: np.ndarray) -> np.ndarray:
-        return np.minimum(self.grid - 1, np.floor(self.grid * coords)).astype(int)
-
-    def eval_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        i = self._cell_index(X[:, 0])
-        j = self._cell_index(X[:, 1])
-        return (((i + j) % 2).astype(float))[:, None]
-
-    def discontinuities(self):
-        g = self.grid
-        pieces = []
-        for axis in range(2):
-            for line in range(1, g):
-                c = line / g
-                for seg in range(g):
-                    a, b = seg / g, (seg + 1) / g
-                    if axis == 0:
-                        region = Box((c, a), (c, b))
-                        probe = (c, 0.5 * (a + b))
-                    else:
-                        region = Box((a, c), (b, c))
-                        probe = (0.5 * (a + b), c)
-                    pieces.append(DiscPiece(region, self.eval(probe)))
-        return pieces
-
-    def on_discontinuity_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        g = self.grid
-        hit = np.zeros(len(X), dtype=bool)
-        for line in range(1, g):
-            c = line / g
-            hit |= (X[:, 0] == c) | (X[:, 1] == c)
-        inside = np.ones(len(X), dtype=bool)
-        for k in range(2):
-            inside &= (X[:, k] >= 0.0) & (X[:, k] <= 1.0)
-        return hit & inside
-
-    def dist_inf_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        g = self.grid
-        lines = np.array([line / g for line in range(1, g)])
-        d0 = np.abs(X[:, 0][:, None] - lines[None, :]).min(axis=1)
-        d1 = np.abs(X[:, 1][:, None] - lines[None, :]).min(axis=1)
-        return np.minimum(d0, d1)
 
 
 class Lipschitz2DFn(CorpusFunction):
@@ -463,7 +390,7 @@ class Lipschitz2DFn(CorpusFunction):
         # f >= 0 on the universe
         return self.integral_batch(los, his)[:, 0]
 
-    def dev_integral_batch(self, los, his, V):
+    def _centred_dev_integral(self, los, his, V):
         """Centered boxes only: interval certificate from the gradient
         bound, sharpened from below by the exact signed integral."""
         los = np.atleast_2d(np.asarray(los, dtype=float))
@@ -490,8 +417,8 @@ class Lipschitz2DFn(CorpusFunction):
         vals = np.empty(len(los))
         errs = np.empty(len(los))
         if centered.any():
-            v, e = self.dev_integral_batch(los[centered], his[centered],
-                                           V[centered, None])
+            v, e = self._centred_dev_integral(los[centered], his[centered],
+                                              V[centered, None])
             vals[centered] = v
             errs[centered] = e
         rest = ~centered
@@ -574,7 +501,7 @@ class Spike1Fn(CorpusFunction):
         straddle = sa + sb
         return np.where((a < 0) & (b > 0), straddle, same_side)
 
-    def dev_integral_batch(self, los, his, V):
+    def dev_integral_for_tags(self, los, his, tags, V):
         """Exact for boxes on one side of the singularity."""
         a = np.atleast_2d(los)[:, 0]; b = np.atleast_2d(his)[:, 0]
         v = np.atleast_2d(np.asarray(V, dtype=float))[:, 0]

@@ -117,7 +117,7 @@ class NullTube:
                 "budget": self.budget}
 
 
-def _tube_boxes(f: CorpusFunction, pieces, w: float) -> list[Box]:
+def _tube_boxes(pieces, w: float) -> list[Box]:
     out = []
     for piece in pieces:
         lo = tuple(a - w for a in piece.region.lo)
@@ -167,14 +167,14 @@ def build_null_tubes(f: CorpusFunction, eps: float, mu: RadonMeasure,
     for n, pieces in sorted(groups.items()):
         target = 0.99 * tube_safety * eps / (n * 2.0 ** (n + 2))
         w_lo, w_hi = 0.0, 1.0
-        if _tube_measure(mu, _tube_boxes(f, pieces, w_hi)) <= target:
+        if _tube_measure(mu, _tube_boxes(pieces, w_hi)) <= target:
             widths[n] = w_hi
             continue
         for _ in range(200):
             mid = 0.5 * (w_lo + w_hi)
             if mid <= _WIDTH_FLOOR:
                 break
-            if _tube_measure(mu, _tube_boxes(f, pieces, mid)) <= target:
+            if _tube_measure(mu, _tube_boxes(pieces, mid)) <= target:
                 w_lo = mid
             else:
                 w_hi = mid
@@ -191,7 +191,7 @@ def build_null_tubes(f: CorpusFunction, eps: float, mu: RadonMeasure,
         mass = 0.0
         meas = 0.0
         for n, pieces in groups.items():
-            boxes = _tube_boxes(f, pieces, scale * widths[n])
+            boxes = _tube_boxes(pieces, scale * widths[n])
             mass += _tube_abs_mass(f, mu, boxes)
             meas += _tube_measure(mu, boxes)
         return mass <= mass_cap and meas <= meas_cap
@@ -214,7 +214,7 @@ def build_null_tubes(f: CorpusFunction, eps: float, mu: RadonMeasure,
     tubes = []
     for n, pieces in sorted(groups.items()):
         w = scale * widths[n]
-        boxes = tuple(_tube_boxes(f, pieces, w))
+        boxes = tuple(_tube_boxes(pieces, w))
         meas = _tube_measure(mu, boxes)
         budget = tube_safety * eps / (n * 2.0 ** (n + 2))
         if not meas < budget:

@@ -28,13 +28,13 @@ import numpy as np
 
 from .corpus import CorpusFunction
 from .errors import BoundViolated
-from .gauge import GaugeBuildParams, build_gauge, shell_budget, soundness_sweep
+from .gauge import GaugeBuildParams, build_gauge, soundness_sweep
 from .geometry import Box, Gauge, NormKind
 from .measure import RadonMeasure, measure_box_batch, require_uniform
 from . import partition
 from .partition import (CellChecks, Chunk, FamilyCheck, SieveParams,
                         TaggedFamily, check_cells, dyadic_sieve, expand,
-                        refinement_choice)
+                        random_dyadic_partition, refinement_choice)
 
 _REL = 1e-9
 # refined trials one walk of the base family carries; more trials take more
@@ -538,8 +538,6 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
     a piece-aligned witness gets within eps/2 of it; (c) the simple sum plus
     residual correction reconstructs G(universe) within 2 eps.
     """
-    from .partition import random_dyadic_partition
-
     require_uniform(mu)
     if base is None:
         p = GaugeBuildParams(eps=eps, domain_norm=domain_norm)

@@ -1,9 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from morsegauge import cli
 from morsegauge.cli import main
+from morsegauge.corpus import corpus_function
+from morsegauge.gauge import GaugeBuildParams, build_gauge
+from morsegauge.measure import RadonMeasure
 
 
 def run(args):
@@ -121,6 +126,24 @@ def test_lebesgue_map(tmp_path):
     blob = json.loads((out / "report.json").read_text())
     assert blob["grid"] == 16
     assert 0 < blob["delta_min"] <= blob["delta_max"] <= 1
+
+
+def test_lebesgue_map_rows_span_write_chunks(tmp_path):
+    """Every row of a map written in several chunks is the gauge at its
+    grid point, in grid order, printed with %.17g."""
+    out = tmp_path / "m"
+    assert run(["lebesgue-map", "--fn", "checker2d", "--eps", "0.1",
+                "--grid", "100", "--out", str(out)]) == 0
+    f = corpus_function("checker2d")
+    g = build_gauge(f, RadonMeasure.unit(f.universe), GaugeBuildParams(eps=0.1))
+    axis = np.linspace(0.0, 1.0, 100, endpoint=False) + 0.005
+    X = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")],
+                 axis=-1)
+    assert len(X) > 2 * cli._MAP_CHUNK_ROWS
+    want = ["x0,x1,delta"] + [
+        ",".join("%.17g" % v for v in (*x, d))
+        for x, d in zip(X.tolist(), g.delta_batch(X).tolist())]
+    assert (out / "lebesgue_map.csv").read_text() == "\n".join(want) + "\n"
 
 
 def test_unknown_fn_rejected():

@@ -6,6 +6,7 @@ an independent route: brute midpoint sums in 1-d, the adaptive quadrature
 engine in 2-d, and direct sampling for the certificates.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -150,7 +151,8 @@ def test_dev_integral_vs_brute_1d(name, rng):
         a, b = random_window(f, rng)
         v = f.eval(rng.uniform(f.universe.lo, f.universe.hi))
         v = v + rng.normal(scale=0.3, size=v.shape)
-        got, err = f.dev_integral_batch(a[None], b[None], v[None])
+        got, err = f.dev_integral_for_tags(a[None], b[None], 0.5 * (a + b)[None],
+                                           v[None])
         want = brute_mean_dev(f, a, b, v)
         assert abs(got[0] - want) <= err[0] + 2e-4, name
 
@@ -161,7 +163,8 @@ def test_dev_integral_spike_one_sided(rng):
         a = rng.uniform(0.05, 0.8)
         b = rng.uniform(a + 0.05, 1.0)
         v = np.array([rng.uniform(0.0, 3.0)])
-        got, err = f.dev_integral_batch(np.array([[a]]), np.array([[b]]), v[None])
+        got, err = f.dev_integral_for_tags(np.array([[a]]), np.array([[b]]),
+                                           np.array([[0.5 * (a + b)]]), v[None])
         want = brute_mean_dev(f, (a,), (b,), v)
         assert abs(got[0] - want) <= err[0] + 2e-4
 
@@ -173,7 +176,7 @@ def test_dev_integral_lipschitz_encloses_truth(rng):
         h = rng.uniform(0.01, min(c.min(), (1 - c).min()))
         a, b = c - h, c + h
         v = f.eval(c)
-        got, err = f.dev_integral_batch(a[None], b[None], v[None])
+        got, err = f.dev_integral_for_tags(a[None], b[None], c[None], v[None])
         # midpoint lattice estimate of the true deviation integral
         n = 81
         g = np.linspace(0, 1, n, endpoint=False) + 0.5 / n
@@ -186,7 +189,8 @@ def test_dev_integral_lipschitz_encloses_truth(rng):
 def test_dev_integral_zero_at_own_value():
     f = corpus_function("step2")
     a, b = np.array([0.0]), np.array([0.5])
-    got, err = f.dev_integral_batch(a[None], b[None], np.array([[1.0, 0.0]]))
+    got, err = f.dev_integral_for_tags(a[None], b[None], 0.5 * (a + b)[None],
+                                       np.array([[1.0, 0.0]]))
     assert got[0] == 0.0 and err[0] == 0.0
 
 
@@ -342,3 +346,117 @@ def test_piece_structures():
     assert corpus_function("lipschitz2d").piece_structure() is None
     assert corpus_function("spike1").piece_structure() is None
 
+
+# ---------------------------------------------------------------------------
+# piecewise-constant entries, pinned bit for bit
+# ---------------------------------------------------------------------------
+
+# interior cuts per axis, spelled out here so the pin does not read them
+# from the entries it pins
+PIECEWISE_CUTS = {"constant": (), "step2": (0.5,), "step2_avg": (0.5,),
+                  "sign1": (0.0,), "checker2d": (0.25, 0.5, 0.75)}
+
+
+def _pin_coords(f, cuts):
+    """Axis coordinates in the universe: its ends, every cut with its two
+    float neighbours, both zeros and two tiny negatives, and a few interior
+    points; -0.0 and 0.0 are kept apart."""
+    lo, hi = f.universe.lo[0], f.universe.hi[0]
+    out = [lo, hi, 0.0, -0.0, -2.0 ** -55, -5e-324]
+    for c in cuts:
+        out += [c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf)]
+    out += [lo + (hi - lo) * k / 7 for k in range(1, 7)]
+    unique = {v.hex(): v for v in out if lo <= v <= hi}
+    return sorted(unique.values())
+
+
+def _pin_inputs(f, cuts):
+    """Points on the closed universe, the same plus points outside it, and
+    windows in the universe whose ends are cuts, its ends or interior
+    points."""
+    lo, hi = f.universe.lo[0], f.universe.hi[0]
+    around = _pin_coords(f, cuts) + [lo - 0.5, hi + 0.5]
+    X_all = np.stack([g.ravel() for g in np.meshgrid(
+        *[around] * f.dim_in, indexing="ij")], axis=-1)
+    X_in = X_all[np.all((X_all >= lo) & (X_all <= hi), axis=1)]
+    ends = sorted({lo, hi, *cuts, lo + 0.3 * (hi - lo), 0.1 * lo + 0.9 * hi})
+    spans = np.array([(a, b) for a in ends for b in ends if a < b])
+    idx = np.stack([g.ravel() for g in np.meshgrid(
+        *[np.arange(len(spans))] * f.dim_in, indexing="ij")], axis=-1)
+    return X_all, X_in, spans[idx, 0], spans[idx, 1]
+
+
+def _pin_bytes(value) -> bytes:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype}{value.shape}".encode() + value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return b"(" + b",".join(_pin_bytes(v) for v in value) + b")"
+    if hasattr(value, "region"):  # DiscPiece
+        return _pin_bytes((value.region, value.value))
+    return repr(value).encode()
+
+
+def _pin_digests(name):
+    """sha256 prefix per oracle over its outputs under the three y-norms."""
+    parts: dict[str, bytes] = {}
+    for y_norm in (NormKind.ONE, NormKind.TWO, NormKind.INF):
+        f = corpus_function(name, y_norm=y_norm)
+        X_all, X_in, los, his = _pin_inputs(f, PIECEWISE_CUTS[name])
+        tags = 0.5 * (los + his)
+        V = f.eval_batch(tags)
+        W = np.resize(np.array([0.3, -0.7]), (len(los), f.dim_out))
+        budgets = np.linspace(0.001, 0.3, len(X_all))
+        got = {
+            "eval": f.eval_batch(X_in),
+            "eval_point": [f.eval(x) for x in X_in[::5]],
+            "on_discontinuity": f.on_discontinuity_batch(X_all),
+            "dist_inf": f.dist_inf_batch(X_all),
+            "certified_halfside": f.certified_halfside_batch(X_all, budgets),
+            "integral": f.integral_batch(los, his),
+            "abs_integral": f.abs_integral_batch(los, his),
+            "dev_integral": [f.dev_integral_for_tags(los, his, tags, V),
+                             f.dev_integral_for_tags(los, his, tags, W)],
+            "discontinuities": f.discontinuities(),
+            "piece_structure": f.piece_structure(),
+            "sup_norm": f.sup_norm,
+        }
+        for key, value in got.items():
+            parts[key] = parts.get(key, b"") + _pin_bytes(value)
+    return {key: hashlib.sha256(b).hexdigest()[:16] for key, b in parts.items()}
+
+
+# sha256 prefixes of every oracle's output under the three y-norms, taken
+# before the entries became grid value tables
+PIN_ORACLES = ("eval", "eval_point", "on_discontinuity", "dist_inf",
+               "certified_halfside", "integral", "abs_integral",
+               "dev_integral", "discontinuities", "piece_structure",
+               "sup_norm")
+PINNED = {
+    "constant": (
+        "853ab380fa4e26e0 c07e9e87c3e38e20 459dd6cd11ec4ce6 4a344ecb36c57802 "
+        "4a344ecb36c57802 0cd2152f86614141 82102d645f52c175 dc65d69153ad5194 "
+        "91aafaceaba89f1f a08c1537e8762077 07d542d5bea7dca7"),
+    "step2": (
+        "6cdc21a22da61c8a 0d5cdafc694fb467 08cfb3c55ce4809d 99b2f22ae0b74181 "
+        "99b2f22ae0b74181 90da6009d4369c37 fccc7bb84d7116c7 89a6d91ad72234a2 "
+        "81a1947e3b3a1668 fa7bd00edcd18e3f f4695ea3da21b640"),
+    "step2_avg": (
+        "e21d170c00018790 0d5cdafc694fb467 08cfb3c55ce4809d 99b2f22ae0b74181 "
+        "99b2f22ae0b74181 90da6009d4369c37 fccc7bb84d7116c7 89a6d91ad72234a2 "
+        "22a68101e409fbe1 fa7bd00edcd18e3f f4695ea3da21b640"),
+    "sign1": (
+        "54d538df83c2c9fd 69aea7ab3e4ae071 dc4f51578e9c3275 1fdda3c9a10a94bc "
+        "1fdda3c9a10a94bc 609c9d02f68686ba 88b9ca0fda8119e1 5d4d55b6a8b068ab "
+        "ebcab1b8f7856ed8 b5db0b4caffc1506 f4695ea3da21b640"),
+    "checker2d": (
+        "0c941ef349db5eca 7870599d72acee3f a7f96c32640c2f6f 65c08b50c7ac3f83 "
+        "65c08b50c7ac3f83 e3f88c3c5b0d8ca8 75adac8ce5853fb6 0c5e21f828d8a5c1 "
+        "541511ed27935661 aaaf35ef0d268361 f4695ea3da21b640"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_piecewise_oracles_pinned(name):
+    got = _pin_digests(name)
+    want = dict(zip(PIN_ORACLES, PINNED[name].split()))
+    assert [k for k in PIN_ORACLES if got[k] != want[k]] == []
