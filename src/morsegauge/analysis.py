@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import CorpusFunction
 from .errors import NotPiecewise
-from .geometry import Box
+from .geometry import Box, bisect_last
 from .measure import RadonMeasure, measure_box
 
 
@@ -94,19 +94,9 @@ def lusin_compact_set(f: CorpusFunction, omega: Box, eps: float,
         kept = _shrink_pieces(pieces, omega, t)
         return omega_mass - sum(measure_box(mu, b) for b, _ in kept)
 
-    t_hi = 0.5 * min(b - a for box, _ in pieces
-                     for a, b in zip(box.lo, box.hi))
-    if omitted(t_hi) <= target:
-        t = t_hi
-    else:
-        t_lo = 0.0
-        for _ in range(60):
-            mid = 0.5 * (t_lo + t_hi)
-            if omitted(mid) <= target:
-                t_lo = mid
-            else:
-                t_hi = mid
-        t = t_lo
+    t = bisect_last(lambda t: omitted(t) <= target, 0.0,
+                    0.5 * min(b - a for box, _ in pieces
+                              for a, b in zip(box.lo, box.hi)), 60)
     shrunk = _shrink_pieces(pieces, omega, t)
     om = omitted(t)
     sep = _pieces_separation(shrunk, f.ynorm)

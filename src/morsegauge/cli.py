@@ -262,6 +262,10 @@ def _input_error(args, dim: int) -> str | None:
     for eps in args.eps:
         if not (math.isfinite(eps) and eps > 0):
             return f"--eps must be finite and positive, got {eps!r}"
+        if eps < sys.float_info.min:
+            # eps / 4 and the budgets below it would underflow to zero
+            return (f"--eps must be at least the smallest normal float "
+                    f"{sys.float_info.min!r}, got {eps!r}")
     if args.eta is not None and not (math.isfinite(args.eta) and args.eta > 0):
         return f"--eta must be finite and positive, got {args.eta!r}"
     if args.max_depth is not None and args.max_depth < 0:

@@ -7,7 +7,10 @@ their spatial shell.  Tube widths are solved so that each value-bin's tube
 measure stays under its share of the budget and so that the total jump-mass
 caught in the tubes stays under a quarter of the target accuracy; both caps
 matter (the singular corpus entry exhausts the second one long before the
-first).
+first).  Each tube keeps its boxes as (k, d) corner arrays, from which its
+measure, jump mass, clearance and report entry are derived, and its widths
+come from bisections that stop once they converge in floats.  A width too
+thin to move a piece's faces in floats makes the build infeasible.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ import numpy as np
 
 from .corpus import CorpusFunction
 from .errors import BoundViolated, PreconditionUncertified, TubeInfeasible
-from .geometry import Box, Gauge, NormKind, norm, norm_batch, norm_ratio
+from .geometry import (Gauge, NormKind, bisect_last, norm, norm_batch,
+                       norm_ratio)
 from .measure import (RadonMeasure, annulus_measure, measure_box_batch,
-                      measure_box_clipped, require_uniform)
+                      require_uniform)
 from .quadrature import adaptive_box_quadrature_batch
-
-_WIDTH_FLOOR = 1e-300
 
 
 def shell_index(x, domain_norm: NormKind) -> int:
@@ -91,10 +93,12 @@ class GaugeBuildParams:
 
 @dataclass(frozen=True)
 class NullTube:
-    """Open box-union around the jump pieces of one value bin."""
+    """Open box-union around the jump pieces of one value bin; box i has
+    the (k, d) corner rows lo[i] and hi[i]."""
 
     n: int
-    boxes: tuple[Box, ...]
+    lo: np.ndarray
+    hi: np.ndarray
     measure: float
     width: float
     budget: float
@@ -102,46 +106,17 @@ class NullTube:
     def clearance(self, x) -> float:
         """sup over boxes holding x of the minimal face distance."""
         x = np.asarray(x, dtype=float).reshape(-1)
-        best = 0.0
-        for bx in self.boxes:
-            if all(a < c < b for c, a, b in zip(x, bx.lo, bx.hi)):
-                best = max(best, min(min(c - a, b - c)
-                                     for c, a, b in zip(x, bx.lo, bx.hi)))
-        return best
+        inside = np.all((self.lo < x) & (x < self.hi), axis=1)
+        gaps = np.minimum(x - self.lo, self.hi - x)[inside]
+        return float(gaps.min(axis=1).max(initial=0.0))
 
     def to_dict(self) -> dict:
         return {"n": self.n,
-                "boxes": [[list(b.lo), list(b.hi)] for b in self.boxes],
+                "boxes": [list(b) for b in zip(self.lo.tolist(),
+                                               self.hi.tolist())],
                 "measure": self.measure,
                 "width": self.width,
                 "budget": self.budget}
-
-
-def _tube_boxes(pieces, w: float) -> list[Box]:
-    out = []
-    for piece in pieces:
-        lo = tuple(a - w for a in piece.region.lo)
-        hi = tuple(b + w for b in piece.region.hi)
-        out.append(Box(lo, hi))
-    return out
-
-
-def _tube_measure(mu: RadonMeasure, boxes) -> float:
-    return float(sum(measure_box_clipped(mu, b) for b in boxes))
-
-
-def _tube_abs_mass(f: CorpusFunction, mu: RadonMeasure, boxes) -> float:
-    """Upper bound on the weighted jump mass inside the boxes (overlaps
-    double-count upward)."""
-    total = 0.0
-    for b in boxes:
-        inter = mu.universe.intersect(b)
-        if inter is None:
-            continue
-        lo = np.asarray(inter.lo)[None, :]
-        hi = np.asarray(inter.hi)[None, :]
-        total += float(f.abs_integral_batch(lo, hi)[0]) * mu.w0
-    return total
 
 
 def build_null_tubes(f: CorpusFunction, eps: float, mu: RadonMeasure,
@@ -152,37 +127,45 @@ def build_null_tubes(f: CorpusFunction, eps: float, mu: RadonMeasure,
     (n * 2^(n+2)); afterwards every width is shrunk by a common factor until
     the total jump mass inside the tubes is below tube_safety * eps / 4 and
     the total measure is below the absolute-continuity modulus at eps / 4.
+    A width too thin to move a piece's faces in floats is infeasible.
     """
     groups: dict[int, list] = {}
     for piece in f.discontinuities():
         if piece.region.volume() > 0:
             raise TubeInfeasible("declared jump piece has positive measure")
         n = value_bin(f.ynorm(piece.value))
-        groups.setdefault(n, []).append(piece)
+        groups.setdefault(n, []).append(piece.region)
     if not groups:
         return []
     require_uniform(mu)
+    corners = {n: (np.array([r.lo for r in regions]),
+                   np.array([r.hi for r in regions]))
+               for n, regions in groups.items()}
+
+    def tube(n: int, w: float):
+        """The parts inside the universe of bin n's boxes at width w, for
+        the boxes that meet it, in box order."""
+        lo, hi = corners[n]
+        a = np.maximum(lo - w, mu.universe.lo)
+        b = np.minimum(hi + w, mu.universe.hi)
+        meet = np.all(a <= b, axis=1)
+        return a[meet], b[meet]
+
+    def measure(a: np.ndarray, b: np.ndarray) -> float:
+        # box by box in order, not numpy's pairwise order, so the widths
+        # keep their bits
+        return sum(measure_box_batch(mu, a, b).tolist(), 0.0)
 
     widths: dict[int, float] = {}
-    for n, pieces in sorted(groups.items()):
+    for n in sorted(groups):
         target = 0.99 * tube_safety * eps / (n * 2.0 ** (n + 2))
-        w_lo, w_hi = 0.0, 1.0
-        if _tube_measure(mu, _tube_boxes(pieces, w_hi)) <= target:
-            widths[n] = w_hi
-            continue
-        for _ in range(200):
-            mid = 0.5 * (w_lo + w_hi)
-            if mid <= _WIDTH_FLOOR:
-                break
-            if _tube_measure(mu, _tube_boxes(pieces, mid)) <= target:
-                w_lo = mid
-            else:
-                w_hi = mid
-        if w_lo <= 0.0:
+        widths[n] = bisect_last(
+            lambda w: measure(*tube(n, w)) <= target, 0.0, 1.0, 200)
+        if widths[n] <= 0.0:
             raise TubeInfeasible(f"no admissible width for value bin {n}")
-        widths[n] = w_lo
 
-    # common shrink for the global jump-mass and modulus caps
+    # common shrink for the global jump-mass and modulus caps; overlapping
+    # boxes double-count the mass upward
     gamma = f.ac_modulus(eps / 4.0, mu.w0)
     mass_cap = tube_safety * eps / 4.0
     meas_cap = 0.99 * gamma
@@ -190,37 +173,29 @@ def build_null_tubes(f: CorpusFunction, eps: float, mu: RadonMeasure,
     def caps_ok(scale: float) -> bool:
         mass = 0.0
         meas = 0.0
-        for n, pieces in groups.items():
-            boxes = _tube_boxes(pieces, scale * widths[n])
-            mass += _tube_abs_mass(f, mu, boxes)
-            meas += _tube_measure(mu, boxes)
+        for n in groups:
+            a, b = tube(n, scale * widths[n])
+            mass += sum((f.abs_integral_batch(a, b) * mu.w0).tolist(), 0.0)
+            meas += measure(a, b)
         return mass <= mass_cap and meas <= meas_cap
 
-    scale = 1.0
-    if not caps_ok(scale):
-        s_lo, s_hi = 0.0, 1.0
-        for _ in range(200):
-            mid = 0.5 * (s_lo + s_hi)
-            if mid * min(widths.values()) <= _WIDTH_FLOOR:
-                break
-            if caps_ok(mid):
-                s_lo = mid
-            else:
-                s_hi = mid
-        if s_lo <= 0.0:
-            raise TubeInfeasible("jump-mass cap admits no positive width")
-        scale = s_lo
+    scale = bisect_last(caps_ok, 0.0, 1.0, 200)
+    if scale <= 0.0:
+        raise TubeInfeasible("jump-mass cap admits no positive width")
 
     tubes = []
-    for n, pieces in sorted(groups.items()):
+    for n in sorted(groups):
         w = scale * widths[n]
-        boxes = tuple(_tube_boxes(pieces, w))
-        meas = _tube_measure(mu, boxes)
+        lo, hi = corners[n]
+        if not (np.all(lo - w < lo) and np.all(hi + w > hi)):
+            raise TubeInfeasible(f"tube width {w} of value bin {n} is below "
+                                 "float resolution at its jump pieces")
+        meas = measure(*tube(n, w))
         budget = tube_safety * eps / (n * 2.0 ** (n + 2))
         if not meas < budget:
             raise TubeInfeasible(f"tube measure {meas} not under budget {budget}")
-        tubes.append(NullTube(n=n, boxes=boxes, measure=meas, width=w,
-                              budget=budget))
+        tubes.append(NullTube(n=n, lo=lo - w, hi=hi + w, measure=meas,
+                              width=w, budget=budget))
     return tubes
 
 
@@ -298,13 +273,6 @@ class SweepReport:
                 "violations": self.violations[:32],
                 "n_violations": len(self.violations),
                 "max_budget_ratio": self.max_budget_ratio}
-
-
-def _tube_boxes_from_provenance(g: Gauge) -> dict[int, list[Box]]:
-    out: dict[int, list[Box]] = {}
-    for td in g.provenance.get("tubes", []):
-        out[td["n"]] = [Box(tuple(lo), tuple(hi)) for lo, hi in td["boxes"]]
-    return out
 
 
 def _a_probe_points(f: CorpusFunction, rng: np.random.Generator, per_piece: int):
@@ -406,16 +374,15 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
                     "quadrature": [qv - qe, qv + qe]})
         report.probes += len(pick)
 
-    tube_boxes = _tube_boxes_from_provenance(g)
+    # (k, 2, d) corner arrays per value bin
+    tubes = {t["n"]: np.array(t["boxes"])
+             for t in g.provenance.get("tubes", [])}
     A = _a_probe_points(f, rng, per_piece=8)
     for x in A:
         d = g(tuple(x))
-        fn_norm = f.ynorm(f.eval(x))
-        boxes = tube_boxes.get(value_bin(fn_norm), [])
-        inside = any(all(a < c - d and c + d < b
-                         for c, a, b in zip(x, bx.lo, bx.hi))
-                     for bx in boxes)
-        if not inside:
+        boxes = tubes.get(value_bin(f.ynorm(f.eval(x))), np.empty((0, 2, dim)))
+        if not np.all((boxes[:, 0] < x - d) & (x + d < boxes[:, 1]),
+                      axis=1).any():
             report.violations.append({
                 "kind": "tube-containment", "x": [float(c) for c in x],
                 "delta": float(d)})

@@ -4,6 +4,8 @@ The domain norm (1, 2 or sup) measures how far a cell reaches from its tag;
 norm_ratio converts between norms, so a cube of half-side h about its tag
 reaches h * norm_ratio(INF, domain_norm, d).  Boxes are closed and
 axis-aligned.  A gauge is a batch map from points to sizes in (0, 1].
+bisect_last is the one bisection the gauge tubes and the compact sets
+solve their widths with.
 
 Everything in this module is immutable and pure.
 """
@@ -65,6 +67,28 @@ def norm_ratio(src: NormKind, dst: NormKind, dim: int) -> float:
         return math.sqrt(dim)
     # INF -> ONE
     return float(dim)
+
+
+def bisect_last(ok: Callable[[float], bool], lo: float, hi: float,
+                steps: int) -> float:
+    """hi if ok(hi); else the last midpoint where ok held in up to steps
+    halvings of [lo, hi], or lo if it held at none.
+
+    The halving stops once the midpoint rounds to an end: for a
+    deterministic ok neither end can move after that, so the result is the
+    float that all steps would give.
+    """
+    if ok(hi):
+        return hi
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # --------------------------------------------------------------------------

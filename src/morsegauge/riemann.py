@@ -21,7 +21,7 @@ integrated once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -67,22 +67,11 @@ class ApproximationReport:
         return all(self.pass_flags.values())
 
     def to_dict(self) -> dict:
-        return {
-            "fn": self.fn, "eps": self.eps, "trial": self.trial,
-            "cell_count": self.cell_count,
-            "residual_measure": self.residual_measure,
-            "exact": list(self.exact), "simple": list(self.simple),
-            "l1_partition": self.l1_partition,
-            "l1_partition_error": self.l1_partition_error,
-            "residual_abs": self.residual_abs, "tail_abs": self.tail_abs,
-            "l1_total": self.l1_total,
-            "local_error_sum": self.local_error_sum,
-            "truncation_error": self.truncation_error,
-            "truncation_index": self.truncation_index,
-            "depth_histogram": {str(k): v
-                                for k, v in self.depth_histogram.items()},
-            "pass_flags": self.pass_flags, "notes": self.notes,
-        }
+        out = asdict(self)
+        # string keys, so sort_keys orders them as text ("10" before "2")
+        out["depth_histogram"] = {str(k): v
+                                  for k, v in self.depth_histogram.items()}
+        return out
 
 
 def _fsum_rows(parts: list[np.ndarray], width: int) -> np.ndarray:
@@ -508,14 +497,7 @@ class CorollaryReport:
         return all(self.pass_flags.values())
 
     def to_dict(self) -> dict:
-        return {"fn": self.fn, "eps": self.eps,
-                "riemann_gap": self.riemann_gap,
-                "abs_total": self.abs_total,
-                "worst_family_mass": self.worst_family_mass,
-                "witness_mass": self.witness_mass,
-                "reconstruction_gap": self.reconstruction_gap,
-                "random_families": self.random_families,
-                "pass_flags": self.pass_flags}
+        return asdict(self)
 
 
 def _family_mass(f: CorpusFunction, mu: RadonMeasure,

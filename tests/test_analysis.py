@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,29 @@ def test_compact_set_validation():
         CompactContinuitySet(pieces=(), separation=0.0, omitted_measure=0.0)
     with pytest.raises(ValueError):
         CompactContinuitySet(pieces=(), separation=0.1, omitted_measure=-1.0)
+
+
+def _lusin_digest(name, eps):
+    f = corpus_function(name)
+    got = lusin_compact_set(f, f.universe, eps, unit(f))
+    blob = repr(([[[v.hex() for v in b.lo], [v.hex() for v in b.hi]]
+                  for b in got.pieces],
+                 got.separation.hex(), got.omitted_measure.hex()))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of the pieces, separation and omitted measure (as
+# float.hex), taken while the shrink margin ran a fixed 60 halvings
+PINNED_LUSIN = {
+    ("step2", 0.1): "4caab638ac5d50ef",
+    ("step2", 0.01): "eeaee0dae1c919ed",
+    ("sign1", 0.1): "5fd83e4c95e7b37d",
+    ("sign1", 0.01): "ad2ec64c90cb1eb9",
+    ("checker2d", 0.1): "9f6925fc3c970d3d",
+    ("checker2d", 0.01): "cb0e4c5900d309c4",
+}
+
+
+@pytest.mark.parametrize("name,eps", sorted(PINNED_LUSIN))
+def test_lusin_compact_set_pinned(name, eps):
+    assert _lusin_digest(name, eps) == PINNED_LUSIN[name, eps]

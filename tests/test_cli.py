@@ -258,6 +258,20 @@ def assert_rejected(argv, tmp_path, capsys):
                  id="density-json-fractional-level"),
     pytest.param(["run-theorem", "--fn", "linear1", "--density", "{boollevel}"],
                  id="density-json-bool-level"),
+    pytest.param(["run-theorem", "--fn", "step2", "--eps", "1e-300", "--trials", "1"],
+                 id="theorem-tube-below-float-resolution"),
+    pytest.param(["run-corollary", "--fn", "step2", "--eps", "1e-300"],
+                 id="corollary-tube-below-float-resolution"),
+    pytest.param(["run-theorem", "--fn", "checker2d", "--eps", "1e-300",
+                  "--trials", "1"], id="checker-tube-below-float-resolution"),
+    pytest.param(["lebesgue-map", "--fn", "step2", "--eps", "1e-300", "--grid", "4"],
+                 id="map-tube-below-float-resolution"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--eps", "1e-323"],
+                 id="theorem-eps-subnormal"),
+    pytest.param(["run-corollary", "--fn", "constant", "--eps", "1e-323"],
+                 id="corollary-eps-subnormal"),
+    pytest.param(["lebesgue-map", "--fn", "checker2d", "--eps", "5e-324", "--grid", "2"],
+                 id="map-eps-smallest-subnormal"),
 ])
 def test_rejected_input_exits_three(argv, densities, tmp_path, capsys):
     assert_rejected([a.format(**densities) for a in argv], tmp_path, capsys)

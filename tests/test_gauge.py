@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -121,12 +122,13 @@ def test_checker_tube_measure_under_budget():
 
 def test_tube_jump_mass_cap():
     # total weighted ||f|| mass inside all tubes <= tube_safety * eps / 4
-    from morsegauge.gauge import _tube_abs_mass
-
     f = corpus_function("step2")
     eps, safety = 0.1, 0.5
     tubes = build_null_tubes(f, eps, unit(f), tube_safety=safety)
-    mass = sum(_tube_abs_mass(f, unit(f), t.boxes) for t in tubes)
+    lo, hi = np.asarray(f.universe.lo), np.asarray(f.universe.hi)
+    mass = sum(float(f.abs_integral_batch(np.maximum(t.lo, lo),
+                                          np.minimum(t.hi, hi)).sum())
+               for t in tubes)
     assert mass <= safety * eps / 4 + 1e-15
 
 
@@ -304,3 +306,61 @@ def test_sweep_report_roundtrip():
     blob = json.loads(json.dumps(rep.to_dict()))
     assert blob["fn"] == "linear1"
     assert blob["n_violations"] == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned tubes and jump-branch gauge values
+# ---------------------------------------------------------------------------
+
+def _jump_probe_points(f):
+    """Every corner and centre of every jump piece, each nudged one float
+    either way along every axis, and the universe corners; points outside
+    the universe are dropped.  A zero coordinate moves by 2^-52 instead:
+    the spike1 halfside underflows to 0 near its singularity (below about
+    1e-150), which the gauge rejects, and that is not what this pins."""
+    base = [np.asarray(c, dtype=float) for p in f.discontinuities()
+            for c in (p.region.lo, p.region.hi, p.region.center())]
+    pts = list(base)
+    for x in base:
+        for k in range(f.dim_in):
+            for to in (-math.inf, math.inf):
+                y = x.copy()
+                y[k] = math.nextafter(y[k], to) if y[k] else \
+                    math.copysign(2.0 ** -52, to)
+                pts.append(y)
+    pts += [np.asarray(c, dtype=float) for c in f.universe.corners()]
+    P = np.unique(np.array(pts), axis=0)
+    lo = np.asarray(f.universe.lo)
+    hi = np.asarray(f.universe.hi)
+    return P[np.all((P >= lo) & (P <= hi), axis=1)]
+
+
+def _tube_digests(name):
+    tubes_bytes, delta_bytes = b"", b""
+    for ynorm in (NormKind.ONE, NormKind.TWO, NormKind.INF):
+        f = corpus_function(name, y_norm=ynorm)
+        for eps in (0.1, 0.01, 0.001):
+            tubes = build_null_tubes(f, eps, unit(f))
+            tubes_bytes += json.dumps([t.to_dict() for t in tubes],
+                                      sort_keys=True).encode()
+            g = build_gauge(f, unit(f), GaugeBuildParams(eps=eps))
+            delta_bytes += g.delta_batch(_jump_probe_points(f)).tobytes()
+    return (hashlib.sha256(tubes_bytes).hexdigest()[:16],
+            hashlib.sha256(delta_bytes).hexdigest()[:16])
+
+
+# sha256 prefixes of the tubes' to_dict and of the gauge at the jump probe
+# points, under y-norms 1, 2 and inf at eps 0.1, 0.01 and 0.001; taken while
+# the tubes were still built from Box objects
+PINNED_TUBES = {
+    "checker2d": ("6ee109aaa49207ac", "c088cf686042bd13"),
+    "sign1": ("dc754ce9fb4463d0", "4c2ab355adb0e1ba"),
+    "spike1": ("0c9360a9cc90c377", "2ff734d801716433"),
+    "step2": ("b3f32a656e2a85c6", "c73fa24ee9106b31"),
+    "step2_avg": ("e8303bb37058c3a0", "1b7b865b85502905"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TUBES))
+def test_tubes_and_jump_gauge_pinned(name):
+    assert _tube_digests(name) == PINNED_TUBES[name]

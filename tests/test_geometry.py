@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from morsegauge.errors import MalformedShape
-from morsegauge.geometry import Box, Gauge, NormKind, norm, norm_batch, norm_ratio
+from morsegauge.geometry import (Box, Gauge, NormKind, bisect_last, norm,
+                                 norm_batch, norm_ratio)
 
 try:
     from hypothesis import given, settings
@@ -125,3 +126,49 @@ def test_gauge_batch_matches_scalar(rng):
     want = np.array([g(x) for x in X])
     assert np.array_equal(got, want)
 
+
+def _bisect_fixed(ok, lo, hi, steps):
+    """Every one of the steps halvings, with no early stop."""
+    if ok(hi):
+        return hi
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("threshold", [
+    0.3, 1.0 / 3.0, 0.5, 2.0 ** -60, 2.0 ** -199, 2.0 ** -200,
+    2.0 ** -201, 1e-300, 0.0, 1.0, 2.0])
+@pytest.mark.parametrize("hi,steps", [(1.0, 200), (0.37, 60), (1e-10, 200),
+                                      (1e-300, 200)])
+def test_bisect_last_matches_fixed_steps(threshold, hi, steps):
+    calls = []
+
+    def ok(x):
+        calls.append(x)
+        return x <= threshold
+
+    want = _bisect_fixed(lambda x: x <= threshold, 0.0, hi, steps)
+    got = bisect_last(ok, 0.0, hi, steps)
+    assert got.hex() == want.hex()
+    assert len(calls) <= steps + 1
+    if hi == 1.0 and threshold < 2.0 ** -200:
+        # 200 halvings of 1 stop at 2^-200: below it nothing is admitted
+        assert got == 0.0
+
+
+def test_bisect_last_stops_at_float_convergence():
+    calls = []
+
+    def ok(x):
+        calls.append(x)
+        return x <= 0.3
+
+    assert bisect_last(ok, 0.0, 1.0, 200) == _bisect_fixed(
+        lambda x: x <= 0.3, 0.0, 1.0, 200)
+    # the ends meet after about 54 halvings near 0.3
+    assert len(calls) < 60
