@@ -13,7 +13,7 @@ from .errors import (BoundViolated, DepthExceeded, MalformedShape,
                      ToleranceUnreachable, TubeInfeasible)
 from .gauge import (GaugeBuildParams, NullTube, build_gauge, build_null_tubes,
                     shell_budget, shell_index, soundness_sweep)
-from .geometry import Box, Gauge, NormKind, norm, norm_ratio
+from .geometry import Box, Gauge, NormKind, norm_ratio
 from .measure import RadonMeasure, annulus_measure, ball_volume, measure_box
 from .partition import (SieveParams, TaggedFamily, dyadic_sieve,
                         random_dyadic_partition, refine_family, verify_family)
@@ -30,7 +30,7 @@ __all__ = [
     "SieveParams", "TaggedFamily", "ToleranceUnreachable", "TubeInfeasible",
     "annulus_measure", "ball_volume", "build_gauge", "build_null_tubes",
     "corpus_function", "corpus_names", "dyadic_sieve", "lusin_compact_set",
-    "measure_box", "norm", "norm_ratio", "random_dyadic_partition",
+    "measure_box", "norm_ratio", "random_dyadic_partition",
     "refine_family", "shell_budget", "shell_index", "soundness_sweep",
     "verify_corollary", "verify_family", "verify_theorem",
 ]

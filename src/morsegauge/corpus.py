@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedShape
-from .geometry import Box, NormKind, norm, norm_batch
+from .geometry import Box, NormKind, norm_batch
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class CorpusFunction:
         raise NotImplementedError
 
     def ynorm(self, v) -> float:
-        return norm(np.atleast_1d(np.asarray(v, dtype=float)), self.y_norm)
+        return float(self.ynorm_rows(v)[0])
 
     def ynorm_rows(self, V: np.ndarray) -> np.ndarray:
         return norm_batch(np.atleast_2d(np.asarray(V, dtype=float)), self.y_norm)

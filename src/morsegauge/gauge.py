@@ -22,8 +22,7 @@ import numpy as np
 
 from .corpus import CorpusFunction
 from .errors import BoundViolated, PreconditionUncertified, TubeInfeasible
-from .geometry import (Gauge, NormKind, bisect_last, norm, norm_batch,
-                       norm_ratio)
+from .geometry import Gauge, NormKind, bisect_last, norm_batch, norm_ratio
 from .measure import (RadonMeasure, annulus_measure, measure_box_batch,
                       require_uniform)
 from .quadrature import adaptive_box_quadrature_batch
@@ -31,8 +30,7 @@ from .quadrature import adaptive_box_quadrature_batch
 
 def shell_index(x, domain_norm: NormKind) -> int:
     """The unique n >= 1 with n-1 <= |x| < n."""
-    r = norm(np.atleast_1d(np.asarray(x, dtype=float)), domain_norm)
-    return int(math.floor(r)) + 1
+    return int(shell_index_batch(x, domain_norm)[0])
 
 
 def shell_index_batch(X: np.ndarray, domain_norm: NormKind) -> np.ndarray:
@@ -75,20 +73,21 @@ def value_bin(v_norm: float) -> int:
     return int(math.floor(v_norm)) + 1
 
 
+# share of eps the jump tubes may take, as measure per value bin and as
+# jump mass in all
+TUBE_SAFETY = 0.5
+# fraction of each shell budget handed to the radius certificates
+MARGIN = 0.9
+
+
 @dataclass(frozen=True)
 class GaugeBuildParams:
     eps: float
     domain_norm: NormKind = NormKind.TWO
-    tube_safety: float = 0.5
-    margin: float = 0.9  # fraction of each shell budget handed to the radius certificates
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if not (0.0 < self.tube_safety < 1.0):
-            raise ValueError("tube_safety must sit in (0, 1)")
-        if not (0.0 < self.margin <= 1.0):
-            raise ValueError("margin must sit in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -119,13 +118,13 @@ class NullTube:
                 "budget": self.budget}
 
 
-def build_null_tubes(f: CorpusFunction, eps: float, mu: RadonMeasure,
-                     tube_safety: float = 0.5) -> list[NullTube]:
+def build_null_tubes(f: CorpusFunction, eps: float,
+                     mu: RadonMeasure) -> list[NullTube]:
     """Open tubes around the declared jump pieces, one per value bin.
 
-    Per bin the tube measure is bisected to 0.99 of tube_safety * eps /
+    Per bin the tube measure is bisected to 0.99 of TUBE_SAFETY * eps /
     (n * 2^(n+2)); afterwards every width is shrunk by a common factor until
-    the total jump mass inside the tubes is below tube_safety * eps / 4 and
+    the total jump mass inside the tubes is below TUBE_SAFETY * eps / 4 and
     the total measure is below the absolute-continuity modulus at eps / 4.
     A width too thin to move a piece's faces in floats is infeasible.
     """
@@ -158,7 +157,7 @@ def build_null_tubes(f: CorpusFunction, eps: float, mu: RadonMeasure,
 
     widths: dict[int, float] = {}
     for n in sorted(groups):
-        target = 0.99 * tube_safety * eps / (n * 2.0 ** (n + 2))
+        target = 0.99 * TUBE_SAFETY * eps / (n * 2.0 ** (n + 2))
         widths[n] = bisect_last(
             lambda w: measure(*tube(n, w)) <= target, 0.0, 1.0, 200)
         if widths[n] <= 0.0:
@@ -167,7 +166,7 @@ def build_null_tubes(f: CorpusFunction, eps: float, mu: RadonMeasure,
     # common shrink for the global jump-mass and modulus caps; overlapping
     # boxes double-count the mass upward
     gamma = f.ac_modulus(eps / 4.0, mu.w0)
-    mass_cap = tube_safety * eps / 4.0
+    mass_cap = TUBE_SAFETY * eps / 4.0
     meas_cap = 0.99 * gamma
 
     def caps_ok(scale: float) -> bool:
@@ -191,7 +190,7 @@ def build_null_tubes(f: CorpusFunction, eps: float, mu: RadonMeasure,
             raise TubeInfeasible(f"tube width {w} of value bin {n} is below "
                                  "float resolution at its jump pieces")
         meas = measure(*tube(n, w))
-        budget = tube_safety * eps / (n * 2.0 ** (n + 2))
+        budget = TUBE_SAFETY * eps / (n * 2.0 ** (n + 2))
         if not meas < budget:
             raise TubeInfeasible(f"tube measure {meas} not under budget {budget}")
         tubes.append(NullTube(n=n, lo=lo - w, hi=hi + w, measure=meas,
@@ -203,12 +202,12 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
     """Total gauge on the universe: tube-clearance halves on the jump set,
     certified shell-budget radii elsewhere."""
     lam = norm_ratio(NormKind.INF, p.domain_norm, f.dim_in)
-    tubes = build_null_tubes(f, p.eps, mu, p.tube_safety)
+    tubes = build_null_tubes(f, p.eps, mu)
     tube_by_bin = {t.n: t for t in tubes}
 
     budgets_by_shell = shell_budget_table(p.eps, mu, p.domain_norm)
     n_max = len(budgets_by_shell)
-    cert_budgets = budgets_by_shell * (p.margin * _density_ratio_adjust(mu))
+    cert_budgets = budgets_by_shell * (MARGIN * _density_ratio_adjust(mu))
 
     def a_branch(x) -> float:
         fn_norm = f.ynorm(f.eval(x))
@@ -243,8 +242,8 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
         "domain_norm": p.domain_norm.value,
         "shape": "cube",
         "lambda": lam,
-        "margin": p.margin,
-        "tube_safety": p.tube_safety,
+        "margin": MARGIN,
+        "tube_safety": TUBE_SAFETY,
         "gamma": f.ac_modulus(p.eps / 4.0, mu.w0),
         "shell_budgets": [float(b) for b in budgets_by_shell],
         "tubes": [t.to_dict() for t in tubes],
@@ -293,8 +292,7 @@ def _a_probe_points(f: CorpusFunction, rng: np.random.Generator, per_piece: int)
 
 def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
                     p: GaugeBuildParams, n_probes: int = 10_000,
-                    seed: int = 0, sets_per_probe: int = 2,
-                    quad_probes: int = 128) -> SweepReport:
+                    seed: int = 0, quad_probes: int = 128) -> SweepReport:
     """Probe the gauge and recheck both branch guarantees from scratch.
 
     Interior probes: for family sets at the probe's full gauge reach (and a
@@ -325,7 +323,8 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
     table = shell_budget_table(p.eps, mu, p.domain_norm)
     budgets = table[np.clip(shells, 1, len(table)) - 1]
 
-    scales = 1.0 / (1.6 ** np.arange(sets_per_probe))
+    # each probe's full reach and a smaller one
+    scales = 1.0 / (1.6 ** np.arange(2))
     for s in scales:
         h = deltas * s / lam
         los = np.maximum(X - h[:, None], lo[None, :])

@@ -30,14 +30,6 @@ class NormKind(enum.Enum):
     INF = "inf"
 
 
-def norm(v: Sequence[float], kind: NormKind) -> float:
-    if kind is NormKind.ONE:
-        return float(sum(abs(c) for c in v))
-    if kind is NormKind.TWO:
-        return math.sqrt(math.fsum(c * c for c in v))
-    return float(max(abs(c) for c in v)) if len(v) else 0.0
-
-
 def norm_batch(V: np.ndarray, kind: NormKind) -> np.ndarray:
     """Row-wise norms of an (N, d) array."""
     V = np.asarray(V, dtype=float)

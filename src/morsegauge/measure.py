@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OutOfUniverse, PreconditionUncertified
-from .geometry import Box, NormKind, norm, norm_ratio
+from .geometry import Box, NormKind, norm_batch, norm_ratio
 
 
 class RadonMeasure:
@@ -193,7 +193,7 @@ def _ball_cap_volume(mu: RadonMeasure, R: float, domain_norm: NormKind,
     if R <= 0:
         return 0.0
     d = mu.dim
-    if max(norm(c, domain_norm) for c in mu.universe.corners()) <= R \
+    if norm_batch(mu.universe.corners(), domain_norm).max() <= R \
             and mu.universe.contains_point((0.0,) * d):
         return mu.total
     exact_box = domain_norm is NormKind.INF or d == 1

@@ -12,9 +12,10 @@ The dyadic sieve keeps a frontier of equal-level keys, emits the cells whose
 circumradius about the center already fits under the gauge, and splits the
 rest with _split, which builds each child's key from its parent's key.
 refine_family replaces chosen cells in place by their children, which keeps
-canonical order without a sort; expand is the same step for one chunk and
-several refinements at once, so one base walk can carry every trial, each
-trial gathering its cells from the chunk's cells and their children.  The
+canonical order without a sort; expand gives, for one chunk, the children
+of the cells several refinements split and each refinement's piece of the
+chunk's cells and those children, the family itself being the refinement
+that splits nothing, so one walk of a family carries all its trials.  The
 checks split in two: check_cells runs the per-cell checks once per distinct
 cell, and FamilyCheck runs the order and balance checks per family, piece
 by piece, so a walk that sums a report over the family can check it in the
@@ -471,12 +472,11 @@ def refine_family(fam: TaggedFamily, fraction: float,
                   rng: np.random.Generator) -> TaggedFamily:
     """Split a random subset of cube cells into their dyadic children.
 
-    Used to vary trials; the result covers the same region, so verification
-    and every approximation bound are re-run against it unchanged.  Each
-    chosen cell is replaced in place by its children, which own its key
-    range in key order, so the result stays in canonical order.  This is
-    the whole-family form of expand(); the theorem verifier walks its
-    refinements without building them.
+    The result covers the same region, so verification and every
+    approximation bound hold against it unchanged.  Each chosen cell is
+    replaced in place by its children, which own its key range in key
+    order, so the result stays in canonical order.  The theorem verifier
+    walks such refinements with expand() instead of building them.
     """
     n = len(fam)
     if n == 0:
@@ -508,10 +508,11 @@ def expand(c: Chunk, chosen: list[np.ndarray], universe: Box
     """One chunk of several refinements of a family at once.
 
     chosen[t] holds the sorted positions, within c, of the cells that
-    refinement t splits.  Returns the children of every cell some
-    refinement splits, each parent's once, parent by parent and in key
-    order, and piece: piece(t) is refinement t's piece, the positions of
-    its cells in canonical order in the pool of c's cells followed by
+    refinement t splits; an empty chosen[t] is the family itself, whose
+    piece is every cell of c in order.  Returns the children of every cell
+    some refinement splits, each parent's once, parent by parent and in
+    key order, and piece: piece(t) is refinement t's piece, the positions
+    of its cells in canonical order in the pool of c's cells followed by
     those children.  A piece is built on each call and the children's
     corners and tags when needed, so nothing per refinement and no second
     copy of a chunk's geometry need be held.

@@ -5,24 +5,22 @@ Sum f(tag_i) mu(S_i), the exact weighted integral, and the certified L1
 deviation Sum Int_{S_i} ||f - f(tag_i)|| plus residual and tail mass.  The
 theorem verifier builds the gauge, sieves, and asserts the accuracy chain on
 the base family and on randomized refinements.  The corollary verifier
-takes its Riemann gap and simple sum from the same walk of the gauge family
-and each family's mass Sum ||w0 Int_S f|| from a separate chunked sum,
-which the random partitions and the witness share.  Every per-cell sum
-comes from one walk over the family's chunks, so memory stays at a few
-chunks however large the family grows.  In the theorem verifier one base
-walk serves all trials (up to TRIALS_PER_WALK refined trials per walk): it
-checks and sums each distinct cell once, base cells and the children of
-every cell some trial splits, and each trial gathers its own cells and sums
-them over its own windows, so its report and verdict are those of its
-built family.  The residual frontier, which refinement keeps, is
-integrated once.
+checks the gauge family and takes its Riemann gap and simple sum in one
+walk of it, and each family's mass Sum ||w0 Int_S f|| from a separate
+chunked sum, which the random partitions and the witness share.  Every
+per-cell sum comes from one walk over the family's chunks, so memory stays
+at a few chunks however large the family grows.  One walk carries the base
+family and up to TRIALS_PER_WALK refinements of it, the base being the
+refinement that splits nothing: it checks and sums each distinct cell once,
+and each family gathers its own cells and sums them over its own windows,
+so its report and verdict are those of its built family.  The residual
+frontier, which refinement keeps, is integrated once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from .gauge import GaugeBuildParams, build_gauge, soundness_sweep
 from .geometry import Box, Gauge, NormKind
 from .measure import RadonMeasure, measure_box_batch, require_uniform
 from . import partition
-from .partition import (CellChecks, Chunk, FamilyCheck, SieveParams,
+from .partition import (Chunk, FamilyCheck, SieveParams,
                         TaggedFamily, check_cells, dyadic_sieve, expand,
                         random_dyadic_partition, refinement_choice)
 
@@ -87,17 +85,14 @@ def _empty_values(f: CorpusFunction, n: int) -> dict[str, np.ndarray]:
 
 
 def _cell_values(f: CorpusFunction, mu: RadonMeasure, universe: Box,
-                 part: Chunk, vals: dict | None = None, at: int = 0,
-                 rows: np.ndarray | None = None) -> dict[str, np.ndarray]:
+                 part: Chunk, vals: dict, at: int = 0,
+                 rows: np.ndarray | None = None):
     """Every per-cell term a report sums, for the cells of part (or those
     at positions rows of it): the mass w, f(tag) w, the local error
     ||w0 Int_S f - f(tag) w|| and the deviation integral with its
     certified error.  Written to vals from position at on (cell i of part
-    to at + i), or to fresh arrays.  The kernels run KERNEL_ROWS cells at a
-    time, so their temporaries stay small however many children a chunk's
-    trials add."""
-    if vals is None:
-        vals = _empty_values(f, len(part.levels))
+    to at + i).  The kernels run KERNEL_ROWS cells at a time, so their
+    temporaries stay small however many children a chunk's trials add."""
     count = len(part.levels) if rows is None else len(rows)
     for start in range(0, count, partition.KERNEL_ROWS):
         stop = min(start + partition.KERNEL_ROWS, count)
@@ -111,21 +106,19 @@ def _cell_values(f: CorpusFunction, mu: RadonMeasure, universe: Box,
             mu.w0 * f.integral_batch(los, his) - Fw)
         vals["dev"][out], vals["err"][out] = \
             f.dev_integral_for_tags(los, his, tags, F)
-    return vals
 
 
 class _Trial:
     """One family's share of a walk: its check, if any, and its sums.
 
     The family's cells arrive piece by piece in canonical order, as
-    positions in a pool of per-cell values, or as a whole pool that is
-    exactly one window.  Every float sum is taken over the family's own
-    windows of CHUNK_CELLS cells, gathered when complete, so each partial,
-    and so each total, is the one a walk of the family by itself takes,
-    whichever pieces the cells came in.  A piece is never shorter than a
-    window, so a window waits on at most one earlier pool.  The prefix
-    sums of the truncation profile carry across windows, so they are bit
-    for bit one cumsum over the whole family.
+    positions in a pool of per-cell values.  Every float sum is taken over
+    the family's own windows of CHUNK_CELLS cells, gathered when complete,
+    so each partial, and so each total, is the one a walk of the family by
+    itself takes, whichever pieces the cells came in.  A piece is never
+    shorter than a window, so a window waits on at most one earlier pool.
+    The prefix sums of the truncation profile carry across windows, so
+    they are bit for bit one cumsum over the whole family.
     """
 
     def __init__(self, cells: int, f: CorpusFunction, mu: RadonMeasure,
@@ -148,15 +141,9 @@ class _Trial:
     def summing(self) -> bool:
         return self.check is None or self.check.ok
 
-    def add(self, vals: dict[str, np.ndarray], levels: np.ndarray,
-            sel: np.ndarray | None = None):
-        """The next cells, of levels `levels`: vals[sel], or without sel all
-        of vals, which must be exactly the next window (a chunk of the
-        walked family itself)."""
+    def add(self, vals: dict, levels: np.ndarray, sel: np.ndarray):
+        """The next cells, vals[sel], of levels `levels`."""
         self.depths += np.bincount(levels, minlength=len(self.depths))
-        if sel is None:
-            self._window(vals.__getitem__, list(vals))
-            return
         n, pos = len(sel), 0
         while pos < n:
             m = min(self._next_window() - self.fill, n - pos)
@@ -164,7 +151,7 @@ class _Trial:
             self.fill += m
             pos += m
             if self.fill == self._next_window():
-                self._window(self._gathered, list(vals))
+                self._window()
                 self.pending, self.fill = [], 0
         if self.pending:
             # hold on to the leftover's positions, not the whole piece's
@@ -185,14 +172,13 @@ class _Trial:
             pos += len(sel)
         return out
 
-    def _window(self, get, names: list[str]):
-        """Sum one whole window, cells done .. done + len - 1, whose values
-        of each kind get(name) gives; one kind at a time, so the values of
-        the kinds only summed are dropped before the truncation profile."""
-        for name in names:
-            if name not in ("w", "Fw"):
-                self.parts[name].append(float(get(name).sum()))
-        w, Fw = get("w"), get("Fw")
+    def _window(self):
+        """Sum the pending window, cells done .. done + fill - 1; one kind
+        at a time, so the values of the kinds only summed are dropped
+        before the truncation profile."""
+        for name in ("local", "dev", "err"):
+            self.parts[name].append(float(self._gathered(name).sum()))
+        w, Fw = self._gathered("w"), self._gathered("Fw")
         start = self.done
         self.done += len(w)
         self.parts["w"].append(float(w.sum()))
@@ -244,25 +230,26 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
     that splits the cells at the sorted positions chosen[t], without
     building the refinements.
 
-    Per chunk, given a gauge g, fam's own check runs first: from its first
-    failing chunk on only that check runs, so no sum kernel sees a corrupt
-    cell and no refinement of a corrupt family is expanded.  Then the
-    chunk's cells are summed once, for fam and for every refinement; the
-    children of every cell some refinement splits are derived once and
-    checked once, each refinement checks its own piece, and one kernel
-    pass sums the children that refinements still passing hold.  A
-    refinement's sums so stop at its first failing piece while its check
-    goes on to the end, and its verdict names the same failure as
-    verify_family on the built refinement.  Take each check's verdict
-    before using its sums.  Returns fam's trial followed by one per
-    refinement.
+    fam is refinement 0, the one that splits nothing, so every family takes
+    the same steps per chunk: expand gives the children of every cell some
+    refinement splits and each family's piece of the pool of the chunk's
+    cells and those children; each distinct cell of the pool is summed
+    once, and, given a gauge g, checked once, with each refinement checking
+    its own piece.  fam's check runs first: from its first failing chunk on
+    only that check runs, so no sum kernel sees a corrupt cell and no
+    refinement of a corrupt family is expanded.  The children are summed
+    only while some refinement holding them still passes.  A refinement's
+    sums so stop at its first failing piece while its check goes on to the
+    end, and its verdict names the same failure as verify_family on the
+    built refinement.  Take each check's verdict before using its sums.
+    Returns fam's trial followed by one per refinement.
     """
     fan = 2 ** fam.dim
-    sizes = [len(fam)] + [len(fam) + (fan - 1) * len(ch) for ch in chosen]
+    chosen = [np.empty(0, dtype=np.int64), *chosen]
+    sizes = [len(fam) + (fan - 1) * len(ch) for ch in chosen]
     trials = [_Trial(size, f, mu, threshold,
                      None if g is None else FamilyCheck(fam, mu, eta, size))
               for size in sizes]
-    base, refined = trials[0], trials[1:]
     # where each refinement's chosen cells cross into each chunk
     width = partition.CHUNK_CELLS
     edges = np.arange(0, len(fam), width)[1:]
@@ -270,52 +257,41 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
               for ch in chosen]
     for c in fam.chunks():
         cells = None if g is None else check_cells(c, g, fam)
-        if cells is not None and not base.check.add(c.levels, c.keys, cells):
-            continue
-        if not refined:
-            base.add(_cell_values(f, mu, fam.universe, c), c.levels)
+        if cells is not None and \
+                not trials[0].check.add(c.levels, c.keys, cells):
             continue
         k = c.start // width
         kids, piece = expand(c, [ch[b[k]:b[k + 1]] - c.start
                                  for ch, b in zip(chosen, bounds)],
                              fam.universe)
-        # the pool's values: fam's cells now, then the children held by
-        # trials whose checks pass
+        # the pool's values: the chunk's cells now, then the children held
+        # by refinements whose checks pass
         n = len(c.levels)
-        vals = _cell_values(f, mu, fam.universe, c,
-                            _empty_values(f, n + len(kids.levels)))
-        base.add({name: v[:n] for name, v in vals.items()}, c.levels)
+        vals = _empty_values(f, n + len(kids.levels))
+        _cell_values(f, mu, fam.universe, c, vals)
         # all trials' windows are open at once, so each array is let go as
         # soon as it is done with, which keeps the walk's peak at about
         # that of walking one trial alone
         c = c._replace(los=None, his=None, tags=None)
         levels = np.concatenate((c.levels, kids.levels))
         if cells is not None:
-            _check_pieces(c, kids, levels, piece, refined, cells, g, fam)
-            cells = None
-        live = [t for t, trial in enumerate(refined) if trial.summing]
+            pool = cells.join(check_cells(kids, g, fam))
+            keys = np.concatenate((c.keys, kids.keys))
+            for t in range(1, len(trials)):
+                sel = piece(t)
+                trials[t].check.add(np.take(levels, sel, mode="clip"),
+                                    np.take(keys, sel, mode="clip"),
+                                    pool.take(sel))
+            del pool, keys
+        live = [t for t, trial in enumerate(trials) if trial.summing]
         _cell_values(f, mu, fam.universe, kids, vals, n,
                      _children_of(kids, [piece(t) for t in live], n, fan)
-                     if len(live) < len(refined) else None)
+                     if len(live) < len(trials) else None)
         kids = None
         for t in live:
             sel = piece(t)
-            refined[t].add(vals, np.take(levels, sel, mode="clip"), sel)
+            trials[t].add(vals, np.take(levels, sel, mode="clip"), sel)
     return trials
-
-
-def _check_pieces(c: Chunk, kids: Chunk, levels: np.ndarray,
-                  piece: Callable[[int], np.ndarray], refined: list[_Trial],
-                  cells: CellChecks, g: Gauge, fam: TaggedFamily):
-    """Check each refined trial's piece(t) of chunk c, whose cells have the
-    per-cell checks `cells` and whose split cells have the children kids;
-    the children's per-cell checks run once."""
-    pool = cells.join(check_cells(kids, g, fam))
-    keys = np.concatenate((c.keys, kids.keys))
-    for t, trial in enumerate(refined):
-        sel = piece(t)
-        trial.check.add(np.take(levels, sel, mode="clip"),
-                        np.take(keys, sel, mode="clip"), pool.take(sel))
 
 
 def _children_of(kids: Chunk, sels: list[np.ndarray], n: int,
@@ -509,8 +485,7 @@ def _family_mass(f: CorpusFunction, mu: RadonMeasure,
 
 def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
                      seed: int = 0, domain_norm: NormKind = NormKind.TWO,
-                     n_random: int = 20,
-                     base: TaggedFamily | None = None) -> CorollaryReport:
+                     n_random: int = 20) -> CorollaryReport:
     """Set-function form of the approximation statement, for the set
     function G(S) = w0 Int_S f.
 
@@ -518,17 +493,21 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
     family; (b) every disjoint family keeps Sum ||G(S_i)|| under the total
     mass, probed on the gauge family plus n_random random partitions, while
     a piece-aligned witness gets within eps/2 of it; (c) the simple sum plus
-    residual correction reconstructs G(universe) within 2 eps.
+    residual correction reconstructs G(universe) within 2 eps.  The gauge
+    family is checked in full in the walk that sums it, and a family that
+    fails the check raises BoundViolated before any bound is judged.
     """
     require_uniform(mu)
-    if base is None:
-        p = GaugeBuildParams(eps=eps, domain_norm=domain_norm)
-        g = build_gauge(f, mu, p)
-        sp = SieveParams(eta=default_eta(f, eps, mu.w0),
-                         max_depth=default_sieve_depth(f.dim_in))
-        base = dyadic_sieve(mu.universe, g, mu, sp, domain_norm)
+    g = build_gauge(f, mu, GaugeBuildParams(eps=eps, domain_norm=domain_norm))
+    eta = default_eta(f, eps, mu.w0)
+    sp = SieveParams(eta=eta, max_depth=default_sieve_depth(f.dim_in))
+    base = dyadic_sieve(mu.universe, g, mu, sp, domain_norm)
 
-    sums = _walk(base, f, mu)[0].sums()
+    walked = _walk(base, f, mu, g=g, eta=eta)[0]
+    sums, notes = walked.sums(), {}
+    if not walked.check.verdict(sums["measure"], notes):
+        raise BoundViolated(
+            f"family verification failed: {notes.get('reason')}", notes)
     riemann_gap = sums["local"]
     abs_total = mu.w0 * f.abs_total() + f.tail_abs
 

@@ -8,6 +8,7 @@ import pytest
 from morsegauge.corpus import corpus_function, corpus_names
 from morsegauge.errors import PreconditionUncertified
 from morsegauge.gauge import (
+    TUBE_SAFETY,
     GaugeBuildParams,
     build_gauge,
     build_null_tubes,
@@ -76,10 +77,6 @@ def test_value_bin():
 def test_build_params_validation():
     with pytest.raises(ValueError):
         GaugeBuildParams(eps=0.0)
-    with pytest.raises(ValueError):
-        GaugeBuildParams(eps=0.1, tube_safety=1.0)
-    with pytest.raises(ValueError):
-        GaugeBuildParams(eps=0.1, margin=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +118,10 @@ def test_checker_tube_measure_under_budget():
 
 
 def test_tube_jump_mass_cap():
-    # total weighted ||f|| mass inside all tubes <= tube_safety * eps / 4
+    # total weighted ||f|| mass inside all tubes <= TUBE_SAFETY * eps / 4
     f = corpus_function("step2")
-    eps, safety = 0.1, 0.5
-    tubes = build_null_tubes(f, eps, unit(f), tube_safety=safety)
+    eps, safety = 0.1, TUBE_SAFETY
+    tubes = build_null_tubes(f, eps, unit(f))
     lo, hi = np.asarray(f.universe.lo), np.asarray(f.universe.hi)
     mass = sum(float(f.abs_integral_batch(np.maximum(t.lo, lo),
                                           np.minimum(t.hi, hi)).sum())
@@ -223,7 +220,7 @@ def test_gauge_jump_branch_half_clearance():
     f = corpus_function("step2")
     p = GaugeBuildParams(eps=0.1)
     g = build_gauge(f, unit(f), p)
-    tubes = build_null_tubes(f, p.eps, unit(f), p.tube_safety)
+    tubes = build_null_tubes(f, p.eps, unit(f))
     t = tubes[0]
     assert g((0.5,)) == pytest.approx(0.5 * t.clearance((0.5,)))
 

@@ -378,7 +378,7 @@ def test_trial_groups_bound_memory():
 
 
 def _escape(fam, i):
-    # a key bit above the 1-d key range moves the cell out of the universe
+    # a key bit above the key range moves the cell out of the universe
     keys = fam.keys.copy()
     keys[i] |= np.int64(1) << 62
     return replace(fam, keys=keys)
@@ -469,6 +469,24 @@ def test_verify_corollary(name):
     assert rep.worst_family_mass <= rep.abs_total + 1e-9
     assert rep.reconstruction_gap < 0.2
     assert rep.random_families == 8
+
+
+@pytest.mark.parametrize("name", ["spike1", "lipschitz2d", "linear1"])
+def test_corollary_verifies_its_family(name, monkeypatch):
+    # a cell moved out of the universe passes every corollary flag on
+    # spike1 and lipschitz2d, and on linear1 fails only mass_bounded
+    sieve = riemann.dyadic_sieve
+
+    def escaping_sieve(*args, **kwargs):
+        fam = sieve(*args, **kwargs)
+        return _escape(fam, len(fam) // 2)
+
+    monkeypatch.setattr(riemann, "dyadic_sieve", escaping_sieve)
+    f = corpus_function(name)
+    with pytest.raises(BoundViolated) as exc:
+        verify_corollary(f, unit(f), eps=0.1)
+    assert str(exc.value) == \
+        "family verification failed: cell escapes the universe"
 
 
 def test_corollary_witness_uses_aligned_depth():
