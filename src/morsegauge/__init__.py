@@ -6,6 +6,9 @@ dyadic family, then certify the simple-sum, L1, truncation, and
 set-function bounds against exact integrals.
 """
 
+import ctypes
+import sys
+
 from .analysis import CompactContinuitySet, lusin_compact_set
 from .corpus import CorpusFunction, corpus_function, corpus_names
 from .errors import (BoundViolated, DepthExceeded, MalformedShape,
@@ -21,6 +24,16 @@ from .riemann import (ApproximationReport, CorollaryReport, verify_corollary,
                       verify_theorem)
 
 __version__ = "0.1.0"
+
+if sys.platform.startswith("linux"):
+    # glibc raises its mmap threshold to each large block it frees, so after
+    # one sieve a block that no free heap space fits grows the heap, and the
+    # holes earlier runs left make one run's peak memory differ from the
+    # next.  A fixed threshold maps such blocks of 16 MB and up; 64 MB is the
+    # trim threshold glibc would have raised itself to.
+    _libc = ctypes.CDLL(None)
+    _libc.mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+    _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 __all__ = [
     "ApproximationReport", "BoundViolated", "Box", "CompactContinuitySet",

@@ -311,16 +311,6 @@ def _residual_abs(fam: TaggedFamily, f: CorpusFunction,
                              for los, his in fam.residual_boxes())
 
 
-def _l1_parts(f: CorpusFunction, mu: RadonMeasure, sums: dict,
-              res: float) -> dict:
-    part = mu.w0 * sums["dev"]
-    part_err = mu.w0 * sums["dev_err"]
-    tail = f.tail_abs
-    return {"partition": part, "partition_error": part_err,
-            "residual_abs": res, "tail_abs": tail,
-            "total": part + part_err + res + tail}
-
-
 def default_eta(f: CorpusFunction, eps: float, w0: float) -> float:
     return min(f.ac_modulus(eps / 4.0, w0), eps * 1e-2)
 
@@ -328,12 +318,6 @@ def default_eta(f: CorpusFunction, eps: float, w0: float) -> float:
 def default_sieve_depth(dim: int) -> int:
     # the singular 1-d entry needs ~3 extra levels for every factor-of-2 in eps
     return 56 if dim == 1 else 26
-
-
-def _assert_flags(report: ApproximationReport):
-    if not report.ok():
-        bad = [k for k, v in report.pass_flags.items() if not v]
-        raise BoundViolated(f"bounds failed: {', '.join(bad)}", report)
 
 
 def _threshold(f: CorpusFunction, mu: RadonMeasure, eps: float,
@@ -348,21 +332,22 @@ def _report(f: CorpusFunction, mu: RadonMeasure, eps: float, trial: int,
             cells: int, residual_measure: float, sums: dict,
             residual_abs: float) -> ApproximationReport:
     """The accuracy chain of one family of `cells` cells from its sums."""
-    parts = _l1_parts(f, mu, sums, residual_abs)
+    part, part_err = mu.w0 * sums["dev"], mu.w0 * sums["dev_err"]
+    total = part + part_err + residual_abs + f.tail_abs
     exact = mu.w0 * f.exact_integral(mu.universe)
     simple, local = sums["simple"], sums["local"]
     trunc, trunc_idx = sums["truncation"]
 
     gap = float(f.ynorm(exact - simple))
-    slack = parts["residual_abs"] + parts["tail_abs"]
-    l1p = parts["partition"] + parts["partition_error"]
+    slack = residual_abs + f.tail_abs
+    l1p = part + part_err
     flags = {
         "l1_partition_lt_eps": l1p < eps,
-        "l1_total_lt_eps_plus_slack": parts["total"] < eps + slack + 1e-15,
+        "l1_total_lt_eps_plus_slack": total < eps + slack + 1e-15,
         "local_error_lt_eps": local < eps,
         "truncation_lt_3eps": trunc < 3.0 * eps,
         "local_le_l1": local <= l1p * (1 + _REL) + 1e-15,
-        "gap_le_l1_total": gap <= parts["total"] * (1 + _REL) + 1e-15,
+        "gap_le_l1_total": gap <= total * (1 + _REL) + 1e-15,
         "gap_le_l1_partition_plus_slack":
             gap - slack <= l1p * (1 + _REL) + 1e-15,
     }
@@ -371,10 +356,9 @@ def _report(f: CorpusFunction, mu: RadonMeasure, eps: float, trial: int,
         residual_measure=residual_measure,
         exact=tuple(float(v) for v in exact),
         simple=tuple(float(v) for v in simple),
-        l1_partition=parts["partition"],
-        l1_partition_error=parts["partition_error"],
-        residual_abs=parts["residual_abs"], tail_abs=parts["tail_abs"],
-        l1_total=parts["total"], local_error_sum=local,
+        l1_partition=part, l1_partition_error=part_err,
+        residual_abs=residual_abs, tail_abs=f.tail_abs,
+        l1_total=total, local_error_sum=local,
         truncation_error=trunc, truncation_index=trunc_idx,
         depth_histogram=sums["depth_histogram"], pass_flags=flags)
 
@@ -451,7 +435,10 @@ def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
                              sums, residual_abs)
             report.notes["eta"] = eta
             report.notes["sweep_max_budget_ratio"] = sweep.max_budget_ratio
-            _assert_flags(report)
+            if not report.ok():
+                bad = [k for k, v in report.pass_flags.items() if not v]
+                raise BoundViolated(f"bounds failed: {', '.join(bad)}",
+                                    report)
             reports.append(report)
         del walked
     return reports
