@@ -1,16 +1,18 @@
 """Gauge-fine dyadic cube families over a square box universe.
 
-A family stores each cell as (level, Morton key) only: an int8 level and an
-int64 key, 9 bytes per cell.  The key interleaves the cell's index bits,
-axis 0 most significant, one d-bit digit per level, so a dyadic cell owns a
-contiguous key range and canonical key order is depth-first lexicographic
-(Z-order).  Indices, corners and center tags are derived chunk by chunk
-(CHUNK_CELLS cells at a time) by de-interleaving the keys, and every
-consumer walks the family through TaggedFamily.chunks().
+A cell is a (level, Morton key) pair.  The key interleaves the cell's index
+bits, axis 0 most significant, one d-bit digit per level, so a dyadic cell
+owns a contiguous key range and canonical key order is depth-first
+lexicographic (Z-order).  A family stores its cells as runs, as in a linear
+quadtree: a level, a first key and a count, cell i of a run being its first
+key plus i key spans.  Keys, indices, corners and center tags are derived
+chunk by chunk (CHUNK_CELLS cells at a time), and every consumer walks the
+family through TaggedFamily.chunks().
 
-The dyadic sieve keeps a frontier of equal-level keys, emits the cells whose
-circumradius about the center already fits under the gauge, and splits the
-rest with _split, which builds each child's key from its parent's key.
+The dyadic sieve tests its frontier, runs at one level, a chunk at a time,
+emits the cells whose circumradius about the center already fits under the
+gauge, and splits each run of the rest into one run of its children.
+random_dyadic_partition and with_cells store cell arrays as runs.
 refine_family replaces chosen cells in place by their children, which keeps
 canonical order without a sort; expand gives, for one chunk, the children
 of the cells several refinements split and each refinement's piece of the
@@ -68,9 +70,51 @@ def _split(keys: np.ndarray, levels, dim: int) -> np.ndarray:
     return (keys[:, None] | (_CHILD_DIGITS[dim][None, :] << shift)).reshape(-1)
 
 
-def _key_spans(levels: np.ndarray, dim: int) -> np.ndarray:
+def _key_spans(levels, dim: int) -> np.ndarray:
     cap = _key_depth_cap(dim)
-    return np.int64(1) << (dim * (cap - levels.astype(np.int64)))
+    return np.int64(1) << (dim * (cap - np.asarray(levels, dtype=np.int64)))
+
+
+def _run_cells(levels: np.ndarray, starts: np.ndarray, offsets: np.ndarray,
+               start: int, stop: int, dim: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and keys of cells start .. stop - 1 of the runs (levels,
+    starts) whose cells begin at offsets."""
+    r = slice(offsets.searchsorted(start, "right") - 1,
+              offsets.searchsorted(stop))
+    edges = offsets[r.start:r.stop + 1].clip(start, stop)
+    counts = edges[1:] - edges[:-1]
+    spans = _key_spans(levels[r], dim)
+    # in place: each cell's position in its run, times its span, plus the
+    # key of the run's first cell in the chunk
+    keys = np.arange(stop - start)
+    keys -= (edges[:-1] - start).repeat(counts)
+    keys *= spans.repeat(counts)
+    keys += (starts[r] + (edges[:-1] - offsets[r]) * spans).repeat(counts)
+    return levels[r].repeat(counts), keys
+
+
+def _runs(levels: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+          dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs in the order given, each run that continues the one before
+    it (same level, first key one span past its last) merged into it."""
+    new = np.ones(len(starts), dtype=bool)
+    new[1:] = (levels[1:] != levels[:-1]) | (
+        starts[1:] != starts[:-1] + counts[:-1] * _key_spans(levels[:-1], dim))
+    first = new.nonzero()[0]
+    return levels[first], starts[first], np.add.reduceat(counts, first)
+
+
+def _front_keys(starts: np.ndarray, counts: np.ndarray, level: int,
+                dim: int) -> Iterator[np.ndarray]:
+    """Keys of the cells of the runs (starts, counts), all at level, in
+    order and CHUNK_CELLS cells at a time."""
+    levels = np.full(len(starts), level, dtype=np.int8)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    for start in range(0, int(offsets[-1]), CHUNK_CELLS):
+        # the generator holds no chunk while suspended
+        yield _run_cells(levels, starts, offsets, start,
+                         min(start + CHUNK_CELLS, int(offsets[-1])), dim)[1]
 
 
 def _indices(levels, keys: np.ndarray, dim: int) -> np.ndarray:
@@ -146,9 +190,11 @@ class SieveParams:
 class TaggedFamily:
     """Finitely many interior-disjoint tagged cubes plus the uncovered rest.
 
-    Cell i is the dyadic cube (levels[i], keys[i]) of the universe, tagged
-    at its center; the cells are in strictly increasing key order.  The
-    residual frontier is the cells residual_keys, all at residual_level.
+    Run r holds counts[r] dyadic cubes of the universe at level levels[r],
+    the first with key starts[r] and each next one a key span on, each
+    tagged at its center; the cells are in strictly increasing key order.
+    The residual frontier is the runs (residual_starts, residual_counts),
+    all at residual_level.
     tag_override, when set, is (positions, tags): tags that replace the
     centers of those cells.
     """
@@ -156,18 +202,28 @@ class TaggedFamily:
     universe: Box
     domain_norm: NormKind
     levels: np.ndarray
-    keys: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
     residual_measure: float
     residual_level: int
-    residual_keys: np.ndarray
+    residual_starts: np.ndarray
+    residual_counts: np.ndarray
     tag_override: tuple[np.ndarray, np.ndarray] | None = None
 
+    def __post_init__(self):
+        self._offsets = np.concatenate(([0], np.cumsum(self.counts)))
+
     def __len__(self) -> int:
-        return len(self.keys)
+        return int(self._offsets[-1])
 
     @property
     def dim(self) -> int:
         return self.universe.dim
+
+    def cells(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Levels and keys of cells start .. stop - 1."""
+        return _run_cells(self.levels, self.starts, self._offsets, start,
+                          stop, self.dim)
 
     def chunks(self) -> Iterator[Chunk]:
         """The cells in canonical order, CHUNK_CELLS at a time."""
@@ -177,7 +233,7 @@ class TaggedFamily:
             yield self._chunk(start, start + CHUNK_CELLS)
 
     def _chunk(self, start: int, stop: int) -> Chunk:
-        levels, keys = self.levels[start:stop], self.keys[start:stop]
+        levels, keys = self.cells(start, min(stop, len(self)))
         idx = _indices(levels, keys, self.dim)
         los, his, tags = _geometry(self.universe, levels, idx)
         if self.tag_override is not None:
@@ -188,8 +244,8 @@ class TaggedFamily:
 
     def residual_boxes(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Corners of the residual frontier's cells, CHUNK_CELLS at a time."""
-        for start in range(0, len(self.residual_keys), CHUNK_CELLS):
-            keys = self.residual_keys[start:start + CHUNK_CELLS]
+        for keys in _front_keys(self.residual_starts, self.residual_counts,
+                                self.residual_level, self.dim):
             idx = _indices(self.residual_level, keys, self.dim)
             los, his, _ = _geometry(self.universe, self.residual_level, idx)
             yield los, his
@@ -201,23 +257,15 @@ def _require_square(omega: Box):
         raise ValueError("dyadic sieve needs a square universe")
 
 
-def _cube_family(omega: Box, domain_norm: NormKind, levels: np.ndarray,
-                 keys: np.ndarray, residual_measure: float,
-                 residual_level: int, residual_keys: np.ndarray
-                 ) -> TaggedFamily:
-    """The dyadic cells (level, key) of omega, sorted stably into canonical
-    key order.  The keys of disjoint cells are distinct, so sorting them in
-    place gives the same order as the permutation the levels take, without
-    a second full-length key array."""
-    order = np.argsort(keys, kind="stable")
-    levels = levels.astype(np.int8, copy=False)[order]
-    del order
-    keys.sort()
-    return TaggedFamily(universe=omega, domain_norm=domain_norm,
-                        levels=levels, keys=keys,
-                        residual_measure=float(residual_measure),
-                        residual_level=residual_level,
-                        residual_keys=residual_keys)
+def with_cells(fam: TaggedFamily, levels: np.ndarray,
+               keys: np.ndarray) -> TaggedFamily:
+    """fam with the cells (levels[i], keys[i]), in the order given, tagged
+    at their centers: a cell out of order or off the grid is just a run of
+    its own."""
+    levels, starts, counts = _runs(np.asarray(levels, dtype=np.int8), keys,
+                                   np.ones(len(keys), dtype=np.int64), fam.dim)
+    return replace(fam, levels=levels, starts=starts, counts=counts,
+                   tag_override=None)
 
 
 def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
@@ -243,16 +291,17 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
     uni_lo = np.asarray(omega.lo)[None, :]
 
     level = 0
-    active = np.zeros(1, dtype=np.int64)
-    got = [(0, active[:0])]
+    front = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+    got = [(np.empty(0, dtype=np.int8), front[0][:0], front[1][:0])]
     while True:
         scale = side * 2.0 ** -level
-        residual = mu.w0 * scale ** dim * len(active)
-        if residual <= p.eta or len(active) == 0:
+        cells = int(front[1].sum())
+        residual = mu.w0 * scale ** dim * cells
+        if residual <= p.eta or cells == 0:
             break
         if level > limit:
-            a_lo, a_hi, centers = _geometry(
-                omega, level, _indices(level, active[:8], dim))
+            a_lo, a_hi, centers = _geometry(omega, level, _indices(
+                level, next(_front_keys(*front, level, dim))[:8], dim))
             deltas = g.delta_batch(centers)
             stuck = [{"lo": [float(v) for v in a_lo[i]],
                       "hi": [float(v) for v in a_hi[i]],
@@ -261,12 +310,11 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
                      for i in range(len(centers))]
             raise DepthExceeded(
                 f"residual {residual:.3e} > eta {p.eta:.3e} at depth "
-                f"{limit} ({len(active)} cells stuck)", stuck=stuck)
+                f"{limit} ({cells} cells stuck)", stuck=stuck)
 
-        step = _steps(omega, level)
-        fine = np.empty(len(active), dtype=bool)
-        for start in range(0, len(active), CHUNK_CELLS):
-            keys = active[start:start + CHUNK_CELLS]
+        step, span = _steps(omega, level), _key_spans(level, dim)
+        parts = []
+        for keys in _front_keys(*front, level, dim):
             centers = uni_lo + (_indices(level, keys, dim) + 0.5) * step
             ok = (0.5 * scale * ratio) <= g.delta_batch(centers)
             if ok.any():
@@ -276,17 +324,27 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
                     .reshape(-1, len(signs)).min(axis=1)
                 kids_ok = (0.25 * scale * ratio) <= kid_d
                 ok[np.nonzero(ok)[0][~kids_ok]] = False
-            fine[start:start + len(keys)] = ok
-        got.append((level, active[fine]))
-        active = _split(active[~fine], level, dim)
+            # the chunk's runs: a run ends where the test flips or the keys
+            # jump to another frontier run
+            first = np.concatenate(([True], (ok[1:] != ok[:-1]) | (
+                keys[1:] - keys[:-1] != span))).nonzero()[0]
+            parts.append((keys[first], np.concatenate(
+                (first[1:], [len(keys)])) - first, ok[first]))
+        starts, counts, fine = (np.concatenate(a) for a in zip(*parts))
+        levels = np.full(len(starts), level, dtype=np.int8)
+        got.append((levels[fine], starts[fine], counts[fine]))
+        # a run of c cells splits into one run of 2^d c children
+        _, starts, counts = _runs(levels[~fine], starts[~fine], counts[~fine],
+                                  dim)
+        front = (starts, counts * 2 ** dim)
         level += 1
 
-    counts = [len(k) for _, k in got]
-    levels = np.repeat(np.array([lv for lv, _ in got], dtype=np.int8), counts)
-    keys = np.concatenate([k for _, k in got])
-    del got
-    return _cube_family(omega, domain_norm, levels, keys, residual, level,
-                        active)
+    # the emitted runs of all levels, sorted once into key order
+    levels, starts, counts = (np.concatenate(a) for a in zip(*got))
+    order = np.argsort(starts, kind="stable")
+    runs = _runs(levels[order], starts[order], counts[order], dim)
+    return TaggedFamily(omega, domain_norm, *runs, float(residual), level,
+                        *front)
 
 
 class CellChecks(NamedTuple):
@@ -464,7 +522,8 @@ def refinement_choice(n: int, fraction: float,
     if n == 0:
         return np.empty(0, dtype=np.int64)
     count = max(1, int(round(fraction * n)))
-    chosen = np.sort(rng.choice(n, size=min(count, n), replace=False))
+    chosen = rng.choice(n, size=min(count, n), replace=False)
+    chosen.sort()  # in place: no second copy of the draw
     return chosen.astype(np.int32) if n < 2 ** 31 else chosen
 
 
@@ -482,25 +541,16 @@ def refine_family(fam: TaggedFamily, fraction: float,
     if n == 0:
         return fam
     chosen = refinement_choice(n, fraction, rng)
-
-    fan = 2 ** fam.dim
-    # a chosen cell's fan children start at its own position plus fan - 1
-    # for each chosen cell before it.  Every old cell is copied in order to
-    # the slots left over plus its first child's slot; the children then
-    # overwrite their slots.
-    first = chosen + (fan - 1) * np.arange(len(chosen))
-    slots = (first[:, None] + np.arange(fan)[None, :]).reshape(-1)
-    kept = np.ones(n + (fan - 1) * len(chosen), dtype=bool)
-    kept[slots] = False
-    kept[first] = True
-    keys = np.empty(len(kept), dtype=np.int64)
-    keys[kept] = fam.keys
-    levels = np.empty(len(kept), dtype=np.int8)
-    levels[kept] = fam.levels
-    del kept
-    keys[slots] = _split(fam.keys[chosen], fam.levels[chosen], fam.dim)
-    levels[slots] = np.repeat(fam.levels[chosen] + 1, fan)
-    return replace(fam, levels=levels, keys=keys, tag_override=None)
+    levels, keys = fam.cells(0, n)
+    split = np.zeros(n, dtype=bool)
+    split[chosen] = True
+    # a chosen cell is repeated once per child, and its children's keys
+    # then overwrite the copies
+    copies = np.where(split, 2 ** fam.dim, 1)
+    kids = np.repeat(split, copies)
+    refined = np.repeat(keys, copies)
+    refined[kids] = _split(keys[chosen], levels[chosen], fam.dim)
+    return with_cells(fam, np.repeat(levels + split, copies), refined)
 
 
 def expand(c: Chunk, chosen: list[np.ndarray], universe: Box
@@ -569,8 +619,11 @@ def random_dyadic_partition(omega: Box, rng: np.random.Generator,
         level += 1
 
     levels, keys = (np.concatenate(c) for c in zip(*got))
-    return _cube_family(omega, domain_norm, levels, keys, 0.0, level,
-                        np.empty(0, dtype=np.int64))
+    order = np.argsort(keys, kind="stable")
+    runs = _runs(levels[order], keys[order], np.ones(len(keys), dtype=np.int64),
+                 dim)
+    # nothing is left uncovered: the residual frontier has no runs
+    return TaggedFamily(omega, domain_norm, *runs, 0.0, level, active, active)
 
 
 # --------------------------------------------------------------------------
@@ -583,9 +636,9 @@ def sabotage_overlap(fam: TaggedFamily, rng: np.random.Generator) -> TaggedFamil
         raise ValueError("need at least two cells to create an overlap")
     i = int(rng.integers(len(fam)))
     j = i + 1 if i + 1 < len(fam) else i - 1
-    levels, keys = fam.levels.copy(), fam.keys.copy()
+    levels, keys = fam.cells(0, len(fam))
     levels[j], keys[j] = levels[i], keys[i]
-    return replace(fam, levels=levels, keys=keys)
+    return with_cells(fam, levels, keys)
 
 
 def sabotage_offcenter(fam: TaggedFamily, rng: np.random.Generator) -> TaggedFamily:
@@ -594,9 +647,9 @@ def sabotage_offcenter(fam: TaggedFamily, rng: np.random.Generator) -> TaggedFam
         raise ValueError("empty family")
     count = min(3, len(fam))
     idx = rng.choice(len(fam), size=count, replace=False)
-    levels = fam.levels[idx]
+    levels, keys = (a[idx] for a in fam.cells(0, len(fam)))
     _, _, tags = _geometry(fam.universe, levels,
-                           _indices(levels, fam.keys[idx], fam.dim))
+                           _indices(levels, keys, fam.dim))
     half = 0.5 * _steps(fam.universe, levels)[:, 0]
     tags[:, 0] += 1.2 * half
     return replace(fam, tag_override=(idx, tags))

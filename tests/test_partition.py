@@ -1,8 +1,10 @@
+import hashlib
 import math
-from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import cell_arrays, run_cells
 
 from morsegauge import partition
 from morsegauge.corpus import corpus_function
@@ -18,6 +20,7 @@ from morsegauge.partition import (
     sabotage_offcenter,
     sabotage_overlap,
     verify_family,
+    with_cells,
 )
 from morsegauge.riemann import build_report, default_eta, default_sieve_depth
 
@@ -42,8 +45,8 @@ def derived(fam, field):
 
 
 def depth_histogram(fam):
-    """Cells per level of the whole family, from its full level array."""
-    levels, counts = np.unique(fam.levels, return_counts=True)
+    """Cells per level of the whole family, from its reference cells."""
+    levels, counts = np.unique(cell_arrays(fam)[0], return_counts=True)
     return {int(k): int(v) for k, v in zip(levels, counts)}
 
 
@@ -86,7 +89,7 @@ def test_sieve_linear1_uniform_depth():
 def test_sieve_canonical_order_and_exact_measures():
     f, mu, g = gauge_for("checker2d")
     fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
-    assert np.all(np.diff(fam.keys) > 0)
+    assert np.all(np.diff(derived(fam, "keys")) > 0)
     ms = cell_measures(fam, mu)
     assert math.fsum(ms) + fam.residual_measure == 1.0
 
@@ -131,6 +134,111 @@ def test_sieve_params_validation():
         SieveParams(eta=0.1, max_depth=-1)
 
 
+def sieve_for(name, eps):
+    f, mu, g = gauge_for(name, eps)
+    return dyadic_sieve(f.universe, g, mu, SieveParams(
+        eta=default_eta(f, eps, mu.w0),
+        max_depth=default_sieve_depth(f.dim_in)))
+
+
+def residual_keys(fam):
+    """Reference keys of the residual frontier's cells."""
+    levels = np.full(len(fam.residual_starts), fam.residual_level, np.int8)
+    return run_cells(levels, fam.residual_starts, fam.residual_counts,
+                     fam.dim)[1]
+
+
+# sha256 prefixes of each family's cell levels, cell keys and residual keys,
+# taken when the sieve built whole cell arrays and sorted them
+@pytest.mark.parametrize("case,cells,digest", [
+    ("spike1-0.1", 37866, "8ba243f9d492e81e"),
+    ("lipschitz2d-0.01", 49504, "c5682ca3d6f694b6"),
+    ("random-1d", 14, "c08965f3c1ebe284"),
+    ("random-2d", 247, "a95401b2978021b4"),
+    ("random-3d", 8667, "1b7aa8fb4d08c937")])
+def test_run_chunks_match_the_cell_reference(case, cells, digest, monkeypatch):
+    kind, arg = case.split("-")
+    if kind == "random":
+        dim = int(arg[0])
+        fam = random_dyadic_partition(
+            Box((0.0,) * dim, (1.0,) * dim), np.random.default_rng(20260817),
+            max_level=5, stop_prob=0.2)
+    else:
+        fam = sieve_for(kind, float(arg))
+    levels, keys = cell_arrays(fam)
+    residual = residual_keys(fam)
+    assert len(fam) == len(keys) == cells
+    assert hashlib.sha256(levels.tobytes() + keys.tobytes()
+                          + residual.tobytes()).hexdigest()[:16] == digest
+    # 7-cell chunks cut through runs
+    monkeypatch.setattr(partition, "CHUNK_CELLS", 7)
+    chunks = list(fam.chunks())
+    assert [c.start for c in chunks] == list(range(0, cells, 7))
+    got = np.concatenate([c.levels for c in chunks])
+    assert got.dtype == np.int8
+    assert np.array_equal(got, levels)
+    assert np.array_equal(np.concatenate([c.keys for c in chunks]), keys)
+    lo = np.asarray(fam.universe.lo)
+    step = (np.asarray(fam.universe.hi) - lo) * 2.0 ** -fam.residual_level
+    boxes = list(fam.residual_boxes())
+    assert all(len(b) <= 7 for b, _ in boxes)
+    if len(residual):
+        idx = partition._indices(fam.residual_level, residual, fam.dim)
+        assert np.array_equal(np.concatenate([b for b, _ in boxes]),
+                              lo + idx * step)
+
+
+@pytest.mark.parametrize("name,eps", [("spike1", 0.3), ("lipschitz2d", 0.1),
+                                      ("checker2d", 0.1)])
+def test_sieve_runs_are_chunk_size_free(name, eps, monkeypatch):
+    # the sieve turns each chunk's mask into runs; runs that cross a chunk
+    # boundary must join up again, in the family and in its frontier
+    want = sieve_for(name, eps)
+    for chunk in (7, 61):
+        monkeypatch.setattr(partition, "CHUNK_CELLS", chunk)
+        got = sieve_for(name, eps)
+        for field in ("levels", "starts", "counts", "residual_starts",
+                      "residual_counts"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert got.residual_level == want.residual_level
+        assert got.residual_measure == want.residual_measure
+
+
+def test_sieve_memory_does_not_grow_with_the_family():
+    # tracemalloc peak of the spike1 @0.01 sieve: 99.0 MB when the sieve
+    # built whole cell arrays, 8.6 MB with runs
+    f, mu, g = gauge_for("spike1", 0.01)
+    p = SieveParams(eta=default_eta(f, 0.01, mu.w0),
+                    max_depth=default_sieve_depth(f.dim_in))
+    tracemalloc.start()
+    try:
+        fam = dyadic_sieve(f.universe, g, mu, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, peak
+    assert len(fam) == 3_558_174
+    assert len(fam.starts) <= 100
+    assert len(fam.residual_starts) <= 100
+    assert fam.residual_counts.sum() == 2_500_668
+
+
+def test_with_cells_keeps_corrupt_cells_as_given():
+    # a stray low key bit, a duplicated cell and a swapped pair each break a
+    # run, and the chunks still give back every key as it was set
+    fam = sieve_for("spike1", 0.3)
+    levels, keys = cell_arrays(fam)
+    i = len(keys) // 2
+    stray, dup, swap = keys.copy(), keys.copy(), keys.copy()
+    stray[i] |= 1
+    dup[i + 1] = keys[i]
+    swap[[i, i + 1]] = keys[[i + 1, i]]
+    for cells in (keys, stray, dup, swap):
+        got = with_cells(fam, levels, cells)
+        assert np.array_equal(derived(got, "keys"), cells)
+        assert len(got.starts) <= len(fam.starts) + 3
+
+
 # ---------------------------------------------------------------------------
 # the refinement-stability invariant
 # ---------------------------------------------------------------------------
@@ -152,7 +260,7 @@ def test_refinement_preserves_mass(rng):
     ref = refine_family(fam, 0.5, rng)
     assert math.fsum(cell_measures(ref, mu)) == pytest.approx(
         math.fsum(cell_measures(fam, mu)), abs=1e-15)
-    assert np.all(np.diff(ref.keys) > 0)
+    assert np.all(np.diff(derived(ref, "keys")) > 0)
 
 
 def reference_keys(levels, indices, dim):
@@ -175,11 +283,12 @@ def reference_keys(levels, indices, dim):
 def assert_indices_round_trip(fam):
     """The indices chunks() derives from the keys interleave back into the
     keys, and the tags sit at the cell centers they imply."""
-    idx = derived(fam, "indices")
-    assert np.array_equal(fam.keys, reference_keys(fam.levels, idx, fam.dim))
-    assert np.all((idx >= 0) & (idx < 2 ** fam.levels[:, None].astype(np.int64)))
+    idx, levels = derived(fam, "indices"), derived(fam, "levels")
+    assert np.array_equal(derived(fam, "keys"),
+                          reference_keys(levels, idx, fam.dim))
+    assert np.all((idx >= 0) & (idx < 2 ** levels[:, None].astype(np.int64)))
     side = np.asarray(fam.universe.hi) - np.asarray(fam.universe.lo)
-    steps = side * 2.0 ** -fam.levels[:, None].astype(float)
+    steps = side * 2.0 ** -levels[:, None].astype(float)
     centers = np.asarray(fam.universe.lo) + (idx + 0.5) * steps
     assert np.array_equal(derived(fam, "tags"), centers)
 
@@ -194,7 +303,7 @@ def test_carried_keys_match_bit_interleaving(dim, rng, monkeypatch):
     for fraction in (0.3, 1.0):
         ref = refine_family(fam, fraction, rng)
         assert_indices_round_trip(ref)
-        assert np.all(np.diff(ref.keys) > 0)
+        assert np.all(np.diff(derived(ref, "keys")) > 0)
         assert verify_family(ref, Gauge.constant(1.0), unit(universe),
                              eta=1e-12)
 
@@ -221,7 +330,8 @@ def test_depth_histogram_matches_unique_across_chunks(rng, monkeypatch):
     got = build_report(fam, f, mu, 0.1, trial=0).depth_histogram
     assert got == want
     assert list(got) == sorted(want)
-    empty = replace(fam, levels=fam.levels[:0], keys=fam.keys[:0])
+    levels, keys = cell_arrays(fam)
+    empty = with_cells(fam, levels[:0], keys[:0])
     assert build_report(empty, f, mu, 0.1, trial=0).depth_histogram == {}
 
 
@@ -242,7 +352,7 @@ def test_carried_keys_near_the_key_cap(rng):
     assert int(ref.levels.max()) == 62
     for f in (fam, ref):
         assert_indices_round_trip(f)
-        assert np.all(np.diff(f.keys) > 0)
+        assert np.all(np.diff(derived(f, "keys")) > 0)
 
 
 def test_split_rejects_levels_past_the_key_cap(rng):
@@ -292,7 +402,8 @@ def test_verifier_rejects_keys_out_of_order(chunk, monkeypatch):
     fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
     order = np.arange(len(fam))
     order[[3, 4]] = order[[4, 3]]
-    swapped = replace(fam, levels=fam.levels[order], keys=fam.keys[order])
+    levels, keys = cell_arrays(fam)
+    swapped = with_cells(fam, levels[order], keys[order])
     notes = {}
     assert not verify_family(swapped, g, mu, eta=0.01, report=notes)
     assert notes["reason"] == "interior overlap (key ranges collide)"
@@ -348,10 +459,10 @@ def test_verifier_rejects_escaping_cell():
     fam = dyadic_sieve(UNIT_1D, g, mu, SieveParams(eta=1e-9))
     # bit 62 lies above the 1-d key range: the last cell's index leaves
     # the grid
-    keys = fam.keys.copy()
+    levels, keys = cell_arrays(fam)
     keys[-1] |= np.int64(1) << 62
-    shifted = replace(fam, keys=keys)
-    assert derived(shifted, "indices")[-1, 0] >= 2 ** int(fam.levels[-1])
+    shifted = with_cells(fam, levels, keys)
+    assert derived(shifted, "indices")[-1, 0] >= 2 ** int(levels[-1])
     assert derived(shifted, "his")[-1, 0] > 1.0
     notes = {}
     assert not verify_family(shifted, g, mu, eta=1e-9, report=notes)

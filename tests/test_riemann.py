@@ -4,11 +4,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import cell_arrays
 
 from morsegauge import partition, riemann
 from morsegauge.corpus import corpus_function
@@ -23,6 +23,7 @@ from morsegauge.partition import (
     refine_family,
     sabotage_offcenter,
     verify_family,
+    with_cells,
 )
 from morsegauge.riemann import (
     build_report,
@@ -341,9 +342,9 @@ def test_overlap_only_a_refinement_has_is_caught_in_that_trial():
     g, eta, base = sieved(f, 0.3)
     rng = np.random.default_rng(7)
     i = int(partition.refinement_choice(len(base), 0.15, rng)[0])
-    keys = base.keys.copy()
-    keys[i] |= np.int64(1) << (61 - int(base.levels[i]))
-    stray = replace(base, keys=keys)
+    levels, keys = cell_arrays(base)
+    keys[i] |= np.int64(1) << (61 - int(levels[i]))
+    stray = with_cells(base, levels, keys)
     assert verify_family(stray, g, mu, eta)
     notes = {}
     ref = refine_family(stray, 0.15, np.random.default_rng(7))
@@ -379,16 +380,16 @@ def test_trial_groups_bound_memory():
 
 def _escape(fam, i):
     # a key bit above the key range moves the cell out of the universe
-    keys = fam.keys.copy()
+    levels, keys = cell_arrays(fam)
     keys[i] |= np.int64(1) << 62
-    return replace(fam, keys=keys)
+    return with_cells(fam, levels, keys)
 
 
 def _straddle(fam, i):
     # the level-0 cell [-1, 1] holds spike1's singularity in its interior
-    levels, keys = fam.levels.copy(), fam.keys.copy()
+    levels, keys = cell_arrays(fam)
     levels[i], keys[i] = 0, 0
-    return replace(fam, levels=levels, keys=keys)
+    return with_cells(fam, levels, keys)
 
 
 @pytest.mark.parametrize("corrupt,reason", [
