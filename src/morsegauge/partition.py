@@ -144,13 +144,27 @@ def _steps(omega: Box, levels) -> np.ndarray:
                     -np.asarray(levels, dtype=np.int32).reshape(-1, 1))
 
 
+def _coords(lo: np.ndarray, step: np.ndarray, levels, indices: np.ndarray,
+            at: float) -> np.ndarray:
+    """lo + (index + at) * step per cell and axis, for the cells' _steps:
+    the lower corners at 0, the upper ones at 1 and the tags at 0.5."""
+    x = lo + (indices + at) * step
+    if np.max(levels, initial=0) > 52:
+        # a float index rounds from 2^53 on, which only 1-d keys reach;
+        # with its low ten bits added last, a coordinate that is a float
+        # comes out exact on a universe with dyadic ends
+        twice = 2 * indices + int(2 * at)
+        low, half = twice & 1023, 0.5 * step
+        x = np.where((np.asarray(levels) > 52).reshape(-1, 1),
+                     (lo + (twice - low) * half) + low * half, x)
+    return x
+
+
 def _geometry(omega: Box, levels, indices: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower corners, upper corners and center tags of the cells."""
-    lo = np.asarray(omega.lo)[None, :]
-    step = _steps(omega, levels)
-    return lo + indices * step, lo + (indices + 1) * step, \
-        lo + (indices + 0.5) * step
+    lo, step = np.asarray(omega.lo)[None, :], _steps(omega, levels)
+    return tuple(_coords(lo, step, levels, indices, at) for at in (0, 1, 0.5))
 
 
 class Chunk(NamedTuple):
@@ -315,7 +329,8 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
         step, span = _steps(omega, level), _key_spans(level, dim)
         parts = []
         for keys in _front_keys(*front, level, dim):
-            centers = uni_lo + (_indices(level, keys, dim) + 0.5) * step
+            centers = _coords(uni_lo, step, level,
+                              _indices(level, keys, dim), 0.5)
             ok = (0.5 * scale * ratio) <= g.delta_batch(centers)
             if ok.any():
                 kids = centers[ok][:, None, :] \

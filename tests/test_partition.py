@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -317,6 +318,41 @@ def test_steps_are_exact_powers_of_two():
         assert np.array_equal(partition._steps(universe, levels.astype(np.int8)),
                               want)
         assert np.array_equal(partition._steps(universe, 5), want[5:6])
+
+
+@pytest.mark.parametrize("universe", [Box((-1.0,), (1.0,)), UNIT_1D,
+                                      Box((-0.5,), (1.5,))])
+def test_deep_1d_coordinates_are_correctly_rounded(universe, rng):
+    # from level 53 on a 1-d index is no longer a float; corners and tags
+    # must still be their exact values rounded once, so a cell whose
+    # corners are floats is never empty (spike1's cell at 3.2e-9 came out
+    # with lo == hi at level 55)
+    levels = np.repeat(np.arange(53, 63), 40)
+    idx = rng.integers(0, np.int64(1) << levels)
+    # half of them near the middle, where [-1, 1] has its smallest corners
+    idx[::2] = (np.int64(1) << (levels[::2] - 1)) \
+        + rng.integers(-2 ** 30, 2 ** 30, size=len(idx[::2]))
+    los, his, tags = partition._geometry(universe, levels, idx[:, None])
+    lo = Fraction(universe.lo[0])
+    side = Fraction(universe.hi[0]) - lo
+    for level, i, got in zip(levels.tolist(), idx.tolist(),
+                             zip(los[:, 0], his[:, 0], tags[:, 0])):
+        want = [float(lo + (i + at) * side / 2 ** level)
+                for at in (0, 1, Fraction(1, 2))]
+        assert list(got) == want, (level, i)
+
+
+@pytest.mark.parametrize("universe", [Box((0.1,), (0.4,)), UNIT_1D,
+                                      Box((0.1, -0.3), (0.4, 0.0))])
+def test_shallow_coordinates_keep_the_plain_formula(universe, rng):
+    levels = rng.integers(0, min(53, 62 // universe.dim), size=500)
+    idx = rng.integers(0, np.int64(1) << levels[:, None],
+                       size=(500, universe.dim))
+    step = partition._steps(universe, levels)
+    lo = np.asarray(universe.lo)
+    want = (lo + idx * step, lo + (idx + 1) * step, lo + (idx + 0.5) * step)
+    for got, ref in zip(partition._geometry(universe, levels, idx), want):
+        assert np.array_equal(got, ref)
 
 
 def test_depth_histogram_matches_unique_across_chunks(rng, monkeypatch):
