@@ -5,7 +5,7 @@ norm_ratio converts between norms, so a cube of half-side h about its tag
 reaches h * norm_ratio(INF, domain_norm, d).  Boxes are closed and
 axis-aligned.  A gauge is a batch map from points to sizes in (0, 1].
 bisect_last is the one bisection the gauge tubes and the compact sets
-solve their widths with.
+solve their widths with, exact_parts the one exact sum of the totals.
 
 Everything in this module is immutable and pure.
 """
@@ -81,6 +81,35 @@ def bisect_last(ok: Callable[[float], bool], lo: float, hi: float,
         else:
             hi = mid
     return lo
+
+
+def exact_parts(a: np.ndarray) -> np.ndarray:
+    """A few floats whose exact sum is that of the 1-d array a while its
+    magnitudes sum below 2^1024, so that math.fsum of them is a's correctly
+    rounded sum in any order; a plain, non-finite sum if a has an inf or nan.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008): with n < 2^m
+    entries, each pass cuts them all at the 2^s that leaves 53 - m bits of
+    the largest above it, so their multiples of 2^s sum exactly, and what
+    lies below 2^s goes on; a cut under 2^-1074 leaves nothing.
+    """
+    a = np.array(a, dtype=float)
+    r = np.empty_like(a)
+    m = max(len(a), 1).bit_length()
+    top = float(np.abs(a, out=r).max(initial=0.0))
+    if not math.isfinite(top):
+        return np.array([a.sum()])
+    parts = []
+    while top:
+        s = math.frexp(top)[1] + m - 53
+        np.ldexp(a, -s, out=r)
+        np.trunc(r, out=r)
+        parts.append(np.ldexp(r.sum(), s))
+        np.ldexp(r, s, out=r)
+        a -= r
+        top = float(np.abs(a, out=r).max())
+    return np.array(parts)
 
 
 # --------------------------------------------------------------------------

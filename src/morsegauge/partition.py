@@ -35,7 +35,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DepthExceeded
-from .geometry import Box, Gauge, NormKind, norm_batch, norm_ratio
+from .geometry import Box, Gauge, NormKind, exact_parts, norm_batch, norm_ratio
 from .measure import RadonMeasure, measure_box_batch, require_uniform
 
 # cells per chunk of every family walk: large enough that numpy calls
@@ -525,7 +525,7 @@ def verify_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
     masses = []
     for c in fam.chunks():
         check.add(c.levels, c.keys, check_cells(c, g, fam))
-        masses.append(float(measure_box_batch(mu, c.los, c.his).sum()))
+        masses.extend(exact_parts(measure_box_batch(mu, c.los, c.his)))
     return check.verdict(math.fsum(masses), report)
 
 

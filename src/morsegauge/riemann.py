@@ -11,23 +11,24 @@ chunked sum, which the random partitions and the witness share.  Every
 per-cell sum comes from one walk over the family's chunks, so memory stays
 at a few chunks however large the family grows.  One walk carries the base
 family and up to TRIALS_PER_WALK refinements of it, the base being the
-refinement that splits nothing: it checks and sums each distinct cell once,
-and each family gathers its own cells and sums them over its own windows,
-so its report and verdict are those of its built family.  The residual
-frontier, which refinement keeps, is integrated once.
+refinement that splits nothing, and checks and evaluates each distinct cell
+once.  Every total is the correctly rounded sum of its per-cell terms, so
+no walk's cut changes it and each report is that of its built family.  The
+residual frontier, which refinement keeps, is integrated once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .corpus import CorpusFunction
 from .errors import BoundViolated
 from .gauge import GaugeBuildParams, build_gauge, soundness_sweep
-from .geometry import Box, Gauge, NormKind
+from .geometry import Box, Gauge, NormKind, exact_parts
 from .measure import RadonMeasure, measure_box_batch, require_uniform
 from . import partition
 from .partition import (Chunk, FamilyCheck, SieveParams,
@@ -38,6 +39,9 @@ _REL = 1e-9
 # refined trials one walk of the base family carries; more trials take more
 # walks, so memory does not grow with the trial count
 TRIALS_PER_WALK = 8
+# rows of a walk's pool of per-cell values: the local error, the deviation
+# integral and its certified error, the mass w, then f(tag) w
+_LOCAL, _DEV, _ERR, _W = range(4)
 
 
 @dataclass
@@ -72,39 +76,29 @@ class ApproximationReport:
         return out
 
 
-def _fsum_rows(parts: list[np.ndarray], width: int) -> np.ndarray:
-    """Component-wise correctly rounded sum of per-chunk partial vectors."""
-    if not parts:
-        return np.zeros(width)
-    return np.array([math.fsum(col) for col in zip(*parts)])
-
-
-def _empty_values(f: CorpusFunction, n: int) -> dict[str, np.ndarray]:
-    return {"w": np.empty(n), "Fw": np.empty((n, f.dim_out)),
-            **{name: np.empty(n) for name in ("local", "dev", "err")}}
-
-
 def _cell_values(f: CorpusFunction, mu: RadonMeasure, universe: Box,
-                 part: Chunk, vals: dict, at: int = 0,
+                 part: Chunk, vals: np.ndarray, at: int = 0,
                  rows: np.ndarray | None = None):
     """Every per-cell term a report sums, for the cells of part (or those
-    at positions rows of it): the mass w, f(tag) w, the local error
-    ||w0 Int_S f - f(tag) w|| and the deviation integral with its
-    certified error.  Written to vals from position at on (cell i of part
-    to at + i).  The kernels run KERNEL_ROWS cells at a time, so their
-    temporaries stay small however many children a chunk's trials add."""
+    at positions rows of it): the local error ||w0 Int_S f - f(tag) w||,
+    the deviation integral with its certified error, the mass w and
+    f(tag) w.  Written to the rows of vals from column at on (cell i of
+    part to column at + i).  The kernels run KERNEL_ROWS cells at a time,
+    so their temporaries stay small however many children a chunk's
+    trials add."""
     count = len(part.levels) if rows is None else len(rows)
     for start in range(0, count, partition.KERNEL_ROWS):
         stop = min(start + partition.KERNEL_ROWS, count)
         batch = slice(start, stop) if rows is None else rows[start:stop]
         out = slice(at + start, at + stop) if rows is None else at + batch
         los, his, tags = part.geometry(universe, batch)
-        w = vals["w"][out] = measure_box_batch(mu, los, his)
+        w = vals[_W, out] = measure_box_batch(mu, los, his)
         F = f.eval_batch(tags)
-        Fw = vals["Fw"][out] = F * w[:, None]
-        vals["local"][out] = f.ynorm_rows(
+        Fw = F * w[:, None]
+        vals[_W + 1:, out] = Fw.T
+        vals[_LOCAL, out] = f.ynorm_rows(
             mu.w0 * f.integral_batch(los, his) - Fw)
-        vals["dev"][out], vals["err"][out] = \
+        vals[_DEV, out], vals[_ERR, out] = \
             f.dev_integral_for_tags(los, his, tags, F)
 
 
@@ -112,13 +106,10 @@ class _Trial:
     """One family's share of a walk: its check, if any, and its sums.
 
     The family's cells arrive piece by piece in canonical order, as
-    positions in a pool of per-cell values.  Every float sum is taken over
-    the family's own windows of CHUNK_CELLS cells, gathered when complete,
-    so each partial, and so each total, is the one a walk of the family by
-    itself takes, whichever pieces the cells came in.  A piece is never
-    shorter than a window, so a window waits on at most one earlier pool.
-    The prefix sums of the truncation profile carry across windows, so
-    they are bit for bit one cumsum over the whole family.
+    positions in a pool of per-cell values, with exact parts of their
+    sums, so each total is correctly rounded whichever pieces the cells
+    came in.  The prefix sums of the truncation profile carry across
+    pieces, so they are bit for bit one cumsum over the whole family.
     """
 
     def __init__(self, cells: int, f: CorpusFunction, mu: RadonMeasure,
@@ -127,69 +118,28 @@ class _Trial:
         self.threshold = threshold
         self.total = float(mu.total)
         self.exact = mu.w0 * f.exact_integral(mu.universe)
-        self.width = partition.CHUNK_CELLS
-        self.done = self.fill = 0
-        self.pending = []
-        self.parts = {name: [] for name in
-                      ("w", "simple", "local", "dev", "err")}
+        self.parts = [[np.zeros(0)] * (_W + 1 + f.dim_out)]
         self.depths = np.zeros(64, dtype=np.int64)
-        self.carry_w, self.carry_p = 0.0, np.zeros(f.dim_out)
+        # the prefix sums of w and f(tag) w so far
+        self.carry = np.zeros(1 + f.dim_out)
         self.m0 = None
         self.trunc = (float(f.ynorm(self.exact)), 0)
 
-    @property
-    def summing(self) -> bool:
-        return self.check is None or self.check.ok
-
-    def add(self, vals: dict, levels: np.ndarray, sel: np.ndarray):
-        """The next cells, vals[sel], of levels `levels`."""
+    def add(self, vals: np.ndarray, levels: np.ndarray, sel: np.ndarray,
+            parts: list[np.ndarray]):
+        """The next cells, the columns sel of vals, of levels `levels`;
+        parts[i] sums exactly to row i of vals over those cells."""
+        start = int(self.depths.sum())
         self.depths += np.bincount(levels, minlength=len(self.depths))
-        n, pos = len(sel), 0
-        while pos < n:
-            m = min(self._next_window() - self.fill, n - pos)
-            self.pending.append((vals, sel[pos:pos + m]))
-            self.fill += m
-            pos += m
-            if self.fill == self._next_window():
-                self._window()
-                self.pending, self.fill = [], 0
-        if self.pending:
-            # hold on to the leftover's positions, not the whole piece's
-            self.pending[-1] = (vals, self.pending[-1][1].copy())
-
-    def _next_window(self) -> int:
-        """The length of the window being filled."""
-        return min(self.width, self.cells - self.done)
-
-    def _gathered(self, name: str) -> np.ndarray:
-        """The pending window's values of one kind, in order."""
-        out, pos = None, 0
-        for vals, sel in self.pending:
-            v = vals[name]
-            if out is None:
-                out = np.empty((self.fill,) + v.shape[1:])
-            np.take(v, sel, axis=0, out=out[pos:pos + len(sel)], mode="clip")
-            pos += len(sel)
-        return out
-
-    def _window(self):
-        """Sum the pending window, cells done .. done + fill - 1; one kind
-        at a time, so the values of the kinds only summed are dropped
-        before the truncation profile."""
-        for name in ("local", "dev", "err"):
-            self.parts[name].append(float(self._gathered(name).sum()))
-        w, Fw = self._gathered("w"), self._gathered("Fw")
-        start = self.done
-        self.done += len(w)
-        self.parts["w"].append(float(w.sum()))
-        self.parts["simple"].append(Fw.sum(axis=0))
+        self.parts.append(parts)
         if self.threshold is None:
             return
-        covered = np.cumsum(np.concatenate(([self.carry_w], w)))[1:]
-        partial = np.cumsum(np.concatenate((self.carry_p[None, :], Fw)),
-                            axis=0)[1:]
-        # a copy: a view would keep the whole window's prefix sums alive
-        self.carry_w, self.carry_p = covered[-1], partial[-1].copy()
+        prefix = np.cumsum(np.concatenate(
+            (self.carry[:, None], np.take(vals[_W:], sel, axis=1, mode="clip")),
+            axis=1), axis=1)[:, 1:]
+        # a copy: a view would keep the whole piece's prefix sums alive
+        self.carry = prefix[:, -1].copy()
+        covered, partial = prefix[0], prefix[1:].T
         j = 0
         if self.m0 is None:
             # uncovered after k cells still includes the residual, so the
@@ -210,14 +160,13 @@ class _Trial:
         trunc = self.trunc
         if self.threshold is not None and self.m0 is None and self.cells:
             trunc = (float(self.f.ynorm_rows(
-                self.exact[None, :] - self.carry_p[None, :])[0]),
+                self.exact[None, :] - self.carry[None, 1:])[0]),
                 self.cells - 1)
-        parts = self.parts
-        return {"simple": _fsum_rows(parts["simple"], self.f.dim_out),
-                "local": math.fsum(parts["local"]),
-                "dev": math.fsum(parts["dev"]),
-                "dev_err": math.fsum(parts["err"]),
-                "measure": math.fsum(parts["w"]), "truncation": trunc,
+        totals = [math.fsum(chain.from_iterable(row))
+                  for row in zip(*self.parts)]
+        return {"simple": np.array(totals[_W + 1:]),
+                "local": totals[_LOCAL], "dev": totals[_DEV],
+                "dev_err": totals[_ERR], "measure": totals[_W], "truncation": trunc,
                 "depth_histogram": {k: int(v) for k, v in
                                     enumerate(self.depths) if v}}
 
@@ -233,11 +182,11 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
     fam is refinement 0, the one that splits nothing, so every family takes
     the same steps per chunk: expand gives the children of every cell some
     refinement splits and each family's piece of the pool of the chunk's
-    cells and those children; each distinct cell of the pool is summed
+    cells and those children; each distinct cell of the pool is evaluated
     once, and, given a gauge g, checked once, with each refinement checking
     its own piece.  fam's check runs first: from its first failing chunk on
     only that check runs, so no sum kernel sees a corrupt cell and no
-    refinement of a corrupt family is expanded.  The children are summed
+    refinement of a corrupt family is expanded.  The children are evaluated
     only while some refinement holding them still passes.  A refinement's
     sums so stop at its first failing piece while its check goes on to the
     end, and its verdict names the same failure as verify_family on the
@@ -250,28 +199,21 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
     trials = [_Trial(size, f, mu, threshold,
                      None if g is None else FamilyCheck(fam, mu, eta, size))
               for size in sizes]
-    # where each refinement's chosen cells cross into each chunk
-    width = partition.CHUNK_CELLS
-    edges = np.arange(0, len(fam), width)[1:]
-    bounds = [np.concatenate(([0], np.searchsorted(ch, edges), [len(ch)]))
-              for ch in chosen]
     for c in fam.chunks():
         cells = None if g is None else check_cells(c, g, fam)
         if cells is not None and \
                 not trials[0].check.add(c.levels, c.keys, cells):
             continue
-        k = c.start // width
-        kids, piece = expand(c, [ch[b[k]:b[k + 1]] - c.start
-                                 for ch, b in zip(chosen, bounds)],
-                             fam.universe)
+        n = len(c.levels)
+        split = [ch[ch.searchsorted(c.start):ch.searchsorted(c.start + n)]
+                 - c.start for ch in chosen]
+        kids, piece = expand(c, split, fam.universe)
         # the pool's values: the chunk's cells now, then the children held
         # by refinements whose checks pass
-        n = len(c.levels)
-        vals = _empty_values(f, n + len(kids.levels))
+        vals = np.empty((_W + 1 + f.dim_out, n + len(kids.levels)))
         _cell_values(f, mu, fam.universe, c, vals)
-        # all trials' windows are open at once, so each array is let go as
-        # soon as it is done with, which keeps the walk's peak at about
-        # that of walking one trial alone
+        # each array is let go as soon as it is done with, which keeps the
+        # walk's peak at about that of walking one trial alone
         c = c._replace(los=None, his=None, tags=None)
         levels = np.concatenate((c.levels, kids.levels))
         if cells is not None:
@@ -283,14 +225,24 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
                                     np.take(keys, sel, mode="clip"),
                                     pool.take(sel))
             del pool, keys
-        live = [t for t, trial in enumerate(trials) if trial.summing]
+        live = [t for t, trial in enumerate(trials)
+                if trial.check is None or trial.check.ok]
         _cell_values(f, mu, fam.universe, kids, vals, n,
                      _children_of(kids, [piece(t) for t in live], n, fan)
                      if len(live) < len(trials) else None)
         kids = None
+        whole = [exact_parts(row) for row in vals[:, :n]]
         for t in live:
             sel = piece(t)
-            trials[t].add(vals, np.take(levels, sel, mode="clip"), sel)
+            parts = whole
+            if t:
+                # sums are order-free, so a refinement's are fam's, less
+                # the cells it splits, plus their children
+                delta = np.take(vals, np.r_[split[t], sel[sel >= n]], axis=1)
+                delta[:, :len(split[t])] *= -1
+                parts = [np.r_[w, exact_parts(d)] for w, d in zip(whole, delta)]
+            trials[t].add(vals, np.take(levels, sel, mode="clip"), sel,
+                          parts)
     return trials
 
 
@@ -307,8 +259,9 @@ def _children_of(kids: Chunk, sels: list[np.ndarray], n: int,
 def _residual_abs(fam: TaggedFamily, f: CorpusFunction,
                   mu: RadonMeasure) -> float:
     """w0 Sum Int ||f|| over the residual frontier."""
-    return mu.w0 * math.fsum(float(f.abs_integral_batch(los, his).sum())
-                             for los, his in fam.residual_boxes())
+    return mu.w0 * math.fsum(chain.from_iterable(
+        exact_parts(f.abs_integral_batch(los, his))
+        for los, his in fam.residual_boxes()))
 
 
 def default_eta(f: CorpusFunction, eps: float, w0: float) -> float:
@@ -384,8 +337,9 @@ def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
     Trial 0 is the raw sieve output; later trials randomly refine ~15% of
     its cells.  One walk of the base family checks and sums trial 0 and up
     to TRIALS_PER_WALK refined trials at once: each distinct cell is
-    evaluated once, and each trial is checked in full and summed over its
-    own windows, so its report is the one a walk of its built family gives.
+    evaluated once, and each trial is checked in full and its totals are
+    correctly rounded, so its report is the one a walk of its built family
+    gives.
     Trials are judged in order, so the first failing trial raises, with
     BoundViolated carrying the offending report or the verifier's reason.
     The private hooks let the falsification modes degrade the gauge or
@@ -466,8 +420,8 @@ class CorollaryReport:
 def _family_mass(f: CorpusFunction, mu: RadonMeasure,
                  fam: TaggedFamily) -> float:
     """Sum ||w0 Int_S f|| over the family's cells."""
-    return math.fsum(float(f.ynorm_rows(
-        mu.w0 * f.integral_batch(c.los, c.his)).sum()) for c in fam.chunks())
+    return math.fsum(chain.from_iterable(exact_parts(f.ynorm_rows(
+        mu.w0 * f.integral_batch(c.los, c.his))) for c in fam.chunks()))
 
 
 def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
@@ -512,9 +466,10 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
                                       domain_norm=domain_norm)
     witness_mass = _family_mass(f, mu, witness)
 
-    residual_vec = mu.w0 * _fsum_rows(
-        [f.integral_batch(los, his).sum(axis=0)
-         for los, his in base.residual_boxes()], f.dim_out)
+    residual = [exact_parts(v) for los, his in base.residual_boxes()
+                for v in f.integral_batch(los, his).T]
+    residual_vec = mu.w0 * np.array([math.fsum(chain.from_iterable(
+        residual[j::f.dim_out])) for j in range(f.dim_out)])
     recon = float(f.ynorm(mu.w0 * f.exact_integral(mu.universe)
                           - sums["simple"] - residual_vec))
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from morsegauge import cli
+from morsegauge import cli, partition, riemann
 from morsegauge.cli import main
 from morsegauge.corpus import corpus_function
 from morsegauge.gauge import GaugeBuildParams, build_gauge
@@ -61,6 +61,25 @@ def test_byte_determinism(tmp_path):
     assert run(args + ["--out", str(b)]) == 0
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-theorem", "--fn", "spike1", "--eps", "0.03", "--trials", "3"],
+    ["run-corollary", "--fn", "spike1", "--eps", "0.05"]])
+def test_outputs_do_not_depend_on_how_the_walk_is_cut(argv, tmp_path,
+                                                      monkeypatch):
+    # every total is the correctly rounded sum of its per-cell terms, so
+    # the chunk size and the trials per walk change no byte
+    outputs = set()
+    for chunk in (1 << 12, 1 << 16, 1 << 18):
+        for per_walk in (1, 8):
+            monkeypatch.setattr(partition, "CHUNK_CELLS", chunk)
+            monkeypatch.setattr(riemann, "TRIALS_PER_WALK", per_walk)
+            out = tmp_path / f"{chunk}-{per_walk}"
+            assert run(argv + ["--out", str(out)]) == 0
+            outputs.add(tuple((out / name).read_bytes()
+                              for name in ("report.json", "summary.csv")))
+    assert len(outputs) == 1
 
 
 def test_sabotage_modes_exit_two(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from morsegauge.errors import MalformedShape
 from morsegauge.geometry import (Box, Gauge, NormKind, bisect_last,
-                                 norm_batch, norm_ratio)
+                                 exact_parts, norm_batch, norm_ratio)
 
 try:
     from hypothesis import given, settings
@@ -181,3 +181,54 @@ def test_bisect_last_stops_at_float_convergence():
         lambda x: x <= 0.3, 0.0, 1.0, 200)
     # the ends meet after about 54 halvings near 0.3
     assert len(calls) < 60
+
+
+# ---------------------------------------------------------------------------
+# exact sums
+# ---------------------------------------------------------------------------
+
+def test_exact_parts_of_empty_and_zero_arrays():
+    for a in ([], [0.0] * 5, [-0.0, 0.0, -0.0]):
+        assert math.fsum(exact_parts(np.array(a))) == 0.0
+
+
+def test_exact_parts_of_a_large_wide_array(rng):
+    # 2^17 entries over 600 binades: the cut leaves 36 bits a pass
+    a = rng.standard_normal(1 << 17) * np.exp2(rng.integers(-300, 300, 1 << 17))
+    parts = exact_parts(a)
+    assert math.fsum(parts) == math.fsum(a.tolist())
+    assert math.fsum(exact_parts(rng.permutation(a))) == math.fsum(parts)
+
+
+if HAVE_HYPOTHESIS:
+    # magnitudes up to 2^1000, so no sum of a few entries overflows, and
+    # down through the subnormals to 0
+    wide = st.one_of(
+        st.floats(-2.0 ** 1000, 2.0 ** 1000),
+        st.builds(math.ldexp, st.floats(-1.0, 1.0),
+                  st.integers(-1130, 1000)))
+
+    @given(st.lists(wide, max_size=300))
+    @settings(max_examples=400, deadline=None)
+    def test_exact_parts_sum_is_correctly_rounded(values):
+        assert math.fsum(exact_parts(np.array(values, dtype=float))) == \
+            math.fsum(values)
+
+    @given(st.lists(wide, min_size=1, max_size=100),
+           st.lists(wide, max_size=20), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_parts_survive_cancellation(big, small, rand):
+        # every big entry cancels against its negation, in any order, and
+        # the small ones are all that is left
+        values = big + [-v for v in big] + small
+        rand.shuffle(values)
+        parts = exact_parts(np.array(values))
+        assert math.fsum(parts) == math.fsum(small) == math.fsum(values)
+
+    @given(st.lists(wide, max_size=50),
+           st.sampled_from([math.inf, -math.inf, math.nan]),
+           st.integers(0, 50))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_parts_of_non_finite_input_is_not_finite(values, bad, at):
+        values.insert(at, bad)
+        assert not math.isfinite(math.fsum(exact_parts(np.array(values))))

@@ -159,15 +159,9 @@ def test_build_report_is_chunk_size_free(name, eps, monkeypatch):
         return [build_report(fam, f, mu, eps, trial=0).to_dict()
                 for fam in families]
 
+    # every total is correctly rounded, so the chunk size changes no bit
     whole = reports(max(len(fam) for fam in families))
-    for got, want in zip(reports(7), whole):
-        assert got["pass_flags"] == want["pass_flags"]
-        for key in ("cell_count", "truncation_index", "depth_histogram"):
-            assert got[key] == want[key]
-        for key in ("simple", "l1_partition", "l1_partition_error",
-                    "residual_abs", "l1_total", "local_error_sum",
-                    "truncation_error"):
-            assert np.allclose(got[key], want[key], rtol=1e-12, atol=0), key
+    assert reports(7) == whole
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +245,11 @@ def test_fused_trials_equal_standalone_checks_and_reports(name, eps):
     ("lipschitz2d", 0.1, 256)])
 def test_lock_step_trials_equal_standalone_at_window_edges(name, eps, chunk,
                                                            monkeypatch):
-    # refined trials gather their cells into windows of their own, which
-    # cut across the base walk's chunks; the sieve runs at the full chunk
-    # size and the walks at `chunk` (spike1 at 0.03 has 338,976 cells, too
-    # many for 7-cell windows in a unit test)
+    # refined trials take their cells from pieces of the base walk's
+    # chunks and their children, which a walk of the built family cuts
+    # elsewhere; the sieve runs at the full chunk size and the walks at
+    # `chunk` (spike1 at 0.03 has 338,976 cells, too many for 7-cell
+    # chunks in a unit test)
     f = corpus_function(name)
     mu = unit(f)
     g, eta, base = sieved(f, eps)
