@@ -208,8 +208,19 @@ def cmd_lebesgue_map(args, f, mu) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code of a violated bound;
+    # main reports it as invalid input instead, with exit 3
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="morsegauge",
         description="Gauge-fine partitions and certified Riemann sums for "
                     "a corpus of vector-valued integrands.")
@@ -272,6 +283,8 @@ def _input_error(args, dim: int) -> str | None:
         return f"--max-depth must be nonnegative, got {args.max_depth}"
     if args.trials < 1:
         return f"--trials must be at least 1, got {args.trials}"
+    if args.command == "lebesgue-map" and len(args.eps) > 1:
+        return f"lebesgue-map takes one --eps, got {len(args.eps)}"
     grid = getattr(args, "grid", 1)
     if grid < 1:
         return f"--grid must be at least 1, got {grid}"
@@ -287,8 +300,11 @@ def _input_error(args, dim: int) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as e:
+        print(f"INVALID INPUT: {e}", file=sys.stderr)
+        return 3
     if not args.eps:
         args.eps = [0.1]
     f = _load_function(args)

@@ -325,11 +325,11 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
 
     # each probe's full reach and a smaller one
     scales = 1.0 / (1.6 ** np.arange(2))
+    V = f.eval_batch(X)
     for s in scales:
         h = deltas * s / lam
         los = np.maximum(X - h[:, None], lo[None, :])
         his = np.minimum(X + h[:, None], hi[None, :])
-        V = f.eval_batch(X)
         vals, errs = f.dev_integral_for_tags(los, his, X, V)
         masses = measure_box_batch(mu, los, his)
         lhs = w0 * (vals + errs)

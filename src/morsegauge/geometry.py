@@ -143,8 +143,8 @@ class Box:
             out *= b - a
         return out
 
-    def contains_point(self, x: Sequence[float], slack: float = 0.0) -> bool:
-        return all(a - slack <= c <= b + slack for c, a, b in zip(x, self.lo, self.hi))
+    def contains_point(self, x: Sequence[float]) -> bool:
+        return all(a <= c <= b for c, a, b in zip(x, self.lo, self.hi))
 
     def contains_box(self, other: "Box") -> bool:
         return all(a <= oa and ob <= b

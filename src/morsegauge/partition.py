@@ -456,16 +456,10 @@ class FamilyCheck:
         self.escapes = self.overlap = self.off_center = False
         self.worst = self.prev_end = None
 
-    @property
-    def ok(self) -> bool:
-        """No cell so far fails a check."""
-        return not (self.escapes or self.overlap or self.off_center
-                    or self.worst is not None)
-
     def add(self, levels: np.ndarray, keys: np.ndarray,
             cells: CellChecks) -> bool:
         """Check the next cells (levels, keys) of the family, whose per-cell
-        checks are cells; returns ok."""
+        checks are cells; returns whether no cell so far fails a check."""
         spans = _key_spans(levels, self.dim)
         # a cell owns its key with the bits below its level cleared, the
         # same truncation its index takes
@@ -483,7 +477,8 @@ class FamilyCheck:
                 if self.worst is None or circ[k] - delta[k] > self.worst[0]:
                     self.worst = (circ[k] - delta[k], cells.tags[k], circ[k],
                                   delta[k])
-        return self.ok
+        return not (self.escapes or self.overlap or self.off_center
+                    or self.worst is not None)
 
     def verdict(self, mass: float, report: dict | None = None) -> bool:
         """True when the whole family, of total measure mass, passed, else
@@ -578,9 +573,11 @@ def expand(c: Chunk, chosen: list[np.ndarray], universe: Box
     some refinement splits, each parent's once, parent by parent and in
     key order, and piece: piece(t) is refinement t's piece, the positions
     of its cells in canonical order in the pool of c's cells followed by
-    those children.  A piece is built on each call and the children's
-    corners and tags when needed, so nothing per refinement and no second
-    copy of a chunk's geometry need be held.
+    those children.  A child's indices, and so its corners and tag, derive
+    from its parent's, so a child lies inside its parent whatever its key.
+    A piece is built on each call and the children's corners and tags when
+    needed, so nothing per refinement and no second copy of a chunk's
+    geometry need be held.
     """
     n, dim = len(c.levels), universe.dim
     fan = 2 ** dim

@@ -77,28 +77,22 @@ class ApproximationReport:
 
 
 def _cell_values(f: CorpusFunction, mu: RadonMeasure, universe: Box,
-                 part: Chunk, vals: np.ndarray, at: int = 0,
-                 rows: np.ndarray | None = None):
-    """Every per-cell term a report sums, for the cells of part (or those
-    at positions rows of it): the local error ||w0 Int_S f - f(tag) w||,
-    the deviation integral with its certified error, the mass w and
-    f(tag) w.  Written to the rows of vals from column at on (cell i of
-    part to column at + i).  The kernels run KERNEL_ROWS cells at a time,
-    so their temporaries stay small however many children a chunk's
-    trials add."""
-    count = len(part.levels) if rows is None else len(rows)
-    for start in range(0, count, partition.KERNEL_ROWS):
-        stop = min(start + partition.KERNEL_ROWS, count)
-        batch = slice(start, stop) if rows is None else rows[start:stop]
-        out = slice(at + start, at + stop) if rows is None else at + batch
+                 part: Chunk, vals: np.ndarray):
+    """Every per-cell term a report sums, for the cells of part: the local
+    error ||w0 Int_S f - f(tag) w||, the deviation integral with its
+    certified error, the mass w and f(tag) w, cell i's in column i of
+    vals.  The kernels run KERNEL_ROWS cells at a time, so their
+    temporaries stay small however many children a chunk's trials add."""
+    for start in range(0, len(part.levels), partition.KERNEL_ROWS):
+        batch = slice(start, start + partition.KERNEL_ROWS)
         los, his, tags = part.geometry(universe, batch)
-        w = vals[_W, out] = measure_box_batch(mu, los, his)
+        w = vals[_W, batch] = measure_box_batch(mu, los, his)
         F = f.eval_batch(tags)
         Fw = F * w[:, None]
-        vals[_W + 1:, out] = Fw.T
-        vals[_LOCAL, out] = f.ynorm_rows(
+        vals[_W + 1:, batch] = Fw.T
+        vals[_LOCAL, batch] = f.ynorm_rows(
             mu.w0 * f.integral_batch(los, his) - Fw)
-        vals[_DEV, out], vals[_ERR, out] = \
+        vals[_DEV, batch], vals[_ERR, batch] = \
             f.dev_integral_for_tags(los, his, tags, F)
 
 
@@ -183,13 +177,13 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
     the same steps per chunk: expand gives the children of every cell some
     refinement splits and each family's piece of the pool of the chunk's
     cells and those children; each distinct cell of the pool is evaluated
-    once, and, given a gauge g, checked once, with each refinement checking
-    its own piece.  fam's check runs first: from its first failing chunk on
-    only that check runs, so no sum kernel sees a corrupt cell and no
-    refinement of a corrupt family is expanded.  The children are evaluated
-    only while some refinement holding them still passes.  A refinement's
-    sums so stop at its first failing piece while its check goes on to the
-    end, and its verdict names the same failure as verify_family on the
+    once, and, given a gauge g, checked once; then one pass per family over
+    its piece feeds both its check and its sums.  fam's check runs first:
+    from its first failing chunk on only that check runs, so no sum kernel
+    sees a corrupt cell and no refinement of a corrupt family is expanded.
+    A child's corners derive from the indices of a parent that passed, so
+    a refinement's children reach the kernels whatever their own checks
+    find, and its verdict names the same failure as verify_family on the
     built refinement.  Take each check's verdict before using its sums.
     Returns fam's trial followed by one per refinement.
     """
@@ -208,52 +202,34 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
         split = [ch[ch.searchsorted(c.start):ch.searchsorted(c.start + n)]
                  - c.start for ch in chosen]
         kids, piece = expand(c, split, fam.universe)
-        # the pool's values: the chunk's cells now, then the children held
-        # by refinements whose checks pass
+        # the pool's values: the chunk's cells, then the children
         vals = np.empty((_W + 1 + f.dim_out, n + len(kids.levels)))
-        _cell_values(f, mu, fam.universe, c, vals)
+        _cell_values(f, mu, fam.universe, c, vals[:, :n])
         # each array is let go as soon as it is done with, which keeps the
         # walk's peak at about that of walking one trial alone
         c = c._replace(los=None, his=None, tags=None)
-        levels = np.concatenate((c.levels, kids.levels))
         if cells is not None:
+            # before the children's values, whose columns are not yet touched
             pool = cells.join(check_cells(kids, g, fam))
             keys = np.concatenate((c.keys, kids.keys))
-            for t in range(1, len(trials)):
-                sel = piece(t)
-                trials[t].check.add(np.take(levels, sel, mode="clip"),
-                                    np.take(keys, sel, mode="clip"),
-                                    pool.take(sel))
-            del pool, keys
-        live = [t for t, trial in enumerate(trials)
-                if trial.check is None or trial.check.ok]
-        _cell_values(f, mu, fam.universe, kids, vals, n,
-                     _children_of(kids, [piece(t) for t in live], n, fan)
-                     if len(live) < len(trials) else None)
+        _cell_values(f, mu, fam.universe, kids, vals[:, n:])
+        levels = np.concatenate((c.levels, kids.levels))
         kids = None
         whole = [exact_parts(row) for row in vals[:, :n]]
-        for t in live:
+        for t, trial in enumerate(trials):
             sel = piece(t)
-            parts = whole
+            parts, lv = whole, np.take(levels, sel, mode="clip")
             if t:
+                if cells is not None:
+                    trial.check.add(lv, np.take(keys, sel, mode="clip"),
+                                    pool.take(sel))
                 # sums are order-free, so a refinement's are fam's, less
                 # the cells it splits, plus their children
-                delta = np.take(vals, np.r_[split[t], sel[sel >= n]], axis=1)
-                delta[:, :len(split[t])] *= -1
-                parts = [np.r_[w, exact_parts(d)] for w, d in zip(whole, delta)]
-            trials[t].add(vals, np.take(levels, sel, mode="clip"), sel,
-                          parts)
+                held = sel[sel >= n]
+                parts = [np.r_[w, exact_parts(np.r_[-row[split[t]], row[held]])]
+                         for w, row in zip(whole, vals)]
+            trial.add(vals, lv, sel, parts)
     return trials
-
-
-def _children_of(kids: Chunk, sels: list[np.ndarray], n: int,
-                 fan: int) -> np.ndarray:
-    """The positions in kids of the children the pieces sels hold, where
-    the pool's children start at n."""
-    held = np.zeros(len(kids.levels) // fan, dtype=bool)
-    for sel in sels:
-        held[(sel[sel >= n] - n) // fan] = True
-    return (fan * np.flatnonzero(held)[:, None] + np.arange(fan)).reshape(-1)
 
 
 def _residual_abs(fam: TaggedFamily, f: CorpusFunction,

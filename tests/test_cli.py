@@ -165,9 +165,23 @@ def test_lebesgue_map_rows_span_write_chunks(tmp_path):
     assert (out / "lebesgue_map.csv").read_text() == "\n".join(want) + "\n"
 
 
-def test_unknown_fn_rejected():
-    with pytest.raises(SystemExit):
-        main(["run-theorem", "--fn", "mystery"])
+def test_unknown_fn_rejected(capsys):
+    assert main(["run-theorem", "--fn", "mystery"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID INPUT: argument --fn: invalid choice")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_subcommand_exits_three_and_help_zero(capsys):
+    # argparse's own exit code 2 is the code of a violated bound
+    assert main([]) == 3
+    err = capsys.readouterr().err
+    assert err.strip() == \
+        "INVALID INPUT: the following arguments are required: command"
+    for argv in (["--help"], ["run-theorem", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
 
 
 def test_lambda_one_uses_sup_norm_family(tmp_path):
@@ -291,6 +305,14 @@ def assert_rejected(argv, tmp_path, capsys):
                  id="corollary-eps-subnormal"),
     pytest.param(["lebesgue-map", "--fn", "checker2d", "--eps", "5e-324", "--grid", "2"],
                  id="map-eps-smallest-subnormal"),
+    pytest.param(["lebesgue-map", "--fn", "linear1", "--eps", "0.1", "--eps", "0.2",
+                  "--grid", "4"], id="map-second-eps"),
+    pytest.param(["run-theorem", "--fn", "mystery"], id="unknown-fn"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--eps", "abc"], id="eps-not-a-float"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--trials", "1.5"],
+                 id="trials-not-an-int"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--bogus"], id="unknown-option"),
+    pytest.param(["run-everything", "--fn", "linear1"], id="unknown-subcommand"),
 ])
 def test_rejected_input_exits_three(argv, densities, tmp_path, capsys):
     assert_rejected([a.format(**densities) for a in argv], tmp_path, capsys)

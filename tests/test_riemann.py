@@ -272,12 +272,32 @@ def test_lock_step_trials_equal_standalone_at_window_edges(name, eps, chunk,
         assert rep.to_dict() == want.to_dict()
 
 
+def record_boxes(f, monkeypatch):
+    """The boxes f's deviation oracle gets from now on, as (lo, hi) rows;
+    a walk hands its other sum kernels the same boxes."""
+    boxes = []
+    dev_integral = f.dev_integral_for_tags
+
+    def recorded(los, his, *rest):
+        boxes.append(np.column_stack((los[:, 0], his[:, 0])))
+        return dev_integral(los, his, *rest)
+
+    monkeypatch.setattr(f, "dev_integral_for_tags", recorded)
+    return boxes
+
+
+def assert_inside_one_side(boxes):
+    # inside spike1's universe [-1, 1] and on one side of its singularity
+    lo, hi = np.concatenate(boxes).T
+    assert np.all((-1 <= lo) & (hi <= 1) & ((hi <= 0) | (lo >= 0)))
+
+
 def test_failure_only_in_a_refined_trial(monkeypatch):
     # a check gauge that agrees with the sieve's everywhere but at one
     # child's center, a child only trial 2 holds: trials 0 and 1 pass,
     # trial 2 fails with the reason verify_family gives on its built
-    # family, and no child of trial 2 from the failing piece on reaches a
-    # sum kernel
+    # family, and every box the sum kernels get lies inside a base cell,
+    # so spike1's deviation oracle sees no box across 0
     monkeypatch.setattr(partition, "CHUNK_CELLS", 256)
     f = corpus_function("spike1")
     mu = unit(f)
@@ -307,8 +327,11 @@ def test_failure_only_in_a_refined_trial(monkeypatch):
         return eval_batch(X)
 
     monkeypatch.setattr(f, "eval_batch", recorded)
-    # the sieve and the sweep see the gauge the base was built with
-    monkeypatch.setattr(riemann, "dyadic_sieve", lambda *args: base)
+    boxes = record_boxes(f, monkeypatch)
+    # the sieve and the sweep see the gauge the base was built with; the
+    # sweep's probe boxes, which come before the sieve, are not the walk's
+    monkeypatch.setattr(riemann, "dyadic_sieve",
+                        lambda *args: boxes.clear() or base)
     sweep = riemann.soundness_sweep
     monkeypatch.setattr(riemann, "soundness_sweep",
                         lambda f, _, *args, **kw: sweep(f, g, *args, **kw))
@@ -325,7 +348,12 @@ def test_failure_only_in_a_refined_trial(monkeypatch):
     stopped = only2 // 256 >= parent // 256
     assert 0 < stopped.sum() < len(stopped)
     assert all(k in evaluated for k in kids[~stopped].ravel())
-    assert not any(k in evaluated for k in kids[stopped].ravel())
+    assert_inside_one_side(boxes)
+    lo, hi = np.concatenate(boxes).T
+    cells = np.concatenate([np.column_stack((c.los[:, 0], c.his[:, 0]))
+                            for c in base.chunks()])
+    at = np.searchsorted(cells[:, 0], lo, "right") - 1
+    assert np.all((cells[at, 0] <= lo) & (hi <= cells[at, 1]))
 
 
 def test_overlap_only_a_refinement_has_is_caught_in_that_trial():
@@ -387,23 +415,40 @@ def _straddle(fam, i):
     return with_cells(fam, levels, keys)
 
 
+def _deepest(fam, i):
+    # a cell at the last key level, over the start of the cell before it:
+    # it has no children, as they would need a level past the key range
+    levels, keys = cell_arrays(fam)
+    levels[i], keys[i] = 62, keys[i - 1]
+    return with_cells(fam, levels, keys)
+
+
 @pytest.mark.parametrize("corrupt,reason", [
     (_escape, "cell escapes the universe"),
-    (_straddle, "interior overlap (key ranges collide)")])
+    (_straddle, "interior overlap (key ranges collide)"),
+    (_deepest, "interior overlap (key ranges collide)")])
 def test_corrupt_family_is_named_by_the_verifier(corrupt, reason, monkeypatch):
-    # the sums stop at the first failing chunk, so spike1's deviation
-    # oracle never sees the straddling cell and raises no MalformedShape
+    # the corrupt cell is one the refined trial splits; the walk stops
+    # evaluating and expanding at the first failing chunk of the base, so
+    # spike1's deviation oracle sees no box outside the universe or across
+    # 0, raises no MalformedShape, and no cell past the key range is split
     monkeypatch.setattr(partition, "CHUNK_CELLS", 256)
     f = corpus_function("spike1")
     mu = unit(f)
     seen = []
+    boxes = record_boxes(f, monkeypatch)
 
     def hook(fam, rng):
-        seen.append(corrupt(fam, len(fam) // 2 + 3))
+        # the cells the refined trial splits, as verify_theorem draws them
+        split = partition.refinement_choice(
+            len(fam), 0.15, np.random.default_rng(7))
+        seen.append(corrupt(fam, int(split[split > len(fam) // 2][0])))
+        boxes.clear()
         return seen[-1]
 
     with pytest.raises(BoundViolated) as exc:
-        verify_theorem(f, mu, 0.3, trials=1, seed=7, _family_hook=hook)
+        verify_theorem(f, mu, 0.3, trials=2, seed=7, _family_hook=hook)
+    assert_inside_one_side(boxes)
     g, eta, _ = sieved(f, 0.3)
     assert len(seen[0]) > 4 * 256
     notes = {}
