@@ -4,7 +4,8 @@ constant integrands.
 lusin_compact_set shrinks each constant piece of the integrand inward until
 the omitted measure is below eps; the shrunken pieces are closed boxes on
 which f is constant, and pieces with different values sit a certified
-distance apart.
+distance apart.  The pieces are (k, d) corner arrays until the result is
+built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .corpus import CorpusFunction
 from .errors import NotPiecewise
 from .geometry import Box, bisect_last
-from .measure import RadonMeasure, measure_box
+from .measure import RadonMeasure, measure_box, measure_box_batch
 
 
 @dataclass(frozen=True)
@@ -32,41 +33,6 @@ class CompactContinuitySet:
             raise ValueError("omitted measure must be nonnegative")
         if not self.separation > 0:
             raise ValueError("separation certificate must be positive")
-
-
-def _shrink_pieces(pieces, omega: Box, t: float):
-    """Pull every face that does not lie on the boundary of omega inward
-    by t; drop pieces that collapse."""
-    out = []
-    for box, val in pieces:
-        lo = []
-        hi = []
-        dead = False
-        for k in range(omega.dim):
-            a, b = box.lo[k], box.hi[k]
-            a2 = a + t if a > omega.lo[k] else a
-            b2 = b - t if b < omega.hi[k] else b
-            if a2 >= b2:
-                dead = True
-                break
-            lo.append(a2)
-            hi.append(b2)
-        if not dead:
-            out.append((Box(tuple(lo), tuple(hi)), val))
-    return out
-
-
-def _pieces_separation(shrunk, ynorm) -> float:
-    sep = math.inf
-    for i in range(len(shrunk)):
-        for j in range(i + 1, len(shrunk)):
-            (ba, va), (bb, vb) = shrunk[i], shrunk[j]
-            if ynorm(np.asarray(va) - np.asarray(vb)) == 0.0:
-                continue
-            gaps = [max(bb.lo[k] - ba.hi[k], ba.lo[k] - bb.hi[k], 0.0)
-                    for k in range(ba.dim)]
-            sep = min(sep, max(gaps))
-    return sep
 
 
 def lusin_compact_set(f: CorpusFunction, omega: Box, eps: float,
@@ -87,28 +53,44 @@ def lusin_compact_set(f: CorpusFunction, omega: Box, eps: float,
         inter = box.intersect(omega)
         if inter is not None and inter.volume() > 0:
             pieces.append((inter, val))
+    lo = np.array([b.lo for b, _ in pieces])
+    hi = np.array([b.hi for b, _ in pieces])
+    vals = np.array([v for _, v in pieces], dtype=float)
     omega_mass = measure_box(mu, omega)
     target = 0.5 * eps
 
+    def shrink(t: float):
+        """Every face not on the boundary of omega pulled inward by t, and
+        which pieces keep a positive width on every axis."""
+        a = np.where(lo > omega.lo, lo + t, lo)
+        b = np.where(hi < omega.hi, hi - t, hi)
+        return a, b, np.all(a < b, axis=1)
+
     def omitted(t: float) -> float:
-        kept = _shrink_pieces(pieces, omega, t)
-        return omega_mass - sum(measure_box(mu, b) for b, _ in kept)
+        a, b, kept = shrink(t)
+        # piece by piece in order, so the margin keeps its bits
+        return omega_mass - sum(
+            measure_box_batch(mu, a[kept], b[kept]).tolist(), 0.0)
 
     t = bisect_last(lambda t: omitted(t) <= target, 0.0,
-                    0.5 * min(b - a for box, _ in pieces
-                              for a, b in zip(box.lo, box.hi)), 60)
-    shrunk = _shrink_pieces(pieces, omega, t)
+                    0.5 * float((hi - lo).min()), 60)
+    a, b, kept = shrink(t)
+    a, b, vals = a[kept], b[kept], vals[kept]
     om = omitted(t)
-    sep = _pieces_separation(shrunk, f.ynorm)
-    if not shrunk:
+    if not len(a):
         raise NotPiecewise("every piece collapsed; eps too demanding for the grid")
+    # the sup-norm gap of every pair of pieces whose values differ
+    differ = (vals[:, None] != vals[None, :]).any(axis=2)
+    gaps = np.maximum(a[None, :] - b[:, None], a[:, None] - b[None, :]).max(axis=2)
+    sep = float(np.maximum(gaps[differ], 0.0).min(initial=math.inf))
     if sep <= 0:
         # same-valued pieces may touch; a zero gap only matters for
         # different values, and t > 0 forces those apart
         sep = 2.0 * t if t > 0 else math.inf
     return CompactContinuitySet(
-        pieces=tuple(b for b, _ in shrunk),
+        pieces=tuple(Box(tuple(p), tuple(q))
+                     for p, q in zip(a.tolist(), b.tolist())),
         separation=sep,
         omitted_measure=max(om, 0.0),
-        piece_values=tuple(np.asarray(v, dtype=float) for _, v in shrunk),
+        piece_values=tuple(vals),
     )

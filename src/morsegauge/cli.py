@@ -66,12 +66,6 @@ def _load_function(args):
     return corpus_function(args.fn, y_norm=ynorm)
 
 
-def _measure_for(f, density: str | None) -> RadonMeasure:
-    if density is None:
-        return RadonMeasure.unit(f.universe)
-    return RadonMeasure.from_file(f.universe, density)
-
-
 def _sabotage_hooks(mode: str | None):
     if mode is None:
         return None, None
@@ -241,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-depth", type=int, default=None)
         p.add_argument("--trials", type=int, default=5)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--density", default=None,
-                       help="density grid file (json or csv); default uniform")
         p.add_argument("--out", default="out")
         if sabotage:
             p.add_argument("--sabotage", choices=_SABOTAGE_CHOICES,
@@ -309,18 +301,11 @@ def main(argv: list[str] | None = None) -> int:
         args.eps = [0.1]
     f = _load_function(args)
     problem = _input_error(args, f.dim_in)
-    if problem is None:
-        try:
-            mu = _measure_for(f, args.density)
-        except (OSError, ValueError, LookupError, TypeError,
-                ArithmeticError) as e:
-            problem = (f"--density {args.density} is not a readable density "
-                       f"grid ({type(e).__name__}: {e})")
     if problem is not None:
         print(f"INVALID INPUT: {problem}", file=sys.stderr)
         return 3
     try:
-        return args.func(args, f, mu)
+        return args.func(args, f, RadonMeasure.unit(f.universe))
     except BoundViolated as e:
         print(f"BOUND VIOLATED: {e}", file=sys.stderr)
         return 2

@@ -24,8 +24,9 @@ class NotPiecewise(TypeError):
 
 class PreconditionUncertified(RuntimeError):
     """A hypothesis of a verified statement could not be certified
-    numerically, or the input is outside the supported case (a non-uniform
-    density where only uniform ones are handled)."""
+    numerically, or the measure is not uniform: the verifiers, the gauge
+    and the Lusin step certify Lebesgue means and refuse a graded
+    density."""
 
 
 class TubeInfeasible(RuntimeError):

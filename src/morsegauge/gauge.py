@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import CorpusFunction
-from .errors import BoundViolated, PreconditionUncertified, TubeInfeasible
+from .errors import BoundViolated, TubeInfeasible
 from .geometry import Gauge, NormKind, bisect_last, norm_batch, norm_ratio
 from .measure import (RadonMeasure, annulus_measure, measure_box_batch,
                       require_uniform)
@@ -53,19 +53,6 @@ def shell_budget_table(eps: float, mu: RadonMeasure,
     n_max = max(shell_index(c, domain_norm) for c in mu.universe.corners())
     return np.array([shell_budget(eps, n, mu, domain_norm)
                      for n in range(1, n_max + 1)])
-
-
-def _density_ratio_adjust(mu: RadonMeasure) -> float:
-    """Budget shrink factor that makes Lebesgue-mean certificates valid for
-    the weighted mean."""
-    if mu.uniform:
-        return 1.0
-    wmin = float(mu.values.min())
-    wmax = float(mu.values.max())
-    if wmin <= 0.0:
-        raise PreconditionUncertified(
-            "radius certification needs a density bounded away from zero")
-    return wmin / wmax
 
 
 def value_bin(v_norm: float) -> int:
@@ -136,7 +123,6 @@ def build_null_tubes(f: CorpusFunction, eps: float,
         groups.setdefault(n, []).append(piece.region)
     if not groups:
         return []
-    require_uniform(mu)
     corners = {n: (np.array([r.lo for r in regions]),
                    np.array([r.hi for r in regions]))
                for n, regions in groups.items()}
@@ -200,14 +186,16 @@ def build_null_tubes(f: CorpusFunction, eps: float,
 
 def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gauge:
     """Total gauge on the universe: tube-clearance halves on the jump set,
-    certified shell-budget radii elsewhere."""
+    certified shell-budget radii elsewhere.  The density must be uniform:
+    the radii certify Lebesgue means."""
+    require_uniform(mu)
     lam = norm_ratio(NormKind.INF, p.domain_norm, f.dim_in)
     tubes = build_null_tubes(f, p.eps, mu)
     tube_by_bin = {t.n: t for t in tubes}
 
     budgets_by_shell = shell_budget_table(p.eps, mu, p.domain_norm)
     n_max = len(budgets_by_shell)
-    cert_budgets = budgets_by_shell * (MARGIN * _density_ratio_adjust(mu))
+    cert_budgets = budgets_by_shell * MARGIN
 
     def a_branch(x) -> float:
         fn_norm = f.ynorm(f.eval(x))

@@ -1,21 +1,22 @@
 """Density-weighted volume on a bounded universe box.
 
 The measure is Lebesgue measure weighted by a nonnegative piecewise-constant
-density on a dyadic grid of the universe.  Box values are exact: the scalar
-path runs in rational arithmetic so that additivity over dyadic splits holds
-with zero error, and the batch path, plain float for the hot loops, takes
-uniform densities only.  The shell annuli behind the gauge budgets are
-measured in closed form where one exists and otherwise bounded by sup-norm
-boxes, from above for the outer ball and from below for the inner one.
+density on a dyadic grid of the universe.  The command line measures
+against the uniform unit density.  The verifiers, the gauge and the Lusin
+step take any uniform density and refuse a graded one, since their
+certificates bound Lebesgue means.  A graded grid (from_grid) reaches only
+the scalar box masses, which run in rational arithmetic so that additivity
+over dyadic splits holds with zero error; the batch path, plain float for
+the hot loops, takes uniform densities only.  The shell annuli behind the
+gauge budgets are measured in closed form where one exists and otherwise
+bounded by sup-norm boxes, from above for the outer ball and from below for
+the inner one.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -59,25 +60,6 @@ class RadonMeasure:
     @staticmethod
     def from_grid(universe: Box, level: int, values: Sequence[float]) -> "RadonMeasure":
         return RadonMeasure(universe, level, np.asarray(values, dtype=float))
-
-    @staticmethod
-    def from_file(universe: Box, path: str | Path) -> "RadonMeasure":
-        """Load {level, values[]} from a .json file, or a .csv whose first
-        row is `level,<L>` followed by one density value per row."""
-        path = Path(path)
-        if path.suffix.lower() == ".json":
-            blob = json.loads(path.read_text())
-            level = blob["level"]
-            if type(level) is not int:
-                raise ValueError(f"grid level must be an integer, got {level!r}")
-            return RadonMeasure.from_grid(universe, level, blob["values"])
-        with path.open(newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-        if not rows or rows[0][0].strip().lower() != "level":
-            raise ValueError("csv grid must start with a 'level,<L>' row")
-        level = int(rows[0][1])
-        values = [float(c) for row in rows[1:] for c in row]
-        return RadonMeasure.from_grid(universe, level, values)
 
 
 def require_uniform(mu: RadonMeasure) -> None:

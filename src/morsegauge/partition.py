@@ -436,9 +436,11 @@ class FamilyCheck:
 
     Feed the family's cells in canonical order to add(), a piece at a time,
     with their CellChecks, then ask verdict() with the family's mass.
-    Containment in the universe, interior disjointness, tags inside each
-    set's inner ball, fineness (circumradius about the tag under the gauge,
-    non-strict) and measure balance against mu to 1e-9 relative.  A failure
+    Containment in the universe, interior disjointness, with refined set
+    every cell above the last key level (so that a refinement of the family
+    can split it), tags inside each set's inner ball, fineness
+    (circumradius about the tag under the gauge, non-strict) and measure
+    balance against mu to 1e-9 relative.  A failure
     anywhere in the family is reported in that order of priority; the
     fineness message names the worst cell of the whole family.
     Disjointness is certified on keys: each cell's key range must start at
@@ -449,11 +451,12 @@ class FamilyCheck:
     """
 
     def __init__(self, fam: TaggedFamily, mu: RadonMeasure, eta: float,
-                 cells: int | None = None):
+                 cells: int | None = None, refined: bool = False):
         self.mu, self.eta, self.dim = mu, eta, fam.dim
         self.cells = len(fam) if cells is None else cells
         self.residual = fam.residual_measure
-        self.escapes = self.overlap = self.off_center = False
+        self.last = _key_depth_cap(fam.dim) if refined else None
+        self.escapes = self.overlap = self.deep = self.off_center = False
         self.worst = self.prev_end = None
 
     def add(self, levels: np.ndarray, keys: np.ndarray,
@@ -468,6 +471,8 @@ class FamilyCheck:
         self.overlap = self.overlap or bool(np.any(starts[1:] < ends[:-1])) \
             or (self.prev_end is not None and starts[0] < self.prev_end)
         self.prev_end = ends[-1]
+        if self.last is not None and levels.max() >= self.last:
+            self.deep = True
         if cells.bad:
             self.escapes = self.escapes or bool(cells.escapes.any())
             self.off_center = self.off_center or bool(cells.off_center.any())
@@ -477,8 +482,8 @@ class FamilyCheck:
                 if self.worst is None or circ[k] - delta[k] > self.worst[0]:
                     self.worst = (circ[k] - delta[k], cells.tags[k], circ[k],
                                   delta[k])
-        return not (self.escapes or self.overlap or self.off_center
-                    or self.worst is not None)
+        return not (self.escapes or self.overlap or self.deep
+                    or self.off_center or self.worst is not None)
 
     def verdict(self, mass: float, report: dict | None = None) -> bool:
         """True when the whole family, of total measure mass, passed, else
@@ -493,6 +498,10 @@ class FamilyCheck:
             return fail("cell escapes the universe")
         if self.overlap:
             return fail("interior overlap (key ranges collide)")
+        if self.deep:
+            last = self.last
+            return fail(f"a cell at level {last} cannot be split: level "
+                        f"{last + 1} exceeds the {last}-level key range")
         if self.off_center:
             return fail("tag outside the inner ball of its cell")
         if self.worst is not None:

@@ -181,18 +181,23 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
     its piece feeds both its check and its sums.  fam's check runs first:
     from its first failing chunk on only that check runs, so no sum kernel
     sees a corrupt cell and no refinement of a corrupt family is expanded.
-    A child's corners derive from the indices of a parent that passed, so
-    a refinement's children reach the kernels whatever their own checks
-    find, and its verdict names the same failure as verify_family on the
-    built refinement.  Take each check's verdict before using its sums.
+    With refinements, fam's check also fails a cell at the last key level,
+    whose children would have no keys, so expand never meets one.  A
+    child's corners derive from the indices of a parent that passed, so a
+    refinement's children reach the kernels whatever their own checks find,
+    and its verdict names the same failure as verify_family on the built
+    refinement.  Take each check's verdict before using its sums.
     Returns fam's trial followed by one per refinement.
     """
     fan = 2 ** fam.dim
     chosen = [np.empty(0, dtype=np.int64), *chosen]
     sizes = [len(fam) + (fan - 1) * len(ch) for ch in chosen]
+    # the refinements split fam's cells, so fam's check needs each splittable
+    refined = len(chosen) > 1
     trials = [_Trial(size, f, mu, threshold,
-                     None if g is None else FamilyCheck(fam, mu, eta, size))
-              for size in sizes]
+                     None if g is None else FamilyCheck(
+                         fam, mu, eta, size, refined=refined and t == 0))
+              for t, size in enumerate(sizes)]
     for c in fam.chunks():
         cells = None if g is None else check_cells(c, g, fam)
         if cells is not None and \
@@ -321,7 +326,6 @@ def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
     The private hooks let the falsification modes degrade the gauge or
     the base family, with the rng before any refinement draws from it.
     """
-    require_uniform(mu)
     p = GaugeBuildParams(eps=eps, domain_norm=domain_norm)
     g = build_gauge(f, mu, p)
     if _gauge_hook is not None:
@@ -414,7 +418,6 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
     family is checked in full in the walk that sums it, and a family that
     fails the check raises BoundViolated before any bound is judged.
     """
-    require_uniform(mu)
     g = build_gauge(f, mu, GaugeBuildParams(eps=eps, domain_norm=domain_norm))
     eta = default_eta(f, eps, mu.w0)
     sp = SieveParams(eta=eta, max_depth=default_sieve_depth(f.dim_in))

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -193,43 +192,6 @@ def test_lambda_one_uses_sup_norm_family(tmp_path):
     assert blob["lambda"] == 1.0
 
 
-def test_density_file_roundtrip(tmp_path):
-    grid = tmp_path / "density.json"
-    grid.write_text(json.dumps({"level": 0, "values": [2.0]}))
-    out = tmp_path / "d"
-    # uniform non-unit density: theorem pipeline accepts it
-    code = run(["run-theorem", "--fn", "linear1", "--eps", "0.1",
-                "--trials", "1", "--density", str(grid), "--out", str(out)])
-    assert code == 0
-    blob = json.loads((out / "report.json").read_text())
-    assert blob["results"][0]["pass_flags"]["l1_partition_lt_eps"]
-
-
-@pytest.fixture
-def densities(tmp_path):
-    """1-d density grid files: a graded one, one that vanishes on a cell,
-    malformed ones, and the path of one that does not exist."""
-    files = {
-        "graded.json": {"level": 2, "values": [1.0, 2.0, 3.0, 4.0]},
-        "vanishing.json": {"level": 2, "values": [0.0, 1.0, 1.0, 1.0]},
-        "short.json": {"level": 2, "values": [1.0, 1.0, 1.0]},
-        "nolevel.json": {"values": [1.0]},
-        "fractional.json": {"level": 2.5, "values": [1.0, 1.0, 1.0, 1.0]},
-        "boollevel.json": {"level": True, "values": [1.0, 1.0]},
-        "negative.json": {"level": 1, "values": [1.0, -1.0]},
-        "infinite.json": {"level": 1, "values": [1.0, math.inf]},
-        "badlevel.csv": "level,two\n1.0\n",
-        "nan.csv": "level,1\n1.0\nnan\n",
-    }
-    paths = {"missing": str(tmp_path / "missing.json")}
-    for name, content in files.items():
-        path = tmp_path / name
-        path.write_text(content if isinstance(content, str)
-                        else json.dumps(content))
-        paths[name.split(".")[0]] = str(path)
-    return paths
-
-
 def assert_rejected(argv, tmp_path, capsys):
     """The CLI exits 3 with one stderr line and writes no report; input
     it rejects up front leaves no output directory at all."""
@@ -267,30 +229,8 @@ def assert_rejected(argv, tmp_path, capsys):
                  id="grid-2d-too-many-points"),
     pytest.param(["lebesgue-map", "--fn", "linear1", "--grid", "1000000000"],
                  id="grid-1d-too-many-points"),
-    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{graded}"],
-                 id="theorem-graded-density"),
-    pytest.param(["run-corollary", "--fn", "linear1", "--density", "{graded}"],
-                 id="corollary-graded-density"),
-    pytest.param(["lebesgue-map", "--fn", "linear1", "--density", "{vanishing}"],
-                 id="map-vanishing-density"),
-    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{missing}"],
-                 id="density-missing-file"),
-    pytest.param(["run-corollary", "--fn", "linear1", "--density", "{short}"],
-                 id="density-wrong-count"),
-    pytest.param(["run-lusin", "--fn", "step2", "--density", "{nolevel}"],
-                 id="density-no-level"),
-    pytest.param(["lebesgue-map", "--fn", "linear1", "--density", "{badlevel}"],
-                 id="density-csv-level-not-numeric"),
-    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{negative}"],
-                 id="density-negative"),
-    pytest.param(["run-corollary", "--fn", "linear1", "--density", "{infinite}"],
-                 id="density-infinite"),
-    pytest.param(["run-lusin", "--fn", "step2", "--density", "{nan}"],
-                 id="density-csv-nan"),
-    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{fractional}"],
-                 id="density-json-fractional-level"),
-    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{boollevel}"],
-                 id="density-json-bool-level"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--density", "grid.json"],
+                 id="density-option-removed"),
     pytest.param(["run-theorem", "--fn", "step2", "--eps", "1e-300", "--trials", "1"],
                  id="theorem-tube-below-float-resolution"),
     pytest.param(["run-corollary", "--fn", "step2", "--eps", "1e-300"],
@@ -314,8 +254,8 @@ def assert_rejected(argv, tmp_path, capsys):
     pytest.param(["run-theorem", "--fn", "linear1", "--bogus"], id="unknown-option"),
     pytest.param(["run-everything", "--fn", "linear1"], id="unknown-subcommand"),
 ])
-def test_rejected_input_exits_three(argv, densities, tmp_path, capsys):
-    assert_rejected([a.format(**densities) for a in argv], tmp_path, capsys)
+def test_rejected_input_exits_three(argv, tmp_path, capsys):
+    assert_rejected(argv, tmp_path, capsys)
 
 
 def test_lambda_validation(tmp_path, capsys):
@@ -328,12 +268,3 @@ def test_lambda_validation(tmp_path, capsys):
 def test_dim_validation(tmp_path, capsys):
     assert_rejected(["run-theorem", "--fn", "linear1", "--dim", "2"],
                     tmp_path, capsys)
-
-
-def test_lebesgue_map_accepts_graded_density(densities, tmp_path):
-    out = tmp_path / "m"
-    code = run(["lebesgue-map", "--fn", "linear1", "--density",
-                densities["graded"], "--grid", "8", "--out", str(out)])
-    assert code == 0
-    lines = (out / "lebesgue_map.csv").read_text().strip().split("\n")
-    assert len(lines) == 9

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from morsegauge.analysis import lusin_compact_set
 from morsegauge.corpus import corpus_function, corpus_names
 from morsegauge.errors import PreconditionUncertified
 from morsegauge.gauge import (
@@ -136,10 +137,17 @@ def test_tubes_reject_nonuniform_density_with_jumps():
         build_null_tubes(f, 0.1, mu)
 
 
-def test_tubes_allow_nonuniform_density_without_jumps():
-    f = corpus_function("lipschitz2d")
-    mu = RadonMeasure.from_grid(f.universe, 1, [1.0, 2.0, 3.0, 4.0])
-    assert build_null_tubes(f, 0.1, mu) == []
+def test_gauge_and_lusin_refuse_a_graded_density():
+    # both certify Lebesgue means, so a graded density is refused, not
+    # misread; linear1 has no jump tube that would refuse it on its own
+    for name in ("linear1", "step2"):
+        f = corpus_function(name)
+        mu = RadonMeasure.from_grid(f.universe, 1, [1.0, 2.0])
+        with pytest.raises(PreconditionUncertified):
+            build_gauge(f, mu, GaugeBuildParams(eps=0.1))
+        if name == "step2":
+            with pytest.raises(PreconditionUncertified):
+                lusin_compact_set(f, f.universe, 0.1, mu)
 
 
 # ---------------------------------------------------------------------------

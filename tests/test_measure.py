@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -82,27 +81,6 @@ def test_float_paths_reject_a_graded_density():
         measure_box_batch(mu, np.array([[0.0]]), np.array([[0.5]]))
     with pytest.raises(PreconditionUncertified):
         dyadic_sieve(UNIT_1D, Gauge.constant(1.0), mu, SieveParams(eta=0.1))
-
-
-def test_from_file_json(tmp_path):
-    p = tmp_path / "grid.json"
-    p.write_text(json.dumps({"level": 1, "values": [1.0, 3.0]}))
-    mu = RadonMeasure.from_file(UNIT_1D, p)
-    assert measure_box(mu, Box(lo=(0.25,), hi=(0.75,))) == pytest.approx(1.0)
-
-
-def test_from_file_csv(tmp_path):
-    p = tmp_path / "grid.csv"
-    p.write_text("level,1\n1.0\n3.0\n")
-    mu = RadonMeasure.from_file(UNIT_1D, p)
-    assert measure_box(mu, UNIT_1D) == pytest.approx(2.0)
-
-
-def test_from_file_csv_rejects_missing_header(tmp_path):
-    p = tmp_path / "grid.csv"
-    p.write_text("1.0\n3.0\n")
-    with pytest.raises(ValueError):
-        RadonMeasure.from_file(UNIT_1D, p)
 
 
 # ---------------------------------------------------------------------------

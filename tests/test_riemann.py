@@ -457,6 +457,26 @@ def test_corrupt_family_is_named_by_the_verifier(corrupt, reason, monkeypatch):
     assert str(exc.value) == f"family verification failed (trial 0): {reason}"
 
 
+def test_split_past_the_key_range_is_named_by_the_verifier():
+    # a cell the refined trial splits, moved to the last key level at its
+    # own first key, has no children with keys: the base's check names the
+    # level before the walk would expand the cell
+    f = corpus_function("spike1")
+
+    def hook(fam, rng):
+        split = partition.refinement_choice(
+            len(fam), 0.15, np.random.default_rng(7))
+        levels, keys = cell_arrays(fam)
+        levels[split[0]] = 62
+        return with_cells(fam, levels, keys)
+
+    with pytest.raises(BoundViolated) as exc:
+        verify_theorem(f, unit(f), 0.3, trials=2, seed=7, _family_hook=hook)
+    assert str(exc.value) == (
+        "family verification failed (trial 0): a cell at level 62 cannot be "
+        "split: level 63 exceeds the 62-level key range")
+
+
 def test_residual_is_integrated_once_per_sieve(monkeypatch):
     walked, yielded, calls = [], [], []
     boxes = partition.TaggedFamily.residual_boxes
