@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -192,6 +193,32 @@ def test_lambda_one_uses_sup_norm_family(tmp_path):
     assert blob["lambda"] == 1.0
 
 
+@pytest.fixture
+def densities(tmp_path):
+    """1-d density grid files: a graded one, one that vanishes on a cell,
+    malformed ones, and the path of one that does not exist. The CLI has
+    no --density option, so each is refused as an unrecognized argument."""
+    files = {
+        "graded.json": {"level": 2, "values": [1.0, 2.0, 3.0, 4.0]},
+        "vanishing.json": {"level": 2, "values": [0.0, 1.0, 1.0, 1.0]},
+        "short.json": {"level": 2, "values": [1.0, 1.0, 1.0]},
+        "nolevel.json": {"values": [1.0]},
+        "fractional.json": {"level": 2.5, "values": [1.0, 1.0, 1.0, 1.0]},
+        "boollevel.json": {"level": True, "values": [1.0, 1.0]},
+        "negative.json": {"level": 1, "values": [1.0, -1.0]},
+        "infinite.json": {"level": 1, "values": [1.0, math.inf]},
+        "badlevel.csv": "level,two\n1.0\n",
+        "nan.csv": "level,1\n1.0\nnan\n",
+    }
+    paths = {"missing": str(tmp_path / "missing.json")}
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content))
+        paths[name.split(".")[0]] = str(path)
+    return paths
+
+
 def assert_rejected(argv, tmp_path, capsys):
     """The CLI exits 3 with one stderr line and writes no report; input
     it rejects up front leaves no output directory at all."""
@@ -204,6 +231,7 @@ def assert_rejected(argv, tmp_path, capsys):
     assert not (out / "report.json").exists()
     if err.startswith("INVALID INPUT"):
         assert not out.exists()
+    return err
 
 
 @pytest.mark.parametrize("argv", [
@@ -229,8 +257,30 @@ def assert_rejected(argv, tmp_path, capsys):
                  id="grid-2d-too-many-points"),
     pytest.param(["lebesgue-map", "--fn", "linear1", "--grid", "1000000000"],
                  id="grid-1d-too-many-points"),
-    pytest.param(["run-theorem", "--fn", "linear1", "--density", "grid.json"],
-                 id="density-option-removed"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{graded}"],
+                 id="theorem-graded-density"),
+    pytest.param(["run-corollary", "--fn", "linear1", "--density", "{graded}"],
+                 id="corollary-graded-density"),
+    pytest.param(["lebesgue-map", "--fn", "linear1", "--density", "{vanishing}"],
+                 id="map-vanishing-density"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{missing}"],
+                 id="density-missing-file"),
+    pytest.param(["run-corollary", "--fn", "linear1", "--density", "{short}"],
+                 id="density-wrong-count"),
+    pytest.param(["run-lusin", "--fn", "step2", "--density", "{nolevel}"],
+                 id="density-no-level"),
+    pytest.param(["lebesgue-map", "--fn", "linear1", "--density", "{badlevel}"],
+                 id="density-csv-level-not-numeric"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{negative}"],
+                 id="density-negative"),
+    pytest.param(["run-corollary", "--fn", "linear1", "--density", "{infinite}"],
+                 id="density-infinite"),
+    pytest.param(["run-lusin", "--fn", "step2", "--density", "{nan}"],
+                 id="density-csv-nan"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{fractional}"],
+                 id="density-json-fractional-level"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--density", "{boollevel}"],
+                 id="density-json-bool-level"),
     pytest.param(["run-theorem", "--fn", "step2", "--eps", "1e-300", "--trials", "1"],
                  id="theorem-tube-below-float-resolution"),
     pytest.param(["run-corollary", "--fn", "step2", "--eps", "1e-300"],
@@ -254,8 +304,10 @@ def assert_rejected(argv, tmp_path, capsys):
     pytest.param(["run-theorem", "--fn", "linear1", "--bogus"], id="unknown-option"),
     pytest.param(["run-everything", "--fn", "linear1"], id="unknown-subcommand"),
 ])
-def test_rejected_input_exits_three(argv, tmp_path, capsys):
-    assert_rejected(argv, tmp_path, capsys)
+def test_rejected_input_exits_three(argv, densities, tmp_path, capsys):
+    err = assert_rejected([a.format(**densities) for a in argv], tmp_path, capsys)
+    if "--density" in argv:
+        assert "unrecognized arguments: --density" in err
 
 
 def test_lambda_validation(tmp_path, capsys):
