@@ -12,18 +12,18 @@ family through TaggedFamily.chunks().
 The dyadic sieve tests its frontier, runs at one level, a chunk at a time,
 emits the cells whose circumradius about the center already fits under the
 gauge, and splits each run of the rest into one run of its children.
-random_dyadic_partition and with_cells store cell arrays as runs.
-refine_family replaces chosen cells in place by their children, which keeps
-canonical order without a sort; expand gives, for one chunk, the children
-of the cells several refinements split and each refinement's piece of the
-chunk's cells and those children, the family itself being the refinement
-that splits nothing, so one walk of a family carries all its trials.  The
-checks split in two: check_cells runs the per-cell checks once per distinct
-cell, and FamilyCheck runs the order and balance checks per family, piece
-by piece, so a walk that sums a report over the family can check it in the
-same pass; verify_family is that check on its own.  Its disjointness
-certificate is that consecutive key ranges do not collide, and a
-bit-interleaving reference in the tests pins the keys.
+random_dyadic_partition and with_cells store cell arrays as runs.  A Refinement
+draws the cells it splits a block at a time; refine_family replaces them in place
+by their children, which keeps canonical order without a sort; expand gives, for
+one chunk, the children of the cells several refinements split and each one's
+piece of the chunk's cells and those children, the family itself being the
+refinement that splits nothing, so one walk of a family carries all its trials.
+The checks split in two: check_cells runs the per-cell checks once per distinct
+cell, and FamilyCheck runs the order and balance checks per family, piece by
+piece, so a walk that sums a report over the family can check it in the same
+pass; verify_family is that check on its own.  Its disjointness certificate is
+that consecutive key ranges do not collide, and a bit-interleaving reference in
+the tests pins the keys.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ CHUNK_CELLS = 1 << 16
 # cells per kernel call when a walk evaluates a chunk and its children:
 # their temporaries then stay small however many children the trials add
 KERNEL_ROWS = 1 << 13
+# positions per block of a refinement's draw: fixed, so no draw depends on a walk's cut
+DRAW_BLOCK = 1 << 16
 
 _CHILD_OFFSETS = {d: np.array(np.meshgrid(*([[0, 1]] * d), indexing="ij"),
                               dtype=np.int64).reshape(d, -1).T
@@ -533,17 +535,43 @@ def verify_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
     return check.verdict(math.fsum(masses), report)
 
 
+class Refinement:
+    """The cells one refinement of an n-cell family splits: counts[b] of the
+    DRAW_BLOCK positions of block b, drawn uniformly on demand by a generator
+    seeded with (seed, b).  Refinement() splits nothing."""
+
+    def __init__(self, n: int = 0, counts=(), seed: int = 0):
+        self.n, self.counts, self.seed = n, np.asarray(counts, np.int64), seed
+        self.count, self._last = int(self.counts.sum()), (-1, None)
+
+    def positions(self, start: int, stop: int) -> np.ndarray:
+        """The sorted positions in [start, stop) it splits, less start."""
+        got = [np.empty(0, dtype=np.int64)]
+        for b in range(start // DRAW_BLOCK, -(-min(stop, self.n) // DRAW_BLOCK)):
+            if self._last[0] != b:  # kept for walks in smaller chunks
+                at, rng = b * DRAW_BLOCK, np.random.default_rng((self.seed, b))
+                self._last = (b, at + np.sort(rng.choice(
+                    min(DRAW_BLOCK, self.n - at), self.counts[b], replace=False)))
+            pos = self._last[1]
+            got.append(pos[pos.searchsorted(start):pos.searchsorted(stop)] - start)
+        return np.concatenate(got)
+
+
 def refinement_choice(n: int, fraction: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """The sorted positions of the cells a refinement of an n-cell family
-    splits: round(fraction * n) of them, at least one, drawn without
-    replacement (no draw at all for an empty family)."""
+                      rng: np.random.Generator) -> Refinement:
+    """The cells a refinement of an n-cell family splits: round(fraction *
+    n) of them, at least one, drawn without replacement (no draw at all
+    for an empty family), as their count per block, then one seed."""
     if n == 0:
-        return np.empty(0, dtype=np.int64)
-    count = max(1, int(round(fraction * n)))
-    chosen = rng.choice(n, size=min(count, n), replace=False)
-    chosen.sort()  # in place: no second copy of the draw
-    return chosen.astype(np.int32) if n < 2 ** 31 else chosen
+        return Refinement()
+    count = min(max(1, int(round(fraction * n))), n)
+    # numpy's multivariate draw takes under 10^9 cells: a larger n splits in halves first
+    halves = np.array_split(np.diff(np.r_[0:n:DRAW_BLOCK, n]), 1 + (n >= 10**9))
+    left = count if len(halves) == 1 else int(
+        rng.hypergeometric(halves[0].sum(), halves[1].sum(), count))
+    counts = [rng.multivariate_hypergeometric(sizes, k)
+              for sizes, k in zip(halves, (left, count - left))]
+    return Refinement(n, np.concatenate(counts), int(rng.integers(2 ** 63)))
 
 
 def refine_family(fam: TaggedFamily, fraction: float,
@@ -559,7 +587,7 @@ def refine_family(fam: TaggedFamily, fraction: float,
     n = len(fam)
     if n == 0:
         return fam
-    chosen = refinement_choice(n, fraction, rng)
+    chosen = refinement_choice(n, fraction, rng).positions(0, n)
     levels, keys = fam.cells(0, n)
     split = np.zeros(n, dtype=bool)
     split[chosen] = True
@@ -591,8 +619,7 @@ def expand(c: Chunk, chosen: list[np.ndarray], universe: Box
     n, dim = len(c.levels), universe.dim
     fan = 2 ** dim
     split = np.zeros(n, dtype=bool)
-    for ch in chosen:
-        split[ch] = True
+    split[np.concatenate(chosen)] = True
     parents = np.flatnonzero(split)
     rank = np.cumsum(split) - 1
     levels = np.repeat(c.levels[parents] + 1, fan)
@@ -657,20 +684,26 @@ def sabotage_overlap(fam: TaggedFamily, rng: np.random.Generator) -> TaggedFamil
         raise ValueError("need at least two cells to create an overlap")
     i = int(rng.integers(len(fam)))
     j = i + 1 if i + 1 < len(fam) else i - 1
-    levels, keys = fam.cells(0, len(fam))
-    levels[j], keys[j] = levels[i], keys[i]
-    return with_cells(fam, levels, keys)
+    level, key = fam.cells(i, i + 1)
+    # run r, which holds cell j, splits into its cells before j, i's copy and the rest
+    r = int(fam._offsets.searchsorted(j, "right")) - 1
+    at = j - int(fam._offsets[r])
+    after = fam.starts[r] + (at + 1) * _key_spans(fam.levels[r], fam.dim)
+    runs = [np.r_[a[:r], mid, a[r + 1:]] for a, mid in (
+        (fam.levels, [fam.levels[r], level[0], fam.levels[r]]),
+        (fam.starts, [fam.starts[r], key[0], after]),
+        (fam.counts, [at, 1, fam.counts[r] - at - 1]))]
+    levels, starts, counts = (a[runs[2] > 0] for a in runs)
+    return replace(fam, levels=levels, starts=starts, counts=counts, tag_override=None)
 
 
 def sabotage_offcenter(fam: TaggedFamily, rng: np.random.Generator) -> TaggedFamily:
     """Move a few tags outside their cells' inner balls."""
     if len(fam) == 0:
         raise ValueError("empty family")
-    count = min(3, len(fam))
-    idx = rng.choice(len(fam), size=count, replace=False)
-    levels, keys = (a[idx] for a in fam.cells(0, len(fam)))
-    _, _, tags = _geometry(fam.universe, levels,
-                           _indices(levels, keys, fam.dim))
+    idx = rng.choice(len(fam), size=min(3, len(fam)), replace=False)
+    levels, keys = map(np.concatenate, zip(*(fam.cells(i, i + 1) for i in idx)))
+    _, _, tags = _geometry(fam.universe, levels, _indices(levels, keys, fam.dim))
     half = 0.5 * _steps(fam.universe, levels)[:, 0]
     tags[:, 0] += 1.2 * half
     return replace(fam, tag_override=(idx, tags))

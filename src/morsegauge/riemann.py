@@ -100,10 +100,10 @@ class _Trial:
     """One family's share of a walk: its check, if any, and its sums.
 
     The family's cells arrive piece by piece in canonical order, as
-    positions in a pool of per-cell values, with exact parts of their
-    sums, so each total is correctly rounded whichever pieces the cells
-    came in.  The prefix sums of the truncation profile carry across
-    pieces, so they are bit for bit one cumsum over the whole family.
+    positions in a pool of per-cell values, with exact parts of their sums,
+    which fold into a few exact parts per sum, so each total is correctly
+    rounded whichever pieces the cells came in.  The truncation profile's
+    prefix sums carry across pieces: bit for bit one cumsum of the family.
     """
 
     def __init__(self, cells: int, f: CorpusFunction, mu: RadonMeasure,
@@ -112,7 +112,7 @@ class _Trial:
         self.threshold = threshold
         self.total = float(mu.total)
         self.exact = mu.w0 * f.exact_integral(mu.universe)
-        self.parts = [[np.zeros(0)] * (_W + 1 + f.dim_out)]
+        self.parts = [np.zeros(0)] * (_W + 1 + f.dim_out)
         self.depths = np.zeros(64, dtype=np.int64)
         # the prefix sums of w and f(tag) w so far
         self.carry = np.zeros(1 + f.dim_out)
@@ -125,7 +125,8 @@ class _Trial:
         parts[i] sums exactly to row i of vals over those cells."""
         start = int(self.depths.sum())
         self.depths += np.bincount(levels, minlength=len(self.depths))
-        self.parts.append(parts)
+        self.parts = [exact_parts(np.r_[kept, new])
+                      for kept, new in zip(self.parts, parts)]
         if self.threshold is None:
             return
         prefix = np.cumsum(np.concatenate(
@@ -156,8 +157,7 @@ class _Trial:
             trunc = (float(self.f.ynorm_rows(
                 self.exact[None, :] - self.carry[None, 1:])[0]),
                 self.cells - 1)
-        totals = [math.fsum(chain.from_iterable(row))
-                  for row in zip(*self.parts)]
+        totals = [math.fsum(row) for row in self.parts]
         return {"simple": np.array(totals[_W + 1:]),
                 "local": totals[_LOCAL], "dev": totals[_DEV],
                 "dev_err": totals[_ERR], "measure": totals[_W], "truncation": trunc,
@@ -167,11 +167,10 @@ class _Trial:
 
 def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
           threshold: float | None = None, g: Gauge | None = None,
-          eta: float | None = None, chosen: list[np.ndarray] = ()
+          eta: float | None = None, draws: list[partition.Refinement] = ()
           ) -> list[_Trial]:
-    """One walk over fam's chunks that sums fam and each refinement of it
-    that splits the cells at the sorted positions chosen[t], without
-    building the refinements.
+    """One walk over fam's chunks that sums fam and each refinement draws[t]
+    of it, without building the refinements.
 
     fam is refinement 0, the one that splits nothing, so every family takes
     the same steps per chunk: expand gives the children of every cell some
@@ -189,14 +188,12 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
     refinement.  Take each check's verdict before using its sums.
     Returns fam's trial followed by one per refinement.
     """
-    fan = 2 ** fam.dim
-    chosen = [np.empty(0, dtype=np.int64), *chosen]
-    sizes = [len(fam) + (fan - 1) * len(ch) for ch in chosen]
+    draws = [partition.Refinement(), *draws]
+    sizes = [len(fam) + (2 ** fam.dim - 1) * d.count for d in draws]
     # the refinements split fam's cells, so fam's check needs each splittable
-    refined = len(chosen) > 1
     trials = [_Trial(size, f, mu, threshold,
                      None if g is None else FamilyCheck(
-                         fam, mu, eta, size, refined=refined and t == 0))
+                         fam, mu, eta, size, refined=len(draws) > 1 and t == 0))
               for t, size in enumerate(sizes)]
     for c in fam.chunks():
         cells = None if g is None else check_cells(c, g, fam)
@@ -204,14 +201,13 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
                 not trials[0].check.add(c.levels, c.keys, cells):
             continue
         n = len(c.levels)
-        split = [ch[ch.searchsorted(c.start):ch.searchsorted(c.start + n)]
-                 - c.start for ch in chosen]
+        split = [d.positions(c.start, c.start + n) for d in draws]
         kids, piece = expand(c, split, fam.universe)
         # the pool's values: the chunk's cells, then the children
         vals = np.empty((_W + 1 + f.dim_out, n + len(kids.levels)))
         _cell_values(f, mu, fam.universe, c, vals[:, :n])
-        # each array is let go as soon as it is done with, which keeps the
-        # walk's peak at about that of walking one trial alone
+        # each array is let go as soon as it is done with, the pool at the chunk's
+        # end, which keeps the walk's peak at about that of walking one trial alone
         c = c._replace(los=None, his=None, tags=None)
         if cells is not None:
             # before the children's values, whose columns are not yet touched
@@ -234,6 +230,7 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
                 parts = [np.r_[w, exact_parts(np.r_[-row[split[t]], row[held]])]
                          for w, row in zip(whole, vals)]
             trial.add(vals, lv, sel, parts)
+        c = cells = vals = keys = pool = levels = whole = None
     return trials
 
 
@@ -355,8 +352,8 @@ def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
     for first in range(0, max(1, len(refined)), TRIALS_PER_WALK):
         group = refined[first:first + TRIALS_PER_WALK]
         # drawn in trial order, as refine_family would draw them
-        chosen = [refinement_choice(len(base), 0.15, rng) for _ in group]
-        walked = _walk(base, f, mu, threshold, g=g, eta=eta, chosen=chosen)
+        draws = [refinement_choice(len(base), 0.15, rng) for _ in group]
+        walked = _walk(base, f, mu, threshold, g=g, eta=eta, draws=draws)
         for t, trial in zip([0] + group, walked):
             if t == 0 and first:
                 # later walks re-walk the base only to carry their trials

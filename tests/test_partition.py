@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,14 @@ from morsegauge.partition import (
     with_cells,
 )
 from morsegauge.riemann import build_report, default_eta, default_sieve_depth
+
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 UNIT_1D = Box((0.0,), (1.0,))
 UNIT_2D = Box((0.0, 0.0), (1.0, 1.0))
@@ -399,6 +409,78 @@ def test_split_rejects_levels_past_the_key_cap(rng):
 
 
 # ---------------------------------------------------------------------------
+# refinement draws
+# ---------------------------------------------------------------------------
+
+if HAVE_HYPOTHESIS:
+
+    @given(st.integers(1, 3 * partition.DRAW_BLOCK + 5), st.floats(0.0, 1.0),
+           st.lists(st.integers(0, 2 ** 40), max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    # three blocks, cut inside the first, on the second's start and inside
+    # the third
+    @example(2 * partition.DRAW_BLOCK + 7, 0.15,
+             [100, partition.DRAW_BLOCK, 2 * partition.DRAW_BLOCK + 3], 1)
+    def test_refinement_positions_are_one_sample_however_cut(n, fraction, cuts,
+                                                             seed):
+        draw = partition.refinement_choice(n, fraction,
+                                           np.random.default_rng(seed))
+        whole = draw.positions(0, n)
+        assert whole.dtype == np.int64
+        assert len(whole) == draw.count == max(1, round(fraction * n))
+        assert np.all(np.diff(whole) > 0)
+        assert whole[0] >= 0 and whole[-1] < n
+        # a second draw from the same generator state, cut before it is
+        # drawn whole, so its pieces do not come from the first's blocks
+        again = partition.refinement_choice(n, fraction,
+                                            np.random.default_rng(seed))
+        edges = sorted({0, n, *(c % (n + 1) for c in cuts)})
+        pieces = [again.positions(a, b) + a for a, b in zip(edges, edges[1:])]
+        assert np.array_equal(np.concatenate(pieces), whole)
+        for a, b in zip(edges, edges[1:]):
+            assert np.array_equal(draw.positions(a, b) + a,
+                                  whole[(whole >= a) & (whole < b)])
+
+
+def test_refinement_draws_each_subset_equally_often():
+    # every 2-subset of 6 cells, over 3,000 draws from a fixed seed
+    rng = np.random.default_rng(20261019)
+    draws = 3000
+    seen = Counter(tuple(partition.refinement_choice(6, 1 / 3, rng)
+                         .positions(0, 6).tolist()) for _ in range(draws))
+    subsets = list(itertools.combinations(range(6), 2))
+    assert set(seen) == set(subsets)
+    expected = draws / len(subsets)
+    chi2 = sum((seen[s] - expected) ** 2 / expected for s in subsets)
+    # the 0.999 quantile of chi-square with 14 degrees of freedom
+    assert chi2 < 36.12, chi2
+
+
+def test_refinement_draw_needs_no_family_length_array():
+    # a 10^9-cell family: the draw is a count per block and a seed, and a
+    # block's positions are drawn alone; a permutation of the family would
+    # take 7.5 GiB
+    block = partition.DRAW_BLOCK
+    tracemalloc.start()
+    try:
+        draw = partition.refinement_choice(10 ** 9, 0.15,
+                                           np.random.default_rng(3))
+        got = draw.positions(7 * block, 8 * block)
+        after = draw.positions(8 * block, 9 * block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draw.count == 150_000_000
+    assert len(got) == draw.counts[7] > 0
+    assert np.all((0 <= got) & (got < block)) and np.all(np.diff(got) > 0)
+    assert peak < 2 * 2 ** 20, peak
+    # blocks draw independently: about 15 % of one block's offsets recur in
+    # the next, not nearly all of them
+    assert len(np.intersect1d(got, after)) < 0.2 * len(got)
+
+
+# ---------------------------------------------------------------------------
 # verifier and sabotage
 # ---------------------------------------------------------------------------
 
@@ -427,6 +509,53 @@ def test_verifier_rejects_offcenter_tags(rng):
     notes = {}
     assert not verify_family(bad, g, mu, eta=0.01, report=notes)
     assert "tag" in notes["reason"]
+
+
+class _Fixed:
+    """A generator stand-in whose integers() returns one chosen cell."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def integers(self, n):
+        return self.i
+
+
+@pytest.mark.parametrize("name,eps", [("linear1", 0.01), ("spike1", 0.1)])
+def test_sabotage_hooks_build_the_whole_family_cells(name, eps):
+    # the hooks touch a few cells and the run that holds the copied-over
+    # one, and build the same cells as a rewrite of the whole family's
+    # cell arrays
+    f, mu, g = gauge_for(name, eps)
+    fam = dyadic_sieve(f.universe, g, mu, SieveParams(
+        eta=default_eta(f, eps, mu.w0), max_depth=default_sieve_depth(f.dim_in)))
+    n, offsets = len(fam), np.cumsum(fam.counts)
+    levels, keys = run_cells(fam.levels, fam.starts, fam.counts, fam.dim)
+    assert len(fam.starts) > 1 or name == "linear1"
+    picks = {0, 1, n // 2, n - 2, n - 1, *(offsets[:-1] - 1).tolist(),
+             *offsets[:-1].tolist()}
+    for i in sorted(picks):
+        bad = sabotage_overlap(fam, _Fixed(i))
+        j = i + 1 if i + 1 < n else i - 1
+        want_levels, want_keys = levels.copy(), keys.copy()
+        want_levels[j], want_keys[j] = levels[i], keys[i]
+        got_levels, got_keys = run_cells(bad.levels, bad.starts, bad.counts,
+                                         bad.dim)
+        assert got_levels.dtype == levels.dtype
+        assert np.array_equal(got_levels, want_levels), i
+        assert np.array_equal(got_keys, want_keys), i
+        assert np.all(bad.counts > 0) and bad.tag_override is None
+        assert bad.residual_measure == fam.residual_measure
+    for seed in range(5):
+        bad = sabotage_offcenter(fam, np.random.default_rng(seed))
+        idx = np.random.default_rng(seed).choice(n, size=min(3, n),
+                                                 replace=False)
+        tags = derived(fam, "tags")
+        half = 0.5 * partition._steps(fam.universe, levels[idx])[:, 0]
+        tags[idx, 0] += 1.2 * half
+        assert np.array_equal(bad.tag_override[0], idx)
+        assert np.array_equal(derived(bad, "tags"), tags)
+        assert np.array_equal(derived(bad, "keys"), keys)
 
 
 @pytest.mark.parametrize("chunk", [4, partition.CHUNK_CELLS],

@@ -305,7 +305,7 @@ def test_failure_only_in_a_refined_trial(monkeypatch):
     g, eta, base = sieved(f, eps)
     rng = np.random.default_rng(seed)
     chosen = [partition.refinement_choice(len(base), 0.15, rng)
-              for _ in range(3)]
+              .positions(0, len(base)) for _ in range(3)]
     only2 = np.setdiff1d(chosen[1], np.union1d(chosen[0], chosen[2]))
     parent = only2[len(only2) // 2]
     assert 0 < parent // 256 < len(base) // 256
@@ -364,7 +364,8 @@ def test_overlap_only_a_refinement_has_is_caught_in_that_trial():
     mu = unit(f)
     g, eta, base = sieved(f, 0.3)
     rng = np.random.default_rng(7)
-    i = int(partition.refinement_choice(len(base), 0.15, rng)[0])
+    i = int(partition.refinement_choice(len(base), 0.15, rng)
+            .positions(0, len(base))[0])
     levels, keys = cell_arrays(base)
     keys[i] |= np.int64(1) << (61 - int(levels[i]))
     stray = with_cells(base, levels, keys)
@@ -441,7 +442,7 @@ def test_corrupt_family_is_named_by_the_verifier(corrupt, reason, monkeypatch):
     def hook(fam, rng):
         # the cells the refined trial splits, as verify_theorem draws them
         split = partition.refinement_choice(
-            len(fam), 0.15, np.random.default_rng(7))
+            len(fam), 0.15, np.random.default_rng(7)).positions(0, len(fam))
         seen.append(corrupt(fam, int(split[split > len(fam) // 2][0])))
         boxes.clear()
         return seen[-1]
@@ -465,7 +466,7 @@ def test_split_past_the_key_range_is_named_by_the_verifier():
 
     def hook(fam, rng):
         split = partition.refinement_choice(
-            len(fam), 0.15, np.random.default_rng(7))
+            len(fam), 0.15, np.random.default_rng(7)).positions(0, len(fam))
         levels, keys = cell_arrays(fam)
         levels[split[0]] = 62
         return with_cells(fam, levels, keys)
