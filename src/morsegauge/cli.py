@@ -30,7 +30,12 @@ from .partition import sabotage_offcenter, sabotage_overlap
 from .riemann import verify_corollary, verify_theorem
 
 _LAMBDA_CHOICES = ("1", "sqrt2", "sqrt3")
-_SABOTAGE_CHOICES = ("inflate-delta", "overlap-cells", "offcenter-tags")
+# each sabotage mode's (gauge hook, family hook)
+_SABOTAGE = {
+    "inflate-delta": (lambda g: g.scaled(2.0, note="sabotage inflate-delta"), None),
+    "overlap-cells": (None, sabotage_overlap),
+    "offcenter-tags": (None, sabotage_offcenter),
+}
 # most points (grid ** dim) lebesgue-map tabulates; its memory grows with them
 _MAX_MAP_POINTS = 1 << 20
 # lebesgue-map rows turned into Python floats at a time
@@ -66,31 +71,18 @@ def _load_function(args):
     return corpus_function(args.fn, y_norm=ynorm)
 
 
-def _sabotage_hooks(mode: str | None):
-    if mode is None:
-        return None, None
-    if mode == "inflate-delta":
-        return (lambda g: g.scaled(2.0, note="sabotage inflate-delta")), None
-    if mode == "overlap-cells":
-        return None, sabotage_overlap
-    return None, sabotage_offcenter
-
-
-def _run_theorem_one(f, mu, eps, args, dn):
-    gauge_hook, family_hook = _sabotage_hooks(args.sabotage)
-    return verify_theorem(
-        f, mu, eps, trials=args.trials, seed=args.seed, domain_norm=dn,
-        max_depth=args.max_depth, eta=args.eta,
-        _gauge_hook=gauge_hook, _family_hook=family_hook)
-
-
 def cmd_run_theorem(args, f, mu) -> int:
     dn, lam = _resolve_norms(args, f.dim_in)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     jobs = list(args.eps)
-    results = [_run_theorem_one(f, mu, e, args, dn) for e in jobs]
+    gauge_hook, family_hook = _SABOTAGE.get(args.sabotage, (None, None))
+    results = [verify_theorem(f, mu, e, trials=args.trials, seed=args.seed,
+                              domain_norm=dn, max_depth=args.max_depth,
+                              eta=args.eta, _gauge_hook=gauge_hook,
+                              _family_hook=family_hook)
+               for e in jobs]
 
     rows = []
     payload = {"command": "run-theorem", "fn": f.name,
@@ -237,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out")
         if sabotage:
-            p.add_argument("--sabotage", choices=_SABOTAGE_CHOICES,
+            p.add_argument("--sabotage", choices=tuple(_SABOTAGE),
                            default=None)
 
     pt = sub.add_parser("run-theorem", help="certify the approximation chain")

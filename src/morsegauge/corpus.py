@@ -110,10 +110,6 @@ class CorpusFunction:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.zeros(len(X), dtype=bool)
 
-    def dist_inf_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.full(len(X), np.inf)
-
     # -- certificates -------------------------------------------------------
 
     def certified_halfside_batch(self, X: np.ndarray, budgets: np.ndarray) -> np.ndarray:
@@ -149,10 +145,6 @@ class CorpusFunction:
         """list of (Box, value) pairs for piecewise-constant entries, else
         None."""
         return None
-
-
-def _overlap_1d(los, his, a, b):
-    return np.clip(np.minimum(his, b) - np.maximum(los, a), 0.0, None)
 
 
 class _PiecewiseConstant(CorpusFunction):
@@ -235,34 +227,26 @@ class _PiecewiseConstant(CorpusFunction):
         # zero deviation up to the jump set, at any scale
         return self.dist_inf_batch(X)
 
-    def _overlap(self, los, his, box):
-        """Each window's overlap volume with one cell."""
-        ov = np.ones(len(los))
-        for k in range(self.dim_in):
-            ov = ov * _overlap_1d(los[:, k], his[:, k], box.lo[k], box.hi[k])
-        return ov
+    def _overlaps(self, los, his):
+        """Each cell's overlap volume with every window, and the cell's
+        value, cell by cell in C order; the oracles below sum them from
+        zero in that order."""
+        los = np.atleast_2d(los); his = np.atleast_2d(his)
+        per_axis = [[np.clip(np.minimum(his[:, k], b) - np.maximum(los[:, k], a), 0.0, None)
+                     for a, b in spans] for k, spans in enumerate(self._spans)]
+        for parts, val in zip(itertools.product(*per_axis), self._values):
+            yield math.prod(parts), val
 
     def integral_batch(self, los, his):
-        los = np.atleast_2d(los); his = np.atleast_2d(his)
-        out = np.zeros((len(los), self.dim_out))
-        for box, val in self._pieces:
-            out += self._overlap(los, his, box)[:, None] * val[None, :]
-        return out
+        return sum(ov[:, None] * val for ov, val in self._overlaps(los, his))
 
     def abs_integral_batch(self, los, his):
-        los = np.atleast_2d(los); his = np.atleast_2d(his)
-        out = np.zeros(len(los))
-        for box, val in self._pieces:
-            out += self._overlap(los, his, box) * self.ynorm(val)
-        return out
+        return sum(ov * self.ynorm(val) for ov, val in self._overlaps(los, his))
 
     def dev_integral_for_tags(self, los, his, tags, V):
-        los = np.atleast_2d(los); his = np.atleast_2d(his)
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        out = np.zeros(len(los))
-        for box, val in self._pieces:
-            out += self._overlap(los, his, box) * self.ynorm_rows(val[None, :] - V)
-        return out, np.zeros(len(los))
+        out = sum(ov * self.ynorm_rows(val - V) for ov, val in self._overlaps(los, his))
+        return out, np.zeros(len(out))
 
 
 # --------------------------------------------------------------------------
@@ -300,8 +284,7 @@ class Linear1Fn(CorpusFunction):
 
     def abs_integral_batch(self, los, his):
         # x >= 0 on the universe
-        los = np.atleast_2d(los); his = np.atleast_2d(his)
-        return 0.5 * (his[:, 0] ** 2 - los[:, 0] ** 2)
+        return self.integral_batch(los, his)[:, 0]
 
     def dev_integral_for_tags(self, los, his, tags, V):
         los = np.atleast_2d(los)[:, 0]; his = np.atleast_2d(his)[:, 0]
@@ -390,22 +373,9 @@ class Lipschitz2DFn(CorpusFunction):
         # f >= 0 on the universe
         return self.integral_batch(los, his)[:, 0]
 
-    def _centred_dev_integral(self, los, his, V):
-        """Centered boxes only: interval certificate from the gradient
-        bound, sharpened from below by the exact signed integral."""
-        los = np.atleast_2d(np.asarray(los, dtype=float))
-        his = np.atleast_2d(np.asarray(his, dtype=float))
-        V = np.atleast_2d(np.asarray(V, dtype=float))[:, 0]
-        centers = 0.5 * (los + his)
-        h = 0.5 * (his - los).max(axis=1)
-        vol = (his - los).prod(axis=1)
-        coef, beta = self._mean_dev_coefficients(centers)
-        upper = (coef * h + beta * h * h) * vol
-        signed = np.abs(self.integral_batch(los, his)[:, 0] - V * vol)
-        upper = np.maximum(upper, signed)
-        return 0.5 * (upper + signed), 0.5 * (upper - signed)
-
     def dev_integral_for_tags(self, los, his, tags, V):
+        """Interval certificate from a gradient bound, sharpened from below
+        by the exact signed integral."""
         los = np.atleast_2d(np.asarray(los, dtype=float))
         his = np.atleast_2d(np.asarray(his, dtype=float))
         tags = np.atleast_2d(np.asarray(tags, dtype=float))
@@ -414,27 +384,18 @@ class Lipschitz2DFn(CorpusFunction):
         widths = his - los
         centered = (np.abs(centers - tags).max(axis=1) <= 1e-14) \
             & (np.abs(widths[:, 0] - widths[:, 1]) <= 1e-14)
-        vals = np.empty(len(los))
-        errs = np.empty(len(los))
-        if centered.any():
-            v, e = self._centred_dev_integral(los[centered], his[centered],
-                                              V[centered, None])
-            vals[centered] = v
-            errs[centered] = e
-        rest = ~centered
-        if rest.any():
-            # clipped window: the global gradient bound holds pointwise
-            far = np.maximum(np.abs(los[rest] - tags[rest]),
-                             np.abs(his[rest] - tags[rest]))
-            reach = np.sqrt((far * far).sum(axis=1))
-            vol = widths[rest].prod(axis=1)
-            upper = self.amp * math.pi * reach * vol
-            signed = np.abs(self.integral_batch(los[rest], his[rest])[:, 0]
-                            - V[rest] * vol)
-            upper = np.maximum(upper, signed)
-            vals[rest] = 0.5 * (upper + signed)
-            errs[rest] = 0.5 * (upper - signed)
-        return vals, errs
+        h = 0.5 * widths.max(axis=1)
+        vol = widths.prod(axis=1)
+        coef, beta = self._mean_dev_coefficients(centers)
+        # a clipped window keeps only the global gradient bound, which
+        # holds pointwise
+        far = np.maximum(np.abs(los - tags), np.abs(his - tags))
+        reach = np.sqrt((far * far).sum(axis=1))
+        upper = np.where(centered, (coef * h + beta * h * h) * vol,
+                         self.amp * math.pi * reach * vol)
+        signed = np.abs(self.integral_batch(los, his)[:, 0] - V * vol)
+        upper = np.maximum(upper, signed)
+        return 0.5 * (upper + signed), 0.5 * (upper - signed)
 
     def _gradient_parts(self, X):
         gx = np.abs(np.cos(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]))
@@ -495,11 +456,8 @@ class Spike1Fn(CorpusFunction):
         return (self._anti(his) - self._anti(los))[:, None]
 
     def abs_integral_batch(self, los, his):
-        a = np.atleast_2d(los)[:, 0]; b = np.atleast_2d(his)[:, 0]
-        sa = 2.0 * np.sqrt(np.abs(a)); sb = 2.0 * np.sqrt(np.abs(b))
-        same_side = np.abs(sb - sa)
-        straddle = sa + sb
-        return np.where((a < 0) & (b > 0), straddle, same_side)
+        # f > 0 off the singular point
+        return self.integral_batch(los, his)[:, 0]
 
     def dev_integral_for_tags(self, los, his, tags, V):
         """Exact for boxes on one side of the singularity."""
@@ -522,10 +480,6 @@ class Spike1Fn(CorpusFunction):
     def on_discontinuity_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return X[:, 0] == 0.0
-
-    def dist_inf_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.abs(X[:, 0])
 
     def certified_halfside_batch(self, X, budgets):
         """Solve the one-sided mean bound 2/(sqrt(x)+sqrt(x-h)) - 1/sqrt(x)

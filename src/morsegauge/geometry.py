@@ -33,8 +33,9 @@ class NormKind(enum.Enum):
 def norm_batch(V: np.ndarray, kind: NormKind) -> np.ndarray:
     """Row-wise norms of an (N, d) array."""
     V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
+    if V.ndim == 1 or V.shape[1] == 1:
+        # one column: every norm is the component's absolute value
+        return np.abs(V.ravel())
     if kind is NormKind.ONE:
         return np.abs(V).sum(axis=1)
     if kind is NormKind.TWO:

@@ -169,6 +169,14 @@ def test_dev_integral_spike_one_sided(rng):
         assert abs(got[0] - want) <= err[0] + 2e-4
 
 
+def _lattice_dev_integral(f, a, b, v, n=81):
+    """Midpoint lattice estimate of the deviation integral over [a, b]."""
+    g = np.linspace(0, 1, n, endpoint=False) + 0.5 / n
+    w = b - a
+    XY = np.stack(np.meshgrid(a[0] + w[0] * g, a[1] + w[1] * g), axis=-1).reshape(-1, 2)
+    return np.abs(f.eval_batch(XY)[:, 0] - v[0]).mean() * np.prod(w)
+
+
 def test_dev_integral_lipschitz_encloses_truth(rng):
     f = corpus_function("lipschitz2d")
     for _ in range(6):
@@ -177,13 +185,36 @@ def test_dev_integral_lipschitz_encloses_truth(rng):
         a, b = c - h, c + h
         v = f.eval(c)
         got, err = f.dev_integral_for_tags(a[None], b[None], c[None], v[None])
-        # midpoint lattice estimate of the true deviation integral
-        n = 81
-        g = np.linspace(0, 1, n, endpoint=False) + 0.5 / n
-        XY = np.stack(np.meshgrid(a[0] + 2 * h * g, a[1] + 2 * h * g), axis=-1).reshape(-1, 2)
-        want = np.abs(f.eval_batch(XY)[:, 0] - v[0]).mean() * (2 * h) ** 2
+        want = _lattice_dev_integral(f, a, b, v)
         assert want <= got[0] + err[0] + 1e-6
         assert got[0] - err[0] <= want + 1e-6
+
+
+def test_dev_integral_lipschitz_clipped_encloses_truth(rng):
+    """Off-centre tags and cubes clipped by the universe, the windows the
+    sweep meets near the boundary, against the same midpoint lattice."""
+    f = corpus_function("lipschitz2d")
+    n = 81
+    for i in range(12):
+        if i % 2:
+            # a cube around c that reaches past the universe, clipped
+            c = rng.uniform(0.0, 1.0, size=2)
+            h = rng.uniform(min(c.min(), (1 - c).min()) + 0.01, 0.6)
+            a, b = np.maximum(c - h, 0.0), np.minimum(c + h, 1.0)
+        else:
+            # an interior window with its tag away from the centre
+            a = rng.uniform(0.0, 0.6, size=2)
+            b = a + rng.uniform(0.05, 0.4, size=2)
+            c = a + rng.uniform(0.0, 1.0, size=2) * (b - a)
+        v = f.eval(c)
+        got, err = f.dev_integral_for_tags(a[None], b[None], c[None], v[None])
+        w = b - a
+        want = _lattice_dev_integral(f, a, b, v, n)
+        # the midpoint rule's error bound for f - v, whose second
+        # derivatives are at most amp * pi^2
+        tol = f.amp * math.pi ** 2 * np.prod(w) * (w @ w) / (24 * n * n)
+        assert want <= got[0] + err[0] + tol
+        assert got[0] - err[0] <= want + tol
 
 
 def test_dev_integral_zero_at_own_value():
@@ -355,6 +386,9 @@ def test_piece_structures():
 # from the entries it pins
 PIECEWISE_CUTS = {"constant": (), "step2": (0.5,), "step2_avg": (0.5,),
                   "sign1": (0.0,), "checker2d": (0.25, 0.5, 0.75)}
+# the same for the analytic entries: spike1's singular point and the line
+# through lipschitz2d's peak
+ANALYTIC_CUTS = {"linear1": (), "lipschitz2d": (0.5,), "spike1": (0.0,)}
 
 
 def _pin_coords(f, cuts):
@@ -401,8 +435,14 @@ def _pin_digests(name):
     parts: dict[str, bytes] = {}
     for y_norm in (NormKind.ONE, NormKind.TWO, NormKind.INF):
         f = corpus_function(name, y_norm=y_norm)
-        X_all, X_in, los, his = _pin_inputs(f, PIECEWISE_CUTS[name])
+        X_all, X_in, los, his = _pin_inputs(
+            f, {**PIECEWISE_CUTS, **ANALYTIC_CUTS}[name])
+        if name == "spike1":
+            # its deviation oracle refuses windows across the singularity
+            one_sided = (his[:, 0] <= 0.0) | (los[:, 0] >= 0.0)
+            los, his = los[one_sided], his[one_sided]
         tags = 0.5 * (los + his)
+        off = los + 0.25 * (his - los)
         V = f.eval_batch(tags)
         W = np.resize(np.array([0.3, -0.7]), (len(los), f.dim_out))
         budgets = np.linspace(0.001, 0.3, len(X_all))
@@ -410,12 +450,15 @@ def _pin_digests(name):
             "eval": f.eval_batch(X_in),
             "eval_point": [f.eval(x) for x in X_in[::5]],
             "on_discontinuity": f.on_discontinuity_batch(X_all),
-            "dist_inf": f.dist_inf_batch(X_all),
+            "dist_inf": (f.dist_inf_batch(X_all) if name in PIECEWISE_CUTS
+                         else None),
             "certified_halfside": f.certified_halfside_batch(X_all, budgets),
             "integral": f.integral_batch(los, his),
             "abs_integral": f.abs_integral_batch(los, his),
             "dev_integral": [f.dev_integral_for_tags(los, his, tags, V),
                              f.dev_integral_for_tags(los, his, tags, W)],
+            "dev_integral_offcentre": f.dev_integral_for_tags(
+                los, his, off, f.eval_batch(off)),
             "discontinuities": f.discontinuities(),
             "piece_structure": f.piece_structure(),
             "sup_norm": f.sup_norm,
@@ -460,3 +503,31 @@ def test_piecewise_oracles_pinned(name):
     got = _pin_digests(name)
     want = dict(zip(PIN_ORACLES, PINNED[name].split()))
     assert [k for k in PIN_ORACLES if got[k] != want[k]] == []
+
+
+# the analytic entries have no jump-distance oracle; their pin adds
+# off-centre tags, which lipschitz2d's deviation bound reads.  Taken before
+# each oracle was folded into one code path
+ANALYTIC_PIN_ORACLES = tuple(k for k in PIN_ORACLES if k != "dist_inf") \
+    + ("dev_integral_offcentre",)
+PINNED_ANALYTIC = {
+    "linear1": (
+        "5e63130a60bf5a7d 986934acf64d0c75 459dd6cd11ec4ce6 12f1195b2709650a "
+        "5094dd9721ce28ee 5815ae7579e20800 faf9527ac5902254 91aafaceaba89f1f "
+        "d5c4d2ebc764345f f4695ea3da21b640 c38607f1077f597f"),
+    "lipschitz2d": (
+        "f2398c5b9700dc4e d4e988e1385d8167 b11af8601bcd9a63 fb2d924431f398bc "
+        "06f129c7f072ebdd b0cdd3cc7715ca16 07f03825c4af7283 91aafaceaba89f1f "
+        "d5c4d2ebc764345f e3704de63570f8be 3df1372a6ac150a8"),
+    "spike1": (
+        "622b3c3086c1c6f9 ffb9bd7ae06f6e50 dc4f51578e9c3275 4ae4f0197bd6e65f "
+        "7de8d34adb62bc79 f05898b86db498c1 ee47d74e46511efc 35a4fee262048cd0 "
+        "d5c4d2ebc764345f 9843faa459bf8244 5c0213f2f9b84dcb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ANALYTIC))
+def test_analytic_oracles_pinned(name):
+    got = _pin_digests(name)
+    want = dict(zip(ANALYTIC_PIN_ORACLES, PINNED_ANALYTIC[name].split()))
+    assert [k for k in ANALYTIC_PIN_ORACLES if got[k] != want[k]] == []
