@@ -48,14 +48,11 @@ def lusin_compact_set(f: CorpusFunction, omega: Box, eps: float,
     structure = f.piece_structure()
     if structure is None:
         raise NotPiecewise(f"{f.name} declares no piece structure")
-    pieces = []
-    for box, val in structure:
-        inter = box.intersect(omega)
-        if inter is not None and inter.volume() > 0:
-            pieces.append((inter, val))
-    lo = np.array([b.lo for b, _ in pieces])
-    hi = np.array([b.hi for b, _ in pieces])
-    vals = np.array([v for _, v in pieces], dtype=float)
+    # the pieces clipped to omega, keeping those of positive volume
+    lo, hi, vals = structure
+    lo, hi = np.maximum(lo, omega.lo), np.minimum(hi, omega.hi)
+    meet = np.clip(hi - lo, 0.0, None).prod(axis=1) > 0
+    lo, hi, vals = lo[meet], hi[meet], vals[meet]
     omega_mass = measure_box(mu, omega)
     target = 0.5 * eps
 

@@ -3,8 +3,8 @@
 Each entry is a vector-valued function on a bounded universe box together
 with everything the pipeline needs in certified form: closed-form box
 integrals, absolute integrals, mean-deviation certificates for centered
-cubes, declared jump pieces with their one-sided values, and the
-absolute-continuity modulus.  The piecewise-constant entries are value
+cubes, declared jump pieces as corner arrays with their one-sided values,
+and the absolute-continuity modulus.  The piecewise-constant entries are value
 tables on a rectilinear grid of the universe, and every oracle of theirs
 is derived from the table.
 
@@ -24,23 +24,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedShape
 from .geometry import Box, NormKind, norm_batch
-
-
-@dataclass(frozen=True)
-class DiscPiece:
-    """One declared jump piece: a degenerate box with its one-sided value."""
-
-    region: Box
-    value: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
 
 
 class CorpusFunction:
@@ -103,8 +91,10 @@ class CorpusFunction:
 
     # -- jump metadata ------------------------------------------------------
 
-    def discontinuities(self) -> list[DiscPiece]:
-        return []
+    def discontinuities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The k declared jump pieces: (k, d) lo and hi corners of degenerate
+        boxes and (k, dim_out) one-sided values; k = 0 without jumps."""
+        return (np.empty((0, self.dim_in)),) * 2 + (np.empty((0, self.dim_out)),)
 
     def on_discontinuity_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -142,8 +132,8 @@ class CorpusFunction:
         return eps / self.sup_norm
 
     def piece_structure(self):
-        """list of (Box, value) pairs for piecewise-constant entries, else
-        None."""
+        """(lo, hi, values) arrays of the constant pieces, one row each, for
+        piecewise-constant entries, else None."""
         return None
 
 
@@ -153,8 +143,8 @@ class _PiecewiseConstant(CorpusFunction):
     cuts[k] lists the interior grid lines on axis k in increasing order and
     values the cell values in C order (axis 0 slowest).  A point on a cut
     takes the value of the cell above it, or jump_value where that is set.
-    The jump set is the cuts inside the universe, declared one cell face at
-    a time.
+    The jump set is the cuts inside the universe, declared one cell face a
+    row.
     """
 
     cuts: tuple
@@ -167,15 +157,19 @@ class _PiecewiseConstant(CorpusFunction):
         self._values.setflags(write=False)
         self.sup_norm = max(self.ynorm(v) for v in self._values)
         # the (lo, hi) of every cell along each axis
-        self._spans = []
-        for a, b, cuts in zip(self.universe.lo, self.universe.hi, self.cuts):
-            edges = (a, *cuts, b)
-            self._spans.append(list(zip(edges[:-1], edges[1:])))
-        cells = itertools.product(*self._spans)
-        self._pieces = [(Box(*zip(*cell)), v) for cell, v in zip(cells, self._values)]
+        self._spans = [list(zip((a, *cuts), (*cuts, b))) for a, b, cuts
+                       in zip(self.universe.lo, self.universe.hi, self.cuts)]
+
+    @staticmethod
+    def _grid(spans):
+        """The boxes of the grid with the given (lo, hi) pairs per axis, in
+        C order, as a (2, k, d) array of their lo and hi corners."""
+        at = np.indices([len(s) for s in spans]).reshape(len(spans), -1)
+        return np.stack([np.array(s, dtype=float)[i].T
+                         for s, i in zip(spans, at)], axis=-1)
 
     def piece_structure(self):
-        return list(self._pieces)
+        return *self._grid(self._spans), self._values
 
     def eval_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -193,17 +187,13 @@ class _PiecewiseConstant(CorpusFunction):
         return out
 
     def discontinuities(self):
-        """One piece per cell face on a cut, valued by eval at its centre:
-        axis by axis, cut by cut, the faces in C order."""
-        pieces = []
-        for k, cuts in enumerate(self.cuts):
-            for c in cuts:
-                spans = [[(c, c)] if j == k else s
-                         for j, s in enumerate(self._spans)]
-                for face in itertools.product(*spans):
-                    region = Box(*zip(*face))
-                    pieces.append(DiscPiece(region, self.eval(region.center())))
-        return pieces
+        """One piece per cell face on a cut, valued by eval_batch at its
+        centre: axis by axis, cut by cut, the faces in C order."""
+        lo, hi = np.concatenate([np.empty((2, 0, self.dim_in))] + [
+            self._grid([[(c, c)] if j == k else s
+                        for j, s in enumerate(self._spans)])
+            for k, cuts in enumerate(self.cuts) for c in cuts], axis=1)
+        return lo, hi, self.eval_batch(0.5 * (lo + hi))
 
     def on_discontinuity_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -475,7 +465,7 @@ class Spike1Fn(CorpusFunction):
         return left + right, np.zeros(len(a))
 
     def discontinuities(self):
-        return [DiscPiece(Box((0.0,), (0.0,)), np.array([0.0]))]
+        return np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))
 
     def on_discontinuity_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -7,7 +7,7 @@ their spatial shell.  Tube widths are solved so that each value-bin's tube
 measure stays under its share of the budget and so that the total jump-mass
 caught in the tubes stays under a quarter of the target accuracy; both caps
 matter (the singular corpus entry exhausts the second one long before the
-first).  Each tube keeps its boxes as (k, d) corner arrays, from which its
+first).  Each tube keeps its jump pieces' corner arrays, from which its
 measure, jump mass, clearance and report entry are derived, and its widths
 come from bisections that stop once they converge in floats.  A width too
 thin to move a piece's faces in floats makes the build infeasible.
@@ -15,7 +15,6 @@ thin to move a piece's faces in floats makes the build infeasible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,9 +54,9 @@ def shell_budget_table(eps: float, mu: RadonMeasure,
                      for n in range(1, n_max + 1)])
 
 
-def value_bin(v_norm: float) -> int:
-    """Half-open value bin: n - 1 <= ||f(x)|| < n."""
-    return int(math.floor(v_norm)) + 1
+def value_bin(norms) -> np.ndarray:
+    """Half-open value bins, per row: n - 1 <= ||f(x)|| < n."""
+    return np.floor(norms).astype(int) + 1
 
 
 # share of eps the jump tubes may take, as measure per value bin and as
@@ -89,12 +88,13 @@ class NullTube:
     width: float
     budget: float
 
-    def clearance(self, x) -> float:
-        """sup over boxes holding x of the minimal face distance."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        inside = np.all((self.lo < x) & (x < self.hi), axis=1)
-        gaps = np.minimum(x - self.lo, self.hi - x)[inside]
-        return float(gaps.min(axis=1).max(initial=0.0))
+    def clearance(self, X) -> np.ndarray:
+        """Per row of the (N, d) points, the sup over boxes holding it of
+        the minimal face distance, or 0: a box holds a point just when
+        that distance is positive."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))[:, None]
+        gaps = np.minimum(X - self.lo, self.hi - X).min(axis=2)
+        return gaps.max(axis=1, initial=0.0)
 
     def to_dict(self) -> dict:
         return {"n": self.n,
@@ -115,17 +115,14 @@ def build_null_tubes(f: CorpusFunction, eps: float,
     the total measure is below the absolute-continuity modulus at eps / 4.
     A width too thin to move a piece's faces in floats is infeasible.
     """
-    groups: dict[int, list] = {}
-    for piece in f.discontinuities():
-        if piece.region.volume() > 0:
-            raise TubeInfeasible("declared jump piece has positive measure")
-        n = value_bin(f.ynorm(piece.value))
-        groups.setdefault(n, []).append(piece.region)
-    if not groups:
-        return []
-    corners = {n: (np.array([r.lo for r in regions]),
-                   np.array([r.hi for r in regions]))
-               for n, regions in groups.items()}
+    lo, hi, values = f.discontinuities()
+    if np.any((hi - lo).prod(axis=1) > 0):
+        raise TubeInfeasible("declared jump piece has positive measure")
+    bins = value_bin(f.ynorm_rows(values))
+    # bins in order of first appearance, which the caps sum in so that the
+    # widths keep their bits; the widths and tubes go in sorted bin order
+    corners = {n: (lo[bins == n], hi[bins == n])
+               for n in dict.fromkeys(bins.tolist())}
 
     def tube(n: int, w: float):
         """The parts inside the universe of bin n's boxes at width w, for
@@ -142,7 +139,7 @@ def build_null_tubes(f: CorpusFunction, eps: float,
         return sum(measure_box_batch(mu, a, b).tolist(), 0.0)
 
     widths: dict[int, float] = {}
-    for n in sorted(groups):
+    for n in sorted(corners):
         target = 0.99 * TUBE_SAFETY * eps / (n * 2.0 ** (n + 2))
         widths[n] = bisect_last(
             lambda w: measure(*tube(n, w)) <= target, 0.0, 1.0, 200)
@@ -151,14 +148,12 @@ def build_null_tubes(f: CorpusFunction, eps: float,
 
     # common shrink for the global jump-mass and modulus caps; overlapping
     # boxes double-count the mass upward
-    gamma = f.ac_modulus(eps / 4.0, mu.w0)
     mass_cap = TUBE_SAFETY * eps / 4.0
-    meas_cap = 0.99 * gamma
+    meas_cap = 0.99 * f.ac_modulus(eps / 4.0, mu.w0)
 
     def caps_ok(scale: float) -> bool:
-        mass = 0.0
-        meas = 0.0
-        for n in groups:
+        mass = meas = 0.0
+        for n in corners:
             a, b = tube(n, scale * widths[n])
             mass += sum((f.abs_integral_batch(a, b) * mu.w0).tolist(), 0.0)
             meas += measure(a, b)
@@ -169,9 +164,8 @@ def build_null_tubes(f: CorpusFunction, eps: float,
         raise TubeInfeasible("jump-mass cap admits no positive width")
 
     tubes = []
-    for n in sorted(groups):
+    for n, (lo, hi) in sorted(corners.items()):
         w = scale * widths[n]
-        lo, hi = corners[n]
         if not (np.all(lo - w < lo) and np.all(hi + w > hi)):
             raise TubeInfeasible(f"tube width {w} of value bin {n} is below "
                                  "float resolution at its jump pieces")
@@ -191,24 +185,21 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
     require_uniform(mu)
     lam = norm_ratio(NormKind.INF, p.domain_norm, f.dim_in)
     tubes = build_null_tubes(f, p.eps, mu)
-    tube_by_bin = {t.n: t for t in tubes}
 
     budgets_by_shell = shell_budget_table(p.eps, mu, p.domain_norm)
     n_max = len(budgets_by_shell)
     cert_budgets = budgets_by_shell * MARGIN
 
-    def a_branch(x) -> float:
-        fn_norm = f.ynorm(f.eval(x))
-        n = value_bin(fn_norm)
-        tube = tube_by_bin.get(n)
-        if tube is None:
-            raise BoundViolated(
-                f"jump point {tuple(np.atleast_1d(x))} has no tube in bin {n}")
-        clear = tube.clearance(x)
-        if clear <= 0.0:
-            raise BoundViolated(
-                f"jump point {tuple(np.atleast_1d(x))} escapes its tube")
-        return 0.5 * min(1.0, clear)
+    def a_branch(X: np.ndarray) -> np.ndarray:
+        bins = value_bin(f.ynorm_rows(f.eval_batch(X)))
+        clear = np.full(len(X), -1.0)  # -1 where the point's bin has no tube
+        for t in tubes:
+            clear[bins == t.n] = t.clearance(X[bins == t.n])
+        # the first point without a positive clearance, in input order
+        for i in np.nonzero(clear <= 0.0)[0][:1]:
+            why = f"has no tube in bin {bins[i]}" if clear[i] < 0 else "escapes its tube"
+            raise BoundViolated(f"jump point {tuple(X[i])} {why}")
+        return 0.5 * np.minimum(1.0, clear)
 
     def batch(X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -219,8 +210,9 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
         out = np.minimum(1.0, h * lam)
         # the certified halfside is zero at declared jumps, so every point
         # takes the line above and the jump entries are then replaced
-        for i in np.nonzero(f.on_discontinuity_batch(X))[0]:
-            out[i] = a_branch(X[i])
+        on = f.on_discontinuity_batch(X)
+        if on.any():
+            out[on] = a_branch(X[on])
         return out
 
     provenance = {
@@ -263,19 +255,13 @@ class SweepReport:
 
 
 def _a_probe_points(f: CorpusFunction, rng: np.random.Generator, per_piece: int):
-    pts = []
-    for piece in f.discontinuities():
-        lo = np.asarray(piece.region.lo)
-        hi = np.asarray(piece.region.hi)
-        pts.append(lo)
-        pts.append(hi)
-        pts.append(0.5 * (lo + hi))
-        if per_piece > 3:
-            u = rng.uniform(size=(per_piece - 3, len(lo)))
-            pts.extend(lo + u * (hi - lo))
-    if not pts:
-        return np.empty((0, f.dim_in))
-    return np.unique(np.array(pts), axis=0)
+    """Each jump piece's corners, centre and per_piece - 3 uniform points,
+    drawn piece by piece; sorted, without repeats."""
+    lo, hi, _ = f.discontinuities()
+    u = rng.uniform(size=(len(lo), per_piece - 3, f.dim_in))
+    inner = lo[:, None] + u * (hi - lo)[:, None]
+    return np.unique(np.concatenate([lo, hi, 0.5 * (lo + hi),
+                                     inner.reshape(-1, f.dim_in)]), axis=0)
 
 
 def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
@@ -361,17 +347,20 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
                     "quadrature": [qv - qe, qv + qe]})
         report.probes += len(pick)
 
-    # (k, 2, d) corner arrays per value bin
-    tubes = {t["n"]: np.array(t["boxes"])
-             for t in g.provenance.get("tubes", [])}
+    # each probe's reach box must sit strictly inside a box of its bin's
+    # tube, read as (k, 2, d) corner arrays from the provenance
     A = _a_probe_points(f, rng, per_piece=8)
-    for x in A:
-        d = g(tuple(x))
-        boxes = tubes.get(value_bin(f.ynorm(f.eval(x))), np.empty((0, 2, dim)))
-        if not np.all((boxes[:, 0] < x - d) & (x + d < boxes[:, 1]),
-                      axis=1).any():
-            report.violations.append({
-                "kind": "tube-containment", "x": [float(c) for c in x],
-                "delta": float(d)})
+    D = g.delta_batch(A)
+    bins = value_bin(f.ynorm_rows(f.eval_batch(A)))
+    a, b = (A - D[:, None])[:, None], (A + D[:, None])[:, None]
+    held = np.zeros(len(A), dtype=bool)
+    for t in g.provenance.get("tubes", []):
+        box, mine = np.array(t["boxes"]), bins == t["n"]
+        held[mine] = np.all((box[:, 0] < a[mine]) & (b[mine] < box[:, 1]),
+                            axis=2).any(axis=1)
+    for i in np.nonzero(~held)[0]:
+        report.violations.append({
+            "kind": "tube-containment", "x": [float(c) for c in A[i]],
+            "delta": float(D[i])})
     report.a_probes = len(A)
     return report

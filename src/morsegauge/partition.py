@@ -564,8 +564,12 @@ def refinement_choice(n: int, fraction: float,
     for an empty family), as their count per block, then one seed."""
     if n == 0:
         return Refinement()
+    # numpy's draws take under 10^9 cells, so a larger n splits in halves of whole blocks
+    most = 2 * ((10**9 - 1) // DRAW_BLOCK * DRAW_BLOCK)
+    if n > most:
+        raise DepthExceeded(f"a refinement of the {n}-cell family cannot be "
+                            f"drawn: the draw supports at most {most} cells")
     count = min(max(1, int(round(fraction * n))), n)
-    # numpy's multivariate draw takes under 10^9 cells: a larger n splits in halves first
     halves = np.array_split(np.diff(np.r_[0:n:DRAW_BLOCK, n]), 1 + (n >= 10**9))
     left = count if len(halves) == 1 else int(
         rng.hypergeometric(halves[0].sum(), halves[1].sum(), count))

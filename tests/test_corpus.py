@@ -8,14 +8,19 @@ engine in 2-d, and direct sampling for the certificates.
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 
 from conftest import brute_mean_dev
-from morsegauge.corpus import MANDATORY, corpus_function, corpus_names
-from morsegauge.geometry import NormKind
+from morsegauge.corpus import (MANDATORY, _PiecewiseConstant, corpus_function,
+                               corpus_names)
+from morsegauge.gauge import GaugeBuildParams, build_gauge
+from morsegauge.geometry import Box, NormKind
+from morsegauge.measure import RadonMeasure
 from morsegauge.quadrature import adaptive_box_quadrature
+from morsegauge.riemann import verify_theorem
 
 ALL_NAMES = corpus_names()
 
@@ -354,16 +359,16 @@ def test_discontinuity_flags():
     assert list(check.on_discontinuity_batch(
         [[0.25, 0.6], [0.1, 0.75], [0.1, 0.1]])) == [True, True, False]
     assert check.dist_inf_batch([[0.1, 0.1]])[0] == pytest.approx(0.15)
-    assert corpus_function("lipschitz2d").discontinuities() == []
+    lo, hi, values = corpus_function("lipschitz2d").discontinuities()
+    assert lo.shape == hi.shape == (0, 2) and values.shape == (0, 1)
 
 
 def test_checker_discontinuity_pieces_carry_eval_values():
     check = corpus_function("checker2d")
-    pieces = check.discontinuities()
-    assert len(pieces) == 24  # 2 axes x 3 lines x 4 segments
-    for p in pieces:
-        c = p.region.center()
-        assert np.array_equal(p.value, check.eval(c))
+    lo, hi, values = check.discontinuities()
+    assert len(lo) == 24  # 2 axes x 3 lines x 4 segments
+    for a, b, v in zip(lo, hi, values):
+        assert np.array_equal(v, check.eval(Box(tuple(a), tuple(b)).center()))
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +376,47 @@ def test_checker_discontinuity_pieces_carry_eval_values():
 # ---------------------------------------------------------------------------
 
 def test_piece_structures():
-    assert len(corpus_function("step2").piece_structure()) == 2
-    assert len(corpus_function("checker2d").piece_structure()) == 16
-    assert len(corpus_function("constant").piece_structure()) == 1
+    for name, k in (("step2", 2), ("checker2d", 16), ("constant", 1)):
+        f = corpus_function(name)
+        lo, hi, values = f.piece_structure()
+        assert lo.shape == hi.shape == (k, f.dim_in)
+        assert values.shape == (k, f.dim_out)
     assert corpus_function("lipschitz2d").piece_structure() is None
     assert corpus_function("spike1").piece_structure() is None
+
+
+class _WideTable(_PiecewiseConstant):
+    """Test data, not a corpus entry: 64 pieces of [0, 1] cut at the sorted
+    values of j * 0.618... mod 1, with value e_j in R^64 on piece j."""
+
+    name = "wide64"
+    dim_in = 1
+    dim_out = 64
+    universe = Box((0.0,), (1.0,))
+    cuts = (tuple(sorted(j * (math.sqrt(5.0) - 1.0) / 2.0 % 1.0
+                         for j in range(1, 64))),)
+    values = tuple(map(tuple, np.eye(64)))
+
+
+def test_wide_table_jumps_pieces_and_theorem():
+    f = _WideTable()
+    mu = RadonMeasure.unit(f.universe)
+    lo, hi, values = f.discontinuities()
+    assert lo.shape == hi.shape == (63, 1) and values.shape == (63, 64)
+    assert np.array_equal(values, f.eval_batch(0.5 * (lo + hi)))
+    lo, hi, values = f.piece_structure()
+    assert lo.shape == hi.shape == (64, 1)
+    assert np.array_equal(values, np.eye(64))
+    # the jump branch runs per batch; each point's value is its own
+    g = build_gauge(f, mu, GaugeBuildParams(eps=0.1))
+    faces = f.discontinuities()[0]
+    assert np.array_equal(g.delta_batch(faces), [g(x) for x in faces])
+    start = time.perf_counter()
+    reports = verify_theorem(f, mu, 0.1, trials=2)
+    took = time.perf_counter() - start
+    assert len(reports) == 2
+    assert all(all(r.pass_flags.values()) for r in reports)
+    assert took < 1.0, took
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +466,17 @@ def _pin_bytes(value) -> bytes:
         return f"{value.dtype}{value.shape}".encode() + value.tobytes()
     if isinstance(value, (tuple, list)):
         return b"(" + b",".join(_pin_bytes(v) for v in value) + b")"
-    if hasattr(value, "region"):  # DiscPiece
-        return _pin_bytes((value.region, value.value))
     return repr(value).encode()
+
+
+def _pin_pieces(arrays):
+    """(lo, hi, values) rows as the (Box, value) pairs the pins were taken
+    over."""
+    if arrays is None:
+        return None
+    lo, hi, values = arrays
+    return [(Box(tuple(a), tuple(b)), v)
+            for a, b, v in zip(lo.tolist(), hi.tolist(), values)]
 
 
 def _pin_digests(name):
@@ -459,8 +508,8 @@ def _pin_digests(name):
                              f.dev_integral_for_tags(los, his, tags, W)],
             "dev_integral_offcentre": f.dev_integral_for_tags(
                 los, his, off, f.eval_batch(off)),
-            "discontinuities": f.discontinuities(),
-            "piece_structure": f.piece_structure(),
+            "discontinuities": _pin_pieces(f.discontinuities()),
+            "piece_structure": _pin_pieces(f.piece_structure()),
             "sup_norm": f.sup_norm,
         }
         for key, value in got.items():

@@ -1,16 +1,19 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from morsegauge import gauge
 from morsegauge.analysis import lusin_compact_set
 from morsegauge.corpus import corpus_function, corpus_names
-from morsegauge.errors import PreconditionUncertified
+from morsegauge.errors import BoundViolated, PreconditionUncertified
 from morsegauge.gauge import (
     TUBE_SAFETY,
     GaugeBuildParams,
+    NullTube,
     build_gauge,
     build_null_tubes,
     shell_budget,
@@ -111,11 +114,9 @@ def test_checker_tube_measure_under_budget():
         for t in tubes:
             assert t.measure < t.budget
             # every declared segment is strictly inside its bin's tube
-            for piece in f.discontinuities():
-                if value_bin(f.ynorm(piece.value)) != t.n:
-                    continue
-                c = piece.region.center()
-                assert t.clearance(c) > 0.0
+            lo, hi, values = f.discontinuities()
+            mine = value_bin(f.ynorm_rows(values)) == t.n
+            assert np.all(t.clearance(0.5 * (lo + hi)[mine]) > 0.0)
 
 
 def test_tube_jump_mass_cap():
@@ -191,8 +192,8 @@ def test_mixed_batch_matches_its_subsets(name, rng):
     g = build_gauge(f, unit(f), GaugeBuildParams(eps=0.1))
     lo = np.asarray(f.universe.lo)
     hi = np.asarray(f.universe.hi)
-    jumps = [np.asarray(c) for p in f.discontinuities()
-             for c in (p.region.lo, p.region.hi, p.region.center())]
+    jlo, jhi, _ = f.discontinuities()
+    jumps = [c for a, b in zip(jlo, jhi) for c in (a, b, 0.5 * (a + b))]
     X = np.concatenate([rng.uniform(lo, hi, size=(200, f.dim_in))]
                        + [np.asarray(jumps).reshape(-1, f.dim_in)])
     X = X[rng.permutation(len(X))]
@@ -231,6 +232,37 @@ def test_gauge_jump_branch_half_clearance():
     tubes = build_null_tubes(f, p.eps, unit(f))
     t = tubes[0]
     assert g((0.5,)) == pytest.approx(0.5 * t.clearance((0.5,)))
+
+
+def _gauge_with_tubes(monkeypatch, name, tubes):
+    monkeypatch.setattr(gauge, "build_null_tubes", lambda f, eps, mu: tubes)
+    f = corpus_function(name)
+    return build_gauge(f, unit(f), GaugeBuildParams(eps=0.1))
+
+
+def _far_tube(n, dim):
+    # a tube of bin n nowhere near the jump set
+    return NullTube(n=n, lo=np.full((1, dim), 0.9), hi=np.full((1, dim), 0.95),
+                    measure=0.05 ** dim, width=0.025, budget=1.0)
+
+
+def test_jump_branch_guards_name_the_first_offending_point(monkeypatch):
+    def raises(g, X, message):
+        with pytest.raises(BoundViolated, match=f"^{re.escape(message)}$"):
+            g.delta_batch(np.array(X))
+
+    # step2's jump value (0, 1) is in bin 2; the first point is off the jump
+    X = [[0.25], [0.5]]
+    raises(_gauge_with_tubes(monkeypatch, "step2", []), X,
+           f"jump point {(np.float64(0.5),)} has no tube in bin 2")
+    raises(_gauge_with_tubes(monkeypatch, "step2", [_far_tube(2, 1)]), X,
+           f"jump point {(np.float64(0.5),)} escapes its tube")
+    # checker2d: (0.5, 0.6) takes the value 0 (bin 1, no tube here) and
+    # (0.25, 0.1) the value 1 (bin 2, a tube that misses it)
+    g = _gauge_with_tubes(monkeypatch, "checker2d", [_far_tube(2, 2)])
+    a, b = (0.5, 0.6), (0.25, 0.1)
+    raises(g, [a, b], f"jump point {tuple(map(np.float64, a))} has no tube in bin 1")
+    raises(g, [b, a], f"jump point {tuple(map(np.float64, b))} escapes its tube")
 
 
 def test_gauge_provenance_serializes():
@@ -323,8 +355,8 @@ def _jump_probe_points(f):
     the universe are dropped.  A zero coordinate moves by 2^-52 instead:
     the spike1 halfside underflows to 0 near its singularity (below about
     1e-150), which the gauge rejects, and that is not what this pins."""
-    base = [np.asarray(c, dtype=float) for p in f.discontinuities()
-            for c in (p.region.lo, p.region.hi, p.region.center())]
+    lo, hi, _ = f.discontinuities()
+    base = [c for a, b in zip(lo, hi) for c in (a, b, 0.5 * (a + b))]
     pts = list(base)
     for x in base:
         for k in range(f.dim_in):

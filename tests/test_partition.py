@@ -480,6 +480,24 @@ def test_refinement_draw_needs_no_family_length_array():
     assert len(np.intersect1d(got, after)) < 0.2 * len(got)
 
 
+def test_refinement_draw_refuses_a_family_it_cannot_draw():
+    # numpy's hypergeometric draws take under 10^9 cells, and a larger
+    # family splits in two halves of whole blocks: 2 x 15,258 blocks is the
+    # most, and one cell more is refused before the draw touches its rng
+    most = 1_999_896_576
+    assert most == 2 * 15_258 * partition.DRAW_BLOCK
+    draw = partition.refinement_choice(most, 0.15, np.random.default_rng(0))
+    assert draw.n == most and draw.count == round(0.15 * most)
+    assert len(draw.counts) == 30_516
+    for n in (most + 1, 10 ** 12):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DepthExceeded,
+                           match=f"the {n}-cell family .* at most {most} cells"):
+            partition.refinement_choice(n, 0.15, rng)
+        assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # verifier and sabotage
 # ---------------------------------------------------------------------------
