@@ -6,31 +6,18 @@ dyadic family, then certify the simple-sum, L1, truncation, and
 set-function bounds against exact integrals.
 """
 
-from .analysis import CompactContinuitySet, lusin_compact_set
-from .corpus import CorpusFunction, corpus_function, corpus_names
-from .errors import (BoundViolated, DepthExceeded, MalformedShape,
-                     NotPiecewise, OutOfUniverse, PreconditionUncertified,
-                     ToleranceUnreachable, TubeInfeasible)
-from .gauge import (GaugeBuildParams, NullTube, build_gauge, build_null_tubes,
-                    shell_budget, shell_index, soundness_sweep)
-from .geometry import Box, Gauge, NormKind, norm_ratio
-from .measure import RadonMeasure, annulus_measure, ball_volume, measure_box
-from .partition import (SieveParams, TaggedFamily, dyadic_sieve,
-                        random_dyadic_partition, refine_family, verify_family)
-from .riemann import (ApproximationReport, CorollaryReport, verify_corollary,
-                      verify_theorem)
+from .corpus import corpus_function
+from .errors import (BoundViolated, DepthExceeded, NotPiecewise,
+                     PreconditionUncertified, ToleranceUnreachable,
+                     TubeInfeasible)
+from .measure import RadonMeasure
+from .riemann import verify_theorem
 
 __version__ = "0.1.0"
 
+# README's library example and the errors it names; the rest is in submodules
 __all__ = [
-    "ApproximationReport", "BoundViolated", "Box", "CompactContinuitySet",
-    "CorollaryReport", "CorpusFunction", "DepthExceeded", "Gauge",
-    "GaugeBuildParams", "MalformedShape", "NormKind", "NotPiecewise",
-    "NullTube", "OutOfUniverse", "PreconditionUncertified", "RadonMeasure",
-    "SieveParams", "TaggedFamily", "ToleranceUnreachable", "TubeInfeasible",
-    "annulus_measure", "ball_volume", "build_gauge", "build_null_tubes",
-    "corpus_function", "corpus_names", "dyadic_sieve", "lusin_compact_set",
-    "measure_box", "norm_ratio", "random_dyadic_partition",
-    "refine_family", "shell_budget", "shell_index", "soundness_sweep",
-    "verify_corollary", "verify_family", "verify_theorem",
+    "BoundViolated", "DepthExceeded", "NotPiecewise",
+    "PreconditionUncertified", "RadonMeasure", "ToleranceUnreachable",
+    "TubeInfeasible", "corpus_function", "verify_theorem",
 ]

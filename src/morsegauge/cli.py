@@ -74,7 +74,6 @@ def _load_function(args):
 def cmd_run_theorem(args, f, mu) -> int:
     dn, lam = _resolve_norms(args, f.dim_in)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     jobs = list(args.eps)
     gauge_hook, family_hook = _SABOTAGE.get(args.sabotage, (None, None))
@@ -114,7 +113,6 @@ def cmd_run_theorem(args, f, mu) -> int:
 def cmd_run_corollary(args, f, mu) -> int:
     dn, lam = _resolve_norms(args, f.dim_in)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     jobs = list(args.eps)
     results = [verify_corollary(f, mu, e, seed=args.seed, domain_norm=dn)
@@ -141,7 +139,6 @@ def cmd_run_corollary(args, f, mu) -> int:
 
 def cmd_run_lusin(args, f, mu) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     payload = {"command": "run-lusin", "fn": f.name, "eps": list(args.eps),
@@ -167,7 +164,6 @@ def cmd_run_lusin(args, f, mu) -> int:
 def cmd_lebesgue_map(args, f, mu) -> int:
     dn, lam = _resolve_norms(args, f.dim_in)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     eps = args.eps[0]
     g = build_gauge(f, mu, GaugeBuildParams(eps=eps, domain_norm=dn))
@@ -267,6 +263,8 @@ def _input_error(args, dim: int) -> str | None:
         return f"--max-depth must be nonnegative, got {args.max_depth}"
     if args.trials < 1:
         return f"--trials must be at least 1, got {args.trials}"
+    if args.seed < 0:
+        return f"--seed must be nonnegative, got {args.seed}"
     if args.command == "lebesgue-map" and len(args.eps) > 1:
         return f"lebesgue-map takes one --eps, got {len(args.eps)}"
     grid = getattr(args, "grid", 1)
@@ -297,7 +295,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"INVALID INPUT: {problem}", file=sys.stderr)
         return 3
     try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.func(args, f, RadonMeasure.unit(f.universe))
+    except OSError as e:
+        print(f"INVALID INPUT: --out {args.out}: {e}", file=sys.stderr)
+        return 3
     except BoundViolated as e:
         print(f"BOUND VIOLATED: {e}", file=sys.stderr)
         return 2

@@ -27,7 +27,6 @@ import math
 
 import numpy as np
 
-from .errors import MalformedShape
 from .geometry import Box, NormKind, norm_batch
 
 
@@ -48,9 +47,6 @@ class CorpusFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, x) -> np.ndarray:
-        return self.eval_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -66,10 +62,6 @@ class CorpusFunction:
         lo, hi = np.asarray(b.lo, dtype=float), np.asarray(b.hi, dtype=float)
         return self.integral_batch(lo[None, :], hi[None, :])[0]
 
-    def exact_abs_integral(self, b: Box) -> float:
-        lo, hi = np.asarray(b.lo, dtype=float), np.asarray(b.hi, dtype=float)
-        return float(self.abs_integral_batch(lo[None, :], hi[None, :])[0])
-
     def integral_batch(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -77,7 +69,9 @@ class CorpusFunction:
         raise NotImplementedError
 
     def abs_total(self) -> float:
-        return self.exact_abs_integral(self.universe)
+        u = self.universe
+        return float(self.abs_integral_batch(np.array([u.lo], dtype=float),
+                                             np.array([u.hi], dtype=float))[0])
 
     def dev_integral_for_tags(self, los, his, tags, V) -> tuple[np.ndarray, np.ndarray]:
         """Per-box integral of ||f - v||_Y with a certified error split.
@@ -109,15 +103,6 @@ class CorpusFunction:
         raise NotImplementedError
 
     # -- concentration ------------------------------------------------------
-
-    def worst_abs_concentration(self, m: float, w0: float = 1.0) -> float:
-        """sup of the weighted integral of ||f|| over sets of measure <= m
-        under the uniform density w0."""
-        if m <= 0:
-            return 0.0
-        if not math.isfinite(self.sup_norm):
-            raise NotImplementedError("unbounded entries override this")
-        return self.sup_norm * m  # mass scales out: w0 * M * (m / w0)
 
     def ac_modulus(self, eps: float, w0: float = 1.0) -> float:
         """gamma such that mu(E) < gamma forces the mu-integral of ||f||
@@ -450,19 +435,28 @@ class Spike1Fn(CorpusFunction):
         return self.integral_batch(los, his)[:, 0]
 
     def dev_integral_for_tags(self, los, his, tags, V):
-        """Exact for boxes on one side of the singularity."""
+        """Exact: a box across the singularity is the sum of its halves on
+        either side, each taken as a one-sided box."""
         a = np.atleast_2d(los)[:, 0]; b = np.atleast_2d(his)[:, 0]
         v = np.atleast_2d(np.asarray(V, dtype=float))[:, 0]
-        if np.any((a < 0) & (b > 0)):
-            raise MalformedShape("deviation oracle needs one-sided boxes")
-        aa = np.minimum(np.abs(a), np.abs(b))
-        bb = np.maximum(np.abs(a), np.abs(b))
+        out = self._one_sided_dev(np.minimum(np.abs(a), np.abs(b)),
+                                  np.maximum(np.abs(a), np.abs(b)), v)
+        across = (a < 0) & (b > 0)
+        if across.any():
+            va = v[across]
+            out[across] = self._one_sided_dev(0.0, -a[across], va) \
+                + self._one_sided_dev(0.0, b[across], va)
+        return out, np.zeros(len(a))
+
+    @staticmethod
+    def _one_sided_dev(aa, bb, v):
+        # integral of |t^(-1/2) - v| over 0 <= aa <= t <= bb
         with np.errstate(divide="ignore"):
             cross = np.where(v > 0, 1.0 / (v * v), np.inf)
         c = np.clip(cross, aa, bb)
         left = 2.0 * np.sqrt(c) - 2.0 * np.sqrt(aa) - v * (c - aa)
         right = v * (bb - c) - (2.0 * np.sqrt(bb) - 2.0 * np.sqrt(c))
-        return left + right, np.zeros(len(a))
+        return left + right
 
     def discontinuities(self):
         return np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))
@@ -489,13 +483,6 @@ class Spike1Fn(CorpusFunction):
         np.minimum(h, x, out=h)
         np.copyto(h, x, where=s <= 0)
         return h
-
-    def worst_abs_concentration(self, m: float, w0: float = 1.0) -> float:
-        # the worst set of Lebesgue measure m hugs the singularity
-        if m <= 0:
-            return 0.0
-        leb = min(m / w0, self.universe.volume())
-        return w0 * 2.0 * math.sqrt(2.0 * leb)
 
     def ac_modulus(self, eps: float, w0: float = 1.0) -> float:
         if eps <= 0:

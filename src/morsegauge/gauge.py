@@ -27,12 +27,8 @@ from .measure import (RadonMeasure, annulus_measure, measure_box_batch,
 from .quadrature import adaptive_box_quadrature_batch
 
 
-def shell_index(x, domain_norm: NormKind) -> int:
-    """The unique n >= 1 with n-1 <= |x| < n."""
-    return int(shell_index_batch(x, domain_norm)[0])
-
-
 def shell_index_batch(X: np.ndarray, domain_norm: NormKind) -> np.ndarray:
+    """Per row, the unique n >= 1 with n-1 <= |x| < n."""
     r = norm_batch(np.atleast_2d(np.asarray(X, dtype=float)), domain_norm)
     return np.floor(r).astype(int) + 1
 
@@ -49,7 +45,7 @@ def shell_budget_table(eps: float, mu: RadonMeasure,
                        domain_norm: NormKind) -> np.ndarray:
     """Budgets of shells 1..n_max, where n_max is the shell of the farthest
     universe corner; entry n - 1 belongs to shell n."""
-    n_max = max(shell_index(c, domain_norm) for c in mu.universe.corners())
+    n_max = int(shell_index_batch(mu.universe.corners(), domain_norm).max())
     return np.array([shell_budget(eps, n, mu, domain_norm)
                      for n in range(1, n_max + 1)])
 

@@ -135,9 +135,6 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    def center(self) -> Point:
-        return tuple(0.5 * (a + b) for a, b in zip(self.lo, self.hi))
-
     def volume(self) -> float:
         out = 1.0
         for a, b in zip(self.lo, self.hi):
@@ -181,9 +178,6 @@ class Gauge:
     batch: Callable[[np.ndarray], np.ndarray]
     provenance: dict = field(default_factory=dict)
 
-    def __call__(self, x: Sequence[float]) -> float:
-        return float(self.delta_batch(np.asarray(x, dtype=float)[None, :])[0])
-
     def delta_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.asarray(self.batch(X), dtype=float)
@@ -191,13 +185,6 @@ class Gauge:
         if out.size and not (out.min() > 0.0 and out.max() <= 1.0):
             raise ValueError("gauge batch value outside (0, 1]")
         return out
-
-    @staticmethod
-    def constant(value: float = 1.0, note: str = "constant") -> "Gauge":
-        if not (0.0 < value <= 1.0):
-            raise ValueError("constant gauge value outside (0, 1]")
-        return Gauge(batch=lambda X: np.full(len(X), value),
-                     provenance={"kind": note, "value": value})
 
     def scaled(self, factor: float, note: str = "scaled") -> "Gauge":
         """Pointwise multiply by factor, re-capped at 1.  Used by the

@@ -307,8 +307,8 @@ def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
                    trials: int = 5, seed: int = 0,
                    domain_norm: NormKind = NormKind.TWO,
                    max_depth: int | None = None,
-                   eta: float | None = None, sweep_probes: int = 256,
-                   _gauge_hook=None, _family_hook=None
+                   eta: float | None = None, _gauge_hook=None,
+                   _family_hook=None
                    ) -> list[ApproximationReport]:
     """Build the gauge, sieve, and certify the accuracy chain per trial.
 
@@ -328,7 +328,7 @@ def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
     if _gauge_hook is not None:
         g = _gauge_hook(g)
 
-    sweep = soundness_sweep(f, g, mu, p, n_probes=sweep_probes, seed=seed)
+    sweep = soundness_sweep(f, g, mu, p, n_probes=256, seed=seed)
     if not sweep.ok():
         raise BoundViolated(
             f"gauge soundness sweep found {len(sweep.violations)} violations",

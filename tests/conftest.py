@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from morsegauge.geometry import Gauge
 from morsegauge.measure import RadonMeasure
 
 
@@ -11,6 +12,11 @@ def rng():
 
 def unit_measure(f):
     return RadonMeasure.unit(f.universe)
+
+
+def constant_gauge(value):
+    """The gauge that is value everywhere."""
+    return Gauge(batch=lambda X: np.full(len(X), value))
 
 
 def brute_mean_dev(f, lo, hi, v, n=20001):

@@ -303,11 +303,45 @@ def assert_rejected(argv, tmp_path, capsys):
                  id="trials-not-an-int"),
     pytest.param(["run-theorem", "--fn", "linear1", "--bogus"], id="unknown-option"),
     pytest.param(["run-everything", "--fn", "linear1"], id="unknown-subcommand"),
+    pytest.param(["run-theorem", "--fn", "linear1", "--seed", "-1"],
+                 id="seed-negative"),
+    pytest.param(["run-corollary", "--fn", "linear1", "--seed", "-1"],
+                 id="corollary-seed-negative"),
+    pytest.param(["run-lusin", "--fn", "step2", "--seed", "-1"],
+                 id="lusin-seed-negative"),
+    pytest.param(["lebesgue-map", "--fn", "linear1", "--seed", "-1"],
+                 id="map-seed-negative"),
 ])
 def test_rejected_input_exits_three(argv, densities, tmp_path, capsys):
     err = assert_rejected([a.format(**densities) for a in argv], tmp_path, capsys)
     if "--density" in argv:
         assert "unrecognized arguments: --density" in err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_that_cannot_be_a_directory_exits_three(under, tmp_path, capsys):
+    # an existing file, or a path under one: one line and exit 3
+    blocker = tmp_path / "taken"
+    blocker.write_text("x")
+    out = blocker / "o" if under else blocker
+    code = run(["run-theorem", "--fn", "linear1", "--trials", "1",
+                "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"INVALID INPUT: --out {out}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert blocker.read_text() == "x"
+
+
+def test_unwritable_output_exits_three(tmp_path, capsys):
+    # the directory exists, but a directory stands where report.json goes
+    out = tmp_path / "o"
+    (out / "report.json").mkdir(parents=True)
+    code = run(["run-lusin", "--fn", "step2", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"INVALID INPUT: --out {out}: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_lambda_validation(tmp_path, capsys):

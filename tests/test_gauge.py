@@ -17,7 +17,6 @@ from morsegauge.gauge import (
     build_gauge,
     build_null_tubes,
     shell_budget,
-    shell_index,
     shell_index_batch,
     soundness_sweep,
     value_bin,
@@ -43,10 +42,8 @@ def unit(f):
 # ---------------------------------------------------------------------------
 
 def test_shell_index_values():
-    assert shell_index((0.0,), NormKind.TWO) == 1
-    assert shell_index((0.5,), NormKind.TWO) == 1
-    assert shell_index((1.0,), NormKind.TWO) == 2  # half-open at the top
-    assert shell_index((-2.5,), NormKind.TWO) == 3
+    got = shell_index_batch([[0.0], [0.5], [1.0], [-2.5]], NormKind.TWO)
+    assert list(got) == [1, 1, 2, 3]  # half-open at the top
     got = shell_index_batch(np.array([[0.2], [1.7], [3.0]]), NormKind.TWO)
     assert list(got) == [1, 2, 4]
 
@@ -169,7 +166,7 @@ def test_linear1_gauge_frozen():
     # 2 * margin * budget = 0.01125 everywhere
     X = np.array([[0.1], [0.5], [0.9]])
     assert np.allclose(g.delta_batch(X), 0.01125, rtol=1e-12)
-    assert g((0.3,)) == pytest.approx(0.01125)
+    assert g.delta_batch([[0.3]])[0] == pytest.approx(0.01125)
 
 
 def test_gauge_positive_and_capped(rng):
@@ -222,7 +219,7 @@ def test_nan_halfside_is_rejected_not_capped(monkeypatch):
     monkeypatch.setattr(f, "certified_halfside_batch",
                         lambda X, budgets: np.full(len(X), np.inf))
     assert np.array_equal(g.delta_batch(np.array([[0.25], [0.0]])),
-                          [1.0, g((0.0,))])
+                          [1.0, g.delta_batch([[0.0]])[0]])
 
 
 def test_gauge_jump_branch_half_clearance():
@@ -231,7 +228,7 @@ def test_gauge_jump_branch_half_clearance():
     g = build_gauge(f, unit(f), p)
     tubes = build_null_tubes(f, p.eps, unit(f))
     t = tubes[0]
-    assert g((0.5,)) == pytest.approx(0.5 * t.clearance((0.5,)))
+    assert g.delta_batch([[0.5]])[0] == pytest.approx(0.5 * t.clearance((0.5,))[0])
 
 
 def _gauge_with_tubes(monkeypatch, name, tubes):
@@ -293,8 +290,8 @@ if HAVE_HYPOTHESIS:
         f = corpus_function("spike1")
         g = build_gauge(f, RadonMeasure.unit(f.universe),
                         GaugeBuildParams(eps=eps))
-        assert 0.0 < g((x,)) <= 1.0
-        assert 0.0 < g((-x,)) <= 1.0
+        d = g.delta_batch([[x], [-x]])
+        assert np.all((0.0 < d) & (d <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +329,27 @@ def test_sweep_catches_inflated_gauge():
                           quad_probes=8)
     assert not rep.ok()
     assert rep.max_budget_ratio > 1.0
+
+
+def test_sweep_reports_spike_windows_across_the_singularity(monkeypatch):
+    # a gauge scaled far past its certificate reaches across spike1's
+    # singularity; the sweep must report that as violations, not raise
+    f = corpus_function("spike1")
+    p = GaugeBuildParams(eps=0.1)
+    g = build_gauge(f, unit(f), p)
+    across = []
+    dev = f.dev_integral_for_tags
+
+    def recorded(los, his, *rest):
+        across.append(np.any((los[:, 0] < 0) & (his[:, 0] > 0)))
+        return dev(los, his, *rest)
+
+    monkeypatch.setattr(f, "dev_integral_for_tags", recorded)
+    counts = [len(soundness_sweep(f, g.scaled(scale), unit(f), p,
+                                  n_probes=256, seed=0).violations)
+              for scale in (10.0, 100.0)]
+    assert any(across)
+    assert counts == [33, 33]
 
 
 def test_sweep_report_roundtrip():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import constant_gauge
 
 from morsegauge.errors import MalformedShape
 from morsegauge.geometry import (Box, Gauge, NormKind, bisect_last,
@@ -76,7 +77,6 @@ def test_box_basics():
     b = Box(lo=(0.0, 0.0), hi=(1.0, 2.0))
     assert b.dim == 2
     assert b.volume() == 2.0
-    assert b.center() == (0.5, 1.0)
     assert b.contains_point((0.5, 1.5))
     assert not b.contains_point((1.5, 0.5))
     assert sorted(b.corners()) == [(0.0, 0.0), (0.0, 2.0), (1.0, 0.0), (1.0, 2.0)]
@@ -104,14 +104,12 @@ def test_box_intersect_and_overlap():
 # ---------------------------------------------------------------------------
 
 def test_gauge_range_enforced():
-    g = Gauge.constant(1.0)
-    assert g((0.3,)) == 1.0
-    bad = Gauge(batch=lambda X: np.zeros(len(X)), provenance={"kind": "test"})
+    assert constant_gauge(1.0).delta_batch([[0.3]])[0] == 1.0
     with pytest.raises(ValueError):
-        bad((0.0,))
-    big = Gauge(batch=lambda X: np.full(len(X), 2.0), provenance={"kind": "test"})
+        constant_gauge(0.0).delta_batch([[0.0]])
+    big = constant_gauge(2.0)
     with pytest.raises(ValueError):
-        big((0.0,))
+        big.delta_batch([[0.0]])
     with pytest.raises(ValueError):
         big.delta_batch(np.zeros((3, 1)))
     # a NaN fails both comparisons of a naive range check
@@ -122,18 +120,10 @@ def test_gauge_range_enforced():
 
 
 def test_gauge_scaled_keeps_ceiling():
-    g = Gauge.constant(1.0).scaled(0.5)
-    assert g((0.0,)) == 0.5
+    g = constant_gauge(1.0).scaled(0.5)
+    assert g.delta_batch([[0.0]])[0] == 0.5
     X = np.array([[0.1], [0.2]])
     assert np.all(g.delta_batch(X) == 0.5)
-
-
-def test_gauge_batch_matches_scalar(rng):
-    g = Gauge.constant(0.7).scaled(0.9)
-    X = rng.uniform(-1, 1, size=(17, 2))
-    got = g.delta_batch(X)
-    want = np.array([g(x) for x in X])
-    assert np.array_equal(got, want)
 
 
 def _bisect_fixed(ok, lo, hi, steps):

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import constant_gauge
 
 from morsegauge.corpus import corpus_function, corpus_names
 from morsegauge.errors import OutOfUniverse, PreconditionUncertified
-from morsegauge.geometry import Box, Gauge, NormKind
+from morsegauge.geometry import Box, NormKind
 from morsegauge.measure import (
     RadonMeasure,
     annulus_measure,
@@ -80,7 +81,7 @@ def test_float_paths_reject_a_graded_density():
     with pytest.raises(PreconditionUncertified):
         measure_box_batch(mu, np.array([[0.0]]), np.array([[0.5]]))
     with pytest.raises(PreconditionUncertified):
-        dyadic_sieve(UNIT_1D, Gauge.constant(1.0), mu, SieveParams(eta=0.1))
+        dyadic_sieve(UNIT_1D, constant_gauge(1.0), mu, SieveParams(eta=0.1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import cell_arrays, run_cells
+from conftest import cell_arrays, constant_gauge, run_cells
 
 from morsegauge import partition
 from morsegauge.corpus import corpus_function
@@ -106,7 +106,7 @@ def test_sieve_canonical_order_and_exact_measures():
 
 
 def test_sieve_respects_eta_without_full_cover():
-    g = Gauge.constant(1.0)
+    g = constant_gauge(1.0)
     mu = unit(UNIT_2D)
     fam = dyadic_sieve(UNIT_2D, g, mu, SieveParams(eta=2.0))
     # everything already within budget: nothing needs to be emitted
@@ -132,7 +132,7 @@ def test_sieve_depth_exceeded_carries_stuck_cells():
 
 
 def test_sieve_rejects_non_square_universe():
-    g = Gauge.constant(1.0)
+    g = constant_gauge(1.0)
     box = Box((0.0, 0.0), (1.0, 2.0))
     with pytest.raises(ValueError):
         dyadic_sieve(box, g, unit(box), SieveParams(eta=0.1))
@@ -315,7 +315,7 @@ def test_carried_keys_match_bit_interleaving(dim, rng, monkeypatch):
         ref = refine_family(fam, fraction, rng)
         assert_indices_round_trip(ref)
         assert np.all(np.diff(derived(ref, "keys")) > 0)
-        assert verify_family(ref, Gauge.constant(1.0), unit(universe),
+        assert verify_family(ref, constant_gauge(1.0), unit(universe),
                              eta=1e-12)
 
 
@@ -503,7 +503,7 @@ def test_refinement_draw_refuses_a_family_it_cannot_draw():
 # ---------------------------------------------------------------------------
 
 def test_random_partition_full_cover(rng):
-    g = Gauge.constant(1.0)
+    g = constant_gauge(1.0)
     mu = unit(UNIT_2D)
     fam = random_dyadic_partition(UNIT_2D, rng, max_level=4)
     assert fam.residual_measure == 0.0
@@ -637,7 +637,7 @@ def test_verifier_rejects_shrunken_gauge():
 
 
 def test_verifier_rejects_escaping_cell():
-    g = Gauge.constant(1.0)
+    g = constant_gauge(1.0)
     mu = unit(UNIT_1D)
     fam = dyadic_sieve(UNIT_1D, g, mu, SieveParams(eta=1e-9))
     # bit 62 lies above the 1-d key range: the last cell's index leaves
@@ -653,7 +653,7 @@ def test_verifier_rejects_escaping_cell():
 
 
 def test_verifier_rejects_residual_above_eta():
-    g = Gauge.constant(1.0)
+    g = constant_gauge(1.0)
     mu = unit(UNIT_2D)
     fam = dyadic_sieve(UNIT_2D, g, mu, SieveParams(eta=0.5))
     # demand a smaller eta at verification time than was sieved for
@@ -675,8 +675,8 @@ def test_verify_family_fineness_is_non_strict(rng, universe, domain_norm):
     mu = unit(universe)
     far = np.full((1, universe.dim), 0.5 ** 4)
     circ = float(norm_batch(far, domain_norm)[0])
-    assert verify_family(fam, Gauge.constant(circ), mu, eta=1e-12)
+    assert verify_family(fam, constant_gauge(circ), mu, eta=1e-12)
     notes = {}
-    tight = Gauge.constant(np.nextafter(circ, 0.0))
+    tight = constant_gauge(np.nextafter(circ, 0.0))
     assert not verify_family(fam, tight, mu, eta=1e-12, report=notes)
     assert "fine" in notes["reason"]

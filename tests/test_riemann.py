@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cell_arrays
+from conftest import cell_arrays, constant_gauge
 
 from morsegauge import partition, riemann
 from morsegauge.corpus import corpus_function
@@ -81,9 +81,7 @@ def test_two_cell_truncation_profile(rng):
 def test_simple_sum_empty_family():
     f = corpus_function("step2")
     mu = unit(f)
-    from morsegauge.geometry import Gauge
-
-    fam = dyadic_sieve(f.universe, Gauge.constant(1.0), mu, SieveParams(eta=2.0))
+    fam = dyadic_sieve(f.universe, constant_gauge(1.0), mu, SieveParams(eta=2.0))
     assert len(fam) == 0
     rep = build_report(fam, f, mu, eps=0.1, trial=0)
     assert np.array_equal(rep.simple, np.zeros(2))
@@ -171,8 +169,7 @@ def test_build_report_is_chunk_size_free(name, eps, monkeypatch):
 @pytest.mark.parametrize("name", ["constant", "step2", "linear1"])
 def test_verify_theorem_fast_entries(name):
     f = corpus_function(name)
-    reports = verify_theorem(f, unit(f), eps=0.1, trials=3, seed=5,
-                             sweep_probes=128)
+    reports = verify_theorem(f, unit(f), eps=0.1, trials=3, seed=5)
     assert len(reports) == 3
     assert [r.trial for r in reports] == [0, 1, 2]
     for r in reports:
@@ -183,8 +180,7 @@ def test_verify_theorem_fast_entries(name):
 
 def test_verify_theorem_trials_vary_geometry():
     f = corpus_function("linear1")
-    reports = verify_theorem(f, unit(f), eps=0.1, trials=3, seed=5,
-                             sweep_probes=64)
+    reports = verify_theorem(f, unit(f), eps=0.1, trials=3, seed=5)
     counts = {r.cell_count for r in reports}
     assert len(counts) > 1  # refinement actually changed the family
 
@@ -199,7 +195,7 @@ def test_verify_theorem_rejects_nonuniform_density():
 def test_inflated_gauge_trips_the_sweep():
     f = corpus_function("linear1")
     with pytest.raises(BoundViolated) as exc:
-        verify_theorem(f, unit(f), eps=0.1, trials=1, sweep_probes=256,
+        verify_theorem(f, unit(f), eps=0.1, trials=1,
                        _gauge_hook=lambda g: g.scaled(40.0, note="inflate"))
     assert "sweep" in str(exc.value)
     assert exc.value.report["n_violations"] > 0
@@ -208,7 +204,7 @@ def test_inflated_gauge_trips_the_sweep():
 def test_sabotaged_family_trips_verification():
     f = corpus_function("checker2d")
     with pytest.raises(BoundViolated) as exc:
-        verify_theorem(f, unit(f), eps=0.1, trials=1, sweep_probes=64,
+        verify_theorem(f, unit(f), eps=0.1, trials=1,
                        _family_hook=sabotage_offcenter)
     assert "family verification failed" in str(exc.value)
 
@@ -261,7 +257,7 @@ def test_lock_step_trials_equal_standalone_at_window_edges(name, eps, chunk,
         return fam
 
     monkeypatch.setattr(riemann, "dyadic_sieve", sieve_then_shrink)
-    got = verify_theorem(f, mu, eps, trials=4, seed=11, sweep_probes=16)
+    got = verify_theorem(f, mu, eps, trials=4, seed=11)
     assert partition.CHUNK_CELLS == chunk
     rng = np.random.default_rng(11)
     for t, rep in enumerate(got):
@@ -336,7 +332,7 @@ def test_failure_only_in_a_refined_trial(monkeypatch):
     monkeypatch.setattr(riemann, "soundness_sweep",
                         lambda f, _, *args, **kw: sweep(f, g, *args, **kw))
     with pytest.raises(BoundViolated) as exc:
-        verify_theorem(f, mu, eps, trials=4, seed=seed, sweep_probes=16,
+        verify_theorem(f, mu, eps, trials=4, seed=seed,
                        _gauge_hook=lambda _: tight)
     notes = {}
     assert not verify_family(ref2, tight, mu, eta, report=notes)
@@ -393,7 +389,7 @@ def test_trial_groups_bound_memory():
             tracemalloc.reset_peak()
             reports = verify_theorem(
                 f, mu, 0.03, trials=1 + groups * riemann.TRIALS_PER_WALK,
-                seed=3, sweep_probes=16)
+                seed=3)
             peaks.append(tracemalloc.get_traced_memory()[1])
             assert len(reports) == 1 + groups * riemann.TRIALS_PER_WALK
             del reports
@@ -576,7 +572,7 @@ def test_report_bytes_do_not_depend_on_blas_threads():
         "from morsegauge.riemann import verify_theorem\n"
         "f = corpus_function('spike1')\n"
         "reps = verify_theorem(f, RadonMeasure.unit(f.universe), eps=0.03,\n"
-        "                      trials=1, seed=7, sweep_probes=0)\n"
+        "                      trials=1, seed=7)\n"
         "print(json.dumps([r.to_dict() for r in reps]))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     outs = []
