@@ -2,7 +2,9 @@
 
 Outputs are byte-reproducible: JSON is dumped with sorted keys, CSV floats
 go through '%.17g', rows follow the (fn, eps, trial) order of the request,
-and nothing records wall-clock time.  Exit codes: 0 on success, 2 when a
+and nothing records wall-clock time.  Each command returns its report.json
+payload, its CSV as (name, header, rows) and its stdout lines; main writes
+both files before it prints a line.  Exit codes: 0 on success, 2 when a
 certified bound or family check fails, 3 when the input is invalid or the
 request is infeasible or unsupported as posed.
 """
@@ -32,7 +34,7 @@ from .riemann import verify_corollary, verify_theorem
 _LAMBDA_CHOICES = ("1", "sqrt2", "sqrt3")
 # each sabotage mode's (gauge hook, family hook)
 _SABOTAGE = {
-    "inflate-delta": (lambda g: g.scaled(2.0, note="sabotage inflate-delta"), None),
+    "inflate-delta": (lambda g: g.scaled(2.0), None),
     "overlap-cells": (None, sabotage_overlap),
     "offcenter-tags": (None, sabotage_offcenter),
 }
@@ -56,10 +58,6 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _resolve_norms(args, dim: int) -> tuple[NormKind, float]:
     dn = NormKind.INF if args.lam == "1" else NormKind.TWO
     return dn, norm_ratio(NormKind.INF, dn, dim)
@@ -71,10 +69,8 @@ def _load_function(args):
     return corpus_function(args.fn, y_norm=ynorm)
 
 
-def cmd_run_theorem(args, f, mu) -> int:
+def cmd_run_theorem(args, f, mu):
     dn, lam = _resolve_norms(args, f.dim_in)
-    out = Path(args.out)
-
     jobs = list(args.eps)
     gauge_hook, family_hook = _SABOTAGE.get(args.sabotage, (None, None))
     results = [verify_theorem(f, mu, e, trials=args.trials, seed=args.seed,
@@ -83,7 +79,7 @@ def cmd_run_theorem(args, f, mu) -> int:
                               _family_hook=family_hook)
                for e in jobs]
 
-    rows = []
+    rows, lines = [], []
     payload = {"command": "run-theorem", "fn": f.name,
                "ynorm": args.ynorm, "lambda": lam,
                "eps": jobs, "trials": args.trials, "seed": args.seed,
@@ -96,29 +92,22 @@ def cmd_run_theorem(args, f, mu) -> int:
                          r.l1_partition_error, r.residual_abs, r.l1_total,
                          r.local_error_sum, r.truncation_error,
                          r.truncation_index, int(r.ok())])
-    _write_json(out / "report.json", payload)
-    _write_csv(out / "summary.csv",
-               ["fn", "ynorm", "lambda", "eps", "trial", "cells",
-                "residual_measure", "l1_partition", "l1_partition_error",
-                "residual_abs", "l1_total", "local_error_sum",
-                "truncation_error", "truncation_index", "ok"],
-               rows)
-    for eps, reports in zip(jobs, results):
-        worst = max(r.l1_total for r in reports)
-        print(f"{f.name} eps={_fmt(eps)}: {len(reports)} trials ok, "
-              f"worst l1 {_fmt(worst)}")
-    return 0
+        lines.append(f"{f.name} eps={_fmt(eps)}: {len(reports)} trials ok, "
+                     f"worst l1 {_fmt(max(r.l1_total for r in reports))}")
+    header = ["fn", "ynorm", "lambda", "eps", "trial", "cells",
+              "residual_measure", "l1_partition", "l1_partition_error",
+              "residual_abs", "l1_total", "local_error_sum",
+              "truncation_error", "truncation_index", "ok"]
+    return payload, ("summary.csv", header, rows), lines
 
 
-def cmd_run_corollary(args, f, mu) -> int:
+def cmd_run_corollary(args, f, mu):
     dn, lam = _resolve_norms(args, f.dim_in)
-    out = Path(args.out)
-
     jobs = list(args.eps)
     results = [verify_corollary(f, mu, e, seed=args.seed, domain_norm=dn)
                for e in jobs]
 
-    rows = []
+    rows, lines = [], []
     payload = {"command": "run-corollary", "fn": f.name,
                "ynorm": args.ynorm, "lambda": lam, "eps": jobs,
                "seed": args.seed, "results": []}
@@ -127,20 +116,15 @@ def cmd_run_corollary(args, f, mu) -> int:
         rows.append([f.name, eps, rep.riemann_gap, rep.abs_total,
                      rep.worst_family_mass, rep.witness_mass,
                      rep.reconstruction_gap, int(rep.ok())])
-        print(f"{f.name} eps={_fmt(eps)}: corollary ok, "
-              f"riemann gap {_fmt(rep.riemann_gap)}")
-    _write_json(out / "report.json", payload)
-    _write_csv(out / "summary.csv",
-               ["fn", "eps", "riemann_gap", "abs_total", "worst_family_mass",
-                "witness_mass", "reconstruction_gap", "ok"],
-               rows)
-    return 0
+        lines.append(f"{f.name} eps={_fmt(eps)}: corollary ok, "
+                     f"riemann gap {_fmt(rep.riemann_gap)}")
+    header = ["fn", "eps", "riemann_gap", "abs_total", "worst_family_mass",
+              "witness_mass", "reconstruction_gap", "ok"]
+    return payload, ("summary.csv", header, rows), lines
 
 
-def cmd_run_lusin(args, f, mu) -> int:
-    out = Path(args.out)
-
-    rows = []
+def cmd_run_lusin(args, f, mu):
+    rows, lines = [], []
     payload = {"command": "run-lusin", "fn": f.name, "eps": list(args.eps),
                "results": []}
     for eps in args.eps:
@@ -152,19 +136,14 @@ def cmd_run_lusin(args, f, mu) -> int:
             "omitted_measure": K.omitted_measure})
         rows.append([f.name, eps, len(K.pieces), K.separation,
                      K.omitted_measure])
-        print(f"{f.name} eps={_fmt(eps)}: {len(K.pieces)} pieces, "
-              f"omitted {_fmt(K.omitted_measure)}")
-    _write_json(out / "report.json", payload)
-    _write_csv(out / "summary.csv",
-               ["fn", "eps", "pieces", "separation", "omitted_measure"],
-               rows)
-    return 0
+        lines.append(f"{f.name} eps={_fmt(eps)}: {len(K.pieces)} pieces, "
+                     f"omitted {_fmt(K.omitted_measure)}")
+    header = ["fn", "eps", "pieces", "separation", "omitted_measure"]
+    return payload, ("summary.csv", header, rows), lines
 
 
-def cmd_lebesgue_map(args, f, mu) -> int:
+def cmd_lebesgue_map(args, f, mu):
     dn, lam = _resolve_norms(args, f.dim_in)
-    out = Path(args.out)
-
     eps = args.eps[0]
     g = build_gauge(f, mu, GaugeBuildParams(eps=eps, domain_norm=dn))
     n = args.grid
@@ -178,16 +157,14 @@ def cmd_lebesgue_map(args, f, mu) -> int:
     rows = (row for i in range(0, len(X), _MAP_CHUNK_ROWS)
             for row in np.column_stack((X[i:i + _MAP_CHUNK_ROWS],
                                         deltas[i:i + _MAP_CHUNK_ROWS])).tolist())
-    _write_csv(out / "lebesgue_map.csv", header, rows)
-    _write_json(out / "report.json",
-                {"command": "lebesgue-map", "fn": f.name, "eps": eps,
-                 "grid": n, "lambda": lam,
-                 "delta_min": float(deltas.min()),
-                 "delta_max": float(deltas.max()),
-                 "provenance": g.provenance})
-    print(f"{f.name} eps={_fmt(eps)}: delta in "
-          f"[{_fmt(float(deltas.min()))}, {_fmt(float(deltas.max()))}]")
-    return 0
+    payload = {"command": "lebesgue-map", "fn": f.name, "eps": eps,
+               "grid": n, "lambda": lam,
+               "delta_min": float(deltas.min()),
+               "delta_max": float(deltas.max()),
+               "provenance": g.provenance}
+    lines = [f"{f.name} eps={_fmt(eps)}: delta in "
+             f"[{_fmt(float(deltas.min()))}, {_fmt(float(deltas.max()))}]"]
+    return payload, ("lebesgue_map.csv", header, rows), lines
 
 
 class _UsageError(Exception):
@@ -210,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, sabotage=False):
         p.add_argument("--fn", required=True, choices=corpus_names())
-        p.add_argument("--dim", type=int, default=None,
-                       help="expected input dimension (validated)")
         p.add_argument("--ynorm", choices=("1", "2", "inf"), default="2")
         p.add_argument("--eps", type=float, action="append",
                        help="target accuracy; repeatable")
@@ -273,8 +248,6 @@ def _input_error(args, dim: int) -> str | None:
     if grid ** dim > _MAX_MAP_POINTS:
         return (f"--grid {grid} gives {grid ** dim} points in {dim}-d, "
                 f"above the limit of {_MAX_MAP_POINTS}")
-    if args.dim is not None and args.dim != dim:
-        return f"--dim {args.dim} does not match {args.fn} ({dim}-d)"
     need = {"sqrt2": 2, "sqrt3": 3}.get(args.lam, dim)
     if need != dim:
         return f"--lambda {args.lam} needs a {need}-d integrand, got {dim}-d"
@@ -295,8 +268,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"INVALID INPUT: {problem}", file=sys.stderr)
         return 3
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        return args.func(args, f, RadonMeasure.unit(f.universe))
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        payload, (name, header, rows), lines = args.func(
+            args, f, RadonMeasure.unit(f.universe))
+        (out / "report.json").write_text(
+            json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_csv(out / name, header, rows)
     except OSError as e:
         print(f"INVALID INPUT: --out {args.out}: {e}", file=sys.stderr)
         return 3
@@ -307,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
             NotPiecewise, PreconditionUncertified) as e:
         print(f"UNREACHABLE: {e}", file=sys.stderr)
         return 3
+    for line in lines:
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

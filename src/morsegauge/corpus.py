@@ -357,15 +357,15 @@ class Lipschitz2DFn(CorpusFunction):
         V = np.atleast_2d(np.asarray(V, dtype=float))[:, 0]
         centers = 0.5 * (los + his)
         widths = his - los
-        centered = (np.abs(centers - tags).max(axis=1) <= 1e-14) \
+        centered = (norm_batch(centers - tags, NormKind.INF) <= 1e-14) \
             & (np.abs(widths[:, 0] - widths[:, 1]) <= 1e-14)
         h = 0.5 * widths.max(axis=1)
         vol = widths.prod(axis=1)
         coef, beta = self._mean_dev_coefficients(centers)
         # a clipped window keeps only the global gradient bound, which
         # holds pointwise
-        far = np.maximum(np.abs(los - tags), np.abs(his - tags))
-        reach = np.sqrt((far * far).sum(axis=1))
+        reach = norm_batch(np.maximum(np.abs(los - tags), np.abs(his - tags)),
+                           NormKind.TWO)
         upper = np.where(centered, (coef * h + beta * h * h) * vol,
                          self.amp * math.pi * reach * vol)
         signed = np.abs(self.integral_batch(los, his)[:, 0] - V * vol)

@@ -186,12 +186,11 @@ class Gauge:
             raise ValueError("gauge batch value outside (0, 1]")
         return out
 
-    def scaled(self, factor: float, note: str = "scaled") -> "Gauge":
+    def scaled(self, factor: float) -> "Gauge":
         """Pointwise multiply by factor, re-capped at 1.  Used by the
         falsification hooks; a factor > 1 deliberately voids soundness."""
         base = self.batch
         prov = dict(self.provenance)
         prov["scaled_by"] = factor
-        prov["scaled_note"] = note
         return Gauge(batch=lambda X: np.minimum(1.0, factor * np.asarray(base(X))),
                      provenance=prov)

@@ -3,11 +3,11 @@
 The measure is Lebesgue measure weighted by a nonnegative piecewise-constant
 density on a dyadic grid of the universe.  The command line measures
 against the uniform unit density.  The verifiers, the gauge and the Lusin
-step take any uniform density and refuse a graded one, since their
-certificates bound Lebesgue means.  A graded grid (from_grid) reaches only
-the scalar box masses, which run in rational arithmetic so that additivity
-over dyadic splits holds with zero error; the batch path, plain float for
-the hot loops, takes uniform densities only.  The shell annuli behind the
+step take any uniform density and refuse a graded one through w0, since
+their certificates bound Lebesgue means.  A graded grid (from_grid) reaches
+only the scalar box masses, which run in rational arithmetic so that
+additivity over dyadic splits holds with zero error; the batch path, plain
+float for the hot loops, takes uniform densities only.  The shell annuli behind the
 gauge budgets are measured in closed form where one exists and otherwise
 bounded by sup-norm boxes, from above for the outer ball and from below for
 the inner one.
@@ -30,6 +30,8 @@ class RadonMeasure:
 
     values has shape (2^level,) * dim in C order; cell (i_0, ..., i_{d-1})
     covers the product of [lo_k + i_k * step_k, lo_k + (i_k + 1) * step_k].
+    w0 is a uniform grid's density; reading it on a graded grid raises
+    PreconditionUncertified, which is how every uniform-only step refuses one.
     """
 
     def __init__(self, universe: Box, level: int, values: np.ndarray):
@@ -46,8 +48,17 @@ class RadonMeasure:
         self.values = values
         self.values.setflags(write=False)
         self.uniform = bool(values.max() == values.min())
-        self.w0 = float(values.flat[0])
+        self._w0 = float(values.flat[0])
         self.total = measure_box(self, universe)
+
+    @property
+    def w0(self) -> float:
+        if not self.uniform:
+            raise PreconditionUncertified(
+                "only uniform densities are supported here; the density grid "
+                f"ranges over [{float(self.values.min())}, "
+                f"{float(self.values.max())}]")
+        return self._w0
 
     @property
     def dim(self) -> int:
@@ -60,14 +71,6 @@ class RadonMeasure:
     @staticmethod
     def from_grid(universe: Box, level: int, values: Sequence[float]) -> "RadonMeasure":
         return RadonMeasure(universe, level, np.asarray(values, dtype=float))
-
-
-def require_uniform(mu: RadonMeasure) -> None:
-    """Reject a non-uniform density where only uniform ones are supported."""
-    if not mu.uniform:
-        raise PreconditionUncertified(
-            "only uniform densities are supported here; the density grid "
-            f"ranges over [{float(mu.values.min())}, {float(mu.values.max())}]")
 
 
 def _axis_overlaps_exact(mu: RadonMeasure, axis: int, lo: float, hi: float):
@@ -137,7 +140,6 @@ def measure_box_batch(mu: RadonMeasure, los: np.ndarray, his: np.ndarray) -> np.
 
     Boxes must already lie inside the universe (not rechecked here).
     """
-    require_uniform(mu)
     los = np.atleast_2d(np.asarray(los, dtype=float))
     his = np.atleast_2d(np.asarray(his, dtype=float))
     return mu.w0 * np.prod(his - los, axis=1)

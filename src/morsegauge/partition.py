@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DepthExceeded
 from .geometry import Box, Gauge, NormKind, exact_parts, norm_batch, norm_ratio
-from .measure import RadonMeasure, measure_box_batch, require_uniform
+from .measure import RadonMeasure, measure_box_batch
 
 # cells per chunk of every family walk: large enough that numpy calls
 # amortize, small enough that the per-chunk temporaries stay a few MB
@@ -297,7 +297,6 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
     output still has keys.  DepthExceeded carries a sample of the stuck
     cells with their gauge values.  The density must be uniform.
     """
-    require_uniform(mu)
     _require_square(omega)
     dim = omega.dim
     side = float(omega.hi[0] - omega.lo[0])
@@ -366,11 +365,11 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
 
 class CellChecks(NamedTuple):
     """What the checks that look at one cell alone found on each cell of a
-    pool: computed once per distinct cell and gathered into every family
-    that holds it.  A pool in which every cell passes keeps only its size,
-    with the arrays None."""
+    pool, computed once per distinct cell: a walk checks a chunk's cells
+    once, and its refinements' children once, taking into each refinement
+    the children it holds.  A pool in which every cell passes keeps no
+    arrays, all of them None."""
 
-    size: int
     tags: np.ndarray | None = None
     escapes: np.ndarray | None = None
     off_center: np.ndarray | None = None
@@ -385,31 +384,14 @@ class CellChecks(NamedTuple):
     def take(self, sel: np.ndarray) -> "CellChecks":
         """The checks of the cells at positions sel."""
         if not self.bad:
-            return CellChecks(len(sel))
-        return _cell_checks(*(a[sel] for a in self[1:]))
-
-    def join(self, other: "CellChecks") -> "CellChecks":
-        """The checks of this pool followed by other's."""
-        if not (self.bad or other.bad):
-            return CellChecks(self.size + other.size)
-        dim = (self if self.bad else other).tags.shape[1]
-        return _cell_checks(*(np.concatenate(pair) for pair in
-                              zip(self._arrays(dim), other._arrays(dim))))
-
-    def _arrays(self, dim: int) -> tuple:
-        # a passing pool's cells as passing ones: inside, centered, and
-        # circumradius 0 against delta 0, never a worst cell
-        if self.bad:
-            return self[1:]
-        n = self.size
-        return (np.zeros((n, dim)), np.zeros(n, dtype=bool),
-                np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n))
+            return self
+        return _cell_checks(*(a[sel] for a in self))
 
 
 def _cell_checks(tags, escapes, off_center, circ, delta) -> CellChecks:
     if escapes.any() or off_center.any() or np.any(circ > delta):
-        return CellChecks(len(tags), tags, escapes, off_center, circ, delta)
-    return CellChecks(len(tags))
+        return CellChecks(tags, escapes, off_center, circ, delta)
+    return CellChecks()
 
 
 def check_cells(c: Chunk, g: Gauge, fam: TaggedFamily) -> CellChecks:
@@ -542,17 +524,15 @@ class Refinement:
 
     def __init__(self, n: int = 0, counts=(), seed: int = 0):
         self.n, self.counts, self.seed = n, np.asarray(counts, np.int64), seed
-        self.count, self._last = int(self.counts.sum()), (-1, None)
+        self.count = int(self.counts.sum())
 
     def positions(self, start: int, stop: int) -> np.ndarray:
         """The sorted positions in [start, stop) it splits, less start."""
         got = [np.empty(0, dtype=np.int64)]
         for b in range(start // DRAW_BLOCK, -(-min(stop, self.n) // DRAW_BLOCK)):
-            if self._last[0] != b:  # kept for walks in smaller chunks
-                at, rng = b * DRAW_BLOCK, np.random.default_rng((self.seed, b))
-                self._last = (b, at + np.sort(rng.choice(
-                    min(DRAW_BLOCK, self.n - at), self.counts[b], replace=False)))
-            pos = self._last[1]
+            at, rng = b * DRAW_BLOCK, np.random.default_rng((self.seed, b))
+            pos = at + np.sort(rng.choice(min(DRAW_BLOCK, self.n - at),
+                                          self.counts[b], replace=False))
             got.append(pos[pos.searchsorted(start):pos.searchsorted(stop)] - start)
         return np.concatenate(got)
 

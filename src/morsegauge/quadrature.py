@@ -1,7 +1,7 @@
 """Adaptive box quadrature with a range-based error bound.
 
 Cell rule: tensor-product Simpson on the 3^d lattice.  Cell error charge:
-cell volume times the Y-norm of the per-component range of the values
+cell volume times the Euclidean norm of the per-component range of the values
 sampled on that lattice.  The charge bounds the true error only where the
 sampled range is the true range.  That holds for the current corpus
 (piecewise-constant jumps land between lattice points of some straddling
@@ -59,7 +59,7 @@ def _simpson_weights(dim: int) -> np.ndarray:
 
 
 def adaptive_box_quadrature_batch(eval_batch, los, his, m: int, tols,
-                                  y_norm=None, max_cells: int = 200_000,
+                                  max_cells: int = 200_000,
                                   strict: bool = True):
     """Integrate a vector map over k boxes; returns (values (k, m), bounds
     (k,)).
@@ -67,12 +67,9 @@ def adaptive_box_quadrature_batch(eval_batch, los, his, m: int, tols,
     eval_batch maps an (N, d) point array and the (N,) box index of each
     point to an (N, m) value array, row by row.  Box i is refined against
     tols[i].  Its bound is the sum of its per-cell range charges in the
-    Y-norm (Euclidean unless y_norm says otherwise).  With strict=False, a
-    box that runs out of cell budget returns its looser bound instead of
-    raising.
+    Euclidean norm.  With strict=False, a box that runs out of cell budget
+    returns its looser bound instead of raising.
     """
-    if y_norm is None:
-        y_norm = NormKind.TWO
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     k, dim = los.shape
@@ -95,7 +92,7 @@ def adaptive_box_quadrature_batch(eval_batch, los, his, m: int, tols,
         vols = np.prod(hi - lo, axis=1)
         cell_vals = (weights[None, :, None] * vals).sum(axis=1) * vols[:, None]
         rng = vals.max(axis=1) - vals.min(axis=1)
-        charges = norm_batch(rng, y_norm) * vols
+        charges = norm_batch(rng, NormKind.TWO) * vols
         return np.concatenate([lo, hi, cell_vals, charges[:, None]], axis=1)
 
     def by_box(rows, own, n: int):
@@ -172,14 +169,13 @@ def adaptive_box_quadrature_batch(eval_batch, los, his, m: int, tols,
 
 
 def adaptive_box_quadrature(eval_batch, lo, hi, m: int, tol: float,
-                            y_norm=None, max_cells: int = 200_000,
-                            strict: bool = True):
+                            max_cells: int = 200_000, strict: bool = True):
     """Integrate a vector map over one box; returns (value (m,), error bound).
 
     eval_batch maps an (N, d) point array to an (N, m) value array.  This is
     adaptive_box_quadrature_batch with a single box.
     """
     values, bounds = adaptive_box_quadrature_batch(
-        lambda P, box: eval_batch(P), [lo], [hi], m, [tol], y_norm=y_norm,
+        lambda P, box: eval_batch(P), [lo], [hi], m, [tol],
         max_cells=max_cells, strict=strict)
     return values[0], float(bounds[0])

@@ -29,7 +29,7 @@ from .corpus import CorpusFunction
 from .errors import BoundViolated
 from .gauge import GaugeBuildParams, build_gauge, soundness_sweep
 from .geometry import Box, Gauge, NormKind, exact_parts
-from .measure import RadonMeasure, measure_box_batch, require_uniform
+from .measure import RadonMeasure, measure_box_batch
 from . import partition
 from .partition import (Chunk, FamilyCheck, SieveParams,
                         TaggedFamily, check_cells, dyadic_sieve, expand,
@@ -179,13 +179,15 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
     once, and, given a gauge g, checked once; then one pass per family over
     its piece feeds both its check and its sums.  fam's check runs first:
     from its first failing chunk on only that check runs, so no sum kernel
-    sees a corrupt cell and no refinement of a corrupt family is expanded.
-    With refinements, fam's check also fails a cell at the last key level,
-    whose children would have no keys, so expand never meets one.  A
-    child's corners derive from the indices of a parent that passed, so a
-    refinement's children reach the kernels whatever their own checks find,
-    and its verdict names the same failure as verify_family on the built
-    refinement.  Take each check's verdict before using its sums.
+    sees a corrupt cell and no refinement of a corrupt family is expanded;
+    a refinement's check then takes the per-cell checks of the children it
+    holds only, every cell it keeps having passed.  With refinements, fam's
+    check also fails a cell at the last key level, whose children would
+    have no keys, so expand never meets one.  A child's corners derive from
+    the indices of a parent that passed, so a refinement's children reach
+    the kernels whatever their own checks find, and its verdict names the
+    same failure as verify_family on the built refinement.  Take each
+    check's verdict before using its sums.
     Returns fam's trial followed by one per refinement.
     """
     draws = [partition.Refinement(), *draws]
@@ -211,7 +213,7 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
         c = c._replace(los=None, his=None, tags=None)
         if cells is not None:
             # before the children's values, whose columns are not yet touched
-            pool = cells.join(check_cells(kids, g, fam))
+            kid_checks = check_cells(kids, g, fam)
             keys = np.concatenate((c.keys, kids.keys))
         _cell_values(f, mu, fam.universe, kids, vals[:, n:])
         levels = np.concatenate((c.levels, kids.levels))
@@ -221,16 +223,18 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
             sel = piece(t)
             parts, lv = whole, np.take(levels, sel, mode="clip")
             if t:
+                # fam's check passed every cell of the chunk, so of a
+                # refinement's cells only the children it holds can fail
+                held = sel[sel >= n]
                 if cells is not None:
                     trial.check.add(lv, np.take(keys, sel, mode="clip"),
-                                    pool.take(sel))
+                                    kid_checks.take(held - n))
                 # sums are order-free, so a refinement's are fam's, less
                 # the cells it splits, plus their children
-                held = sel[sel >= n]
                 parts = [np.r_[w, exact_parts(np.r_[-row[split[t]], row[held]])]
                          for w, row in zip(whole, vals)]
             trial.add(vals, lv, sel, parts)
-        c = cells = vals = keys = pool = levels = whole = None
+        c = cells = vals = keys = kid_checks = levels = whole = None
     return trials
 
 
@@ -297,7 +301,6 @@ def _report(f: CorpusFunction, mu: RadonMeasure, eps: float, trial: int,
 def build_report(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
                  eps: float, trial: int) -> ApproximationReport:
     """The accuracy chain of one family, from one walk over its chunks."""
-    require_uniform(mu)
     sums = _walk(fam, f, mu, _threshold(f, mu, eps, fam))[0].sums()
     return _report(f, mu, eps, trial, len(fam), fam.residual_measure, sums,
                    _residual_abs(fam, f, mu))

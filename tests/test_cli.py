@@ -311,11 +311,14 @@ def assert_rejected(argv, tmp_path, capsys):
                  id="lusin-seed-negative"),
     pytest.param(["lebesgue-map", "--fn", "linear1", "--seed", "-1"],
                  id="map-seed-negative"),
+    # --fn fixes the dimension, so there is no --dim to restate it
+    pytest.param(["run-theorem", "--fn", "linear1", "--dim", "2"], id="dim"),
 ])
 def test_rejected_input_exits_three(argv, densities, tmp_path, capsys):
     err = assert_rejected([a.format(**densities) for a in argv], tmp_path, capsys)
-    if "--density" in argv:
-        assert "unrecognized arguments: --density" in err
+    for option in ("--density", "--dim"):
+        if option in argv:
+            assert f"unrecognized arguments: {option}" in err
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
@@ -331,6 +334,21 @@ def test_out_that_cannot_be_a_directory_exits_three(under, tmp_path, capsys):
     assert err.startswith(f"INVALID INPUT: --out {out}: ")
     assert len(err.strip().splitlines()) == 1
     assert blocker.read_text() == "x"
+
+
+@pytest.mark.parametrize("command", ["run-theorem", "run-corollary",
+                                     "run-lusin", "lebesgue-map"])
+def test_unwritable_report_prints_nothing(command, tmp_path, capsys):
+    # a directory stands where report.json goes: the command fails before
+    # it prints a line
+    out = tmp_path / "o"
+    (out / "report.json").mkdir(parents=True)
+    code = run([command, "--fn", "step2", "--trials", "1", "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"INVALID INPUT: --out {out}: ")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_unwritable_output_exits_three(tmp_path, capsys):
@@ -350,7 +368,3 @@ def test_lambda_validation(tmp_path, capsys):
     assert_rejected(["run-theorem", "--fn", "checker2d", "--lambda", "sqrt3"],
                     tmp_path, capsys)
 
-
-def test_dim_validation(tmp_path, capsys):
-    assert_rejected(["run-theorem", "--fn", "linear1", "--dim", "2"],
-                    tmp_path, capsys)

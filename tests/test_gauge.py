@@ -303,8 +303,7 @@ def test_sweep_passes_small(name):
     f = corpus_function(name)
     p = GaugeBuildParams(eps=0.1)
     g = build_gauge(f, unit(f), p)
-    rep = soundness_sweep(f, g, unit(f), p, n_probes=800, seed=3,
-                          quad_probes=24)
+    rep = soundness_sweep(f, g, unit(f), p, n_probes=800, seed=3)
     assert rep.ok(), rep.violations[:3]
     assert rep.probes > 0
     # build margin: full-budget ratios stay at or below 0.9
@@ -315,8 +314,7 @@ def test_sweep_counts_jump_probes():
     f = corpus_function("step2")
     p = GaugeBuildParams(eps=0.1)
     g = build_gauge(f, unit(f), p)
-    rep = soundness_sweep(f, g, unit(f), p, n_probes=400, seed=1,
-                          quad_probes=8)
+    rep = soundness_sweep(f, g, unit(f), p, n_probes=400, seed=1)
     assert rep.a_probes > 0
     assert rep.ok()
 
@@ -324,9 +322,8 @@ def test_sweep_counts_jump_probes():
 def test_sweep_catches_inflated_gauge():
     f = corpus_function("linear1")
     p = GaugeBuildParams(eps=0.1)
-    g = build_gauge(f, unit(f), p).scaled(40.0, note="sabotage")
-    rep = soundness_sweep(f, g, unit(f), p, n_probes=400, seed=0,
-                          quad_probes=8)
+    g = build_gauge(f, unit(f), p).scaled(40.0)
+    rep = soundness_sweep(f, g, unit(f), p, n_probes=400, seed=0)
     assert not rep.ok()
     assert rep.max_budget_ratio > 1.0
 
@@ -356,8 +353,7 @@ def test_sweep_report_roundtrip():
     f = corpus_function("linear1")
     p = GaugeBuildParams(eps=0.1)
     g = build_gauge(f, unit(f), p)
-    rep = soundness_sweep(f, g, unit(f), p, n_probes=100, seed=0,
-                          quad_probes=4)
+    rep = soundness_sweep(f, g, unit(f), p, n_probes=100, seed=0)
     blob = json.loads(json.dumps(rep.to_dict()))
     assert blob["fn"] == "linear1"
     assert blob["n_violations"] == 0

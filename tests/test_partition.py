@@ -599,7 +599,7 @@ def test_verify_family_is_chunk_size_free(name, eps, monkeypatch):
     fam = dyadic_sieve(f.universe, g, mu, SieveParams(
         eta=eta, max_depth=default_sieve_depth(f.dim_in)))
     assert len(fam) > 7
-    cases = [(fam, g), (fam, g.scaled(0.5, note="tight")),
+    cases = [(fam, g), (fam, g.scaled(0.5)),
              (refine_family(fam, 0.3, np.random.default_rng(1)), g),
              (sabotage_overlap(fam, np.random.default_rng(2)), g),
              (sabotage_offcenter(fam, np.random.default_rng(3)), g)]
@@ -630,7 +630,7 @@ def test_verifier_rejects_nan_gauge(rng):
 def test_verifier_rejects_shrunken_gauge():
     f, mu, g = gauge_for("step2")
     fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
-    tight = g.scaled(1e-3, note="too tight")
+    tight = g.scaled(1e-3)
     notes = {}
     assert not verify_family(fam, tight, mu, eta=0.01, report=notes)
     assert "fine" in notes["reason"]

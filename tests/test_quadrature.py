@@ -38,8 +38,7 @@ def step_2d(X):
 
 def tiny_step(X):
     # the straddling cell's charge falls to at most 1e-300 while still
-    # nonzero: it is set aside, yet still counted in the bound (in the
-    # 1-norm; the 2-norm squares the range to zero)
+    # nonzero: it is set aside, yet still counted in the bound
     return np.where(X[:, 0] >= 0.3, 1e-290, 0.0)[:, None]
 
 
@@ -53,8 +52,9 @@ class RowCounter:
         return self.f(X)
 
 
-def heap_reference(f, lo, hi, m, tol, y_norm, max_cells):
-    """The refinement rule cell by cell: a heap on (-charge, age).
+def heap_reference(f, lo, hi, m, tol, max_cells):
+    """The refinement rule cell by cell: a heap on (-charge, age), charges
+    in the Euclidean norm.
 
     Returns (value, bound, cells assessed).
     """
@@ -69,7 +69,7 @@ def heap_reference(f, lo, hi, m, tol, y_norm, max_cells):
         v = f(a + lattice * (b - a))
         vol = np.prod(b - a)
         rng = (v.max(axis=0) - v.min(axis=0))[None, :]
-        return vol * (w @ v), vol * float(norm_batch(rng, y_norm)[0])
+        return vol * (w @ v), vol * float(norm_batch(rng, NormKind.TWO)[0])
 
     v, c = assess(lo, hi)
     heap = [(-c, 0, lo, hi, v)]
@@ -164,22 +164,22 @@ def test_refinement_rule_pinned(f, lo, hi, kw, rows, value, bound):
     assert err == pytest.approx(bound, rel=1e-9)
 
 
-@pytest.mark.parametrize("f,lo,hi,m,tol,y_norm,max_cells", [
-    (smooth_1d, [0.0], [1.0], 1, 1e-12, NormKind.TWO, 200),
-    (poly_1d, [0.0], [2.0], 1, 1e-2, NormKind.TWO, 200_000),
-    (checker_3x3, [0.0, 0.0], [1.0, 1.0], 1, 1e-6, NormKind.TWO, 3000),
-    (step_2d, [0.0, 0.0], [1.0, 1.0], 2, 2e-2, NormKind.INF, 200_000),
-    (step_2d, [0.1, 0.2], [0.9, 0.7], 2, 1e-6, NormKind.ONE, 4000),
-    (tiny_step, [0.0], [1.0], 1, 0.0, NormKind.ONE, 200_000),
+# the step_2d ids keep the names of the cases as once taken in the sup and
+# 1-norms; the engine now charges in the Euclidean norm only
+@pytest.mark.parametrize("f,lo,hi,m,tol,max_cells", [
+    (smooth_1d, [0.0], [1.0], 1, 1e-12, 200),
+    (poly_1d, [0.0], [2.0], 1, 1e-2, 200_000),
+    (checker_3x3, [0.0, 0.0], [1.0, 1.0], 1, 1e-6, 3000),
+    (step_2d, [0.0, 0.0], [1.0, 1.0], 2, 2e-2, 200_000),
+    (step_2d, [0.1, 0.2], [0.9, 0.7], 2, 1e-6, 4000),
+    (tiny_step, [0.0], [1.0], 1, 0.0, 200_000),
 ], ids=["smooth_1d", "poly_1d", "checker_3x3", "step_2d_inf", "step_2d_one",
         "tiny_step"])
-def test_matches_heap_reference(f, lo, hi, m, tol, y_norm, max_cells):
+def test_matches_heap_reference(f, lo, hi, m, tol, max_cells):
     counter = RowCounter(f)
     val, err = adaptive_box_quadrature(counter, lo, hi, m, tol=tol,
-                                       y_norm=y_norm, max_cells=max_cells,
-                                       strict=False)
-    ref_val, ref_err, ref_cells = heap_reference(f, lo, hi, m, tol, y_norm,
-                                                 max_cells)
+                                       max_cells=max_cells, strict=False)
+    ref_val, ref_err, ref_cells = heap_reference(f, lo, hi, m, tol, max_cells)
     assert counter.rows == ref_cells * 3 ** len(lo)
     assert err == pytest.approx(ref_err, rel=1e-12, abs=0)
     assert val == pytest.approx(ref_val, rel=1e-9, abs=1e-12)
@@ -187,9 +187,9 @@ def test_matches_heap_reference(f, lo, hi, m, tol, y_norm, max_cells):
 
 def test_set_aside_cells_2d_inf_norm():
     # flat cells have zero charge and are set aside unsplit; the 2-vector
-    # output is measured in the sup norm
+    # output's error, in the sup norm, stays under its Euclidean bound
     val, err = adaptive_box_quadrature(step_2d, [0.0, 0.0], [1.0, 1.0], 2,
-                                       tol=2e-2, y_norm=NormKind.INF)
+                                       tol=2e-2)
     want = np.array([0.7, 2.0 * 0.4 - 1.0 * 0.6])
     assert err <= 2e-2
     assert np.max(np.abs(val - want)) <= err + 1e-12
@@ -202,15 +202,14 @@ def random_boxes(rng, lo, hi, k):
     return np.minimum(a, b), np.maximum(a, b)
 
 
-@pytest.mark.parametrize("f,lo,hi,m,y_norm,max_cells", [
-    (smooth_1d, [0.0], [1.0], 1, NormKind.TWO, 300),
-    (poly_1d, [0.0], [2.0], 1, NormKind.TWO, 2000),
-    (checker_3x3, [0.0, 0.0], [1.0, 1.0], 1, NormKind.TWO, 3000),
-    (step_2d, [0.0, 0.0], [1.0, 1.0], 2, NormKind.INF, 3000),
+@pytest.mark.parametrize("f,lo,hi,m,max_cells", [
+    (smooth_1d, [0.0], [1.0], 1, 300),
+    (poly_1d, [0.0], [2.0], 1, 2000),
+    (checker_3x3, [0.0, 0.0], [1.0, 1.0], 1, 3000),
+    (step_2d, [0.0, 0.0], [1.0, 1.0], 2, 3000),
 ], ids=["smooth_1d", "poly_1d", "checker_3x3", "step_2d_inf"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-def test_batch_matches_one_box_calls(f, lo, hi, m, y_norm, max_cells, reverse,
-                                     rng):
+def test_batch_matches_one_box_calls(f, lo, hi, m, max_cells, reverse, rng):
     # lock-step rounds must leave every box with the cells, value and bound
     # it gets alone, whatever boxes share its rounds and in whatever order
     k = 24
@@ -225,13 +224,13 @@ def test_batch_matches_one_box_calls(f, lo, hi, m, y_norm, max_cells, reverse,
 
     vals, errs = adaptive_box_quadrature_batch(
         counted, los[order], his[order], m, [tols[i] for i in order],
-        y_norm=y_norm, max_cells=max_cells, strict=False)
+        max_cells=max_cells, strict=False)
     assert vals.shape == (k, m) and errs.shape == (k,)
     for j, i in enumerate(order):
         counter = RowCounter(f)
         val, err = adaptive_box_quadrature(counter, los[i], his[i], m,
-                                           tol=tols[i], y_norm=y_norm,
-                                           max_cells=max_cells, strict=False)
+                                           tol=tols[i], max_cells=max_cells,
+                                           strict=False)
         assert rows[i] == counter.rows
         assert np.array_equal(vals[j], val) and errs[j] == err
 

@@ -196,7 +196,7 @@ def test_inflated_gauge_trips_the_sweep():
     f = corpus_function("linear1")
     with pytest.raises(BoundViolated) as exc:
         verify_theorem(f, unit(f), eps=0.1, trials=1,
-                       _gauge_hook=lambda g: g.scaled(40.0, note="inflate"))
+                       _gauge_hook=lambda g: g.scaled(40.0))
     assert "sweep" in str(exc.value)
     assert exc.value.report["n_violations"] > 0
 
@@ -350,6 +350,45 @@ def test_failure_only_in_a_refined_trial(monkeypatch):
                             for c in base.chunks()])
     at = np.searchsorted(cells[:, 0], lo, "right") - 1
     assert np.all((cells[at, 0] <= lo) & (hi <= cells[at, 1]))
+
+
+def test_failing_child_two_refined_trials_share(monkeypatch):
+    # a check gauge that fails one child of a cell trials 1 and 2 split but
+    # trial 3 does not: the walk checks each refinement on the children it
+    # holds, so trials 1 and 2 fail with the reason verify_family gives on
+    # each built refinement, while trials 0 and 3 pass
+    monkeypatch.setattr(partition, "CHUNK_CELLS", 256)
+    f = corpus_function("spike1")
+    mu = unit(f)
+    eps, seed = 0.3, 7
+    g, eta, base = sieved(f, eps)
+    rng = np.random.default_rng(seed)
+    draws = [partition.refinement_choice(len(base), 0.15, rng)
+             for _ in range(3)]
+    chosen = [d.positions(0, len(base)) for d in draws]
+    shared = np.setdiff1d(np.intersect1d(chosen[0], chosen[1]), chosen[2])
+    parent = shared[len(shared) // 2]
+    assert 0 < parent // 256 < len(base) // 256
+    rng = np.random.default_rng(seed)
+    refs = [refine_family(base, 0.15, rng) for _ in range(3)]
+    # fan 2: a chosen cell's second child sits one slot further right for
+    # each chosen cell up to and including it
+    tags = np.concatenate([c.tags for c in refs[0].chunks()])[:, 0]
+    bad = tags[parent + np.searchsorted(chosen[0], parent) + 1]
+    tight = Gauge(batch=lambda X: np.where(X[:, 0] == bad, 1e-300,
+                                           g.delta_batch(X)))
+    walked = riemann._walk(base, f, mu, riemann._threshold(f, mu, eps, base),
+                           g=tight, eta=eta, draws=draws)
+    verdicts, reasons = [], []
+    for fam, trial in zip([base] + refs, walked):
+        notes, want = {}, {}
+        verdicts.append(trial.check.verdict(trial.sums()["measure"], notes))
+        assert verify_family(fam, tight, mu, eta, report=want) == verdicts[-1]
+        assert notes.get("reason") == want.get("reason")
+        reasons.append(notes.get("reason"))
+    assert verdicts == [True, False, False, True]
+    assert reasons[1] == reasons[2]
+    assert reasons[1].startswith(f"fineness violated at tag ({bad!r},)")
 
 
 def test_overlap_only_a_refinement_has_is_caught_in_that_trial():
