@@ -102,6 +102,10 @@ class CorpusFunction:
         the budget.  Zero at declared jumps."""
         raise NotImplementedError
 
+    # set where the half-side depends on the point's norm alone: per row, lower and upper
+    # bounds on certified_halfside_batch over norms [near, far], budgets [b_lo, b_hi]
+    halfside_bounds = None
+
     # -- concentration ------------------------------------------------------
 
     def ac_modulus(self, eps: float, w0: float = 1.0) -> float:
@@ -272,6 +276,9 @@ class Linear1Fn(CorpusFunction):
     def certified_halfside_batch(self, X, budgets):
         # mean |y - x| over any window [x-h1, x+h2], h_i <= h, is <= h/2
         return 2.0 * np.asarray(budgets, dtype=float) * np.ones(len(np.atleast_2d(X)))
+
+    def halfside_bounds(self, near, far, b_lo, b_hi):
+        return 2.0 * b_lo, 2.0 * b_hi
 
 
 class Step2Fn(_PiecewiseConstant):
@@ -470,19 +477,27 @@ class Spike1Fn(CorpusFunction):
         <= budget for h; the left-of-tag mean dominates every clipped or
         centered window, so the certificate survives clipping."""
         x = np.abs(np.atleast_2d(np.asarray(X, dtype=float))[:, 0])
-        r = np.sqrt(x)
-        with np.errstate(divide="ignore"):
-            # x = 0 gives s = 2 / inf - 0 = 0 and so h = 0, the jump's value
-            s = 2.0 / (np.asarray(budgets, dtype=float) + 1.0 / r)
-        s -= r
-        # h = x - s^2 clipped to [0, x/2], or x/2 where s <= 0, built in
-        # r's buffer: fewer temporaries per batch, the same values
-        h = np.subtract(x, np.multiply(s, s, out=r), out=r)
+        # h = x - s^2, s = 2/(b + 1/r) - r, r = sqrt(x), is 4 b r^3/(1 + b r)^2,
+        # which does not cancel (x = 0 gives the jump's 0); with 1 - 8u on the
+        # 4 (u = 2^-53) h is never above it and at most 16u under it
+        br = np.sqrt(x)
+        br *= budgets
+        h = np.multiply(x, br)
+        h *= 4.0 - 2.0 ** -48
+        br += 1.0
+        h /= br
+        h /= br
+        # clipped to [0, x/2], or x/2 where b r >= 1; in place: few temporaries
         np.maximum(h, 0.0, out=h)
         x *= 0.5
         np.minimum(h, x, out=h)
-        np.copyto(h, x, where=s <= 0)
+        np.copyto(h, x, where=br >= 2.0)
         return h
+
+    def halfside_bounds(self, near, far, b_lo, b_hi):
+        # h rises with |x| and b and lies within 16u under it: 32u covers its steps
+        return (self.certified_halfside_batch(near[:, None], b_lo) * (1 - 2.0 ** -48),
+                self.certified_halfside_batch(far[:, None], b_hi) * (1 + 2.0 ** -48))
 
     def ac_modulus(self, eps: float, w0: float = 1.0) -> float:
         if eps <= 0:

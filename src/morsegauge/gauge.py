@@ -209,6 +209,25 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
             out[on] = a_branch(X[on])
         return out
 
+    def bounds(los: np.ndarray, his: np.ndarray):
+        # the budgets batch reads in the shells the box's norms [near, far] meet
+        near = norm_batch(np.clip(0.0, los, his), p.domain_norm)
+        far = norm_batch(np.maximum(-los, his), p.domain_norm)
+        shells = np.arange(1, n_max + 1)
+        first, last = (np.clip(np.floor(v).astype(int) + 1, 1, n_max)[:, None]
+                       for v in (near, far))
+        meets = (first <= shells) & (shells <= last)
+        b_lo = np.where(meets, cert_budgets, np.inf).min(axis=1)
+        b_hi = np.where(meets, cert_budgets, -np.inf).max(axis=1)
+        lo, hi = (np.minimum(1.0, h * lam)
+                  for h in f.halfside_bounds(near, far, b_lo, b_hi))
+        # none at a box holding a declared jump point, where the tubes rule
+        jump_lo, jump_hi, _ = f.discontinuities()
+        jump = (np.all(jump_lo[None] <= his[:, None], axis=2)
+                & np.all(los[:, None] <= jump_hi[None], axis=2)).any(axis=1)
+        lo[jump], hi[jump] = 0.0, 1.0
+        return lo, hi
+
     provenance = {
         "kind": "shell-budget",
         "fn": f.name,
@@ -222,7 +241,8 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
         "shell_budgets": [float(b) for b in budgets_by_shell],
         "tubes": [t.to_dict() for t in tubes],
     }
-    return Gauge(batch=batch, provenance=provenance)
+    return Gauge(batch=batch, provenance=provenance,
+                 bounds_batch=None if f.halfside_bounds is None else bounds)
 
 
 # --------------------------------------------------------------------------

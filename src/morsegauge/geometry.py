@@ -173,10 +173,13 @@ class Gauge:
     batch maps an (N, d) point array to an (N,) array of sizes; provenance
     records how the gauge was built (budgets, tubes, caps) for reports.
     delta_batch raises ValueError if any size is NaN or outside (0, 1].
+    bounds_batch, if set, maps (N, d) box corners lo, hi to (N,) lower and
+    upper bounds on the sizes delta_batch gives anywhere in each box.
     """
 
     batch: Callable[[np.ndarray], np.ndarray]
     provenance: dict = field(default_factory=dict)
+    bounds_batch: Callable | None = None
 
     def delta_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -187,8 +190,8 @@ class Gauge:
         return out
 
     def scaled(self, factor: float) -> "Gauge":
-        """Pointwise multiply by factor, re-capped at 1.  Used by the
-        falsification hooks; a factor > 1 deliberately voids soundness."""
+        """Pointwise multiply by factor, re-capped at 1, with no bounds.  Used
+        by the falsification hooks; a factor > 1 deliberately voids soundness."""
         base = self.batch
         prov = dict(self.provenance)
         prov["scaled_by"] = factor

@@ -11,7 +11,8 @@ family through TaggedFamily.chunks().
 
 The dyadic sieve tests its frontier, runs at one level, a chunk at a time,
 emits the cells whose circumradius about the center already fits under the
-gauge, and splits each run of the rest into one run of its children.
+gauge, and splits each run of the rest into one run of its children; a 1-d
+gauge's bounds over boxes decide long runs whole, or in halves, instead.
 random_dyadic_partition and with_cells store cell arrays as runs.  A Refinement
 draws the cells it splits a block at a time; refine_family replaces them in place
 by their children, which keeps canonical order without a sort; expand gives, for
@@ -284,6 +285,35 @@ def with_cells(fam: TaggedFamily, levels: np.ndarray,
                    tag_override=None)
 
 
+def _decide_runs(g: Gauge, lo: np.ndarray, step: np.ndarray, level: int,
+                 scale: float, ratio: float, starts: np.ndarray, counts: np.ndarray):
+    """The decided pieces of the 1-d frontier runs at level, of side scale,
+    as (starts, counts, fine) per halving, and the runs left to test cell by
+    cell: a run of KERNEL_ROWS cells or more is decided where the gauge's
+    bounds pass or fail all its cells, else halved down to KERNEL_ROWS cells.
+    On a universe with dyadic ends _coords increases with the key."""
+    span = _key_spans(level, 1)
+    long = counts >= KERNEL_ROWS
+    done, rest = [], [(starts[~long], counts[~long])]
+    starts, counts = starts[long], counts[long]
+    while len(starts):
+        c = _coords(lo, step, level, _indices(level, np.concatenate(
+            (starts, starts + (counts - 1) * span)), 1), 0.5)
+        # over the centers and their children's, as the look-ahead gets them
+        low, high = g.bounds_batch(c[:len(starts)] - 0.25 * scale,
+                                   c[len(starts):] + 0.25 * scale)
+        fine = 0.5 * scale * ratio <= low
+        sure = fine | (high < 0.5 * scale * ratio)
+        done.append((starts[sure], counts[sure], fine[sure]))
+        small = ~sure & (counts <= KERNEL_ROWS)
+        rest.append((starts[small], counts[small]))
+        big = ~sure & ~small
+        half = counts[big] // 2
+        starts = np.concatenate((starts[big], starts[big] + half * span))
+        counts = np.concatenate((half, counts[big] - half))
+    return done, tuple(np.concatenate(a) for a in zip(*rest))
+
+
 def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
                  domain_norm: NormKind = NormKind.TWO) -> TaggedFamily:
     """Level-synchronous refinement until the uncovered measure drops to eta.
@@ -295,7 +325,8 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
     its 2^d children.  The depth limit is p.max_depth, or one level above
     the key range if that is shallower, so that every refinement of the
     output still has keys.  DepthExceeded carries a sample of the stuck
-    cells with their gauge values.  The density must be uniform.
+    cells with their gauge values.  The density must be uniform.  Bounds of
+    a 1-d gauge decide runs of KERNEL_ROWS cells or more whole or in halves.
     """
     _require_square(omega)
     dim = omega.dim
@@ -329,6 +360,11 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
 
         step, span = _steps(omega, level), _key_spans(level, dim)
         parts = []
+        if g.bounds_batch is not None and dim == 1 and cells >= KERNEL_ROWS \
+                and front[1].max() >= KERNEL_ROWS:
+            parts, front = _decide_runs(g, uni_lo, step, level, scale, ratio,
+                                        *front)
+        decided = len(parts)
         for keys in _front_keys(*front, level, dim):
             centers = _coords(uni_lo, step, level,
                               _indices(level, keys, dim), 0.5)
@@ -347,6 +383,9 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
             parts.append((keys[first], np.concatenate(
                 (first[1:], [len(keys)])) - first, ok[first]))
         starts, counts, fine = (np.concatenate(a) for a in zip(*parts))
+        if decided:  # into key order
+            order = np.argsort(starts, kind="stable")
+            starts, counts, fine = starts[order], counts[order], fine[order]
         levels = np.full(len(starts), level, dtype=np.int8)
         got.append((levels[fine], starts[fine], counts[fine]))
         # a run of c cells splits into one run of 2^d c children

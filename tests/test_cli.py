@@ -248,6 +248,10 @@ def assert_rejected(argv, tmp_path, capsys):
     pytest.param(["run-theorem", "--fn", "spike1", "--eps", "0.5", "--eta", "1e-25",
                   "--max-depth", "70", "--trials", "1"],
                  id="max-depth-past-key-cap"),
+    # the sieve decides its one frontier run per level whole, down to a
+    # family of 2^43 cells that no refinement can be drawn from
+    pytest.param(["run-theorem", "--fn", "linear1", "--eps", "1e-12"],
+                 id="family-past-the-draw-limit"),
     pytest.param(["run-lusin", "--fn", "step2", "--eps", "0"], id="lusin-eps-zero"),
     pytest.param(["run-lusin", "--fn", "step2", "--eps", "-1"], id="lusin-eps-negative"),
     pytest.param(["run-corollary", "--fn", "linear1", "--eps", "nan"],

@@ -294,14 +294,16 @@ def test_certified_halfside_zero_on_jumps():
 
 
 def spike1_halfside_reference(X, budgets):
-    """The masked formula: zero at x = 0, the closed form elsewhere."""
+    """The masked formula: zero at x = 0, the quotient form
+    4 (1 - 2^-50) b r^3 / (1 + b r)^2 with r = sqrt(x) elsewhere."""
     x = np.abs(np.asarray(X, dtype=float)[:, 0])
     budgets = np.asarray(budgets, dtype=float) * np.ones(len(x))
     out = np.zeros(len(x))
     pos = x > 0
     xp = x[pos]; bp = budgets[pos]
-    s = 2.0 / (bp + 1.0 / np.sqrt(xp)) - np.sqrt(xp)
-    h = np.where(s <= 0, 0.5 * xp, xp - s * s)
+    br = np.sqrt(xp) * bp
+    h = xp * br * (4.0 - 2.0 ** -48) / (1.0 + br) / (1.0 + br)
+    h = np.where(br >= 1.0, 0.5 * xp, h)
     out[pos] = np.minimum(np.maximum(h, 0.0), 0.5 * xp)
     return out
 
@@ -326,6 +328,26 @@ def test_spike1_halfside_same_with_and_without_a_zero(rng):
     assert np.array_equal(f.certified_halfside_batch(X, 0.01),
                           f.certified_halfside_batch(X, np.full(len(X), 0.01)))
     assert np.array_equal(X, Xz[~zero])  # the input is left alone
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01, 0.003])
+def test_spike1_halfside_never_above_its_50_digit_value(eps):
+    mpmath = pytest.importorskip("mpmath")
+    f = corpus_function("spike1")
+    mu = RadonMeasure.unit(f.universe)
+    g = build_gauge(f, mu, GaugeBuildParams(eps=eps))
+    b = 0.9 * g.provenance["shell_budgets"][0]  # the inner shell's certificate budget
+    x = np.geomspace(1e-17, 1.0, 60)
+    got = f.certified_halfside_batch(x[:, None], b)
+    with mpmath.workdps(50):
+        for xi, hi in zip(x, got):
+            # h = x - s^2 for s = 2/(b + 1/sqrt(x)) - sqrt(x), clipped to x/2
+            r = mpmath.sqrt(mpmath.mpf(xi))
+            s = 2 / (mpmath.mpf(b) + 1 / r) - r
+            want = min(r * r - s * s, r * r / 2) if s > 0 else r * r / 2
+            # never above; at most 16 units of roundoff under
+            assert hi <= want, xi
+            assert hi >= want * (1 - 2 * 2.0 ** -50), xi
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +613,8 @@ def test_piecewise_oracles_pinned(name):
 
 # the analytic entries have no jump-distance oracle; their pin adds
 # off-centre tags, which lipschitz2d's deviation bound reads.  Taken before
-# each oracle was folded into one code path
+# each oracle was folded into one code path; spike1's certified_halfside
+# re-taken when its half-side took the quotient form
 ANALYTIC_PIN_ORACLES = tuple(k for k in PIN_ORACLES if k != "dist_inf") \
     + ("dev_integral_offcentre",)
 PINNED_ANALYTIC = {
@@ -604,7 +627,7 @@ PINNED_ANALYTIC = {
         "06f129c7f072ebdd b0cdd3cc7715ca16 07f03825c4af7283 91aafaceaba89f1f "
         "d5c4d2ebc764345f e3704de63570f8be 3df1372a6ac150a8"),
     "spike1": (
-        "622b3c3086c1c6f9 ffb9bd7ae06f6e50 dc4f51578e9c3275 4ae4f0197bd6e65f "
+        "622b3c3086c1c6f9 ffb9bd7ae06f6e50 dc4f51578e9c3275 320e3a6a6afb80fb "
         "7de8d34adb62bc79 f05898b86db498c1 ee47d74e46511efc 35a4fee262048cd0 "
         "d5c4d2ebc764345f 9843faa459bf8244 5c0213f2f9b84dcb"),
 }
