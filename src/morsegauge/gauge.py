@@ -310,14 +310,19 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
     table = shell_budget_table(p.eps, mu, p.domain_norm)
     budgets = table[np.clip(shells, 1, len(table)) - 1]
 
-    # each probe's full reach and a smaller one
+    # each probe's full reach and a smaller one; the quadrature cross-check
+    # below re-derives the full reach of up to 128 probes
     scales = 1.0 / (1.6 ** np.arange(2))
+    pick = rng.choice(len(X), size=min(128, len(X)), replace=False)
     V = f.eval_batch(X)
     for s in scales:
         h = deltas * s / lam
         los = np.maximum(X - h[:, None], lo[None, :])
         his = np.minimum(X + h[:, None], hi[None, :])
         vals, errs = f.dev_integral_for_tags(los, his, X, V)
+        if s == 1.0:
+            q_lo, q_hi, cvals, cerrs = (a[pick]
+                                        for a in (los, his, vals, errs))
         masses = measure_box_batch(mu, los, his)
         lhs = w0 * (vals + errs)
         rhs = budgets * masses
@@ -332,12 +337,7 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
     report.probes = len(X) * len(scales)
 
     if len(X):
-        pick = rng.choice(len(X), size=min(128, len(X)), replace=False)
-        h1 = deltas[pick] / lam
-        q_lo = np.maximum(X[pick] - h1[:, None], lo[None, :])
-        q_hi = np.minimum(X[pick] + h1[:, None], hi[None, :])
-        Vp = f.eval_batch(X[pick])
-        cvals, cerrs = f.dev_integral_for_tags(q_lo, q_hi, X[pick], Vp)
+        Vp = V[pick]
         allow = budgets[pick] * np.prod(q_hi - q_lo, axis=1)
 
         # the enclosure stays sound if the cell budget runs out; the

@@ -26,6 +26,13 @@ Each box still follows the rule above on its own, so its cells, value and
 bound are the same as when it is integrated alone.  That holds only if the
 integrand is row-wise: each output row depends on its own point only.
 
+Layout: a cell is one row [lo | hi | value | charge]; a stack of cells
+gathers its lattice points and children with one take each from per-axis
+tables and takes its ranges over a lattice-major copy of its values, so
+these steps loop over whole stacks, not over short d- or 3^d-long rows.  No
+value or bound depends on that layout by a bit: the Simpson sums keep the
+point-major rows whose order numpy's pairwise sums follow.
+
 The engine is deliberately independent of the exact-integral oracles in
 corpus: it only ever touches eval_batch.
 """
@@ -45,9 +52,8 @@ _POP_ROUND = 256
 _ROUND_CELLS = 1024
 
 
-def _lattice_offsets(dim: int) -> np.ndarray:
-    # 3^d lattice in barycentric steps {0, 0.5, 1} per axis
-    return np.array(list(itertools.product((0.0, 0.5, 1.0), repeat=dim)))
+# the 3^d lattice's barycentric steps along one axis
+_STEPS = np.array([0.0, 0.5, 1.0])
 
 
 def _simpson_weights(dim: int) -> np.ndarray:
@@ -73,27 +79,42 @@ def adaptive_box_quadrature_batch(eval_batch, los, his, m: int, tols,
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     k, dim = los.shape
-    offsets = _lattice_offsets(dim)
     weights = _simpson_weights(dim)
-    npt = len(offsets)
+    npt = 3 ** dim
     kids = 2 ** dim
+    width = 2 * dim + m + 1
     val_cols = slice(2 * dim, 2 * dim + m)
-    # child c of a cell takes the upper half on the axes where upper[c] is set
-    upper = np.array(list(itertools.product((False, True), repeat=dim)))
+    # a cell's lattice points and children read their coordinates, axis 0
+    # varying slowest, from three values per axis: lo + {0, 0.5, 1} * (hi -
+    # lo) for the points; lo, mid and hi for the children, whose value and
+    # charge columns assess then fills
+    axes = 3 * np.arange(dim)
+    lattice = (np.array(list(itertools.product(range(3), repeat=dim)))
+               + axes).ravel()
+    corner = np.array(list(itertools.product(range(2), repeat=dim))) + axes
+    child_cols = np.concatenate(
+        [corner, corner + 1, np.zeros((kids, m + 1), dtype=int)],
+        axis=1).ravel()
 
-    def assess(lo: np.ndarray, hi: np.ndarray, box: np.ndarray):
-        """Rows [lo | hi | Simpson value | range charge] for a stack of
-        cells of the given boxes."""
-        n = len(lo)
-        pts = (lo[:, None, :] + offsets[None, :, :] * (hi - lo)[:, None, :])
+    def assess(rows: np.ndarray, box: np.ndarray):
+        """Fill the Simpson value and range charge of rows [lo | hi | value
+        | charge], a stack of cells of the given boxes."""
+        n = len(rows)
+        w = rows[:, dim:2 * dim] - rows[:, :dim]
+        table = rows[:, :dim, None] + _STEPS * w[:, :, None]
+        pts = table.reshape(n, 3 * dim).take(lattice, axis=1)
+        vols = np.ones(n)
+        for a in range(dim):
+            vols *= w[:, a]
         vals = np.asarray(eval_batch(pts.reshape(n * npt, dim),
                                      np.repeat(box, npt)), dtype=float)
         vals = vals.reshape(n, npt, m)
-        vols = np.prod(hi - lo, axis=1)
-        cell_vals = (weights[None, :, None] * vals).sum(axis=1) * vols[:, None]
-        rng = vals.max(axis=1) - vals.min(axis=1)
-        charges = norm_batch(rng, NormKind.TWO) * vols
-        return np.concatenate([lo, hi, cell_vals, charges[:, None]], axis=1)
+        rows[:, val_cols] = (weights[None, :, None] * vals).sum(axis=1) \
+            * vols[:, None]
+        lattice_major = np.ascontiguousarray(vals.transpose(1, 0, 2))
+        rng = lattice_major.max(axis=0) - lattice_major.min(axis=0)
+        rows[:, -1] = norm_batch(rng, NormKind.TWO) * vols
+        return rows
 
     def by_box(rows, own, n: int):
         """Cut rows sorted by owner 0..n-1 into one slice per owner."""
@@ -102,7 +123,9 @@ def adaptive_box_quadrature_batch(eval_batch, los, his, m: int, tols,
 
     # each box's pool holds its splittable cells in creation order; its
     # set-aside cells keep only their value sum and their nonzero charges
-    roots = assess(los, his, np.arange(k))
+    roots = np.empty((k, width))
+    roots[:, :dim], roots[:, dim:2 * dim] = los, his
+    assess(roots, np.arange(k))
     pools = [roots[b:b + 1] for b in range(k)]
     values = np.zeros((k, m))
     set_err: list[list[float]] = [[] for _ in range(k)]
@@ -145,12 +168,11 @@ def adaptive_box_quadrature_batch(eval_batch, los, his, m: int, tols,
         rank = np.arange(len(pool)) - (np.cumsum(sizes) - sizes)[owner]
         pick = order[rank < _POP_ROUND]
         rest = np.sort(order[rank >= _POP_ROUND])
-        plo, phi = pool[pick, None, :dim], pool[pick, None, dim:2 * dim]
-        mid = 0.5 * (plo + phi)
+        lo, hi = pool[pick, :dim], pool[pick, dim:2 * dim]
+        table = np.stack([lo, 0.5 * (lo + hi), hi], axis=2)
+        child = table.reshape(-1, 3 * dim).take(child_cols, axis=1)
         cown = np.repeat(owner[pick], kids)
-        child = assess(np.where(upper, mid, plo).reshape(-1, dim),
-                       np.where(upper, phi, mid).reshape(-1, dim),
-                       np.asarray(adv)[cown])
+        child = assess(child.reshape(-1, width), np.asarray(adv)[cown])
         keep = child[:, -1] > 1e-300
         tiny = ~keep & (child[:, -1] != 0)
         n = len(adv)

@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from morsegauge import gauge
+from morsegauge.corpus import corpus_function
 from morsegauge.errors import ToleranceUnreachable
+from morsegauge.gauge import GaugeBuildParams, build_gauge, soundness_sweep
 from morsegauge.geometry import NormKind, norm_batch
+from morsegauge.measure import RadonMeasure
 from morsegauge.quadrature import (
     _POP_ROUND,
     _ROUND_CELLS,
@@ -34,6 +38,20 @@ def step_2d(X):
     # flat away from x0 = 0.3 and x1 = 0.6: most cells carry zero charge
     return np.stack([(X[:, 0] >= 0.3).astype(float),
                      np.where(X[:, 1] >= 0.6, 2.0, -1.0)], axis=1)
+
+
+def step_smooth_1d(X):
+    # a jump in one output, a smooth second output
+    return np.stack([(X[:, 0] >= 0.3).astype(float), np.sin(3.0 * X[:, 0])],
+                    axis=1)
+
+
+def step_smooth_3d(X):
+    # jumps off the dyadic lattice on two axes plus smooth terms: the 27-point
+    # lattice, the 8 children and two outputs
+    return np.stack([(X[:, 0] >= 0.3) + X[:, 1] * X[:, 2],
+                     np.where(X[:, 2] >= 0.6, 1.0, -0.5) + np.sin(X[:, 0])],
+                    axis=1)
 
 
 def tiny_step(X):
@@ -207,7 +225,10 @@ def random_boxes(rng, lo, hi, k):
     (poly_1d, [0.0], [2.0], 1, 2000),
     (checker_3x3, [0.0, 0.0], [1.0, 1.0], 1, 3000),
     (step_2d, [0.0, 0.0], [1.0, 1.0], 2, 3000),
-], ids=["smooth_1d", "poly_1d", "checker_3x3", "step_2d_inf"])
+    (step_smooth_1d, [0.0], [1.0], 2, 3000),
+    (step_smooth_3d, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2, 3000),
+], ids=["smooth_1d", "poly_1d", "checker_3x3", "step_2d_inf", "step_smooth_1d",
+        "step_smooth_3d"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
 def test_batch_matches_one_box_calls(f, lo, hi, m, max_cells, reverse, rng):
     # lock-step rounds must leave every box with the cells, value and bound
@@ -264,3 +285,155 @@ def test_batch_rounds_stay_within_budget(rng):
                                   max_cells=6000, strict=False)
     assert max(n for n, _ in calls) <= _ROUND_CELLS * 3 ** 2
     assert max(boxes for _, boxes in calls) > 1
+
+
+def reference_quadrature_batch(eval_batch, los, his, m, tols,
+                               max_cells=200_000, strict=True):
+    """The lock-step engine as first written, cells stored point-major: one
+    broadcast builds the lattice and the children, ranges reduce the lattice
+    as a middle axis.  The engine must give its cells, values and bounds bit
+    for bit."""
+    los = np.asarray(los, dtype=float)
+    his = np.asarray(his, dtype=float)
+    k, dim = los.shape
+    offsets = np.array(list(itertools.product((0.0, 0.5, 1.0), repeat=dim)))
+    weights = np.ones(1)
+    for _ in range(dim):
+        weights = np.outer(weights, np.array([1.0, 4.0, 1.0]) / 6.0).ravel()
+    npt = len(offsets)
+    kids = 2 ** dim
+    val_cols = slice(2 * dim, 2 * dim + m)
+    upper = np.array(list(itertools.product((False, True), repeat=dim)))
+
+    def assess(lo, hi, box):
+        n = len(lo)
+        pts = (lo[:, None, :] + offsets[None, :, :] * (hi - lo)[:, None, :])
+        vals = np.asarray(eval_batch(pts.reshape(n * npt, dim),
+                                     np.repeat(box, npt)), dtype=float)
+        vals = vals.reshape(n, npt, m)
+        vols = np.prod(hi - lo, axis=1)
+        cell_vals = (weights[None, :, None] * vals).sum(axis=1) * vols[:, None]
+        rng = vals.max(axis=1) - vals.min(axis=1)
+        charges = norm_batch(rng, NormKind.TWO) * vols
+        return np.concatenate([lo, hi, cell_vals, charges[:, None]], axis=1)
+
+    def by_box(rows, own, n):
+        cut = np.searchsorted(own, np.arange(n + 1)).tolist()
+        return [rows[a:b] for a, b in zip(cut, cut[1:])]
+
+    roots = assess(los, his, np.arange(k))
+    pools = [roots[b:b + 1] for b in range(k)]
+    values = np.zeros((k, m))
+    set_err = [[] for _ in range(k)]
+    cells = [1] * k
+    bounds = np.empty(k)
+    stale = [True] * k
+    live = list(range(k))
+    while live:
+        adv, grow, i = [], 0, 0
+        while i < len(live):
+            b = live[i]
+            if stale[b]:
+                bounds[b] = math.fsum(pools[b][:, -1].tolist() + set_err[b])
+                stale[b] = False
+            err, tol = bounds[b], tols[b]
+            if not (err > tol and len(pools[b])) or cells[b] > max_cells:
+                if strict and err > tol and len(pools[b]):
+                    raise ToleranceUnreachable("budget exhausted")
+                values[b] += pools[b][:, val_cols].sum(axis=0)
+                pools[b] = None
+                del live[i]
+                continue
+            n = min(len(pools[b]), _POP_ROUND) * kids
+            if adv and grow + n > _ROUND_CELLS:
+                break
+            adv.append(b)
+            grow += n
+            i += 1
+        if not adv:
+            break
+
+        sizes = [len(pools[b]) for b in adv]
+        pool = np.concatenate([pools[b] for b in adv])
+        owner = np.repeat(np.arange(len(adv)), sizes)
+        order = np.lexsort((-pool[:, -1], owner))
+        rank = np.arange(len(pool)) - (np.cumsum(sizes) - sizes)[owner]
+        pick = order[rank < _POP_ROUND]
+        rest = np.sort(order[rank >= _POP_ROUND])
+        plo, phi = pool[pick, None, :dim], pool[pick, None, dim:2 * dim]
+        mid = 0.5 * (plo + phi)
+        cown = np.repeat(owner[pick], kids)
+        child = assess(np.where(upper, mid, plo).reshape(-1, dim),
+                       np.where(upper, phi, mid).reshape(-1, dim),
+                       np.asarray(adv)[cown])
+        keep = child[:, -1] > 1e-300
+        tiny = ~keep & (child[:, -1] != 0)
+        n = len(adv)
+        gone = by_box(child[~keep, val_cols], cown[~keep], n)
+        gone_err = by_box(child[tiny, -1], cown[tiny], n)
+        kept = by_box(child[keep], cown[keep], n)
+        rest = by_box(pool[rest], owner[rest], n)
+        for j, b in enumerate(adv):
+            cells[b] += min(sizes[j], _POP_ROUND) * kids
+            if len(gone[j]):
+                values[b] += gone[j].sum(axis=0)
+                set_err[b] += gone_err[j].tolist()
+            pools[b] = np.concatenate([rest[j], kept[j]])
+            stale[b] = True
+    return values, bounds
+
+
+def assert_same_bits(eval_batch, los, his, m, tols, **kw):
+    """Run the engine and the reference on one call: equal values and bounds
+    bit for bit, and equal integrand rows per box."""
+    runs = []
+    for engine in (adaptive_box_quadrature_batch, reference_quadrature_batch):
+        rows = np.zeros(len(los), dtype=int)
+
+        def counted(P, owner, rows=rows):
+            rows += np.bincount(owner, minlength=len(rows))
+            return eval_batch(P, owner)
+
+        runs.append((*engine(counted, los, his, m, tols, **kw), rows))
+    (vals, errs, rows), (ref_vals, ref_errs, ref_rows) = runs
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(errs, ref_errs)
+    assert np.array_equal(rows, ref_rows)
+
+
+@pytest.mark.parametrize("f,lo,hi,m,max_cells", [
+    (step_smooth_1d, [0.0], [1.0], 2, 3000),
+    (checker_3x3, [0.0, 0.0], [1.0, 1.0], 1, 3000),
+    (step_2d, [0.0, 0.0], [1.0, 1.0], 2, 3000),
+    (step_smooth_3d, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2, 3000),
+], ids=["step_smooth_1d", "checker_3x3", "step_2d", "step_smooth_3d"])
+def test_engine_matches_reference_bits(f, lo, hi, m, max_cells, rng):
+    los, his = random_boxes(rng, lo, hi, 24)
+    tols = list(10.0 ** rng.uniform(-8, -2, size=24))
+    assert_same_bits(lambda P, owner: f(P), los, his, m, tols,
+                     max_cells=max_cells, strict=False)
+
+
+@pytest.mark.parametrize("fn", ["checker2d", "lipschitz2d", "spike1", "step2",
+                                "linear1", "sign1"])
+def test_sweep_calls_match_reference(fn, monkeypatch):
+    # the 128-box cross-checks soundness_sweep makes as verify_theorem calls
+    # it, at two eps and two seeds
+    calls = []
+
+    def capture(*args, **kw):
+        calls.append((args, kw))
+        return adaptive_box_quadrature_batch(*args, **kw)
+
+    monkeypatch.setattr(gauge, "adaptive_box_quadrature_batch", capture)
+    f = corpus_function(fn)
+    mu = RadonMeasure.unit(f.universe)
+    for eps in (0.1, 0.01):
+        p = GaugeBuildParams(eps=eps)
+        g = build_gauge(f, mu, p)
+        for seed in (0, 1001):
+            assert soundness_sweep(f, g, mu, p, n_probes=256, seed=seed).ok()
+    assert len(calls) == 4
+    for args, kw in calls:
+        assert len(args[1]) == 128
+        assert_same_bits(*args, **kw)
