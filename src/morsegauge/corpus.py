@@ -38,8 +38,6 @@ class CorpusFunction:
     dim_out: int = 1
     universe: Box = Box((0.0,), (1.0,))
     sup_norm: float = 0.0
-    # mass of the (vanishing) extension outside the universe
-    tail_abs: float = 0.0
     aligned_depth: int = 0
 
     def __init__(self, y_norm: NormKind = NormKind.TWO):

@@ -22,7 +22,7 @@ import numpy as np
 from .corpus import CorpusFunction
 from .errors import BoundViolated, TubeInfeasible
 from .geometry import Gauge, NormKind, bisect_last, norm_batch, norm_ratio
-from .measure import RadonMeasure, annulus_measure, measure_box_batch
+from .measure import RadonMeasure, measure_box_batch
 from .quadrature import adaptive_box_quadrature_batch
 
 
@@ -32,12 +32,15 @@ def shell_index_batch(X: np.ndarray, domain_norm: NormKind) -> np.ndarray:
     return np.floor(r).astype(int) + 1
 
 
-def shell_budget(eps: float, n: int, mu: RadonMeasure,
-                 domain_norm: NormKind = NormKind.TWO) -> float:
-    """Per-shell mean-deviation budget eps * 2^(-n-2) / (1 + mu(E_n))."""
+def shell_budget(eps: float, n: int, mu: RadonMeasure) -> float:
+    """Per-shell mean-deviation budget eps * 2^(-n-2) / (1 + mu(universe)).
+
+    The universe is a bounded box, so mu(E_n) <= mu(universe) for every
+    shell E_n: no budget lies above the paper's eps * 2^(-n-2) / (1 + mu(E_n))
+    and the sum over shells stays under eps."""
     if eps <= 0 or n < 1:
         raise ValueError("need eps > 0 and n >= 1")
-    return eps * 2.0 ** (-n - 2) / (1.0 + annulus_measure(mu, n, domain_norm))
+    return eps * 2.0 ** (-n - 2) / (1.0 + mu.total)
 
 
 def shell_budget_table(eps: float, mu: RadonMeasure,
@@ -45,7 +48,7 @@ def shell_budget_table(eps: float, mu: RadonMeasure,
     """Budgets of shells 1..n_max, where n_max is the shell of the farthest
     universe corner; entry n - 1 belongs to shell n."""
     n_max = int(shell_index_batch(mu.universe.corners(), domain_norm).max())
-    return np.array([shell_budget(eps, n, mu, domain_norm)
+    return np.array([shell_budget(eps, n, mu)
                      for n in range(1, n_max + 1)])
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -140,9 +140,6 @@ class Box:
         for a, b in zip(self.lo, self.hi):
             out *= b - a
         return out
-
-    def contains_point(self, x: Sequence[float]) -> bool:
-        return all(a <= c <= b for c, a, b in zip(x, self.lo, self.hi))
 
     def contains_box(self, other: "Box") -> bool:
         return all(a <= oa and ob <= b

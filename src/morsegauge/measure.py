@@ -7,22 +7,18 @@ step take any uniform density and refuse a graded one through w0, since
 their certificates bound Lebesgue means.  A graded grid (from_grid) reaches
 only the scalar box masses, which run in rational arithmetic so that
 additivity over dyadic splits holds with zero error; the batch path, plain
-float for the hot loops, takes uniform densities only.  The shell annuli behind the
-gauge budgets are measured in closed form where one exists and otherwise
-bounded by sup-norm boxes, from above for the outer ball and from below for
-the inner one.
+float for the hot loops, takes uniform densities only.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import OutOfUniverse, PreconditionUncertified
-from .geometry import Box, NormKind, norm_batch, norm_ratio
+from .geometry import Box
 
 
 class RadonMeasure:
@@ -143,57 +139,3 @@ def measure_box_batch(mu: RadonMeasure, los: np.ndarray, his: np.ndarray) -> np.
     los = np.atleast_2d(np.asarray(los, dtype=float))
     his = np.atleast_2d(np.asarray(his, dtype=float))
     return mu.w0 * np.prod(his - los, axis=1)
-
-
-def ball_volume(kind: NormKind, dim: int, r: float) -> float:
-    """Lebesgue volume of the radius-r ball in the given norm."""
-    if r <= 0:
-        return 0.0
-    if kind is NormKind.INF:
-        return (2.0 * r) ** dim
-    if kind is NormKind.ONE:
-        return (2.0 * r) ** dim / math.factorial(dim)
-    if dim == 1:
-        return 2.0 * r
-    if dim == 2:
-        return math.pi * r * r
-    if dim == 3:
-        return 4.0 * math.pi * r ** 3 / 3.0
-    raise ValueError("dim must be in {1, 2, 3}")
-
-
-# --------------------------------------------------------------------------
-# spatial shells
-
-def _ball_cap_volume(mu: RadonMeasure, R: float, domain_norm: NormKind,
-                     lower: bool = False) -> float:
-    """mu(B(0, R) intersected with the universe).
-
-    Exact when the ball covers the universe, is a sup-norm box, or sits
-    inside a uniform universe.  Otherwise the mass of the clipped sup-norm
-    box that holds the ball (an upper bound) or, with lower=True, of the one
-    the ball holds (a lower bound).
-    """
-    if R <= 0:
-        return 0.0
-    d = mu.dim
-    if norm_batch(mu.universe.corners(), domain_norm).max() <= R \
-            and mu.universe.contains_point((0.0,) * d):
-        return mu.total
-    exact_box = domain_norm is NormKind.INF or d == 1
-    if not exact_box and mu.uniform \
-            and mu.universe.contains_box(Box((-R,) * d, (R,) * d)):
-        return mu.w0 * ball_volume(domain_norm, d, R)
-    r = R / norm_ratio(NormKind.INF, domain_norm, d) if lower else R
-    return measure_box_clipped(mu, Box((-r,) * d, (r,) * d))
-
-
-def annulus_measure(mu: RadonMeasure, n: int, domain_norm: NormKind) -> float:
-    """Measure inside the universe of the shell B(0, n+1) minus B(0, n-2);
-    the inner ball is empty for n <= 2.  Never below the true value."""
-    if n < 1:
-        raise ValueError("shell index starts at 1")
-    outer = _ball_cap_volume(mu, float(n + 1), domain_norm)
-    inner = _ball_cap_volume(mu, float(n - 2), domain_norm, lower=True) \
-        if n > 2 else 0.0
-    return max(outer - inner, 0.0)

@@ -2,7 +2,7 @@
 
 Everything here compares three quantities per tagged family: the simple sum
 Sum f(tag_i) mu(S_i), the exact weighted integral, and the certified L1
-deviation Sum Int_{S_i} ||f - f(tag_i)|| plus residual and tail mass.  The
+deviation Sum Int_{S_i} ||f - f(tag_i)|| plus residual mass.  The
 theorem verifier builds the gauge, sieves, and asserts the accuracy chain on
 the base family and on randomized refinements.  The corollary verifier
 checks the gauge family and takes its Riemann gap and simple sum in one
@@ -56,7 +56,7 @@ class ApproximationReport:
     l1_partition: float
     l1_partition_error: float
     residual_abs: float
-    tail_abs: float
+    tail_abs: float  # 0.0: the integrands vanish off the universe
     l1_total: float
     local_error_sum: float
     truncation_error: float
@@ -268,23 +268,22 @@ def _report(f: CorpusFunction, mu: RadonMeasure, eps: float, trial: int,
             residual_abs: float) -> ApproximationReport:
     """The accuracy chain of one family of `cells` cells from its sums."""
     part, part_err = mu.w0 * sums["dev"], mu.w0 * sums["dev_err"]
-    total = part + part_err + residual_abs + f.tail_abs
+    total = part + part_err + residual_abs
     exact = mu.w0 * f.exact_integral(mu.universe)
     simple, local = sums["simple"], sums["local"]
     trunc, trunc_idx = sums["truncation"]
 
     gap = float(f.ynorm(exact - simple))
-    slack = residual_abs + f.tail_abs
     l1p = part + part_err
     flags = {
         "l1_partition_lt_eps": l1p < eps,
-        "l1_total_lt_eps_plus_slack": total < eps + slack + 1e-15,
+        "l1_total_lt_eps_plus_slack": total < eps + residual_abs + 1e-15,
         "local_error_lt_eps": local < eps,
         "truncation_lt_3eps": trunc < 3.0 * eps,
         "local_le_l1": local <= l1p * (1 + _REL) + 1e-15,
         "gap_le_l1_total": gap <= total * (1 + _REL) + 1e-15,
         "gap_le_l1_partition_plus_slack":
-            gap - slack <= l1p * (1 + _REL) + 1e-15,
+            gap - residual_abs <= l1p * (1 + _REL) + 1e-15,
     }
     return ApproximationReport(
         fn=f.name, eps=eps, trial=trial, cell_count=cells,
@@ -292,7 +291,7 @@ def _report(f: CorpusFunction, mu: RadonMeasure, eps: float, trial: int,
         exact=tuple(float(v) for v in exact),
         simple=tuple(float(v) for v in simple),
         l1_partition=part, l1_partition_error=part_err,
-        residual_abs=residual_abs, tail_abs=f.tail_abs,
+        residual_abs=residual_abs, tail_abs=0.0,
         l1_total=total, local_error_sum=local,
         truncation_error=trunc, truncation_index=trunc_idx,
         depth_histogram=sums["depth_histogram"], pass_flags=flags)
@@ -429,7 +428,7 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
         raise BoundViolated(
             f"family verification failed: {notes.get('reason')}", notes)
     riemann_gap = sums["local"]
-    abs_total = mu.w0 * f.abs_total() + f.tail_abs
+    abs_total = mu.w0 * f.abs_total()
 
     rng = np.random.default_rng(seed)
     worst = _family_mass(f, mu, base)

@@ -17,6 +17,7 @@ from morsegauge.gauge import (
     build_gauge,
     build_null_tubes,
     shell_budget,
+    shell_budget_table,
     shell_index_batch,
     soundness_sweep,
     value_bin,
@@ -50,19 +51,43 @@ def test_shell_index_values():
 
 def test_shell_budget_frozen():
     mu = RadonMeasure.unit(Box((-4.0,), (4.0,)))
-    # shell 1: eps/8 over 1 + mu([-2, 2]) = 5
-    assert shell_budget(0.1, 1, mu) == pytest.approx(0.0025)
-    # shell 3: annulus [-4,4] minus (-1,1) has measure 6
-    assert shell_budget(0.1, 3, mu) == pytest.approx(0.1 * 2.0 ** -5 / 7.0)
+    # every shell's budget is taken over 1 + mu([-4, 4]) = 9
+    assert shell_budget(0.1, 1, mu) == pytest.approx(0.1 / 8 / 9)
+    assert shell_budget(0.1, 3, mu) == pytest.approx(0.1 * 2.0 ** -5 / 9)
     with pytest.raises(ValueError):
         shell_budget(0.0, 1, mu)
     with pytest.raises(ValueError):
         shell_budget(0.1, 0, mu)
 
 
+# shell_budget_table on the corpus universes, by their measure: under the
+# sup and Euclidean norms each reaches shells 1 and 2 only
+PINNED_BUDGETS = {
+    1.0: {0.1: [0.00625, 0.003125], 0.01: [0.000625, 0.0003125]},
+    2.0: {0.1: [0.004166666666666667, 0.0020833333333333333],
+          0.01: [0.0004166666666666667, 0.00020833333333333335]},
+}
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_shell_budget_table_pinned(name):
+    mu = unit(corpus_function(name))
+    for kind in (NormKind.INF, NormKind.TWO):
+        for eps, want in PINNED_BUDGETS[mu.total].items():
+            assert shell_budget_table(eps, mu, kind).tolist() == want, (kind, eps)
+
+
+def test_shell_budget_table_one_norm_reaches_shell_3():
+    # the unit square's corner (1, 1) lies in shell 3 of the 1-norm, whose
+    # annulus holds less than the square; its budget is still over 1 + mu = 2
+    mu = RadonMeasure.unit(Box((0.0, 0.0), (1.0, 1.0)))
+    assert shell_budget_table(0.1, mu, NormKind.ONE).tolist() == \
+        [0.00625, 0.003125, 0.1 * 2 ** -5 / 2]
+
+
 def test_shell_budgets_are_summable():
-    # sum over shells of 2^(-n-2) * (1 + mu(E_n))^-1 * mu(shell) stays
-    # below eps: each shell's mass is at most 1 + mu(E_n)
+    # sum over shells of 2^(-n-2) * (1 + mu(universe))^-1 * mu(shell) stays
+    # below eps: each shell's mass is at most mu(universe)
     mu = RadonMeasure.unit(Box((-4.0,), (4.0,)))
     total = sum(shell_budget(0.1, n, mu) * (1.0 + 8.0) for n in range(1, 12))
     assert total < 0.1

@@ -1,17 +1,13 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import constant_gauge
 
-from morsegauge.corpus import corpus_function, corpus_names
 from morsegauge.errors import OutOfUniverse, PreconditionUncertified
-from morsegauge.geometry import Box, NormKind
+from morsegauge.geometry import Box
 from morsegauge.measure import (
     RadonMeasure,
-    annulus_measure,
-    ball_volume,
     measure_box,
     measure_box_batch,
     measure_box_clipped,
@@ -20,8 +16,6 @@ from morsegauge.measure import (
 from morsegauge.partition import SieveParams, dyadic_sieve
 
 UNIT_1D = Box(lo=(0.0,), hi=(1.0,))
-SYM_1D = Box(lo=(-4.0,), hi=(4.0,))
-SYM_2D = Box(lo=(-4.0, -4.0), hi=(4.0, 4.0))
 
 
 def test_unit_measure_box():
@@ -82,65 +76,3 @@ def test_float_paths_reject_a_graded_density():
         measure_box_batch(mu, np.array([[0.0]]), np.array([[0.5]]))
     with pytest.raises(PreconditionUncertified):
         dyadic_sieve(UNIT_1D, constant_gauge(1.0), mu, SieveParams(eta=0.1))
-
-
-# ---------------------------------------------------------------------------
-# ball volumes
-# ---------------------------------------------------------------------------
-
-def test_ball_volume_closed_forms():
-    assert ball_volume(NormKind.TWO, 1, 0.5) == 1.0
-    assert ball_volume(NormKind.TWO, 2, 1.0) == pytest.approx(math.pi)
-    assert ball_volume(NormKind.TWO, 3, 1.0) == pytest.approx(4 * math.pi / 3)
-    assert ball_volume(NormKind.INF, 3, 0.5) == 1.0
-    assert ball_volume(NormKind.ONE, 2, 1.0) == pytest.approx(2.0)
-    assert ball_volume(NormKind.TWO, 2, 0.0) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# shell annuli: outer ball n+1, inner ball n-2 (empty through n = 2)
-# ---------------------------------------------------------------------------
-
-def test_annulus_measure_1d():
-    mu = RadonMeasure.unit(SYM_1D)
-    assert annulus_measure(mu, 1, NormKind.TWO) == pytest.approx(4.0)
-    assert annulus_measure(mu, 2, NormKind.TWO) == pytest.approx(6.0)
-    assert annulus_measure(mu, 3, NormKind.TWO) == pytest.approx(8.0 - 2.0)
-    # outer ball clips at the universe for large n
-    assert annulus_measure(mu, 5, NormKind.TWO) == pytest.approx(8.0 - 6.0)
-
-
-def test_annulus_measure_2d_euclidean():
-    mu = RadonMeasure.unit(SYM_2D)
-    assert annulus_measure(mu, 1, NormKind.TWO) == pytest.approx(4 * math.pi)
-
-
-def test_annulus_rejects_index_zero():
-    mu = RadonMeasure.unit(SYM_1D)
-    with pytest.raises(ValueError):
-        annulus_measure(mu, 0, NormKind.TWO)
-
-
-def _graded(universe):
-    # level-2 density grid with distinct positive cell values
-    n = 4 ** universe.dim
-    return RadonMeasure.from_grid(universe, 2, np.arange(1.0, n + 1.0))
-
-
-@pytest.mark.parametrize("name", corpus_names())
-def test_annulus_measure_covers_corpus_universes(name):
-    # shells 1 and 2 reach past every corpus universe, so the annulus is
-    # the whole mass whatever the norm or density
-    universe = corpus_function(name).universe
-    for mu in (RadonMeasure.unit(universe), _graded(universe)):
-        for kind in (NormKind.INF, NormKind.TWO):
-            for n in (1, 2):
-                assert annulus_measure(mu, n, kind) == mu.total, (kind, n)
-
-
-def test_annulus_measure_never_undercounts():
-    # quarter annulus between radii 1 and 4 inside [0, 4]^2 has area
-    # 15 pi / 4; the outer ball pokes out of the universe and the inner
-    # ball is not inside it either, so no closed form applies
-    mu = RadonMeasure.unit(Box((0.0, 0.0), (4.0, 4.0)))
-    assert annulus_measure(mu, 3, NormKind.TWO) >= 3.75 * math.pi

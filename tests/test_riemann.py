@@ -126,6 +126,55 @@ def test_build_report_chain_inequalities():
     assert rep.l1_total == pytest.approx(l1p + slack)
 
 
+EPS, L1, ERR, RES = 0.1, 0.07, 0.0125, 2.0 ** -6
+
+
+def report_at(residual_abs=0.0, gap=0.0, **sums):
+    """The report of sign1 at EPS from synthetic sums, zero unless given;
+    sign1 integrates to 0, so the Riemann gap is the simple sum."""
+    f = corpus_function("sign1")
+    sums = {"dev": 0.0, "dev_err": 0.0, "local": 0.0, "truncation": (0.0, 0),
+            "depth_histogram": {}, "simple": np.array([gap]), **sums}
+    return riemann._report(f, unit(f), EPS, 0, 1, 0.0, sums, residual_abs)
+
+
+# flag, whether its test is strict, the edge its left side meets, the sums
+# that put that side at x, and that side read back from the report
+@pytest.mark.parametrize("flag, strict, edge, given, side", [
+    pytest.param("l1_partition_lt_eps", True, EPS,
+                 lambda x: dict(dev=x - ERR, dev_err=ERR),
+                 lambda r: r.l1_partition + r.l1_partition_error, id="l1p"),
+    pytest.param("l1_total_lt_eps_plus_slack", True, EPS + RES + 1e-15,
+                 lambda x: dict(dev=x - RES, residual_abs=RES),
+                 lambda r: r.l1_total, id="total"),
+    pytest.param("local_error_lt_eps", True, EPS, lambda x: dict(local=x),
+                 lambda r: r.local_error_sum, id="local"),
+    pytest.param("truncation_lt_3eps", True, 3.0 * EPS,
+                 lambda x: dict(truncation=(x, 0)),
+                 lambda r: r.truncation_error, id="truncation"),
+    pytest.param("local_le_l1", False, L1 * (1 + 1e-9) + 1e-15,
+                 lambda x: dict(dev=L1, local=x),
+                 lambda r: r.local_error_sum, id="local-l1"),
+    pytest.param("gap_le_l1_total", False, (L1 + RES) * (1 + 1e-9) + 1e-15,
+                 lambda x: dict(dev=L1, residual_abs=RES, gap=x),
+                 lambda r: r.simple[0], id="gap-total"),
+    pytest.param("gap_le_l1_partition_plus_slack", False,
+                 L1 * (1 + 1e-9) + 1e-15,
+                 lambda x: dict(dev=L1, residual_abs=RES, gap=x + RES),
+                 lambda r: r.simple[0] - r.residual_abs, id="gap-l1p"),
+])
+def test_report_flag_flips_one_ulp_past_its_edge(flag, strict, edge, given,
+                                                 side):
+    # a strict test holds one ulp below its edge and fails at it; a
+    # non-strict one holds at its edge and fails one ulp above
+    inside, outside = ((np.nextafter(edge, 0.0), edge) if strict
+                       else (edge, np.nextafter(edge, np.inf)))
+    for x, want in ((inside, True), (outside, False)):
+        rep = report_at(**given(float(x)))
+        assert side(rep) == x, "the synthetic sums miss the side they set"
+        assert rep.pass_flags[flag] is want, (flag, x)
+
+
 def test_report_json_roundtrip():
     f = corpus_function("step2")
     mu = unit(f)
