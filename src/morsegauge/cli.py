@@ -26,7 +26,7 @@ from .errors import (BoundViolated, DepthExceeded, NotPiecewise,
                      PreconditionUncertified, ToleranceUnreachable,
                      TubeInfeasible)
 from .gauge import GaugeBuildParams, build_gauge
-from .geometry import NormKind, norm_ratio
+from .geometry import NormKind, cube_reach
 from .measure import RadonMeasure
 from .partition import sabotage_offcenter, sabotage_overlap
 from .riemann import verify_corollary, verify_theorem
@@ -60,7 +60,7 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
 
 def _resolve_norms(args, dim: int) -> tuple[NormKind, float]:
     dn = NormKind.INF if args.lam == "1" else NormKind.TWO
-    return dn, norm_ratio(NormKind.INF, dn, dim)
+    return dn, cube_reach(dn, dim)
 
 
 def _load_function(args):

@@ -10,8 +10,8 @@ from typing import Any
 
 
 class MalformedShape(ValueError):
-    """Geometry parameters are inconsistent (inverted or non-finite box, a
-    two-sided window where an oracle needs a one-sided one)."""
+    """A box's corners are inconsistent: of mismatched dimension,
+    non-finite or inverted."""
 
 
 class OutOfUniverse(ValueError):

@@ -21,40 +21,31 @@ import numpy as np
 
 from .corpus import CorpusFunction
 from .errors import BoundViolated, TubeInfeasible
-from .geometry import Gauge, NormKind, bisect_last, norm_batch, norm_ratio
+from .geometry import Gauge, NormKind, bisect_last, cube_reach, norm_batch
 from .measure import RadonMeasure, measure_box_batch
 from .quadrature import adaptive_box_quadrature_batch
 
 
-def shell_index_batch(X: np.ndarray, domain_norm: NormKind) -> np.ndarray:
-    """Per row, the unique n >= 1 with n-1 <= |x| < n."""
-    r = norm_batch(np.atleast_2d(np.asarray(X, dtype=float)), domain_norm)
-    return np.floor(r).astype(int) + 1
-
-
-def shell_budget(eps: float, n: int, mu: RadonMeasure) -> float:
-    """Per-shell mean-deviation budget eps * 2^(-n-2) / (1 + mu(universe)).
-
-    The universe is a bounded box, so mu(E_n) <= mu(universe) for every
-    shell E_n: no budget lies above the paper's eps * 2^(-n-2) / (1 + mu(E_n))
-    and the sum over shells stays under eps."""
-    if eps <= 0 or n < 1:
-        raise ValueError("need eps > 0 and n >= 1")
-    return eps * 2.0 ** (-n - 2) / (1.0 + mu.total)
+def value_bin(norms) -> np.ndarray:
+    """Half-open bins, per row: n - 1 <= norm < n, for the value bins of
+    ||f(x)|| and the spatial shells of |x|."""
+    return np.floor(norms).astype(int) + 1
 
 
 def shell_budget_table(eps: float, mu: RadonMeasure,
                        domain_norm: NormKind) -> np.ndarray:
-    """Budgets of shells 1..n_max, where n_max is the shell of the farthest
-    universe corner; entry n - 1 belongs to shell n."""
-    n_max = int(shell_index_batch(mu.universe.corners(), domain_norm).max())
-    return np.array([shell_budget(eps, n, mu)
-                     for n in range(1, n_max + 1)])
+    """Per-shell mean-deviation budgets eps * 2^(-n-2) / (1 + mu(universe))
+    of shells n = 1..n_max, where n_max is the shell of the universe's
+    farthest point; entry n - 1 belongs to shell n.
 
-
-def value_bin(norms) -> np.ndarray:
-    """Half-open value bins, per row: n - 1 <= ||f(x)|| < n."""
-    return np.floor(norms).astype(int) + 1
+    The universe is a bounded box, so mu(E_n) <= mu(universe) for every
+    shell E_n: no budget lies above the paper's eps * 2^(-n-2) / (1 + mu(E_n))
+    and the sum over shells stays under eps."""
+    if eps <= 0:
+        raise ValueError("need eps > 0")
+    far = np.maximum(np.abs(mu.universe.lo), np.abs(mu.universe.hi))
+    n = np.arange(1, int(value_bin(norm_batch(far[None], domain_norm))[0]) + 1)
+    return np.ldexp(eps, -n - 2) / (1.0 + mu.total)
 
 
 # share of eps the jump tubes may take, as measure per value bin and as
@@ -180,7 +171,7 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
     """Total gauge on the universe: tube-clearance halves on the jump set,
     certified shell-budget radii elsewhere.  The density must be uniform:
     the radii certify Lebesgue means."""
-    lam = norm_ratio(NormKind.INF, p.domain_norm, f.dim_in)
+    lam = cube_reach(p.domain_norm, f.dim_in)
     tubes = build_null_tubes(f, p.eps, mu)
 
     budgets_by_shell = shell_budget_table(p.eps, mu, p.domain_norm)
@@ -200,7 +191,7 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
 
     def batch(X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        shells = np.clip(shell_index_batch(X, p.domain_norm), 1, n_max)
+        shells = np.clip(value_bin(norm_batch(X, p.domain_norm)), 1, n_max)
         h = f.certified_halfside_batch(X, cert_budgets[shells - 1])
         # an infinite halfside is an uncapped reach; a NaN stays NaN, so
         # Gauge.delta_batch rejects it
@@ -217,7 +208,7 @@ def build_gauge(f: CorpusFunction, mu: RadonMeasure, p: GaugeBuildParams) -> Gau
         near = norm_batch(np.clip(0.0, los, his), p.domain_norm)
         far = norm_batch(np.maximum(-los, his), p.domain_norm)
         shells = np.arange(1, n_max + 1)
-        first, last = (np.clip(np.floor(v).astype(int) + 1, 1, n_max)[:, None]
+        first, last = (np.clip(value_bin(v), 1, n_max)[:, None]
                        for v in (near, far))
         meets = (first <= shells) & (shells <= last)
         b_lo = np.where(meets, cert_budgets, np.inf).min(axis=1)
@@ -296,7 +287,7 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
     """
     rng = np.random.default_rng(seed)
     dim = f.dim_in
-    lam = norm_ratio(NormKind.INF, p.domain_norm, dim)
+    lam = cube_reach(p.domain_norm, dim)
     report = SweepReport(fn=f.name, eps=p.eps)
     w0 = mu.w0
 
@@ -307,7 +298,7 @@ def soundness_sweep(f: CorpusFunction, g: Gauge, mu: RadonMeasure,
     X = X[~on_a]
 
     deltas = g.delta_batch(X)
-    shells = shell_index_batch(X, p.domain_norm)
+    shells = value_bin(norm_batch(X, p.domain_norm))
     # recomputed rather than read from the provenance, so the sweep stays an
     # independent check of the gauge
     table = shell_budget_table(p.eps, mu, p.domain_norm)

@@ -1,11 +1,11 @@
 """Norms, boxes and gauges.
 
-The domain norm (1, 2 or sup) measures how far a cell reaches from its tag;
-norm_ratio converts between norms, so a cube of half-side h about its tag
-reaches h * norm_ratio(INF, domain_norm, d).  Boxes are closed and
-axis-aligned.  A gauge is a batch map from points to sizes in (0, 1].
-bisect_last is the one bisection the gauge tubes and the compact sets
-solve their widths with, exact_parts the one exact sum of the totals.
+The domain norm (1, 2 or sup) measures how far a cell reaches from its tag:
+a cube of half-side h about its tag reaches h * cube_reach(domain_norm, d).
+Boxes are closed and axis-aligned.  A gauge is a batch map from points to
+sizes in (0, 1].  bisect_last is the one bisection the gauge tubes and the
+compact sets solve their widths with, exact_parts the one exact sum of the
+totals.
 
 Everything in this module is immutable and pure.
 """
@@ -43,23 +43,11 @@ def norm_batch(V: np.ndarray, kind: NormKind) -> np.ndarray:
     return np.abs(V).max(axis=1)
 
 
-def norm_ratio(src: NormKind, dst: NormKind, dim: int) -> float:
-    """Tight constant c with |x|_dst <= c * |x|_src for all x in R^dim.
-
-    Equivalently max of |x|_dst over the unit src-ball.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if src is dst or dim == 1:
-        return 1.0
-    pair = (src, dst)
-    if pair in ((NormKind.ONE, NormKind.TWO), (NormKind.ONE, NormKind.INF),
-                (NormKind.TWO, NormKind.INF)):
-        return 1.0
-    if pair in ((NormKind.TWO, NormKind.ONE), (NormKind.INF, NormKind.TWO)):
-        return math.sqrt(dim)
-    # INF -> ONE
-    return float(dim)
+def cube_reach(kind: NormKind, dim: int) -> float:
+    """Tight constant c with |x|_kind <= c * |x|_sup for all x in R^dim: how
+    far, per unit half-side, a cube reaches from its centre."""
+    return {NormKind.INF: 1.0, NormKind.TWO: math.sqrt(dim),
+            NormKind.ONE: float(dim)}[kind]
 
 
 def bisect_last(ok: Callable[[float], bool], lo: float, hi: float,
@@ -151,13 +139,6 @@ class Box:
         if any(a > b for a, b in zip(lo, hi)):
             return None
         return Box(lo, hi)
-
-    def corners(self) -> list[Point]:
-        """The 2^d corner points."""
-        pts: list[Point] = [()]
-        for a, b in zip(self.lo, self.hi):
-            pts = [p + (v,) for p in pts for v in (a, b)]
-        return pts
 
 
 # --------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DepthExceeded
-from .geometry import Box, Gauge, NormKind, exact_parts, norm_batch, norm_ratio
+from .geometry import Box, Gauge, NormKind, cube_reach, exact_parts, norm_batch
 from .measure import RadonMeasure, measure_box_batch
 
 # cells per chunk of every family walk: large enough that numpy calls
@@ -191,18 +191,6 @@ class Chunk(NamedTuple):
         return _geometry(universe, self.levels[rows], self.indices[rows])
 
 
-@dataclass(frozen=True)
-class SieveParams:
-    eta: float
-    max_depth: int = 24
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be nonnegative")
-
-
 @dataclass
 class TaggedFamily:
     """Finitely many interior-disjoint tagged cubes plus the uncovered rest.
@@ -314,26 +302,31 @@ def _decide_runs(g: Gauge, lo: np.ndarray, step: np.ndarray, level: int,
     return done, tuple(np.concatenate(a) for a in zip(*rest))
 
 
-def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
+def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, eta: float,
+                 max_depth: int = 24,
                  domain_norm: NormKind = NormKind.TWO) -> TaggedFamily:
     """Level-synchronous refinement until the uncovered measure drops to eta.
 
-    A cell is emitted once halfside * m(inf -> domain_norm) <= delta(center),
+    A cell is emitted once halfside * cube_reach(domain_norm) <= delta(center),
     non-strict, and the same test holds one level down at every child
     center; the extra look-ahead keeps one-step refinements of the output
     fine even where the gauge dips sharply.  Everything else splits into
-    its 2^d children.  The depth limit is p.max_depth, or one level above
+    its 2^d children.  The depth limit is max_depth, or one level above
     the key range if that is shallower, so that every refinement of the
     output still has keys.  DepthExceeded carries a sample of the stuck
     cells with their gauge values.  The density must be uniform.  Bounds of
     a 1-d gauge decide runs of KERNEL_ROWS cells or more whole or in halves.
     """
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    if max_depth < 0:
+        raise ValueError("max_depth must be nonnegative")
     _require_square(omega)
     dim = omega.dim
     side = float(omega.hi[0] - omega.lo[0])
-    ratio = norm_ratio(NormKind.INF, domain_norm, dim)
+    ratio = cube_reach(domain_norm, dim)
     signs = 2.0 * _CHILD_OFFSETS[dim] - 1.0
-    limit = min(p.max_depth, _key_depth_cap(dim) - 1)
+    limit = min(max_depth, _key_depth_cap(dim) - 1)
     uni_lo = np.asarray(omega.lo)[None, :]
 
     level = 0
@@ -343,7 +336,7 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
         scale = side * 2.0 ** -level
         cells = int(front[1].sum())
         residual = mu.w0 * scale ** dim * cells
-        if residual <= p.eta or cells == 0:
+        if residual <= eta or cells == 0:
             break
         if level > limit:
             a_lo, a_hi, centers = _geometry(omega, level, _indices(
@@ -355,7 +348,7 @@ def dyadic_sieve(omega: Box, g: Gauge, mu: RadonMeasure, p: SieveParams,
                       "needed": float(0.5 * scale * ratio)}
                      for i in range(len(centers))]
             raise DepthExceeded(
-                f"residual {residual:.3e} > eta {p.eta:.3e} at depth "
+                f"residual {residual:.3e} > eta {eta:.3e} at depth "
                 f"{limit} ({cells} cells stuck)", stuck=stuck)
 
         step, span = _steps(omega, level), _key_spans(level, dim)
@@ -474,9 +467,8 @@ class FamilyCheck:
     """
 
     def __init__(self, fam: TaggedFamily, mu: RadonMeasure, eta: float,
-                 cells: int | None = None, refined: bool = False):
+                 refined: bool = False):
         self.mu, self.eta, self.dim = mu, eta, fam.dim
-        self.cells = len(fam) if cells is None else cells
         self.residual = fam.residual_measure
         self.last = _key_depth_cap(fam.dim) if refined else None
         self.escapes = self.overlap = self.deep = self.off_center = False
@@ -539,8 +531,6 @@ class FamilyCheck:
             return fail(f"measure balance off: {balance} vs {total}")
         if self.residual > self.eta * (1 + 1e-12) + 1e-15:
             return fail(f"residual {self.residual} above eta {self.eta}")
-        notes["cells"] = self.cells
-        notes["residual"] = self.residual
         return True
 
 
@@ -671,9 +661,10 @@ def expand(c: Chunk, chosen: list[np.ndarray], universe: Box
 
 
 def random_dyadic_partition(omega: Box, rng: np.random.Generator,
-                            max_level: int = 5, stop_prob: float = 0.35,
-                            domain_norm: NormKind = NormKind.TWO) -> TaggedFamily:
-    """Full cover (residual 0) with randomly varied cell depths."""
+                            max_level: int = 5, stop_prob: float = 0.35
+                            ) -> TaggedFamily:
+    """Full cover (residual 0) with randomly varied cell depths, under the
+    Euclidean domain norm."""
     _require_square(omega)
     dim = omega.dim
     level = 0
@@ -694,7 +685,7 @@ def random_dyadic_partition(omega: Box, rng: np.random.Generator,
     runs = _runs(levels[order], keys[order], np.ones(len(keys), dtype=np.int64),
                  dim)
     # nothing is left uncovered: the residual frontier has no runs
-    return TaggedFamily(omega, domain_norm, *runs, 0.0, level, active, active)
+    return TaggedFamily(omega, NormKind.TWO, *runs, 0.0, level, active, active)
 
 
 # --------------------------------------------------------------------------

@@ -31,9 +31,9 @@ from .gauge import GaugeBuildParams, build_gauge, soundness_sweep
 from .geometry import Box, Gauge, NormKind, exact_parts
 from .measure import RadonMeasure, measure_box_batch
 from . import partition
-from .partition import (Chunk, FamilyCheck, SieveParams,
-                        TaggedFamily, check_cells, dyadic_sieve, expand,
-                        random_dyadic_partition, refinement_choice)
+from .partition import (Chunk, FamilyCheck, TaggedFamily, check_cells,
+                        dyadic_sieve, expand, random_dyadic_partition,
+                        refinement_choice)
 
 _REL = 1e-9
 # refined trials one walk of the base family carries; more trials take more
@@ -195,7 +195,7 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
     # the refinements split fam's cells, so fam's check needs each splittable
     trials = [_Trial(size, f, mu, threshold,
                      None if g is None else FamilyCheck(
-                         fam, mu, eta, size, refined=len(draws) > 1 and t == 0))
+                         fam, mu, eta, refined=len(draws) > 1 and t == 0))
               for t, size in enumerate(sizes)]
     for c in fam.chunks():
         cells = None if g is None else check_cells(c, g, fam)
@@ -340,8 +340,7 @@ def verify_theorem(f: CorpusFunction, mu: RadonMeasure, eps: float,
         eta = default_eta(f, eps, mu.w0)
     if max_depth is None:
         max_depth = default_sieve_depth(f.dim_in)
-    sp = SieveParams(eta=eta, max_depth=max_depth)
-    base = dyadic_sieve(mu.universe, g, mu, sp, domain_norm)
+    base = dyadic_sieve(mu.universe, g, mu, eta, max_depth, domain_norm)
 
     # refinement keeps the base's residual frontier, so its term is shared
     residual_abs = _residual_abs(base, f, mu)
@@ -419,8 +418,8 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
     """
     g = build_gauge(f, mu, GaugeBuildParams(eps=eps, domain_norm=domain_norm))
     eta = default_eta(f, eps, mu.w0)
-    sp = SieveParams(eta=eta, max_depth=default_sieve_depth(f.dim_in))
-    base = dyadic_sieve(mu.universe, g, mu, sp, domain_norm)
+    base = dyadic_sieve(mu.universe, g, mu, eta, default_sieve_depth(f.dim_in),
+                        domain_norm)
 
     walked = _walk(base, f, mu, g=g, eta=eta)[0]
     sums, notes = walked.sums(), {}
@@ -433,15 +432,12 @@ def verify_corollary(f: CorpusFunction, mu: RadonMeasure, eps: float,
     rng = np.random.default_rng(seed)
     worst = _family_mass(f, mu, base)
     for _ in range(n_random):
-        fam = random_dyadic_partition(mu.universe, rng,
-                                      max_level=min(6, default_sieve_depth(f.dim_in)),
-                                      domain_norm=domain_norm)
+        fam = random_dyadic_partition(mu.universe, rng, max_level=6)
         worst = max(worst, _family_mass(f, mu, fam))
 
     witness_level = max(1, f.aligned_depth)
     witness = random_dyadic_partition(mu.universe, rng,
-                                      max_level=witness_level, stop_prob=0.0,
-                                      domain_norm=domain_norm)
+                                      max_level=witness_level, stop_prob=0.0)
     witness_mass = _family_mass(f, mu, witness)
 
     residual = [exact_parts(v) for los, his in base.residual_boxes()

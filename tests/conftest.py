@@ -49,3 +49,15 @@ def cell_arrays(fam):
     levels, keys = run_cells(fam.levels, fam.starts, fam.counts, fam.dim)
     order = np.argsort(keys, kind="stable")
     return levels[order], keys[order]
+
+
+def last_passing(holds, x, toward):
+    """The float nearest x, moving toward `toward`, at which holds stops
+    changing: the last x where holds is True before it turns False one ulp
+    further on.  holds must be monotone along that direction."""
+    back = -toward
+    while not holds(x):
+        x = np.nextafter(x, back)
+    while holds(np.nextafter(x, toward)):
+        x = np.nextafter(x, toward)
+    return float(x), float(np.nextafter(x, toward))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -16,13 +17,11 @@ from morsegauge.gauge import (
     NullTube,
     build_gauge,
     build_null_tubes,
-    shell_budget,
     shell_budget_table,
-    shell_index_batch,
     soundness_sweep,
     value_bin,
 )
-from morsegauge.geometry import Box, NormKind
+from morsegauge.geometry import Box, NormKind, norm_batch
 from morsegauge.measure import RadonMeasure
 
 try:
@@ -43,21 +42,23 @@ def unit(f):
 # ---------------------------------------------------------------------------
 
 def test_shell_index_values():
-    got = shell_index_batch([[0.0], [0.5], [1.0], [-2.5]], NormKind.TWO)
+    # a point's shell is the value bin of its norm
+    got = value_bin(norm_batch([[0.0], [0.5], [1.0], [-2.5]], NormKind.TWO))
     assert list(got) == [1, 1, 2, 3]  # half-open at the top
-    got = shell_index_batch(np.array([[0.2], [1.7], [3.0]]), NormKind.TWO)
+    got = value_bin(norm_batch(np.array([[0.2], [1.7], [3.0]]), NormKind.TWO))
     assert list(got) == [1, 2, 4]
 
 
 def test_shell_budget_frozen():
     mu = RadonMeasure.unit(Box((-4.0,), (4.0,)))
-    # every shell's budget is taken over 1 + mu([-4, 4]) = 9
-    assert shell_budget(0.1, 1, mu) == pytest.approx(0.1 / 8 / 9)
-    assert shell_budget(0.1, 3, mu) == pytest.approx(0.1 * 2.0 ** -5 / 9)
+    table = shell_budget_table(0.1, mu, NormKind.TWO)
+    # every shell's budget is taken over 1 + mu([-4, 4]) = 9, out to the
+    # shell of the farthest point 4
+    assert len(table) == 5
+    assert table[0] == pytest.approx(0.1 / 8 / 9)
+    assert table[2] == pytest.approx(0.1 * 2.0 ** -5 / 9)
     with pytest.raises(ValueError):
-        shell_budget(0.0, 1, mu)
-    with pytest.raises(ValueError):
-        shell_budget(0.1, 0, mu)
+        shell_budget_table(0.0, mu, NormKind.TWO)
 
 
 # shell_budget_table on the corpus universes, by their measure: under the
@@ -89,8 +90,34 @@ def test_shell_budgets_are_summable():
     # sum over shells of 2^(-n-2) * (1 + mu(universe))^-1 * mu(shell) stays
     # below eps: each shell's mass is at most mu(universe)
     mu = RadonMeasure.unit(Box((-4.0,), (4.0,)))
-    total = sum(shell_budget(0.1, n, mu) * (1.0 + 8.0) for n in range(1, 12))
+    total = sum(shell_budget_table(0.1, mu, NormKind.TWO) * (1.0 + 8.0))
     assert total < 0.1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_shell_budget_table_reaches_the_farthest_corner(dim):
+    # the table ends at the largest shell over all 2^d corners, under every
+    # norm, on boxes that hold the origin, miss it, or lie in the negative
+    # orthant; each budget is eps * 2^(-n-2) / (1 + mu) bit for bit
+    rng = np.random.default_rng(dim)
+    ends = [np.sort(rng.uniform(-9.0, 9.0, size=(2, dim)), axis=0)
+            for _ in range(60)]
+    ends += [np.sort(rng.uniform(0.5, 9.0, size=(2, dim)), axis=0)
+             for _ in range(20)]
+    ends += [-np.sort(rng.uniform(0.0, 9.0, size=(2, dim)), axis=0)[::-1]
+             for _ in range(20)]
+    ends += [np.array([[-2.0] * dim, [-1.0] * dim]),
+             np.array([[0.25] * dim, [1.0] * dim])]
+    for lo, hi in ends:
+        box = Box(tuple(lo.tolist()), tuple(hi.tolist()))
+        mu = RadonMeasure.unit(box)
+        corners = np.array(list(itertools.product(*zip(box.lo, box.hi))))
+        for kind in NormKind:
+            table = shell_budget_table(0.3, mu, kind)
+            assert len(table) == value_bin(norm_batch(corners, kind)).max(), \
+                (box, kind)
+            assert table.tolist() == [0.3 * 2.0 ** (-n - 2) / (1.0 + mu.total)
+                                      for n in range(1, len(table) + 1)]
 
 
 def test_value_bin():
@@ -404,7 +431,8 @@ def _jump_probe_points(f):
                 y[k] = math.nextafter(y[k], to) if y[k] else \
                     math.copysign(2.0 ** -52, to)
                 pts.append(y)
-    pts += [np.asarray(c, dtype=float) for c in f.universe.corners()]
+    pts += [np.asarray(c, dtype=float)
+            for c in itertools.product(*zip(f.universe.lo, f.universe.hi))]
     P = np.unique(np.array(pts), axis=0)
     lo = np.asarray(f.universe.lo)
     hi = np.asarray(f.universe.hi)

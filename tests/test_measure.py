@@ -13,7 +13,7 @@ from morsegauge.measure import (
     measure_box_clipped,
     measure_box_exact,
 )
-from morsegauge.partition import SieveParams, dyadic_sieve
+from morsegauge.partition import dyadic_sieve
 
 UNIT_1D = Box(lo=(0.0,), hi=(1.0,))
 
@@ -75,4 +75,4 @@ def test_float_paths_reject_a_graded_density():
     with pytest.raises(PreconditionUncertified):
         measure_box_batch(mu, np.array([[0.0]]), np.array([[0.5]]))
     with pytest.raises(PreconditionUncertified):
-        dyadic_sieve(UNIT_1D, constant_gauge(1.0), mu, SieveParams(eta=0.1))
+        dyadic_sieve(UNIT_1D, constant_gauge(1.0), mu, 0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import cell_arrays, constant_gauge, run_cells
+from conftest import cell_arrays, constant_gauge, last_passing, run_cells
 
 from morsegauge import partition
 from morsegauge.corpus import corpus_function
@@ -16,7 +17,6 @@ from morsegauge.gauge import GaugeBuildParams, build_gauge
 from morsegauge.geometry import Box, Gauge, NormKind, norm_batch
 from morsegauge.measure import RadonMeasure, measure_box_batch
 from morsegauge.partition import (
-    SieveParams,
     dyadic_sieve,
     random_dyadic_partition,
     refine_family,
@@ -72,7 +72,7 @@ def cell_measures(fam, mu):
 
 def test_sieve_step2_two_cells():
     f, mu, g = gauge_for("step2")
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    fam = dyadic_sieve(f.universe, g, mu, 0.01)
     assert len(fam) == 2
     assert depth_histogram(fam) == {1: 2}
     assert fam.residual_measure == 0.0
@@ -81,7 +81,7 @@ def test_sieve_step2_two_cells():
 
 def test_sieve_checker_sixteen_cells():
     f, mu, g = gauge_for("checker2d")
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    fam = dyadic_sieve(f.universe, g, mu, 0.01)
     assert len(fam) == 16
     assert depth_histogram(fam) == {2: 16}
     assert verify_family(fam, g, mu, eta=0.01)
@@ -89,7 +89,7 @@ def test_sieve_checker_sixteen_cells():
 
 def test_sieve_linear1_uniform_depth():
     f, mu, g = gauge_for("linear1")
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    fam = dyadic_sieve(f.universe, g, mu, 0.01)
     # constant gauge 0.01125: level 6 cells (half-side 1/128) pass the
     # look-ahead, level 5 does not
     assert len(fam) == 64
@@ -99,7 +99,7 @@ def test_sieve_linear1_uniform_depth():
 
 def test_sieve_canonical_order_and_exact_measures():
     f, mu, g = gauge_for("checker2d")
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    fam = dyadic_sieve(f.universe, g, mu, 0.01)
     assert np.all(np.diff(derived(fam, "keys")) > 0)
     ms = cell_measures(fam, mu)
     assert math.fsum(ms) + fam.residual_measure == 1.0
@@ -108,7 +108,7 @@ def test_sieve_canonical_order_and_exact_measures():
 def test_sieve_respects_eta_without_full_cover():
     g = constant_gauge(1.0)
     mu = unit(UNIT_2D)
-    fam = dyadic_sieve(UNIT_2D, g, mu, SieveParams(eta=2.0))
+    fam = dyadic_sieve(UNIT_2D, g, mu, 2.0)
     # everything already within budget: nothing needs to be emitted
     assert len(fam) == 0
     assert fam.residual_measure == 1.0
@@ -120,7 +120,7 @@ def test_sieve_depth_exceeded_carries_stuck_cells():
     mu = RadonMeasure.unit(f.universe)
     g = build_gauge(f, mu, GaugeBuildParams(eps=0.1))
     with pytest.raises(DepthExceeded) as exc:
-        dyadic_sieve(f.universe, g, mu, SieveParams(eta=1e-6, max_depth=8))
+        dyadic_sieve(f.universe, g, mu, 1e-6, 8)
     stuck = exc.value.stuck
     assert stuck
     for item in stuck:
@@ -135,21 +135,21 @@ def test_sieve_rejects_non_square_universe():
     g = constant_gauge(1.0)
     box = Box((0.0, 0.0), (1.0, 2.0))
     with pytest.raises(ValueError):
-        dyadic_sieve(box, g, unit(box), SieveParams(eta=0.1))
+        dyadic_sieve(box, g, unit(box), 0.1)
 
 
 def test_sieve_params_validation():
-    with pytest.raises(ValueError):
-        SieveParams(eta=0.0)
-    with pytest.raises(ValueError):
-        SieveParams(eta=0.1, max_depth=-1)
+    g, mu = constant_gauge(1.0), unit(UNIT_1D)
+    with pytest.raises(ValueError, match="eta must be positive"):
+        dyadic_sieve(UNIT_1D, g, mu, 0.0)
+    with pytest.raises(ValueError, match="max_depth must be nonnegative"):
+        dyadic_sieve(UNIT_1D, g, mu, 0.1, max_depth=-1)
 
 
 def sieve_for(name, eps):
     f, mu, g = gauge_for(name, eps)
-    return dyadic_sieve(f.universe, g, mu, SieveParams(
-        eta=default_eta(f, eps, mu.w0),
-        max_depth=default_sieve_depth(f.dim_in)))
+    return dyadic_sieve(f.universe, g, mu, default_eta(f, eps, mu.w0),
+                        default_sieve_depth(f.dim_in))
 
 
 def residual_keys(fam):
@@ -219,11 +219,10 @@ def test_sieve_memory_does_not_grow_with_the_family():
     # tracemalloc peak of the spike1 @0.01 sieve: 99.0 MB when the sieve
     # built whole cell arrays, 8.6 MB with runs
     f, mu, g = gauge_for("spike1", 0.01)
-    p = SieveParams(eta=default_eta(f, 0.01, mu.w0),
-                    max_depth=default_sieve_depth(f.dim_in))
+    eta, depth = default_eta(f, 0.01, mu.w0), default_sieve_depth(f.dim_in)
     tracemalloc.start()
     try:
-        fam = dyadic_sieve(f.universe, g, mu, p)
+        fam = dyadic_sieve(f.universe, g, mu, eta, depth)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -257,7 +256,7 @@ def test_with_cells_keeps_corrupt_cells_as_given():
 @pytest.mark.parametrize("name", ["step2", "checker2d", "linear1", "lipschitz2d"])
 def test_one_step_refinement_stays_verified(name, rng):
     f, mu, g = gauge_for(name)
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    fam = dyadic_sieve(f.universe, g, mu, 0.01)
     split_all = refine_family(fam, 1.0, rng)
     assert len(split_all) == len(fam) * 2 ** f.dim_in
     assert verify_family(split_all, g, mu, eta=0.01)
@@ -267,7 +266,7 @@ def test_one_step_refinement_stays_verified(name, rng):
 
 def test_refinement_preserves_mass(rng):
     f, mu, g = gauge_for("checker2d")
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    fam = dyadic_sieve(f.universe, g, mu, 0.01)
     ref = refine_family(fam, 0.5, rng)
     assert math.fsum(cell_measures(ref, mu)) == pytest.approx(
         math.fsum(cell_measures(fam, mu)), abs=1e-15)
@@ -386,7 +385,7 @@ def graded_1d_family():
     61, one under the 62-level key cap of 1-d."""
     g = Gauge(batch=lambda X: np.maximum(np.abs(X[:, 0]) / 4.0, 2.0 ** -62))
     mu = unit(UNIT_1D)
-    fam = dyadic_sieve(UNIT_1D, g, mu, SieveParams(eta=1e-30, max_depth=61))
+    fam = dyadic_sieve(UNIT_1D, g, mu, 1e-30, 61)
     return fam, g, mu
 
 
@@ -513,7 +512,7 @@ def test_random_partition_full_cover(rng):
 
 def test_verifier_rejects_overlap(rng):
     f, mu, g = gauge_for("checker2d")
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    fam = dyadic_sieve(f.universe, g, mu, 0.01)
     bad = sabotage_overlap(fam, rng)
     notes = {}
     assert not verify_family(bad, g, mu, eta=0.01, report=notes)
@@ -522,7 +521,7 @@ def test_verifier_rejects_overlap(rng):
 
 def test_verifier_rejects_offcenter_tags(rng):
     f, mu, g = gauge_for("checker2d")
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    fam = dyadic_sieve(f.universe, g, mu, 0.01)
     bad = sabotage_offcenter(fam, rng)
     notes = {}
     assert not verify_family(bad, g, mu, eta=0.01, report=notes)
@@ -545,8 +544,8 @@ def test_sabotage_hooks_build_the_whole_family_cells(name, eps):
     # one, and build the same cells as a rewrite of the whole family's
     # cell arrays
     f, mu, g = gauge_for(name, eps)
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(
-        eta=default_eta(f, eps, mu.w0), max_depth=default_sieve_depth(f.dim_in)))
+    fam = dyadic_sieve(f.universe, g, mu, default_eta(f, eps, mu.w0),
+                       default_sieve_depth(f.dim_in))
     n, offsets = len(fam), np.cumsum(fam.counts)
     levels, keys = run_cells(fam.levels, fam.starts, fam.counts, fam.dim)
     assert len(fam.starts) > 1 or name == "linear1"
@@ -582,7 +581,7 @@ def test_verifier_rejects_keys_out_of_order(chunk, monkeypatch):
     # with 4-cell chunks, cells 3 and 4 sit on either side of a boundary
     monkeypatch.setattr(partition, "CHUNK_CELLS", chunk)
     f, mu, g = gauge_for("checker2d")
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    fam = dyadic_sieve(f.universe, g, mu, 0.01)
     order = np.arange(len(fam))
     order[[3, 4]] = order[[4, 3]]
     levels, keys = cell_arrays(fam)
@@ -596,8 +595,7 @@ def test_verifier_rejects_keys_out_of_order(chunk, monkeypatch):
 def test_verify_family_is_chunk_size_free(name, eps, monkeypatch):
     f, mu, g = gauge_for(name, eps)
     eta = default_eta(f, eps, mu.w0)
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(
-        eta=eta, max_depth=default_sieve_depth(f.dim_in)))
+    fam = dyadic_sieve(f.universe, g, mu, eta, default_sieve_depth(f.dim_in))
     assert len(fam) > 7
     cases = [(fam, g), (fam, g.scaled(0.5)),
              (refine_family(fam, 0.3, np.random.default_rng(1)), g),
@@ -629,7 +627,7 @@ def test_verifier_rejects_nan_gauge(rng):
 
 def test_verifier_rejects_shrunken_gauge():
     f, mu, g = gauge_for("step2")
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    fam = dyadic_sieve(f.universe, g, mu, 0.01)
     tight = g.scaled(1e-3)
     notes = {}
     assert not verify_family(fam, tight, mu, eta=0.01, report=notes)
@@ -639,7 +637,7 @@ def test_verifier_rejects_shrunken_gauge():
 def test_verifier_rejects_escaping_cell():
     g = constant_gauge(1.0)
     mu = unit(UNIT_1D)
-    fam = dyadic_sieve(UNIT_1D, g, mu, SieveParams(eta=1e-9))
+    fam = dyadic_sieve(UNIT_1D, g, mu, 1e-9)
     # bit 62 lies above the 1-d key range: the last cell's index leaves
     # the grid
     levels, keys = cell_arrays(fam)
@@ -655,7 +653,7 @@ def test_verifier_rejects_escaping_cell():
 def test_verifier_rejects_residual_above_eta():
     g = constant_gauge(1.0)
     mu = unit(UNIT_2D)
-    fam = dyadic_sieve(UNIT_2D, g, mu, SieveParams(eta=0.5))
+    fam = dyadic_sieve(UNIT_2D, g, mu, 0.5)
     # demand a smaller eta at verification time than was sieved for
     notes = {}
     ok = verify_family(fam, g, mu, eta=1e-9, report=notes)
@@ -670,8 +668,9 @@ def test_verifier_rejects_residual_above_eta():
 ], ids=["1d-inf", "2d-two"])
 def test_verify_family_fineness_is_non_strict(rng, universe, domain_norm):
     # circumradius exactly equal to delta must count as fine
-    fam = random_dyadic_partition(universe, rng, max_level=3, stop_prob=0.0,
-                                  domain_norm=domain_norm)
+    fam = dataclasses.replace(
+        random_dyadic_partition(universe, rng, max_level=3, stop_prob=0.0),
+        domain_norm=domain_norm)
     mu = unit(universe)
     far = np.full((1, universe.dim), 0.5 ** 4)
     circ = float(norm_batch(far, domain_norm)[0])
@@ -680,3 +679,85 @@ def test_verify_family_fineness_is_non_strict(rng, universe, domain_norm):
     tight = constant_gauge(np.nextafter(circ, 0.0))
     assert not verify_family(fam, tight, mu, eta=1e-12, report=notes)
     assert "fine" in notes["reason"]
+
+
+@pytest.mark.parametrize("universe", [UNIT_1D, Box((-1.0,), (1.0,))],
+                         ids=["total-1", "total-2"])
+def test_verdict_balance_flips_just_past_its_tolerance(universe):
+    # the balance test allows 1e-9 * max(1, |total|) either way, no more
+    mu = unit(universe)
+    fam = random_dyadic_partition(universe, np.random.default_rng(0),
+                                  max_level=2)
+    total = float(mu.total)
+    tol = 1e-9 * max(1.0, abs(total))
+    for toward in (np.inf, -np.inf):
+        inside, outside = last_passing(
+            lambda m: abs(m + fam.residual_measure - total) <= tol,
+            total + np.sign(toward) * tol, toward)
+        assert partition.FamilyCheck(fam, mu, 0.1).verdict(inside)
+        notes = {}
+        assert not partition.FamilyCheck(fam, mu, 0.1).verdict(outside, notes)
+        assert notes["reason"].startswith("measure balance off")
+
+
+def test_verdict_residual_flips_just_past_eta():
+    # a residual up to eta * (1 + 1e-12) + 1e-15 passes, one ulp more fails
+    mu, eta = unit(UNIT_1D), 0.01
+    edge = eta * (1 + 1e-12) + 1e-15
+    fam = random_dyadic_partition(UNIT_1D, np.random.default_rng(0),
+                                  max_level=2)
+    for residual, want in ((edge, True), (np.nextafter(edge, np.inf), False)):
+        check = partition.FamilyCheck(
+            dataclasses.replace(fam, residual_measure=float(residual)), mu, eta)
+        notes = {}
+        assert check.verdict(1.0 - residual, notes) is want, residual
+        assert want or notes["reason"].startswith("residual")
+
+
+@pytest.mark.parametrize("universe", [UNIT_1D, UNIT_2D], ids=["1d", "2d"])
+def test_tag_on_the_inner_ball_radius_passes(universe):
+    # a tag moved along axis 0 by exactly the inner-ball radius, half the
+    # cell's side, is inside; 1e-14 further it is not
+    fam = random_dyadic_partition(universe, np.random.default_rng(0),
+                                  max_level=2, stop_prob=0.0)
+    mu, g = unit(universe), constant_gauge(1.0)
+    c = next(fam.chunks())
+    pos = np.array([1, len(fam) - 1])
+    for push, want in ((0.0, True), (1e-14, False)):
+        tags = c.tags[pos].copy()
+        tags[:, 0] += 0.5 * (c.his[pos, 0] - c.los[pos, 0]) + push
+        moved = dataclasses.replace(fam, tag_override=(pos, tags))
+        inner = norm_batch(tags - 0.5 * (c.los[pos] + c.his[pos]),
+                           fam.domain_norm)
+        assert np.all(inner == 0.5 * (c.his[pos, 0] - c.los[pos, 0]) + push)
+        notes = {}
+        assert verify_family(moved, g, mu, eta=1e-12, report=notes) is want
+        assert want or notes["reason"] == "tag outside the inner ball of its cell"
+
+
+@pytest.mark.parametrize("gap, escapes", [(5e-13, False), (2e-12, True)])
+def test_check_cells_containment_slack(gap, escapes):
+    # a corner up to 1e-12 outside the universe is rounding, beyond it an escape
+    fam = random_dyadic_partition(UNIT_2D, np.random.default_rng(0),
+                                  max_level=1, stop_prob=0.0)
+    c = next(fam.chunks())
+    los, his = c.los.copy(), c.his.copy()
+    los[0, 0] -= gap  # below 0 on axis 0
+    his[3, 1] += gap  # above 1 on axis 1
+    moved = c._replace(los=los, his=his, tags=0.5 * (los + his))
+    found = partition.check_cells(moved, constant_gauge(1.0), fam)
+    assert found.bad is escapes
+    if escapes:
+        assert found.escapes.tolist() == [True, False, False, True]
+
+
+def test_check_cells_fineness_is_non_strict():
+    # a circumradius equal to the gauge is fine, so a pool of such cells
+    # keeps no per-cell arrays; one ulp of gauge less fails them all
+    fam = random_dyadic_partition(UNIT_2D, np.random.default_rng(0),
+                                  max_level=2, stop_prob=0.0)
+    c = next(fam.chunks())
+    circ = float(norm_batch(np.full((1, 2), 0.125), fam.domain_norm)[0])
+    assert not partition.check_cells(c, constant_gauge(circ), fam).bad
+    tight = partition.check_cells(c, constant_gauge(np.nextafter(circ, 0.0)), fam)
+    assert tight.bad and np.all(tight.circ > tight.delta)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cell_arrays, constant_gauge
+from conftest import cell_arrays, constant_gauge, last_passing
 
 from morsegauge import partition, riemann
 from morsegauge.corpus import corpus_function
@@ -17,7 +17,6 @@ from morsegauge.gauge import GaugeBuildParams, build_gauge
 from morsegauge.geometry import Box, Gauge, NormKind
 from morsegauge.measure import RadonMeasure
 from morsegauge.partition import (
-    SieveParams,
     dyadic_sieve,
     random_dyadic_partition,
     refine_family,
@@ -81,7 +80,7 @@ def test_two_cell_truncation_profile(rng):
 def test_simple_sum_empty_family():
     f = corpus_function("step2")
     mu = unit(f)
-    fam = dyadic_sieve(f.universe, constant_gauge(1.0), mu, SieveParams(eta=2.0))
+    fam = dyadic_sieve(f.universe, constant_gauge(1.0), mu, 2.0)
     assert len(fam) == 0
     rep = build_report(fam, f, mu, eps=0.1, trial=0)
     assert np.array_equal(rep.simple, np.zeros(2))
@@ -114,7 +113,7 @@ def test_build_report_chain_inequalities():
     f = corpus_function("checker2d")
     mu = unit(f)
     g = build_gauge(f, mu, GaugeBuildParams(eps=0.1))
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=default_eta(f, 0.1, 1.0)))
+    fam = dyadic_sieve(f.universe, g, mu, default_eta(f, 0.1, 1.0))
     rep = build_report(fam, f, mu, eps=0.1, trial=0)
     assert rep.ok(), rep.pass_flags
     gap = f.ynorm(np.asarray(rep.exact) - np.asarray(rep.simple))
@@ -179,7 +178,7 @@ def test_report_json_roundtrip():
     f = corpus_function("step2")
     mu = unit(f)
     g = build_gauge(f, mu, GaugeBuildParams(eps=0.1))
-    fam = dyadic_sieve(f.universe, g, mu, SieveParams(eta=0.01))
+    fam = dyadic_sieve(f.universe, g, mu, 0.01)
     rep = build_report(fam, f, mu, eps=0.1, trial=3)
     blob = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
     assert blob["fn"] == "step2"
@@ -197,8 +196,8 @@ def test_build_report_is_chunk_size_free(name, eps, monkeypatch):
     f = corpus_function(name)
     mu = unit(f)
     g = build_gauge(f, mu, GaugeBuildParams(eps=eps))
-    base = dyadic_sieve(f.universe, g, mu, SieveParams(
-        eta=default_eta(f, eps, 1.0), max_depth=default_sieve_depth(f.dim_in)))
+    base = dyadic_sieve(f.universe, g, mu, default_eta(f, eps, 1.0),
+                        default_sieve_depth(f.dim_in))
     families = [base, refine_family(base, 0.15, np.random.default_rng(4))]
 
     def reports(chunk):
@@ -263,8 +262,7 @@ def sieved(f, eps):
     mu = unit(f)
     g = build_gauge(f, mu, GaugeBuildParams(eps=eps))
     eta = default_eta(f, eps, mu.w0)
-    base = dyadic_sieve(f.universe, g, mu, SieveParams(
-        eta=eta, max_depth=default_sieve_depth(f.dim_in)))
+    base = dyadic_sieve(f.universe, g, mu, eta, default_sieve_depth(f.dim_in))
     return g, eta, base
 
 
@@ -516,7 +514,7 @@ def test_corrupt_family_is_named_by_the_verifier(corrupt, reason, monkeypatch):
     # the corrupt cell is one the refined trial splits; the walk stops
     # evaluating and expanding at the first failing chunk of the base, so
     # spike1's deviation oracle sees no box outside the universe or across
-    # 0, raises no MalformedShape, and no cell past the key range is split
+    # 0, and no cell past the key range is split
     monkeypatch.setattr(partition, "CHUNK_CELLS", 256)
     f = corpus_function("spike1")
     mu = unit(f)
@@ -670,3 +668,35 @@ def test_report_bytes_do_not_depend_on_blas_threads():
                                    capture_output=True, check=True,
                                    timeout=300).stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("name", ["step2", "checker2d"])
+def test_corollary_mass_flags_flip_just_past_their_edges(name, monkeypatch):
+    # on these entries the worst family and the witness both catch the whole
+    # mass, so with abs_total set a few ulps either way of each edge only
+    # that edge's flag flips: mass_bounded allows worst up to abs_total +
+    # 1e-9, witness_near_total a witness down to abs_total - eps / 2
+    f, eps = corpus_function(name), 0.1
+    rep = verify_corollary(f, unit(f), eps=eps, seed=2, n_random=4)
+    worst, witness = rep.worst_family_mass, rep.witness_mass
+    assert worst == pytest.approx(rep.abs_total, rel=1e-12)
+    assert witness == pytest.approx(rep.abs_total, rel=1e-12)
+
+    def flags_at(abs_total):
+        monkeypatch.setattr(f, "abs_total", lambda: abs_total)
+        try:
+            got = verify_corollary(f, unit(f), eps=eps, seed=2, n_random=4)
+        except BoundViolated as e:
+            got = e.report
+        assert (got.worst_family_mass, got.witness_mass) == (worst, witness)
+        return got.pass_flags
+
+    edges = [("mass_bounded", lambda a: worst <= a + 1e-9, worst - 1e-9,
+              -np.inf),
+             ("witness_near_total", lambda a: witness >= a - 0.5 * eps,
+              witness + 0.5 * eps, np.inf)]
+    for flag, holds, near, toward in edges:
+        inside, outside = last_passing(holds, near, toward)
+        assert all(flags_at(inside).values()), flag
+        flags = flags_at(outside)
+        assert [k for k, v in flags.items() if not v] == [flag]

@@ -10,10 +10,9 @@ from morsegauge import partition
 from morsegauge.corpus import corpus_function, corpus_names
 from morsegauge.errors import DepthExceeded
 from morsegauge.gauge import GaugeBuildParams, build_gauge
-from morsegauge.geometry import NormKind, norm_ratio
+from morsegauge.geometry import NormKind, cube_reach
 from morsegauge.measure import RadonMeasure
 from morsegauge.partition import (
-    SieveParams,
     TaggedFamily,
     _CHILD_OFFSETS,
     _coords,
@@ -29,14 +28,14 @@ from morsegauge.partition import (
 from morsegauge.riemann import default_eta, default_sieve_depth
 
 
-def reference_sieve(omega, g, mu, p, domain_norm=NormKind.TWO):
+def reference_sieve(omega, g, mu, eta, max_depth, domain_norm=NormKind.TWO):
     """The sieve that tests every frontier cell, CHUNK_CELLS at a time: its
     center against the gauge, then its children's centers."""
     dim = omega.dim
     side = float(omega.hi[0] - omega.lo[0])
-    ratio = norm_ratio(NormKind.INF, domain_norm, dim)
+    ratio = cube_reach(domain_norm, dim)
     signs = 2.0 * _CHILD_OFFSETS[dim] - 1.0
-    limit = min(p.max_depth, _key_depth_cap(dim) - 1)
+    limit = min(max_depth, _key_depth_cap(dim) - 1)
     uni_lo = np.asarray(omega.lo)[None, :]
 
     level = 0
@@ -46,7 +45,7 @@ def reference_sieve(omega, g, mu, p, domain_norm=NormKind.TWO):
         scale = side * 2.0 ** -level
         cells = int(front[1].sum())
         residual = mu.w0 * scale ** dim * cells
-        if residual <= p.eta or cells == 0:
+        if residual <= eta or cells == 0:
             break
         if level > limit:
             a_lo, a_hi, centers = _geometry(omega, level, _indices(
@@ -58,7 +57,7 @@ def reference_sieve(omega, g, mu, p, domain_norm=NormKind.TWO):
                       "needed": float(0.5 * scale * ratio)}
                      for i in range(len(centers))]
             raise DepthExceeded(
-                f"residual {residual:.3e} > eta {p.eta:.3e} at depth "
+                f"residual {residual:.3e} > eta {eta:.3e} at depth "
                 f"{limit} ({cells} cells stuck)", stuck=stuck)
 
         step, span = _steps(omega, level), _key_spans(level, dim)
@@ -97,8 +96,8 @@ def setting(name, eps, norm=NormKind.TWO):
     f = corpus_function(name)
     mu = RadonMeasure.unit(f.universe)
     g = build_gauge(f, mu, GaugeBuildParams(eps=eps, domain_norm=norm))
-    p = SieveParams(eta=default_eta(f, eps, mu.w0),
-                    max_depth=default_sieve_depth(f.dim_in))
+    # the sieve's eta and max_depth
+    p = default_eta(f, eps, mu.w0), default_sieve_depth(f.dim_in)
     return f, mu, g, p
 
 
@@ -117,13 +116,13 @@ def test_run_sieve_equals_the_cell_sieve(name, eps, norm, kernel_rows,
                                          monkeypatch):
     f, mu, g, p = setting(name, eps, norm)
     if (name, eps, norm) not in _REFERENCE:
-        _REFERENCE[name, eps, norm] = reference_sieve(f.universe, g, mu, p,
+        _REFERENCE[name, eps, norm] = reference_sieve(f.universe, g, mu, *p,
                                                       norm)
     want = _REFERENCE[name, eps, norm]
     if kernel_rows is not None:
         # the run path and its halving reach small families and run edges
         monkeypatch.setattr(partition, "KERNEL_ROWS", kernel_rows)
-    got = dyadic_sieve(f.universe, g, mu, p, norm)
+    got = dyadic_sieve(f.universe, g, mu, *p, norm)
     for field in ("levels", "starts", "counts", "residual_starts",
                   "residual_counts"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
@@ -134,11 +133,11 @@ def test_run_sieve_equals_the_cell_sieve(name, eps, norm, kernel_rows,
 def test_key_cap_stops_the_run_sieve_as_the_cell_sieve():
     # run-theorem --fn spike1 --eps 0.5 --eta 1e-25 --max-depth 70
     f, mu, g, _ = setting("spike1", 0.5)
-    p = SieveParams(eta=1e-25, max_depth=70)
+    p = 1e-25, 70
     errors = []
     for sieve in (reference_sieve, dyadic_sieve):
         with pytest.raises(DepthExceeded) as exc:
-            sieve(f.universe, g, mu, p)
+            sieve(f.universe, g, mu, *p)
         errors.append(exc.value)
     assert str(errors[0]) == str(errors[1])
     assert errors[0].stuck == errors[1].stuck
@@ -216,7 +215,7 @@ def test_run_sieve_evaluates_few_gauge_points():
         return g.batch(X)
 
     fam = dyadic_sieve(f.universe, dataclasses.replace(g, batch=counting),
-                       mu, p)
+                       mu, *p)
     assert len(fam) == 40_029_702
     # 188M when every frontier cell was tested
     assert sum(points) <= 3_000_000, sum(points)
