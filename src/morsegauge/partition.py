@@ -21,10 +21,10 @@ piece of the chunk's cells and those children, the family itself being the
 refinement that splits nothing, so one walk of a family carries all its trials.
 The checks split in two: check_cells runs the per-cell checks once per distinct
 cell, and FamilyCheck runs the order and balance checks per family, piece by
-piece, so a walk that sums a report over the family can check it in the same
-pass; verify_family is that check on its own.  Its disjointness certificate is
-that consecutive key ranges do not collide, and a bit-interleaving reference in
-the tests pins the keys.
+piece, on key ranges a walk derives once per pool, so a walk that sums a report
+over the family can check it in the same pass; verify_family is that check on
+its own.  Its disjointness certificate is that consecutive key ranges do not
+collide, and a bit-interleaving reference in the tests pins the keys.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def _geometry(omega: Box, levels, indices: np.ndarray
 class Chunk(NamedTuple):
     """Cells start .. start + len(levels) - 1 of a family, with their
     derived geometry.  The children expand() gives leave los, his and tags
-    as None, for geometry() to derive a batch at a time."""
+    as None, for batches() to derive a batch at a time."""
 
     start: int
     levels: np.ndarray
@@ -183,12 +183,22 @@ class Chunk(NamedTuple):
     his: np.ndarray | None
     tags: np.ndarray | None
 
-    def geometry(self, universe: Box, rows: slice = slice(None)
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Lower corners, upper corners and tags of the cells in rows."""
-        if self.los is not None:
-            return self.los[rows], self.his[rows], self.tags[rows]
-        return _geometry(universe, self.levels[rows], self.indices[rows])
+    def batches(self, universe: Box) -> Iterator[tuple]:
+        """Rows, lower corners, upper corners and tags, KERNEL_ROWS cells at a time."""
+        for start in range(0, len(self.levels), KERNEL_ROWS):
+            rows = slice(start, start + KERNEL_ROWS)
+            if self.los is not None:
+                yield rows, self.los[rows], self.his[rows], self.tags[rows]
+            else:
+                yield rows, *_geometry(universe, self.levels[rows],
+                                       self.indices[rows])
+
+    def ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's key range [start, end): it owns its key with the
+        bits below its level cleared, the same truncation its index takes."""
+        spans = _key_spans(self.levels, self.indices.shape[1])
+        starts = self.keys & -spans
+        return starts, starts + spans
 
 
 @dataclass
@@ -426,25 +436,33 @@ def _cell_checks(tags, escapes, off_center, circ, delta) -> CellChecks:
     return CellChecks()
 
 
-def check_cells(c: Chunk, g: Gauge, fam: TaggedFamily) -> CellChecks:
+def check_cells(c: Chunk, g: Gauge, fam: TaggedFamily,
+                each: Callable | None = None) -> CellChecks:
     """Containment in fam's universe, the tag inside the inner ball and the
     circumradius about the tag against the gauge, for each cell of c, a
-    KERNEL_ROWS batch at a time."""
+    KERNEL_ROWS batch at a time: a batch whose cells all pass is let go, and
+    only a pool with a failing cell is checked again, whole, for its arrays.
+    each(rows, los, his, tags) gets each batch, so a caller that evaluates
+    the cells too derives their corners and tags once."""
     lo, hi = np.asarray(fam.universe.lo), np.asarray(fam.universe.hi)
-    batches = []
-    for start in range(0, max(len(c.levels), 1), KERNEL_ROWS):
-        los, his, tags = c.geometry(fam.universe,
-                                    slice(start, start + KERNEL_ROWS))
+
+    def checks(los, his, tags):
         inner = norm_batch(tags - 0.5 * (los + his), fam.domain_norm)
-        batches.append((
-            tags,
-            np.any(los < lo - 1e-12, axis=1) | np.any(his > hi + 1e-12, axis=1),
-            inner > 0.5 * (his - los).min(axis=1) + 1e-15,
-            norm_batch(np.maximum(his - tags, tags - los), fam.domain_norm),
-            g.delta_batch(tags)))
-    if len(batches) == 1:
-        return _cell_checks(*batches[0])
-    return _cell_checks(*(np.concatenate(a) for a in zip(*batches)))
+        return (tags,
+                np.any(los < lo - 1e-12, axis=1) | np.any(his > hi + 1e-12, axis=1),
+                inner > 0.5 * (his - los).min(axis=1) + 1e-15,
+                norm_batch(np.maximum(his - tags, tags - los), fam.domain_norm),
+                g.delta_batch(tags))
+
+    passed = True
+    for rows, *box in c.batches(fam.universe):
+        if each is not None:
+            each(rows, *box)
+        passed = passed and not _cell_checks(*checks(*box)).bad
+    if passed:
+        return CellChecks()
+    return _cell_checks(*map(np.concatenate, zip(*(
+        checks(*box) for _, *box in c.batches(fam.universe)))))
 
 
 class FamilyCheck:
@@ -468,25 +486,21 @@ class FamilyCheck:
 
     def __init__(self, fam: TaggedFamily, mu: RadonMeasure, eta: float,
                  refined: bool = False):
-        self.mu, self.eta, self.dim = mu, eta, fam.dim
+        self.mu, self.eta = mu, eta
         self.residual = fam.residual_measure
         self.last = _key_depth_cap(fam.dim) if refined else None
         self.escapes = self.overlap = self.deep = self.off_center = False
         self.worst = self.prev_end = None
 
-    def add(self, levels: np.ndarray, keys: np.ndarray,
+    def add(self, starts: np.ndarray, ends: np.ndarray,
             cells: CellChecks) -> bool:
-        """Check the next cells (levels, keys) of the family, whose per-cell
-        checks are cells; returns whether no cell so far fails a check."""
-        spans = _key_spans(levels, self.dim)
-        # a cell owns its key with the bits below its level cleared, the
-        # same truncation its index takes
-        starts = keys & -spans
-        ends = starts + spans
+        """Check the next cells, of key ranges [starts, ends) and per-cell
+        checks cells; returns whether no cell so far fails a check."""
         self.overlap = self.overlap or bool(np.any(starts[1:] < ends[:-1])) \
             or (self.prev_end is not None and starts[0] < self.prev_end)
         self.prev_end = ends[-1]
-        if self.last is not None and levels.max() >= self.last:
+        # a cell at the last key level spans one key
+        if self.last is not None and np.any(ends - starts <= 1):
             self.deep = True
         if cells.bad:
             self.escapes = self.escapes or bool(cells.escapes.any())
@@ -541,7 +555,7 @@ def verify_family(fam: TaggedFamily, g: Gauge, mu: RadonMeasure, eta: float,
     check = FamilyCheck(fam, mu, eta)
     masses = []
     for c in fam.chunks():
-        check.add(c.levels, c.keys, check_cells(c, g, fam))
+        check.add(*c.ranges(), check_cells(c, g, fam))
         masses.extend(exact_parts(measure_box_batch(mu, c.los, c.his)))
     return check.verdict(math.fsum(masses), report)
 
@@ -623,11 +637,11 @@ def expand(c: Chunk, chosen: list[np.ndarray], universe: Box
     some refinement splits, each parent's once, parent by parent and in
     key order, and piece: piece(t) is refinement t's piece, the positions
     of its cells in canonical order in the pool of c's cells followed by
-    those children.  A child's indices, and so its corners and tag, derive
-    from its parent's, so a child lies inside its parent whatever its key.
-    A piece is built on each call and the children's corners and tags when
-    needed, so nothing per refinement and no second copy of a chunk's
-    geometry need be held.
+    those children, and the positions of the children it holds.  A child's
+    indices, and so its corners and tag, derive from its parent's, so a
+    child lies inside its parent whatever its key.  A piece is built on
+    each call and the children's corners and tags when needed, so nothing
+    per refinement and no second copy of a chunk's geometry need be held.
     """
     n, dim = len(c.levels), universe.dim
     fan = 2 ** dim
@@ -641,7 +655,7 @@ def expand(c: Chunk, chosen: list[np.ndarray], universe: Box
     idx = (2 * c.indices[parents][:, None, :]
            + _CHILD_OFFSETS[dim][None, :, :]).reshape(-1, dim)
 
-    def piece(t: int) -> np.ndarray:
+    def piece(t: int) -> tuple[np.ndarray, np.ndarray]:
         # each position holds the pool position one past the previous one,
         # except where the piece jumps to a split cell's first child, at
         # n + fan * rank, and back to the cell after it; a split cell's
@@ -655,7 +669,8 @@ def expand(c: Chunk, chosen: list[np.ndarray], universe: Box
         step[first] += kid - ch
         back = first + fan < len(step)
         step[first[back] + fan] += ch[back] + 1 - (kid[back] + fan)
-        return np.cumsum(step, dtype=np.int32)
+        held = (kid[:, None] + np.arange(fan)).reshape(-1)
+        return np.cumsum(step, dtype=np.int32), held
 
     return Chunk(c.start, levels, keys, idx, None, None, None), piece
 

@@ -12,7 +12,9 @@ per-cell sum comes from one walk over the family's chunks, so memory stays
 at a few chunks however large the family grows.  One walk carries the base
 family and up to TRIALS_PER_WALK refinements of it, the base being the
 refinement that splits nothing, and checks and evaluates each distinct cell
-once.  Every total is the correctly rounded sum of its per-cell terms, so
+once; a refinement's sums and depth histogram are the base's, less the cells
+it splits, plus their children.  Every total is one math.fsum of the exact
+parts its pieces gave, the correctly rounded sum of its per-cell terms, so
 no walk's cut changes it and each report is that of its built family.  The
 residual frontier, which refinement keeps, is integrated once.
 """
@@ -28,12 +30,11 @@ import numpy as np
 from .corpus import CorpusFunction
 from .errors import BoundViolated
 from .gauge import GaugeBuildParams, build_gauge, soundness_sweep
-from .geometry import Box, Gauge, NormKind, exact_parts
+from .geometry import Gauge, NormKind, exact_parts
 from .measure import RadonMeasure, measure_box_batch
 from . import partition
-from .partition import (Chunk, FamilyCheck, TaggedFamily, check_cells,
-                        dyadic_sieve, expand, random_dyadic_partition,
-                        refinement_choice)
+from .partition import (FamilyCheck, TaggedFamily, check_cells, dyadic_sieve,
+                        expand, random_dyadic_partition, refinement_choice)
 
 _REL = 1e-9
 # refined trials one walk of the base family carries; more trials take more
@@ -76,34 +77,29 @@ class ApproximationReport:
         return out
 
 
-def _cell_values(f: CorpusFunction, mu: RadonMeasure, universe: Box,
-                 part: Chunk, vals: np.ndarray):
-    """Every per-cell term a report sums, for the cells of part: the local
-    error ||w0 Int_S f - f(tag) w||, the deviation integral with its
-    certified error, the mass w and f(tag) w, cell i's in column i of
-    vals.  The kernels run KERNEL_ROWS cells at a time, so their
+def _cell_values(f: CorpusFunction, mu: RadonMeasure, los: np.ndarray,
+                 his: np.ndarray, tags: np.ndarray, vals: np.ndarray):
+    """Every per-cell term a report sums, for the cells (los, his, tags):
+    the local error ||w0 Int_S f - f(tag) w||, the deviation integral with
+    its certified error, the mass w and f(tag) w, cell i's in column i of
+    vals.  The walk hands it one KERNEL_ROWS batch at a time, so the kernels'
     temporaries stay small however many children a chunk's trials add."""
-    for start in range(0, len(part.levels), partition.KERNEL_ROWS):
-        batch = slice(start, start + partition.KERNEL_ROWS)
-        los, his, tags = part.geometry(universe, batch)
-        w = vals[_W, batch] = measure_box_batch(mu, los, his)
-        F = f.eval_batch(tags)
-        Fw = F * w[:, None]
-        vals[_W + 1:, batch] = Fw.T
-        vals[_LOCAL, batch] = f.ynorm_rows(
-            mu.w0 * f.integral_batch(los, his) - Fw)
-        vals[_DEV, batch], vals[_ERR, batch] = \
-            f.dev_integral_for_tags(los, his, tags, F)
+    w = vals[_W] = measure_box_batch(mu, los, his)
+    F = f.eval_batch(tags)
+    Fw = F * w[:, None]
+    vals[_W + 1:] = Fw.T
+    vals[_LOCAL] = f.ynorm_rows(mu.w0 * f.integral_batch(los, his) - Fw)
+    vals[_DEV], vals[_ERR] = f.dev_integral_for_tags(los, his, tags, F)
 
 
 class _Trial:
     """One family's share of a walk: its check, if any, and its sums.
 
     The family's cells arrive piece by piece in canonical order, as
-    positions in a pool of per-cell values, with exact parts of their sums,
-    which fold into a few exact parts per sum, so each total is correctly
-    rounded whichever pieces the cells came in.  The truncation profile's
-    prefix sums carry across pieces: bit for bit one cumsum of the family.
+    positions in a pool of per-cell values, with their depth histogram and
+    a few exact parts of each sum, folded once by sums(): each total is
+    correctly rounded whichever pieces the cells came in, and the truncation
+    profile's prefix sums carry across pieces, bit for bit one cumsum.
     """
 
     def __init__(self, cells: int, f: CorpusFunction, mu: RadonMeasure,
@@ -112,33 +108,38 @@ class _Trial:
         self.threshold = threshold
         self.total = float(mu.total)
         self.exact = mu.w0 * f.exact_integral(mu.universe)
-        self.parts = [np.zeros(0)] * (_W + 1 + f.dim_out)
+        self.parts = [[] for _ in range(_W + 1 + f.dim_out)]
         self.depths = np.zeros(64, dtype=np.int64)
         # the prefix sums of w and f(tag) w so far
         self.carry = np.zeros(1 + f.dim_out)
         self.m0 = None
         self.trunc = (float(f.ynorm(self.exact)), 0)
 
-    def add(self, vals: np.ndarray, levels: np.ndarray, sel: np.ndarray,
-            parts: list[np.ndarray]):
-        """The next cells, the columns sel of vals, of levels `levels`;
-        parts[i] sums exactly to row i of vals over those cells."""
+    def add(self, vals: np.ndarray, depths: np.ndarray, sel: np.ndarray,
+            parts: list[list[float]]):
+        """The next cells, the columns sel of vals, depths[k] of them at
+        level k; parts[i] sums exactly to row i of vals over those cells."""
         start = int(self.depths.sum())
-        self.depths += np.bincount(levels, minlength=len(self.depths))
-        self.parts = [exact_parts(np.r_[kept, new])
-                      for kept, new in zip(self.parts, parts)]
+        self.depths += depths
+        for kept, new in zip(self.parts, parts):
+            kept += new
         if self.threshold is None:
             return
-        prefix = np.cumsum(np.concatenate(
-            (self.carry[:, None], np.take(vals[_W:], sel, axis=1, mode="clip")),
-            axis=1), axis=1)[:, 1:]
+        prefix = np.empty((len(self.carry), len(sel) + 1))
+        prefix[:, 0] = self.carry
+        for row, out in zip(vals[_W:], prefix[:, 1:]):
+            np.take(row, sel, out=out, mode="clip")
+        prefix = np.cumsum(prefix, axis=1, out=prefix)[:, 1:]
         # a copy: a view would keep the whole piece's prefix sums alive
         self.carry = prefix[:, -1].copy()
         covered, partial = prefix[0], prefix[1:].T
         j = 0
         if self.m0 is None:
             # uncovered after k cells still includes the residual, so the
-            # threshold passed in must sit at or above it
+            # threshold passed in must sit at or above it; covered never
+            # falls, so no cell is eligible unless the piece's last one is
+            if not self.total - self.carry[0] <= self.threshold + 1e-15:
+                return
             eligible = self.total - covered <= self.threshold + 1e-15
             if not eligible.any():
                 return
@@ -157,7 +158,8 @@ class _Trial:
             trunc = (float(self.f.ynorm_rows(
                 self.exact[None, :] - self.carry[None, 1:])[0]),
                 self.cells - 1)
-        totals = [math.fsum(row) for row in self.parts]
+        # as the parts' exact sum, or not finite if a part is not
+        totals = [math.fsum(exact_parts(np.array(row))) for row in self.parts]
         return {"simple": np.array(totals[_W + 1:]),
                 "local": totals[_LOCAL], "dev": totals[_DEV],
                 "dev_err": totals[_ERR], "measure": totals[_W], "truncation": trunc,
@@ -170,71 +172,73 @@ def _walk(fam: TaggedFamily, f: CorpusFunction, mu: RadonMeasure,
           eta: float | None = None, draws: list[partition.Refinement] = ()
           ) -> list[_Trial]:
     """One walk over fam's chunks that sums fam and each refinement draws[t]
-    of it, without building the refinements.
+    of it, without building the refinements; draws need a gauge g.
 
     fam is refinement 0, the one that splits nothing, so every family takes
     the same steps per chunk: expand gives the children of every cell some
     refinement splits and each family's piece of the pool of the chunk's
     cells and those children; each distinct cell of the pool is evaluated
-    once, and, given a gauge g, checked once; then one pass per family over
-    its piece feeds both its check and its sums.  fam's check runs first:
-    from its first failing chunk on only that check runs, so no sum kernel
-    sees a corrupt cell and no refinement of a corrupt family is expanded;
-    a refinement's check then takes the per-cell checks of the children it
-    holds only, every cell it keeps having passed.  With refinements, fam's
-    check also fails a cell at the last key level, whose children would
-    have no keys, so expand never meets one.  A child's corners derive from
-    the indices of a parent that passed, so a refinement's children reach
-    the kernels whatever their own checks find, and its verdict names the
-    same failure as verify_family on the built refinement.  Take each
-    check's verdict before using its sums.
-    Returns fam's trial followed by one per refinement.
+    once, from corners and tags derived once, and, given a gauge g, checked
+    once; then one pass per family over its piece feeds both its check and
+    its sums.  fam's check runs first: from its first failing chunk on only
+    that check runs, so no sum kernel sees a corrupt cell and no refinement
+    of a corrupt family is expanded; a refinement's check then takes its
+    piece's key ranges from the pool's and the per-cell checks of the
+    children it holds only, every cell it keeps having passed.  With
+    refinements, fam's check also fails a cell at the last key level, whose
+    children would have no keys, so expand never meets one.  A child's
+    corners derive from the indices of a parent that passed, so a
+    refinement's children reach the kernels whatever their own checks find,
+    and its verdict names the same failure as verify_family on the built
+    refinement.  Returns fam's trial followed by one per refinement; take
+    each check's verdict before using its sums.
     """
     draws = [partition.Refinement(), *draws]
-    sizes = [len(fam) + (2 ** fam.dim - 1) * d.count for d in draws]
+    fan = 2 ** fam.dim
+    sizes = [len(fam) + (fan - 1) * d.count for d in draws]
     # the refinements split fam's cells, so fam's check needs each splittable
     trials = [_Trial(size, f, mu, threshold,
                      None if g is None else FamilyCheck(
                          fam, mu, eta, refined=len(draws) > 1 and t == 0))
               for t, size in enumerate(sizes)]
     for c in fam.chunks():
+        ranges = c.ranges()
         cells = None if g is None else check_cells(c, g, fam)
-        if cells is not None and \
-                not trials[0].check.add(c.levels, c.keys, cells):
+        if cells is not None and not trials[0].check.add(*ranges, cells):
             continue
         n = len(c.levels)
         split = [d.positions(c.start, c.start + n) for d in draws]
         kids, piece = expand(c, split, fam.universe)
         # the pool's values: the chunk's cells, then the children
         vals = np.empty((_W + 1 + f.dim_out, n + len(kids.levels)))
-        _cell_values(f, mu, fam.universe, c, vals[:, :n])
+        for rows, *box in c.batches(fam.universe):
+            _cell_values(f, mu, *box, vals[:, :n][:, rows])
         # each array is let go as soon as it is done with, the pool at the chunk's
         # end, which keeps the walk's peak at about that of walking one trial alone
-        c = c._replace(los=None, his=None, tags=None)
-        if cells is not None:
-            # before the children's values, whose columns are not yet touched
-            kid_checks = check_cells(kids, g, fam)
-            keys = np.concatenate((c.keys, kids.keys))
-        _cell_values(f, mu, fam.universe, kids, vals[:, n:])
-        levels = np.concatenate((c.levels, kids.levels))
+        levels, c = c.levels, None
+        kid_checks = check_cells(kids, g, fam, lambda rows, *box: _cell_values(
+            f, mu, *box, vals[:, n:][:, rows]))
+        ranges = [np.concatenate(r) for r in zip(ranges, kids.ranges())]
         kids = None
-        whole = [exact_parts(row) for row in vals[:, :n]]
+        depths = np.bincount(levels, minlength=64)
+        whole = [exact_parts(row).tolist() for row in vals[:, :n]]
         for t, trial in enumerate(trials):
-            sel = piece(t)
-            parts, lv = whole, np.take(levels, sel, mode="clip")
+            (sel, held), parts, hist = piece(t), whole, depths
             if t:
                 # fam's check passed every cell of the chunk, so of a
                 # refinement's cells only the children it holds can fail
-                held = sel[sel >= n]
                 if cells is not None:
-                    trial.check.add(lv, np.take(keys, sel, mode="clip"),
+                    trial.check.add(*(np.take(r, sel) for r in ranges),
                                     kid_checks.take(held - n))
-                # sums are order-free, so a refinement's are fam's, less
-                # the cells it splits, plus their children
-                parts = [np.r_[w, exact_parts(np.r_[-row[split[t]], row[held]])]
-                         for w, row in zip(whole, vals)]
-            trial.add(vals, lv, sel, parts)
-        c = cells = vals = keys = kid_checks = levels = whole = None
+                # sums and depths are order-free, so a refinement's are
+                # fam's, less the cells it splits, plus their children
+                parts = [w + exact_parts(np.concatenate(
+                    (np.take(row, held), -np.take(row, split[t])))).tolist()
+                    for w, row in zip(whole, vals)]
+                gone = np.bincount(levels[split[t]], minlength=64)
+                hist = depths - gone + np.append(0, fan * gone[:-1])
+            trial.add(vals, hist, sel, parts)
+        cells = vals = ranges = kid_checks = levels = whole = None
     return trials
 
 

@@ -761,3 +761,69 @@ def test_check_cells_fineness_is_non_strict():
     assert not partition.check_cells(c, constant_gauge(circ), fam).bad
     tight = partition.check_cells(c, constant_gauge(np.nextafter(circ, 0.0)), fam)
     assert tight.bad and np.all(tight.circ > tight.delta)
+
+
+def reference_check_cells(c, g, fam):
+    """check_cells as it was before batches were let go: every batch's
+    arrays kept and joined, then asked whether any cell fails."""
+    lo, hi = np.asarray(fam.universe.lo), np.asarray(fam.universe.hi)
+    batches = []
+    for start in range(0, len(c.levels), partition.KERNEL_ROWS):
+        rows = slice(start, start + partition.KERNEL_ROWS)
+        los, his, tags = partition._geometry(fam.universe, c.levels[rows],
+                                             c.indices[rows])
+        inner = norm_batch(tags - 0.5 * (los + his), fam.domain_norm)
+        batches.append((
+            tags,
+            np.any(los < lo - 1e-12, axis=1) | np.any(his > hi + 1e-12, axis=1),
+            inner > 0.5 * (his - los).min(axis=1) + 1e-15,
+            norm_batch(np.maximum(his - tags, tags - los), fam.domain_norm),
+            g.delta_batch(tags)))
+    arrays = [np.concatenate(a) for a in zip(*batches)]
+    _, escapes, off_center, circ, delta = arrays
+    if escapes.any() or off_center.any() or np.any(circ > delta):
+        return partition.CellChecks(*arrays)
+    return partition.CellChecks()
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last", "none"])
+def test_check_cells_lets_passing_batches_go(where, monkeypatch):
+    # 4-cell batches: a chunk of 16 cells and a pool of 24 children, whose
+    # one failing cell (a tag the gauge shrinks to nothing) sits in the
+    # first, a middle or the last batch, or nowhere; the arrays and the
+    # verdict are those of the reference, and each batch reaches `each`
+    # once, in order, its corners and tags as derived for the check
+    monkeypatch.setattr(partition, "KERNEL_ROWS", 4)
+    fam = random_dyadic_partition(UNIT_2D, np.random.default_rng(0),
+                                  max_level=2, stop_prob=0.0)
+    mu = unit(UNIT_2D)
+    c = next(fam.chunks())
+    kids, _ = partition.expand(c, [np.arange(0, 16, 3)], fam.universe)
+    for pool in (c, kids):
+        n = len(pool.levels)
+        tags = partition._geometry(fam.universe, pool.levels, pool.indices)[2]
+        at = {"first": 1, "middle": n // 2, "last": n - 1, "none": None}[where]
+        hit = np.full(2, np.nan) if at is None else tags[at]
+        g = Gauge(batch=lambda X: np.where(np.all(X == hit, axis=1), 1e-300, 1.0))
+        seen = []
+
+        def each(rows, los, his, got_tags):
+            seen.append((rows.start, rows.stop))
+            assert np.array_equal(got_tags, tags[rows])
+
+        got = partition.check_cells(pool, g, fam, each)
+        want = reference_check_cells(pool, g, fam)
+        assert seen == [(s, s + 4) for s in range(0, n, 4)]
+        assert got.bad is (at is not None)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        reasons = []
+        for checks in (got, want):
+            check = partition.FamilyCheck(fam, mu, 1.0)
+            check.add(*pool.ranges(), checks)
+            notes = {}
+            check.verdict(1.0, notes)
+            reasons.append(notes.get("reason"))
+        assert reasons[0] == reasons[1]
+        assert (at is None) is (reasons[0] is None)
+        assert at is None or reasons[0].startswith(f"fineness violated at tag {tuple(hit)}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,12 +11,12 @@ import numpy as np
 import pytest
 from conftest import cell_arrays, constant_gauge, last_passing
 
-from morsegauge import partition, riemann
+from morsegauge import cli, partition, riemann
 from morsegauge.corpus import corpus_function
 from morsegauge.errors import BoundViolated, PreconditionUncertified
 from morsegauge.gauge import GaugeBuildParams, build_gauge
 from morsegauge.geometry import Box, Gauge, NormKind
-from morsegauge.measure import RadonMeasure
+from morsegauge.measure import RadonMeasure, measure_box_batch
 from morsegauge.partition import (
     dyadic_sieve,
     random_dyadic_partition,
@@ -461,6 +462,92 @@ def test_overlap_only_a_refinement_has_is_caught_in_that_trial():
     assert str(exc.value) == \
         f"family verification failed (trial 1): {notes['reason']}"
     assert notes["reason"] == "interior overlap (key ranges collide)"
+
+
+@pytest.mark.parametrize("name,eps,chunk", [("spike1", 0.03, None),
+                                            ("lipschitz2d", 0.1, 256)])
+def test_trial_bookkeeping_matches_the_built_refinements(name, eps, chunk,
+                                                         monkeypatch):
+    # a refined trial's depth histogram is the base chunk's, less its split
+    # cells' levels, plus its children's, and its check takes its pieces'
+    # key ranges from the pool's: both as on the refinement refine_family
+    # builds (fan 2 in 1-d, fan 4 in 2-d)
+    f = corpus_function(name)
+    mu = unit(f)
+    g, eta, base = sieved(f, eps)
+    if chunk is not None:
+        monkeypatch.setattr(partition, "CHUNK_CELLS", chunk)
+    assert len(base) > 2 * partition.CHUNK_CELLS
+    rng = np.random.default_rng(5)
+    draws = [partition.refinement_choice(len(base), 0.15, rng)
+             for _ in range(3)]
+    walked = riemann._walk(base, f, mu, riemann._threshold(f, mu, eps, base),
+                           g=g, eta=eta, draws=draws)
+    rng = np.random.default_rng(5)
+    refs = [refine_family(base, 0.15, rng) for _ in range(3)]
+    for fam, trial in zip([base] + refs, walked):
+        sums, notes, want = trial.sums(), {}, {}
+        levels, counts = np.unique(cell_arrays(fam)[0], return_counts=True)
+        assert sums["depth_histogram"] == dict(zip(levels.tolist(),
+                                                   counts.tolist()))
+        assert trial.check.verdict(sums["measure"], notes) is \
+            verify_family(fam, g, mu, eta, report=want) is True
+        assert notes == want
+
+
+@pytest.mark.parametrize("chunk", [7, 256, 1 << 16])
+@pytest.mark.parametrize("share", [None, 0.3, 1.0])
+def test_truncation_profile_is_one_cumsum_of_the_family(share, chunk,
+                                                        monkeypatch):
+    # a piece whose last prefix leaves more than the threshold uncovered
+    # skips the eligibility mask; the profile is still that of one cumsum
+    # of the whole family, eligibility starting mid-family, at the first
+    # cell (share 1.0) or, under the default threshold, near the end
+    f = corpus_function("spike1")
+    mu = unit(f)
+    _, _, base = sieved(f, 0.3)
+    total = float(mu.total)
+    threshold = riemann._threshold(f, mu, 0.3, base) if share is None \
+        else share * total
+    chunks = list(base.chunks())
+    w = np.concatenate([measure_box_batch(mu, c.los, c.his) for c in chunks])
+    F = np.concatenate([f.eval_batch(c.tags) for c in chunks])
+    prefix = np.cumsum(np.column_stack((w, F * w[:, None])), axis=0)
+    exact = mu.w0 * f.exact_integral(mu.universe)
+    eligible = total - prefix[:, 0] <= threshold + 1e-15
+    assert eligible.any() and (share == 1.0) is bool(eligible[0])
+    m0 = int(np.argmax(eligible))
+    errto = f.ynorm_rows(exact[None, :] - prefix[m0:, 1:])
+    k = int(np.argmax(errto))
+    monkeypatch.setattr(partition, "CHUNK_CELLS", chunk)
+    got = riemann._walk(base, f, mu, threshold)[0].sums()["truncation"]
+    assert got == (float(errto[k]), m0 + k)
+
+
+# sha256 of report.json and summary.csv of `run-theorem --trials 3`, taken
+# while the walk still folded each sum's exact parts on every piece
+PINNED_REPORTS = {
+    ("spike1", "0.03"): (
+        "bc2bd4e69799dcab4071e6226cf12022d3626a8553d957038b2dbe10852707e1",
+        "d335b3cf39c7b334e96d535e66b7406c3ec7224c5d7476f2dace6bdf473e7895"),
+    ("lipschitz2d", "0.1"): (
+        "59aca63cd1cbf3d9fb84c24e7598adab6d1351e080d7ccffb490d6846c696ad2",
+        "ee071f475bfffc854f4d28b9831582739528d3b4d0d25053989c9cc8606a5077"),
+    ("step2", "0.01"): (
+        "58e22086228305bcc5eca49cfb1b63ef4206850175c36826536ad93056974a70",
+        "b3432141688f4a7861b85b2b6139125df93bc2a3498447d8b2fd37ed033779fe"),
+}
+
+
+@pytest.mark.parametrize("name,eps", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(name, eps, tmp_path):
+    # every sum, histogram and verdict of the walk lands in these bytes, so
+    # a change to how the walk gets them must leave them as they are
+    assert cli.main(["run-theorem", "--fn", name, "--eps", eps, "--trials",
+                     "3", "--out", str(tmp_path)]) == 0
+    got = tuple(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+                for out in ("report.json", "summary.csv"))
+    assert got == PINNED_REPORTS[name, eps]
 
 
 def test_trial_groups_bound_memory():

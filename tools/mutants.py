@@ -91,6 +91,19 @@ MUTANTS = {
         PARTITION, "np.any(los < lo - 1e-12, axis=1)",
         "np.any(los < lo - 1e-9, axis=1)",
         ["tests/test_partition.py::test_check_cells_containment_slack"]),
+    "failing-batch-dropped": (
+        PARTITION, "passed = passed and not _cell_checks(",
+        "passed = not _cell_checks(",
+        ["tests/test_partition.py::test_check_cells_lets_passing_batches_go"]),
+    "no-overlap-check-at-seam": (
+        PARTITION, "or (self.prev_end is not None and starts[0] < self.prev_end)",
+        "or False",
+        ["tests/test_partition.py::test_verifier_rejects_keys_out_of_order"]),
+    "eligibility-shortcut-inverted": (
+        RIEMANN,
+        "if not self.total - self.carry[0] <= self.threshold + 1e-15:",
+        "if self.total - self.carry[0] <= self.threshold + 1e-15:",
+        ["tests/test_riemann.py::test_truncation_profile_is_one_cumsum_of_the_family"]),
 }
 
 
